@@ -18,7 +18,13 @@ had:
   every shard operation is idempotent at the durability layer: submit
   dedups on the journaled job id, release/expire tolerate repeats, and
   reads have no side effects.  *Application* errors (the child ran the
-  op and said no) are never retried — they are answers, not failures.
+  op and said no) are never retried — they are answers, not failures;
+- **a send half and a receive half** — :meth:`RpcClient.begin` writes
+  the request and returns, :meth:`RpcClient.finish` collects the reply
+  under everything above; ``call`` is one after the other.  A caller
+  holding several pipes can ``begin`` on all of them before the first
+  ``finish``, so the children work at the same time.  Each pipe still
+  carries **one** outstanding request.
 
 Everything here raises from the typed family ``RpcError`` /
 ``RpcTimeout`` (transport) or re-raises the child's error by name
@@ -33,12 +39,15 @@ import errno
 import random
 import select
 import time
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cluster.proc.wire import FrameDecoder, encode_message
 from repro.errors import (
     ClusterError,
     RpcError,
+    RpcSequenceError,
     RpcTimeout,
     ServeError,
     WireError,
@@ -108,6 +117,19 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * self._rng.random())
 
 
+@dataclass
+class _Request:
+    """The one request a pipe may have outstanding."""
+
+    op: str
+    params: dict
+    timeout_s: float
+    #: Id of the latest attempt (every retry sends under a fresh one).
+    call_id: int = 0
+    #: Why the latest attempt's send failed, if it did.
+    error: RpcError | None = None
+
+
 class RpcClient:
     """Framed request/response over a child's stdin/stdout pipe pair."""
 
@@ -128,6 +150,9 @@ class RpcClient:
         self.clock = clock
         self.sleep = sleep
         self._decoder = FrameDecoder()
+        #: Decoded messages not yet handed to a caller, in arrival order.
+        self._arrived: deque[dict] = deque()
+        self._outstanding: _Request | None = None
         self._next_id = 1
         #: Responses that arrived for ids we no longer wait on.
         self.stale_responses = 0
@@ -164,9 +189,14 @@ class RpcClient:
             ) from exc
 
     def _recv(self, timeout_s: float, op: str) -> dict:
-        """Read the next message, bounded by ``timeout_s``."""
+        """The next message in arrival order, bounded by ``timeout_s``.
+
+        Whether a message is the live reply or a stale one is the
+        caller's id comparison alone to decide, so frames that shared a
+        read chunk are handed back one per call, never skipped.
+        """
         deadline = self.clock() + timeout_s
-        while True:
+        while not self._arrived:
             budget = deadline - self.clock()
             if budget <= 0:
                 raise RpcTimeout(
@@ -198,25 +228,97 @@ class RpcClient:
                     op=op,
                 )
             try:
-                messages = self._decoder.feed(chunk)
+                self._arrived.extend(self._decoder.feed(chunk))
             except WireError as exc:
                 raise RpcError(
                     f"corrupt frame from shard {self.shard or '?'}: {exc}",
                     shard=self.shard,
                     op=op,
                 ) from exc
-            if messages:
-                # Messages arrive strictly in order on a pipe; callers
-                # consume one per _recv (the protocol is request/reply).
-                if len(messages) > 1:
-                    # Stale answers to timed-out calls queued up while
-                    # the child was wedged; the newest is the live one.
-                    self.stale_responses += len(messages) - 1
-                return messages[-1]
+        return self._arrived.popleft()
 
     # ------------------------------------------------------------------
     # the call convention
     # ------------------------------------------------------------------
+
+    def _send_attempt(self, request: _Request) -> None:
+        """Send ``request`` under a fresh id; a transport failure is kept
+        for :meth:`finish`, which owns the retry budget."""
+        request.call_id = self._next_id
+        self._next_id += 1
+        request.error = None
+        try:
+            self.send(
+                {
+                    "id": request.call_id,
+                    "op": request.op,
+                    "params": request.params,
+                }
+            )
+        except RpcError as exc:
+            request.error = exc
+
+    @property
+    def outstanding(self) -> bool:
+        """Has a request been begun whose reply is not yet collected?"""
+        return self._outstanding is not None
+
+    def begin(
+        self,
+        op: str,
+        params: dict | None = None,
+        *,
+        timeout_s: float = 30.0,
+    ) -> None:
+        """The send half of :meth:`call`: write the request and return.
+
+        The pipe carries one outstanding request; :meth:`finish` must
+        collect its reply before the next ``begin``.
+        """
+        if self._outstanding is not None:
+            raise RpcSequenceError(
+                f"shard {self.shard or '?'} still owes a reply to "
+                f"{self._outstanding.op!r}; finish it before {op!r}"
+            )
+        self.calls += 1
+        self._outstanding = _Request(op, params or {}, timeout_s)
+        self._send_attempt(self._outstanding)
+
+    def finish(self) -> Any:
+        """The receive half of :meth:`call`: correlate the reply, retry
+        transport failures, and leave the pipe free whatever happens."""
+        request, self._outstanding = self._outstanding, None
+        if request is None:
+            raise RpcSequenceError(
+                f"no request outstanding on shard {self.shard or '?'}"
+            )
+        for attempt in range(self.retry.attempts):
+            if attempt:
+                self.retries += 1
+                self.sleep(self.retry.delay_s(attempt - 1))
+                self._send_attempt(request)
+            if request.error is not None:
+                continue
+            try:
+                while True:
+                    response = self._recv(request.timeout_s, request.op)
+                    if response.get("id") == request.call_id:
+                        break
+                    # A reply correlated to an older call: note and drop.
+                    self.stale_responses += 1
+            except RpcError as exc:
+                request.error = exc
+                continue
+            if response.get("ok"):
+                return response.get("value")
+            error = response.get("error") or {}
+            raise RemoteOpError(
+                f"shard {self.shard or '?'} op {request.op!r} failed: "
+                f"{error.get('type', 'Error')}: {error.get('message', '')}",
+                remote_type=str(error.get("type", "")),
+            )
+        assert request.error is not None
+        raise request.error
 
     def call(
         self,
@@ -226,33 +328,5 @@ class RpcClient:
         timeout_s: float = 30.0,
     ) -> Any:
         """One typed RPC: send, correlate, retry transport failures."""
-        self.calls += 1
-        last_exc: RpcError | None = None
-        for attempt in range(self.retry.attempts):
-            if attempt:
-                self.retries += 1
-                self.sleep(self.retry.delay_s(attempt - 1))
-            call_id = self._next_id
-            self._next_id += 1
-            try:
-                self.send({"id": call_id, "op": op, "params": params or {}})
-                while True:
-                    response = self._recv(timeout_s, op)
-                    rid = response.get("id")
-                    if rid == call_id:
-                        break
-                    # A reply correlated to an older call: note and drop.
-                    self.stale_responses += 1
-            except RpcError as exc:
-                last_exc = exc
-                continue
-            if response.get("ok"):
-                return response.get("value")
-            error = response.get("error") or {}
-            raise RemoteOpError(
-                f"shard {self.shard or '?'} op {op!r} failed: "
-                f"{error.get('type', 'Error')}: {error.get('message', '')}",
-                remote_type=str(error.get("type", "")),
-            )
-        assert last_exc is not None
-        raise last_exc
+        self.begin(op, params, timeout_s=timeout_s)
+        return self.finish()

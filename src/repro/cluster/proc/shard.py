@@ -20,6 +20,12 @@ typed RPC client, and that changes the failure semantics deliberately:
   router round behind per-call timeouts; ``step_one`` marks the shard
   unreachable and goes idle so the supervisor — not an exception — ends
   the shard's tenure.
+- **a step has two halves.**  ``step_begin`` sends the request and
+  returns; ``step_one`` collects the reply (or, with nothing begun, is
+  the whole blocking call).  A router round begins a step on every
+  shard before it collects any, which is what lets the shard processes
+  execute at the same time.  Failure lands where it always did: in
+  ``step_one``, as ``None``.
 
 A shard that answered nothing is distinguished from one that is *gone*:
 EOF/EPIPE (process exited) drops ``alive`` immediately, while a timeout
@@ -195,18 +201,24 @@ class ProcShardWorker:
         except OSError:  # pragma: no cover
             pass
 
-    def _call(self, op: str, params: dict | None = None, *, timeout_s=None):
-        """One RPC; transport failure updates liveness then re-raises."""
+    def _begin(self, op: str, params: dict | None = None, *, timeout_s=None):
+        """The send half of one RPC (a failed send surfaces in
+        :meth:`_finish`, where the retry budget lives)."""
         if not self._alive:
             raise ClusterError(f"shard {self.name} is dead")
+        self.rpc.begin(
+            op,
+            params,
+            timeout_s=timeout_s
+            if timeout_s is not None
+            else self.call_timeout_s,
+        )
+
+    def _finish(self):
+        """The receive half; transport failure updates liveness then
+        re-raises."""
         try:
-            value = self.rpc.call(
-                op,
-                params,
-                timeout_s=timeout_s
-                if timeout_s is not None
-                else self.call_timeout_s,
-            )
+            value = self.rpc.finish()
         except RpcTimeout:
             # Possibly just wedged (SIGSTOP): stop burning round time on
             # it, but let SIGKILL — not a guess — end its tenure.
@@ -218,6 +230,11 @@ class ProcShardWorker:
             raise
         self._unreachable = False
         return value
+
+    def _call(self, op: str, params: dict | None = None, *, timeout_s=None):
+        """One RPC, send then receive."""
+        self._begin(op, params, timeout_s=timeout_s)
+        return self._finish()
 
     # ------------------------------------------------------------------
     # state queries (degrade, never wedge)
@@ -331,13 +348,27 @@ class ProcShardWorker:
         self.jobs_submitted += 1
         return None
 
+    def step_begin(self) -> None:
+        """Send this round's ``step`` and return without its reply.
+
+        The router begins a step on every shard before it collects one,
+        so the shard processes execute at the same time;
+        :meth:`step_one` is the other half.  Never raises: a shard that
+        cannot be reached is left for ``step_one`` to report idle.
+        """
+        if self._alive and not self._unreachable:
+            self._begin("step")
+
     def step_one(self) -> JobResult | None:
-        """Run the shard's oldest queued job; ``None`` when idle or
-        unreachable (the supervisor owns an unreachable shard's fate)."""
+        """Run the shard's oldest queued job — or collect the step that
+        :meth:`step_begin` started; ``None`` when idle or unreachable
+        (the supervisor owns an unreachable shard's fate)."""
         if not self._alive or self._unreachable:
             return None
         try:
-            value = self._call("step")
+            if not self.rpc.outstanding:
+                self._begin("step")
+            value = self._finish()
         except (RpcError, ClusterError):
             return None
         if value.get("idle") or value.get("result") is None:

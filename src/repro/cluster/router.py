@@ -238,17 +238,24 @@ class ShardRouter:
         return sum(s.queue_depth for s in self.live_shards())
 
     def step_round(self) -> int:
-        """One lockstep round: every live shard runs one queued job.
+        """One round: every live shard runs one queued job.
 
-        Deterministic (shards step in name order), which is what lets
-        the cluster chaos matrix place crashes reproducibly.  Returns
-        the number of jobs completed this round.
+        Scatter, then gather.  The round first begins a step on every
+        live shard, then collects the replies; both passes go in name
+        order, so results fold — and in-process shards, which do their
+        work at collection, execute — in exactly the order a one-by-one
+        loop would give, which is what lets the cluster chaos matrix
+        place crashes reproducibly.  Shard *processes* execute between
+        the two passes, all at once.  Returns the number of jobs
+        completed this round.
         """
+        stepping = [
+            shard for _, shard in sorted(self.shards.items()) if shard.alive
+        ]
+        for shard in stepping:
+            shard.step_begin()
         completed = 0
-        for name in sorted(self.shards):
-            shard = self.shards[name]
-            if not shard.alive:
-                continue
+        for shard in stepping:
             result = shard.step_one()
             if result is not None:
                 self._record(result)

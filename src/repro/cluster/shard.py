@@ -189,6 +189,13 @@ class ShardWorker:
             self.jobs_submitted += 1
         return result
 
+    def step_begin(self) -> None:
+        """The send half of a step.  A process-backed shard starts
+        executing here; this one shares the router's thread and does
+        all of its work in :meth:`step_one`, so there is nothing to
+        send — the method exists so both shard classes keep one
+        surface."""
+
     def step_one(self) -> JobResult | None:
         """Run this shard's oldest queued job; ``None`` when idle."""
         engine = self._require_alive()

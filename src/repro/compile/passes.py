@@ -37,7 +37,6 @@ from repro.errors import CompileError
 from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.predecode import predecode
-from repro.fabric.rtms import EpochSpec
 from repro.units import DATA_MEM_WORDS, INSTR_MEM_WORDS
 
 from repro.compile.hashing import plan_hash
@@ -259,55 +258,6 @@ def validate_routes_pass(unit: CompileUnit) -> None:
                     )
 
 
-def _epoch_marginal_cost(
-    spec: EpochSpec,
-    resident: dict[Coord, set[int]],
-    links: dict[Coord, Direction | None],
-    link_cost_ns: float,
-    transfer_ns: Callable[[float], float],
-) -> float:
-    """Reconfiguration cost of ``spec`` given hypothetical fabric state.
-
-    Mirrors :meth:`repro.fabric.rtms.RuntimeManager.switch_cost` delta
-    rules exactly: resident programs free, data images always charged,
-    links charged only on change.  ``resident``/``links`` are *not*
-    mutated.
-    """
-    total = 0.0
-    charged: dict[Coord, set[int]] = {}
-    for coord, program in sorted(spec.programs.items()):
-        if (
-            id(program) in resident.get(coord, ())
-            or id(program) in charged.get(coord, ())
-        ):
-            continue
-        nbytes = len(program.encoded()) * IMEM_BYTES_PER_WORD
-        if program.data_image:
-            nbytes += len(program.data_image) * DMEM_BYTES_PER_WORD
-        total += transfer_ns(nbytes)
-        charged.setdefault(coord, set()).add(id(program))
-    for _, image in sorted(spec.data_images.items()):
-        if image:
-            total += transfer_ns(len(image) * DMEM_BYTES_PER_WORD)
-    link_seen: dict[Coord, Direction | None] = {}
-    for coord, direction in sorted(spec.links.items()):
-        current = link_seen.get(coord, links.get(coord))
-        if current == direction:
-            continue
-        total += link_cost_ns
-        link_seen[coord] = direction
-    return total
-
-
-def _state_after(spec: EpochSpec) -> tuple[dict, dict]:
-    """(residency, links) of a fresh fabric right after executing ``spec``."""
-    resident: dict[Coord, set[int]] = {}
-    for coord, program in spec.programs.items():
-        resident.setdefault(coord, set()).add(id(program))
-    links = {coord: direction for coord, direction in spec.links.items()}
-    return resident, links
-
-
 def switch_table_pass(unit: CompileUnit) -> None:
     """Precompute the pairwise switch-cost table over setup + body.
 
@@ -318,20 +268,55 @@ def switch_table_pass(unit: CompileUnit) -> None:
     parity tests).  Row access is what a scheduler needs to score "how
     expensive is it to jump from configuration ``i`` to ``j``" without
     touching a mesh.
+
+    Mirrors ``switch_cost``'s delta rules exactly: resident programs
+    free, data images always charged, links charged only on change.
+    What epoch ``j`` would transfer — and how long each piece takes —
+    does not depend on its predecessor, so it is worked out once per
+    epoch (each distinct program is sized once); a pair then only tests
+    residency and link membership, adding the pieces in the order the
+    planner charges them so the floats come out bit-identical.
     """
     plan = unit.plan
     epochs = plan.epochs
+    link_cost_ns = plan.link_cost_ns
     transfer_ns = IcapPort().transfer_ns
-    states = [_state_after(spec) for spec in epochs]
+    program_ns: dict[int, float] = {}
+    pieces = []
+    for spec in epochs:
+        loads = []
+        for coord, program in sorted(spec.programs.items()):
+            ns = program_ns.get(id(program))
+            if ns is None:
+                nbytes = len(program.encoded()) * IMEM_BYTES_PER_WORD
+                if program.data_image:
+                    nbytes += len(program.data_image) * DMEM_BYTES_PER_WORD
+                ns = program_ns[id(program)] = transfer_ns(nbytes)
+            loads.append((coord, program, ns))
+        images = [
+            transfer_ns(len(image) * DMEM_BYTES_PER_WORD)
+            for _, image in sorted(spec.data_images.items())
+            if image
+        ]
+        pieces.append((loads, images, sorted(spec.links.items())))
     table = []
-    for resident, links in states:
-        row = tuple(
-            _epoch_marginal_cost(
-                spec, resident, links, plan.link_cost_ns, transfer_ns
-            )
-            for spec in epochs
-        )
-        table.append(row)
+    for previous in epochs:
+        # A fresh fabric right after ``previous``: one program per tile
+        # resident, and the links it configured.
+        resident, links = previous.programs, previous.links
+        row = []
+        for loads, images, targets in pieces:
+            total = 0.0
+            for coord, program, ns in loads:
+                if resident.get(coord) is not program:
+                    total += ns
+            for ns in images:
+                total += ns
+            for coord, direction in targets:
+                if links.get(coord) != direction:
+                    total += link_cost_ns
+            row.append(total)
+        table.append(tuple(row))
     unit.epoch_names = tuple(spec.name for spec in epochs)
     unit.switch_table = tuple(table)
 

@@ -208,6 +208,14 @@ class RpcTimeout(RpcError):
     (SIGSTOP'd, wedged) process rather than a dead one."""
 
 
+class RpcSequenceError(ClusterError):
+    """Raised when a caller breaks the one-request-per-pipe rule of the
+    RPC client: a second ``begin`` while a reply is outstanding, or a
+    ``finish`` with nothing begun.  A caller bug, not a transport
+    failure — so not an :class:`RpcError`, and it says nothing about
+    the shard's health."""
+
+
 class LockTimeout(ReproError):
     """Raised when blocking on a :class:`repro.locks.FileLock` exceeds its
     timeout.  Carries the lock path and, when the holder stamped its pid

@@ -128,6 +128,19 @@ class _BaseSession:
         #: silently swallowed mid-job.
         self.progress: Callable[[int, RuntimeManager], None] | None = None
 
+    def _jobs_done(self, count: int = 1) -> None:
+        """Count ``count`` finished jobs and drop the ICAP transfer log.
+
+        The port appends one labelled record per transfer, and a
+        session keeps one port for its lifetime — kilobytes a job,
+        forever, for a log nothing in the serving layer reads.  The
+        port's ``busy_until_ns`` and running ``total_busy_ns`` (what
+        timing and ``reconfig_ns`` are computed from) do not depend on
+        it.
+        """
+        self.jobs_run += count
+        self.rtms.icap.transfers.clear()
+
     def _execute_sliced(
         self,
         rtms: RuntimeManager,
@@ -178,7 +191,7 @@ class FFTSession(_BaseSession):
         stats.output = self.fft.read_output(self.mesh)
         stats.sim_ns = self.rtms.now_ns - start_ns
         stats.reconfig_ns = self.rtms.icap.total_busy_ns - busy_before
-        self.jobs_run += 1
+        self._jobs_done()
         return stats
 
     def run_batch(
@@ -222,7 +235,7 @@ class FFTSession(_BaseSession):
                     slices=n_slices,
                 )
             )
-        self.jobs_run += len(xs)
+        self._jobs_done(len(xs))
         return results
 
     def run_resumed(
@@ -268,7 +281,7 @@ class FFTSession(_BaseSession):
         stats.output = self.fft.read_output(self.mesh)
         stats.sim_ns = self.rtms.now_ns - start_ns
         stats.reconfig_ns = self.rtms.icap.total_busy_ns - busy_before
-        self.jobs_run += 1
+        self._jobs_done()
         return stats
 
     def pin_epochs(self) -> list[EpochSpec]:
@@ -331,7 +344,7 @@ class JPEGSession(_BaseSession):
         stats.output = host.wrap_stream(writer.flush(), height, width)
         stats.sim_ns = self.rtms.now_ns - start_ns
         stats.reconfig_ns = self.rtms.icap.total_busy_ns - busy_before
-        self.jobs_run += 1
+        self._jobs_done()
         return stats
 
     def run_batch(
@@ -392,8 +405,8 @@ class JPEGSession(_BaseSession):
                 reconfigs[offset:offset + count].sum()
             )
             offset += count
-            self.jobs_run += 1
             results.append(stats)
+        self._jobs_done(len(frames))
         return results
 
     def pin_epochs(self) -> list[EpochSpec]:
@@ -452,7 +465,7 @@ class ArtifactSession(_BaseSession):
         stats.output = self._read()
         stats.sim_ns = self.rtms.now_ns - start_ns
         stats.reconfig_ns = self.rtms.icap.total_busy_ns - busy_before
-        self.jobs_run += 1
+        self._jobs_done()
         return stats
 
     def run_batch(
@@ -492,7 +505,7 @@ class ArtifactSession(_BaseSession):
                     slices=n_slices,
                 )
             )
-        self.jobs_run += len(payloads)
+        self._jobs_done(len(payloads))
         return results
 
     def pin_epochs(self) -> list[EpochSpec]:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.proc.rpc import RemoteOpError, RetryPolicy, RpcClient
 from repro.cluster.proc.wire import FrameDecoder, encode_message
-from repro.errors import RpcError, RpcTimeout, ServeError
+from repro.errors import RpcError, RpcSequenceError, RpcTimeout, ServeError
 
 
 class _Channel:
@@ -29,9 +29,15 @@ class _Channel:
         self.server_in = os.fdopen(req_r, "rb", buffering=0)
         self.server_out = os.fdopen(resp_w, "wb", buffering=0)
 
-    def respond(self, message: dict) -> None:
-        self.server_out.write(encode_message(message))
+    def respond(self, *messages: dict) -> None:
+        """Write the messages in one chunk, as a child that woke up with
+        several replies queued would."""
+        self.server_out.write(b"".join(map(encode_message, messages)))
         self.server_out.flush()
+
+    def requests(self) -> list[dict]:
+        """Every request the client has sent so far."""
+        return FrameDecoder().feed(os.read(self.server_in.fileno(), 65536))
 
     def close(self):
         for f in (
@@ -134,6 +140,102 @@ class TestCorrelation:
         assert client.call("ping", timeout_s=0.5) == "second try"
         thread.join(timeout=5)
         assert client.retries == 1
+
+
+class TestHalves:
+    """``begin`` + ``finish`` is ``call`` cut in two, nothing else."""
+
+    def test_begin_sends_and_returns_finish_correlates(self, channel):
+        client = _client(channel)
+        client.begin("step", {"n": 1}, timeout_s=2.0)
+        assert client.outstanding
+        assert channel.requests() == [
+            {"id": 1, "op": "step", "params": {"n": 1}}
+        ]
+        channel.respond({"id": 1, "ok": True, "value": "done"})
+        assert client.finish() == "done"
+        assert not client.outstanding
+        assert client.calls == 1 and client.retries == 0
+
+    def test_a_live_reply_is_never_dropped_by_its_position(self, channel):
+        """Frames that share a read chunk are judged by id alone: the
+        live reply may come first, last or in the middle."""
+        client = _client(channel)
+        client.begin("step", timeout_s=2.0)
+        channel.respond(
+            {"id": 998, "ok": True, "value": "stale"},
+            {"id": 1, "ok": True, "value": "live"},
+            {"id": 999, "ok": True, "value": "stale too"},
+        )
+        assert client.finish() == "live"
+        assert client.stale_responses == 1
+        # The frame behind the live one waits its turn and is dropped
+        # by the next call's id comparison.
+        channel.respond({"id": 2, "ok": True, "value": "next"})
+        assert client.call("ping", timeout_s=2.0) == "next"
+        assert client.stale_responses == 2
+
+    def test_silence_at_finish_is_a_typed_timeout_and_frees_the_pipe(
+        self, channel
+    ):
+        client = _client(channel)
+        client.begin("step", timeout_s=0.05)
+        with pytest.raises(RpcTimeout) as exc_info:
+            client.finish()
+        assert exc_info.value.op == "step"
+        assert not client.outstanding
+        channel.respond(
+            {"id": 1, "ok": True, "value": "late"},
+            {"id": 2, "ok": True, "value": "fresh"},
+        )
+        assert client.call("ping", timeout_s=2.0) == "fresh"
+        assert client.stale_responses == 1
+
+    def test_send_failure_at_begin_surfaces_in_finish(self, channel):
+        client = _client(channel)
+        channel.server_in.close()
+        client.begin("step", timeout_s=1.0)  # does not raise
+        with pytest.raises(RpcError, match="pipe|EPIPE"):
+            client.finish()
+        assert not client.outstanding
+
+    def test_retry_budget_and_accounting_match_call(self, channel):
+        """The figures ``call`` gives in ``TestTransportFailures``."""
+        naps = []
+        client = _client(
+            channel,
+            retry=RetryPolicy(
+                attempts=3,
+                base_delay_s=0.01,
+                multiplier=2.0,
+                max_delay_s=0.1,
+                jitter=0.0,
+            ),
+            sleep=naps.append,
+        )
+        client.begin("ping", timeout_s=0.02)
+        with pytest.raises(RpcTimeout):
+            client.finish()
+        assert (client.calls, client.retries) == (1, 2)
+        assert naps == [0.01, 0.02]
+        # Every attempt went out under its own id.
+        assert [r["id"] for r in channel.requests()] == [1, 2, 3]
+
+    def test_one_outstanding_request_per_pipe(self, channel):
+        client = _client(channel)
+        with pytest.raises(RpcSequenceError, match="no request"):
+            client.finish()
+        client.begin("step", timeout_s=2.0)
+        with pytest.raises(RpcSequenceError, match="still owes"):
+            client.begin("ping")
+        with pytest.raises(RpcSequenceError, match="still owes"):
+            client.call("ping")
+        # The refused requests were neither sent nor counted, and the
+        # first is still collectable.
+        assert client.calls == 1
+        assert [r["op"] for r in channel.requests()] == ["step"]
+        channel.respond({"id": 1, "ok": True, "value": "done"})
+        assert client.finish() == "done"
 
 
 class TestApplicationErrors:

@@ -12,7 +12,13 @@ import pytest
 from repro.cluster.ring import KEY_BITS
 from repro.cluster.router import ShardRouter, spec_routing_key
 from repro.errors import ClusterError
-from repro.serve.jobs import JobStatus, JobRequest, fft_spec, jpeg_spec
+from repro.serve.jobs import (
+    JobRequest,
+    JobResult,
+    JobStatus,
+    fft_spec,
+    jpeg_spec,
+)
 
 HOT = fft_spec(16, 4, 2)
 COLD = jpeg_spec(75, False)
@@ -106,6 +112,73 @@ class TestStealing:
         shard.engine.queue[0].resume_slice = 2
         candidates = {r.job_id for r in shard.steal_candidates()}
         assert candidates == {"rs-1", "rs-2"}
+
+
+class _RecordingShard:
+    """The slice of the shard surface a round touches, logging calls."""
+
+    def __init__(self, name, log, answers):
+        self.name, self.log, self.answers = name, log, answers
+        self.alive = True
+
+    def step_begin(self):
+        self.log.append(("begin", self.name))
+
+    def step_one(self):
+        self.log.append(("one", self.name))
+        job_id = self.answers.get(self.name)
+        if job_id is None:
+            return None  # idle — or unreachable, which reads the same
+        return JobResult(
+            job_id=job_id, status=JobStatus.DONE, worker_id=self.name
+        )
+
+    def close(self):
+        pass
+
+
+class TestRoundOrder:
+    """A round scatters to every live shard, then gathers in name order."""
+
+    def _router(self, tmp_path, names, answers):
+        log = []
+        router = ShardRouter(
+            tmp_path,
+            names,
+            worker_factory=lambda name, _dir: _RecordingShard(
+                name, log, answers
+            ),
+        )
+        return router, log
+
+    def test_every_begin_precedes_the_first_collect(self, tmp_path):
+        answers = {"a": "job-a", "b": "job-b", "c": "job-c", "d": "job-d"}
+        router, log = self._router(tmp_path, ["c", "a", "d", "b"], answers)
+        router.shards["d"].alive = False
+        assert router.step_round() == 3
+        assert log == [
+            ("begin", "a"), ("begin", "b"), ("begin", "c"),
+            ("one", "a"), ("one", "b"), ("one", "c"),
+        ]
+        assert list(router.results) == ["job-a", "job-b", "job-c"]
+
+    def test_a_shard_that_yields_nothing_costs_the_others_nothing(
+        self, tmp_path
+    ):
+        router, log = self._router(
+            tmp_path, ["a", "b", "c"], {"a": "job-a", "c": "job-c"}
+        )
+        assert router.step_round() == 2
+        assert list(router.results) == ["job-a", "job-c"]
+
+    def test_first_wins_dedup_follows_name_order(self, tmp_path):
+        router, _ = self._router(
+            tmp_path, ["b", "a"], {"a": "twice", "b": "twice"}
+        )
+        # Both executions count as completed; delivery keeps the first.
+        assert router.step_round() == 2
+        assert router.results["twice"].worker_id == "a"
+        assert router.duplicate_results == 1
 
 
 class TestKillAndHandoff:

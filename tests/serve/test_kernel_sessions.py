@@ -94,6 +94,61 @@ class TestSessionExecution:
         assert warm.reconfig_ns == 0
 
 
+class _KeepsEverything(list):
+    """An ICAP transfer log that refuses to be dropped."""
+
+    def clear(self):
+        pass
+
+
+class TestIcapLogIsBounded:
+    """A session keeps its ICAP port for life; its transfer log must not
+    grow with jobs served, and dropping it must not move any figure."""
+
+    JOBS = 6
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_log_holds_at_most_one_call_and_timing_is_unchanged(
+        self, kind, batched
+    ):
+        payloads = [_payload(kind, seed=s)[1] for s in range(self.JOBS)]
+        session = default_session_factory(spec_for(kind))
+        unbounded = default_session_factory(spec_for(kind))
+        unbounded.rtms.icap.transfers = _KeepsEverything()
+
+        def serve(target, group):
+            if batched:
+                return target.run_batch(list(group), CancelToken())
+            return [target.run(p, CancelToken()) for p in group]
+
+        if batched:
+            groups = [payloads[:3], payloads[3:]]
+        else:
+            groups = [[p] for p in payloads]
+        for group in groups:
+            got, want = serve(session, group), serve(unbounded, group)
+            assert [(s.sim_ns, s.reconfig_ns) for s in got] == [
+                (s.sim_ns, s.reconfig_ns) for s in want
+            ]
+            assert session.rtms.icap.transfers == []
+        port, reference = session.rtms.icap, unbounded.rtms.icap
+        assert len(reference.transfers) > 0  # there was a log to drop
+        assert port.total_busy_ns == reference.total_busy_ns
+        assert port.busy_until_ns == reference.busy_until_ns
+        assert session.rtms.now_ns == unbounded.rtms.now_ns
+        assert session.jobs_run == unbounded.jobs_run == self.JOBS
+
+    def test_resumed_runs_drop_the_log_too(self):
+        _, payload = _payload("fft", seed=3)
+        session = default_session_factory(spec_for("fft"))
+        session.run(payload, CancelToken())
+        checkpoint = session.rtms.checkpoint()
+        stats = session.run_resumed(payload, CancelToken(), 0, checkpoint)
+        assert stats.sim_ns > 0
+        assert session.rtms.icap.transfers == []
+
+
 class TestPayloadCodec:
     @given(
         kind=st.sampled_from(ALL_KINDS),
