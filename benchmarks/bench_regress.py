@@ -156,7 +156,7 @@ def run_benches(repeats: int = 3, output: Path | str = DEFAULT_OUTPUT) -> list[d
     """Time every bench under both tiers and write ``BENCH_fabric.json``."""
     entries = []
     for name, fn in BENCHES:
-        _with_engine(False, fn, 1)  # warm imports, caches, and the run memo
+        _with_engine(False, fn, 1)  # warm imports, caches, and the lowered traces
         wall_fast, sim_fast = _with_engine(False, fn, repeats)
         wall_ref, sim_ref = _with_engine(True, fn, repeats)
         if name == "fabric_fft_batch64":

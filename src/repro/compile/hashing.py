@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 
+class _Canonical(bytes):
+    """Bytes that already are a canonical encoding: ``_emit`` is a pure
+    concatenation, so emitting a value and splicing its encoding are the
+    same thing."""
+
+
 def _emit(value: Any, out: list[bytes]) -> None:
     """Append the canonical encoding of ``value`` to ``out``.
 
@@ -42,6 +48,8 @@ def _emit(value: Any, out: list[bytes]) -> None:
     """
     if value is None:
         out.append(b"n;")
+    elif isinstance(value, _Canonical):
+        out.append(value)
     elif value is True or value is False:
         out.append(b"b1;" if value else b"b0;")
     elif isinstance(value, int):
@@ -92,13 +100,28 @@ def program_fingerprint(program) -> tuple:
     )
 
 
+def _program_canonical(program) -> _Canonical:
+    """``program_fingerprint`` serialised once per program object.
+
+    A plan names the same few stage programs from every epoch and
+    coordinate that runs them; programs are immutable, so the encoding is
+    cached on the object (as ``_predecoded`` is) and spliced.
+    """
+    cached = program.__dict__.get("_canonical")
+    if cached is None:
+        cached = program.__dict__["_canonical"] = _Canonical(
+            canonical_bytes(program_fingerprint(program))
+        )
+    return cached
+
+
 def epoch_fingerprint(spec: EpochSpec) -> tuple:
     """Canonical description of one epoch template."""
     return (
         "epoch",
         spec.name,
         {coord: direction for coord, direction in spec.links.items()},
-        {coord: program_fingerprint(program)
+        {coord: _program_canonical(program)
          for coord, program in spec.programs.items()},
         {coord: dict(image) for coord, image in spec.data_images.items()},
         {coord: dict(image) for coord, image in spec.pokes.items()},

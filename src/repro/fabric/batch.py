@@ -25,7 +25,7 @@ the pilot does.  Safety nets, in order:
 
 * a phase is batched only when every tile decodes, every footprint
   validates, and the concurrent simulator's phase analysis proves the
-  exchange conflict-free (all tiles in FULL/MEMO mode);
+  exchange conflict-free (all tiles in FULL mode);
 * a per-lane *fingerprint mask* compares each lane's control words
   against the profiled fingerprint — a diverging lane is degraded to the
   scalar path (checkpoint/rollback replay) without poisoning the batch,
@@ -92,13 +92,17 @@ VALID_JIT_TIERS = ("auto", "numba", "numpy", "off")
 #: with a different version are regenerated (cache key = plan hash + this).
 CODEGEN_VERSION = 1
 
-#: Below this lane count the vector tier costs more than it saves (numpy
-#: per-op dispatch overhead is flat in K, so a dispatch has a fixed
-#: ~tens-of-ms wall cost that only amortises past a handful of lanes —
-#: measured break-even is 4-6 lanes on the FFT body), so smaller batches
-#: run their lanes scalar instead.  Callers that know better (tests, the
-#: numba tier where the flat cost collapses) pass ``min_vector_lanes``.
-DEFAULT_MIN_VECTOR_LANES = 6
+#: Below this lane count the vector tier costs more than it saves: numpy
+#: per-op dispatch overhead is flat in K, so a dispatch has a fixed wall
+#: cost that only amortises past a number of lanes, and smaller batches
+#: run their lanes scalar (as lowered traces) instead.  The break-even
+#: depends on how much per-epoch orchestration a kernel has for the
+#: lanes to share — measured against the lowered scalar path: fft(64,8,2)
+#: 8 lanes, gemm 14, dsp 20, conv2d 24, jpeg 38 blocks.  16 bounds the
+#: loss on either side at about 2x (fft forfeits 2.1x at 15 lanes, jpeg
+#: loses 2.0x at 16 blocks).  Callers that know better (tests, the numba
+#: tier where the flat cost collapses) pass ``min_vector_lanes``.
+DEFAULT_MIN_VECTOR_LANES = 16
 
 _N = DATA_MEM_WORDS
 _MASK = (1 << 48) - 1
@@ -856,11 +860,7 @@ class _PhaseDriver:
         if self.degraded or not tiles:
             return
         try:
-            from repro.fabric.simulator import (
-                _MODE_FULL,
-                _MODE_MEMO,
-                _analyse_phase,
-            )
+            from repro.fabric.simulator import _MODE_FULL, _analyse_phase
 
             decoded = []
             for tile in tiles:
@@ -876,7 +876,7 @@ class _PhaseDriver:
                     raise BatchDegrade(f"no footprint for tile {tile.coord}")
                 footprints.append(fp)
             modes = _analyse_phase(tiles, decoded, coords, footprints)
-            if any(mode not in (_MODE_FULL, _MODE_MEMO) for mode in modes):
+            if any(mode != _MODE_FULL for mode in modes):
                 raise BatchDegrade("phase not proven conflict-free")
             # -- per-lane divergence masks (sticky) ---------------------
             for tile, fp in zip(tiles, footprints):

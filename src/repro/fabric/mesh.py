@@ -136,6 +136,20 @@ class Mesh:
                 last_direction, last_write = direction, write
             last_write(naddr, value)
 
+        memories: dict[Direction, object] = {}
+
+        def port(direction: Direction):
+            """Data memory behind the link, or None unless it is active
+            (a lowered trace stores there directly; see ``predecode``)."""
+            if get_active(coord) is not direction:
+                return None
+            memory = memories.get(direction)
+            if memory is None:
+                target = self.neighbour_coord(coord, direction)
+                memory = memories[direction] = self._tiles[target].dmem
+            return memory
+
+        resolve.port = port
         return resolve
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The fast-path execution engine: per-program predecoding + run memo.
+"""The fast-path execution engine: predecoding, footprint proofs, lowering.
 
 The reference interpreter (:meth:`repro.fabric.tile.Tile.step`) re-derives
 everything per instruction: it fetches through the bounds-checked
@@ -17,40 +17,51 @@ This module adds the fast tier of the two-tier engine:
   per-instruction cycle/read/write counts.  The result is cached on the
   ``Program`` object, and is position-independent (branch targets are kept
   program-local), so one decode serves every tile and load base.
+* :func:`footprint_for` *proves*, per ``(program, entry pc)``, that control
+  flow, addresses and shift amounts never depend on payload data, and in
+  the same walk **lowers** the pinned trace: the whole control slice is
+  constant-folded and every data-plane instruction becomes one Python
+  statement with literal addresses (the repeated body of a long counted
+  loop is compiled once, over a table of its addresses).
+  :func:`run_lowered` executes that code for any run whose live memory
+  matches the proof's fingerprint, whose trace fits the cycle budget and
+  whose neighbour stores go through the active link — no dispatch, no
+  loop counters, no pointer arithmetic, no branches.
 * :func:`run_block` executes a decoded program in a tight loop until a
   *communication boundary*: a ``HALT``, an ``SNB`` neighbour store (when
   the caller asked to stop there), an exhausted cycle budget, or the pc
-  leaving the program region.  The concurrent simulator uses those
-  boundaries to advance a tile through whole silent basic-block runs
-  between heap events while preserving the exact global store order.
-* :func:`run_to_halt` adds the **run memo**: silent programs (no ``SNB``)
-  that re-execute with an identical input-region fingerprint replay their
-  recorded write-set and statistics instead of re-simulating — the
-  streaming-workload shortcut (repeated twiddle generation, repeated
-  blocks) that still accrues bit-identical cycles and stats.
+  leaving the program region.  It is the path for every run the lowering
+  does not cover: unproven programs, phases the concurrent simulator must
+  interleave store by store, budget edges and faults (it stops at the
+  exact pc with exactly flushed partial statistics).
 
 Every path here is *observationally identical* to the reference
 interpreter: same memory images, same :class:`~repro.fabric.tile.TileStats`,
 same access counters, same exceptions at the same instruction.  The
-differential tests in ``tests/fabric/test_engine_equivalence.py`` enforce
-this for every shipped kernel program.  Set ``REPRO_REFERENCE_SIM=1`` (or
-pass ``engine="reference"`` to the run APIs) to force the oracle path when
-debugging.
+differential tests in ``tests/fabric/test_engine_equivalence.py`` and
+``tests/fabric/test_lowering.py`` enforce this.  Set
+``REPRO_REFERENCE_SIM=1`` (or pass ``engine="reference"`` to the run APIs)
+to force the oracle path when debugging.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ExecutionError, MemoryError_
+from repro.fabric.fixedpoint import wrap_word
 from repro.fabric.isa import (
     ALU_OPS,
     BRANCH_OPS,
+    UNARY_OPS,
     AddrMode,
     Instruction,
     Opcode,
+    evaluate_alu,
 )
 from repro.fabric.links import Direction
 from repro.units import DATA_MEM_WORDS
@@ -61,14 +72,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DecodedProgram",
+    "EngineCounters",
+    "COUNTERS",
     "predecode",
     "run_block",
-    "run_to_halt",
+    "run_lowered",
     "reference_forced",
-    "memo_enabled",
     "resolve_engine",
     "VALID_ENGINES",
-    "ENGINE_ENV",
     "BLOCK_HALT",
     "BLOCK_COMM",
     "BLOCK_BUDGET",
@@ -82,10 +93,6 @@ __all__ = [
 
 #: Environment variable forcing the reference interpreter everywhere.
 REFERENCE_ENV = "REPRO_REFERENCE_SIM"
-#: Environment variable disabling the run memo (fast path still active).
-MEMO_ENV = "REPRO_RUN_MEMO"
-#: Environment variable naming the default engine (``fast``/``reference``).
-ENGINE_ENV = "REPRO_ENGINE"
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -98,34 +105,46 @@ def reference_forced() -> bool:
     return os.environ.get(REFERENCE_ENV, "").strip().lower() in _TRUTHY
 
 
-def memo_enabled() -> bool:
-    """True unless ``REPRO_RUN_MEMO=0`` disabled the run memo."""
-    value = os.environ.get(MEMO_ENV, "").strip().lower()
-    return value not in ("0", "false", "no", "off")
-
-
 def resolve_engine(engine: str | None) -> str:
     """Normalize an ``engine`` keyword against the environment override.
 
-    ``None`` means *auto*: the ``REPRO_ENGINE`` environment variable when
-    set, else fast unless ``REPRO_REFERENCE_SIM`` forces the oracle.
-    Explicit ``"fast"`` / ``"reference"`` keywords always win.  Unknown
-    names — keyword or environment — raise a :class:`ValueError` naming
-    the valid engines instead of silently falling back.
+    ``None`` means *auto*: fast unless ``REPRO_REFERENCE_SIM`` forces the
+    oracle.  Explicit ``"fast"`` / ``"reference"`` keywords always win.
+    Unknown names raise a :class:`ValueError` naming the valid engines
+    instead of silently falling back.
     """
     if engine is None:
-        env = os.environ.get(ENGINE_ENV, "").strip().lower()
-        if env:
-            engine = env
-        else:
-            return "reference" if reference_forced() else "fast"
+        return "reference" if reference_forced() else "fast"
     if engine not in VALID_ENGINES:
         valid = ", ".join(repr(name) for name in VALID_ENGINES)
         raise ValueError(
             f"unknown engine {engine!r}: valid engines are {valid} "
-            f"(or None for auto via {ENGINE_ENV}/{REFERENCE_ENV})"
+            f"(or None for auto via {REFERENCE_ENV})"
         )
     return engine
+
+
+@dataclass
+class EngineCounters:
+    """What the fast engine did in this process (read by tests and CI).
+
+    A *tile run* is one entry-to-``HALT`` execution started on the fast
+    engine; it is either ``lowered`` (straight-line trace) or a
+    ``fallback`` (:func:`run_block` / the oracle: unproven footprint,
+    interleaved phase, budget edge, missing link, corrupted imem).
+    """
+
+    #: Traces compiled (one per proven ``(program, entry pc)`` that ran).
+    traces_lowered: int = 0
+    #: Source statements compiled for them (re-rolled loops count once).
+    statements: int = 0
+    lowered_runs: int = 0
+    fallback_runs: int = 0
+    #: Cumulative seconds in the proof/lowering walk and ``compile()``.
+    lowering_s: float = 0.0
+
+
+COUNTERS = EngineCounters()
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +190,19 @@ class _FusedFault(Exception):
         self.exc = exc
 
 
-#: Shared globals for the generated per-instruction closures.
+#: Directions indexed by their ``SNB`` aux code.
+_DIRS = tuple(Direction)
+
+#: Shared globals for the generated closures and lowered traces.
 _GEN_GLOBALS = {
     "ExecutionError": ExecutionError,
     "MemoryError_": MemoryError_,
     "_FusedFault": _FusedFault,
-    "_DIRS": tuple(Direction),
+    "_DIRS": _DIRS,
 }
 
 
-@dataclass(eq=False)  # identity semantics: decoded tables are memo-dict keys
+@dataclass(eq=False)  # identity semantics: decoded tables key the phase-analysis memo
 class DecodedProgram:
     """A program predecoded into flat, position-independent tables.
 
@@ -265,45 +287,68 @@ def _write_addr_code(operand, temp: str, *, check: bool = True) -> tuple[list[st
     return stmts, temp
 
 
+_SHIFT_OPS = (Opcode.SHL, Opcode.SHR, Opcode.SRA)
+
+
+def _alu_expr(op: Opcode, aux: int, x: str, y: str) -> str:
+    """Expression for ALU ``op`` over the operand expressions ``x``, ``y``.
+
+    Mirrors :func:`repro.fabric.isa.evaluate_alu` exactly, including the
+    wrap-to-48-bit semantics; the shift range check is the caller's.
+    """
+    if op is Opcode.ADD:
+        return _wrap_expr(f"{x} + {y}")
+    if op is Opcode.SUB:
+        return _wrap_expr(f"{x} - {y}")
+    if op is Opcode.MUL:
+        return _wrap_expr(f"{x} * {y}")
+    if op is Opcode.MULQ:
+        return _wrap_expr(f"({x} * {y} + {1 << (aux - 1)}) >> {aux}")
+    if op is Opcode.AND:
+        return _wrap_expr(f"{x} & {y}")
+    if op is Opcode.OR:
+        return _wrap_expr(f"{x} | {y}")
+    if op is Opcode.XOR:
+        return _wrap_expr(f"{x} ^ {y}")
+    if op is Opcode.SHL:
+        return _wrap_expr(f"{x} << {y}")
+    if op is Opcode.SHR:
+        return _wrap_expr(f"({x} & {_MASK}) >> {y}")
+    if op is Opcode.SRA:
+        return f"{x} >> {y}"  # result always in range
+    if op is Opcode.MIN:
+        return f"{x} if {x} < {y} else {y}"
+    if op is Opcode.MAX:
+        return f"{x} if {x} > {y} else {y}"
+    raise AssertionError(f"not an ALU opcode: {op}")  # pragma: no cover
+
+
+def _unary_expr(op: Opcode, x: str) -> str:
+    """Expression for a unary ``op`` (MOV/ABS/NEG/NOT) over ``x``."""
+    if op is Opcode.MOV:
+        return x
+    if op is Opcode.ABS:
+        return _wrap_expr(f"abs({x})")
+    if op is Opcode.NEG:
+        return _wrap_expr(f"-{x}")
+    return _wrap_expr(f"~{x}")
+
+
 def _alu_body(op: Opcode, aux: int, *, static_shift: bool = False) -> list[str]:
     """Statements computing ``r`` from operand temps ``x`` and ``y``.
 
-    Mirrors :func:`repro.fabric.isa.evaluate_alu` exactly, including the
-    wrap-to-48-bit semantics and the shift range checks (same messages).
-    ``static_shift`` elides the range check when the decode already proved
-    the (immediate) shift amount in range.
+    ``static_shift`` elides the shift range check (same message as the
+    reference) when the decode already proved the (immediate) amount in
+    range.
     """
-    if op is Opcode.ADD:
-        return [f"r = {_wrap_expr('x + y')}"]
-    if op is Opcode.SUB:
-        return [f"r = {_wrap_expr('x - y')}"]
-    if op is Opcode.MUL:
-        return [f"r = {_wrap_expr('x * y')}"]
-    if op is Opcode.MULQ:
-        rnd = 1 << (aux - 1)
-        return [f"r = {_wrap_expr(f'(x * y + {rnd}) >> {aux}')}"]
-    if op is Opcode.AND:
-        return [f"r = {_wrap_expr('x & y')}"]
-    if op is Opcode.OR:
-        return [f"r = {_wrap_expr('x | y')}"]
-    if op is Opcode.XOR:
-        return [f"r = {_wrap_expr('x ^ y')}"]
-    if op in (Opcode.SHL, Opcode.SHR, Opcode.SRA):
-        check = (
+    body = [f"r = {_alu_expr(op, aux, 'x', 'y')}"]
+    if op in _SHIFT_OPS and not static_shift:
+        body.insert(
+            0,
             "if y < 0 or y >= 48: "
-            "raise ExecutionError('shift amount %d outside [0, 48)' % y)"
+            "raise ExecutionError('shift amount %d outside [0, 48)' % y)",
         )
-        prefix = [] if static_shift else [check]
-        if op is Opcode.SHL:
-            return prefix + [f"r = {_wrap_expr('x << y')}"]
-        if op is Opcode.SHR:
-            return prefix + [f"r = {_wrap_expr(f'(x & {_MASK}) >> y')}"]
-        return prefix + ["r = x >> y"]  # SRA: result always in range
-    if op is Opcode.MIN:
-        return ["r = x if x < y else y"]
-    if op is Opcode.MAX:
-        return ["r = x if x > y else y"]
-    raise AssertionError(f"not an ALU opcode: {op}")  # pragma: no cover
+    return body
 
 
 _BRANCH_EXPR = {
@@ -335,30 +380,19 @@ def _plain_lines(instr: Instruction) -> tuple[list[str], bool]:
         s2, e2 = _read_code(instr.src2, "p2")
         body += s1 + [f"x = {e1}"] + s2 + [f"y = {e2}"]
         static_shift = (
-            op in (Opcode.SHL, Opcode.SHR, Opcode.SRA)
+            op in _SHIFT_OPS
             and instr.src2.mode is AddrMode.IMM
             and 0 <= instr.src2.value < 48
         )
-        if (
-            op in (Opcode.SHL, Opcode.SHR, Opcode.SRA)
-            and not static_shift
-        ):
+        if op in _SHIFT_OPS and not static_shift:
             can_raise = True
         body += _alu_body(op, instr.aux, static_shift=static_shift)
         sd, ed = _write_addr_code(instr.dst, "q")
         body += sd + [f"w[{ed}] = r"]
-    elif op in (Opcode.MOV, Opcode.ABS, Opcode.NEG, Opcode.NOT):
+    elif op in UNARY_OPS:
         sd, ed = _write_addr_code(instr.dst, "q")
         s1, e1 = _read_code(instr.src1, "p1")
-        body += sd + s1 + [f"x = {e1}"]
-        if op is Opcode.MOV:
-            body += ["r = x"]
-        elif op is Opcode.ABS:
-            body += [f"r = {_wrap_expr('abs(x)')}"]
-        elif op is Opcode.NEG:
-            body += [f"r = {_wrap_expr('-x')}"]
-        else:
-            body += [f"r = {_wrap_expr('~x')}"]
+        body += sd + s1 + [f"x = {e1}", f"r = {_unary_expr(op, 'x')}"]
         body += [f"w[{ed}] = r"]
     else:  # pragma: no cover - callers dispatch on kind first
         raise AssertionError(f"not a plain opcode: {op}")
@@ -375,7 +409,7 @@ def _gen_instruction(i: int, instr: Instruction) -> list[str] | None:
     """
     op = instr.opcode
     body: list[str] = []
-    if op in ALU_OPS or op in (Opcode.MOV, Opcode.ABS, Opcode.NEG, Opcode.NOT):
+    if op in ALU_OPS or op in UNARY_OPS:
         body, _ = _plain_lines(instr)
     elif op in BRANCH_OPS:
         s1, e1 = _read_code(instr.src1, "p1")
@@ -434,7 +468,7 @@ def predecode(program: "Program") -> DecodedProgram:
         targets.append(instr.aux if (op is Opcode.JMP or op in BRANCH_OPS) else 0)
         cycles.append(instr.cycles)
         reads.append(instr.read_ports)
-        writes.append(1 if (op in ALU_OPS or op in (Opcode.MOV, Opcode.ABS, Opcode.NEG, Opcode.NOT)) else 0)
+        writes.append(1 if (op in ALU_OPS or op in UNARY_OPS) else 0)
         gen = _gen_instruction(i, instr)
         if gen is None:
             fn_index.append(False)
@@ -588,7 +622,6 @@ def run_block(
     stop_at_comm: bool = False,
     exec_comm_first: bool = True,
     max_instrs: int | None = None,
-    words=None,
 ) -> tuple[int, int]:
     """Execute decoded instructions in a tight loop; returns
     ``(boundary, cycles_consumed)``.
@@ -604,8 +637,6 @@ def run_block(
     * ``max_instrs`` — stop after that many instructions
       (:data:`BLOCK_LIMIT`); the concurrent simulator single-steps tiles
       that other tiles can store into.
-    * ``words`` — override for the data-memory word list (the run memo
-      passes a recording proxy).
 
     The tile's pc, halted flag, statistics and data-memory access
     counters are updated before returning, also when an exception
@@ -613,7 +644,7 @@ def run_block(
     interpreter would leave it).
     """
     dmem = tile.dmem
-    w = dmem._words if words is None else words
+    w = dmem._words
     kinds = dec.kinds
     fns = dec.fns
     targets = dec.targets
@@ -716,10 +747,12 @@ def run_block(
                     raise ExecutionError(
                         f"{tile!r}: SNB outside a mesh (no neighbour resolver)"
                     )
+                # the operand reads precede the store: a store the link
+                # (or the neighbour's bounds check) refuses has made them
+                reads += rd_arr[pc]
                 fns[pc](w, resolver)
                 cyc += cyc_arr[pc]
                 instrs += 1
-                reads += rd_arr[pc]
                 nstores += 1
                 pc += 1
             if cyc > budget:
@@ -745,13 +778,13 @@ def run_block(
 
 
 # ---------------------------------------------------------------------------
-# footprint profiling (proves exchange phases conflict-free)
+# footprint profiling and trace lowering
 # ---------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
 class Footprint:
-    """Address footprint of one entry-to-``HALT`` run, data-independent.
+    """One entry-to-``HALT`` run, proven data-independent and lowered.
 
     Produced by :func:`footprint_for`'s one-time taint-tracking profile.
     The *addresses* a shipped kernel program touches are functions of its
@@ -764,10 +797,14 @@ class Footprint:
     When the proof succeeds, ``fingerprint`` pins the few control words
     the run consumed before writing them (usually none); any later run
     whose memory matches the fingerprint is guaranteed — by determinism
-    of the untainted control slice — to touch exactly ``local`` at home
-    and store exactly to ``remote[direction]`` next door.  The concurrent
-    simulator uses that to prove whole exchange phases conflict-free and
-    batch *both* sides of a ``vcp`` pair in single heap events.
+    of the untainted control slice — to execute the very same trace: it
+    touches exactly ``local`` at home, stores exactly to
+    ``remote[direction]`` next door, and retires exactly ``instructions``
+    in ``cycles``.  The concurrent simulator uses that to prove whole
+    exchange phases conflict-free, and :func:`run_lowered` uses it to
+    replace the run by ``statements``: the same walk constant-folds every
+    untainted instruction (its result is identical in every matching
+    run) and emits one Python statement per tainted one.
     """
 
     #: Control words read before written: ``((addr, value), ...)``.
@@ -776,7 +813,7 @@ class Footprint:
     local: frozenset[int]
     #: Direction code -> neighbour addresses stored via ``SNB``.
     remote: dict[int, frozenset[int]]
-    #: Total cycles of the profiled run (scheduling heuristics only).
+    #: Total cycles of the run.
     cycles: int
     #: Program-local pcs that ever read or produced *tainted* (payload)
     #: data during the profiled run.  Everything outside this set is pure
@@ -785,6 +822,23 @@ class Footprint:
     #: (:mod:`repro.fabric.batch`) execute those instructions once on
     #: lane 0 and broadcast, vectorizing only the data-plane pcs.
     vector_pcs: frozenset[int] = frozenset()
+    #: The lowered trace over ``w`` (own words) and ``n`` (the words of
+    #: the neighbour behind the link), one ``(template, args)`` per
+    #: statement — ``template.format(*args)`` is the Python source:
+    #: data-plane instructions in program order, every ``SNB`` as a
+    #: direct store, then the final values of the control words the run
+    #: rewrote.  Dropped once compiled into ``chunks``.
+    statements: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    #: Exact statistics of the run (what the interpreter would accrue).
+    instructions: int = 0
+    branches: int = 0
+    reads: int = 0
+    writes: int = 0
+    neighbour_stores: int = 0
+    #: Program-local pc after the ``HALT``.
+    final_pc: int = 0
+    #: ``statements`` compiled by :func:`_compile_trace` at the first run.
+    chunks: tuple[Callable, ...] | None = None
 
 
 class _Bail(Exception):
@@ -795,6 +849,37 @@ class _Bail(Exception):
 #: this are simply treated as unprovable (conservative scheduling).
 _PROFILE_MAX_INSTRS = 1_000_000
 
+#: Statements per generated function.  One function per trace would be
+#: simplest, but CPython's compiler keeps arena in proportion to the
+#: largest function it has compiled (a 600-statement trace left 5 MB in
+#: every serving process, a 9 600-statement one 100 MB); bounded chunks
+#: called in sequence cost no speed and no memory.
+_CHUNK_STATEMENTS = 48
+
+
+def _lit(value: int) -> str:
+    """Source literal for a folded word (parenthesised when negative)."""
+    return repr(value) if value >= 0 else f"({value})"
+
+
+def _slot(index: int, taint: bool) -> str:
+    """Template text of operand ``index``: a memory word, or a literal."""
+    return f"w[{{{index}}}]" if taint else f"{{{index}}}"
+
+
+@lru_cache(maxsize=None)
+def _alu_template(op: Opcode, aux: int, taint1: bool, taint2: bool) -> str:
+    return "w[{0}] = " + _alu_expr(op, aux, _slot(1, taint1), _slot(2, taint2))
+
+
+@lru_cache(maxsize=None)
+def _unary_template(op: Opcode) -> str:
+    return "w[{0}] = " + _unary_expr(op, _slot(1, True))
+
+
+#: Neighbour-store templates, indexed by the taint of the stored value.
+_SNB_TEMPLATES = ("n[{0}] = " + _slot(1, False), "n[{0}] = " + _slot(1, True))
+
 
 def _profile_footprint(
     dec: DecodedProgram, entry: int, words: list[int]
@@ -804,22 +889,22 @@ def _profile_footprint(
     Returns ``None`` when the footprint cannot be proven data-independent
     (tainted control flow, runaway loop, any execution error, or a pc
     falling out of the program region) — callers then schedule the tile
-    conservatively, which is always sound.
+    conservatively and run it per instruction, which is always sound.
     """
-    from repro.fabric.isa import UNARY_OPS, evaluate_alu
-    from repro.fabric.fixedpoint import wrap_word
-
     w = list(words)
     size = len(w)
     instrs = dec.instrs
     targets = dec.targets
     cyc_arr = dec.cycles
+    rd_arr = dec.reads
+    wr_arr = dec.writes
     n = dec.n
     written: dict[int, bool] = {}  # addr -> taint of current value
     fingerprint: dict[int, int] = {}
     local: set[int] = set()
     remote: dict[int, set[int]] = {}
     vector_pcs: set[int] = set()
+    statements: list[tuple[str, tuple[int, ...]]] = []
 
     def read(addr: int, control: bool) -> tuple[int, bool]:
         local.add(addr)
@@ -833,16 +918,23 @@ def _profile_footprint(
             return w[addr], False
         return w[addr], True  # unfingerprinted payload read
 
-    def read_operand(operand, control: bool) -> tuple[int, bool]:
+    def read_operand(operand, control: bool) -> tuple[int, bool, int]:
+        """(value, taint, statement argument) of a source operand.
+
+        A tainted word lives in memory (its producer was emitted as a
+        store), so a statement names its address; an untainted one is
+        the same in every matching run, so a statement inlines its value.
+        """
         mode = operand.mode
         if mode is AddrMode.IMM:
-            return operand.value, False
-        if mode is AddrMode.DIR:
-            return read(operand.value, control)
-        pointer, _ = read(operand.value, True)  # pointer fetch is control
-        if not 0 <= pointer < size:
-            raise _Bail
-        return read(pointer, control)
+            return operand.value, False, operand.value
+        addr = operand.value
+        if mode is AddrMode.IND:
+            addr, _ = read(addr, True)  # pointer fetch is control
+            if not 0 <= addr < size:
+                raise _Bail
+        value, taint = read(addr, control)
+        return value, taint, addr if taint else value
 
     def write_addr(operand) -> int:
         if operand.mode is AddrMode.DIR:
@@ -851,8 +943,7 @@ def _profile_footprint(
         return pointer
 
     pc = entry
-    cyc = 0
-    count = 0
+    cyc = count = branches = reads = writes = nstores = 0
     try:
         while 0 <= pc < n:
             count += 1
@@ -861,21 +952,38 @@ def _profile_footprint(
             instr = instrs[pc]
             op = instr.opcode
             cyc += cyc_arr[pc]
+            reads += rd_arr[pc]
+            writes += wr_arr[pc]
             nxt = pc + 1
             if op is Opcode.HALT:
+                # Control words the run rewrote hold the same final value
+                # in every matching run; nothing in the trace reads them
+                # from memory, so they are stored once, at the end.
+                statements.extend(
+                    ("w[{0}] = {1}", (addr, w[addr]))
+                    for addr, taint in sorted(written.items())
+                    if not taint
+                )
                 return Footprint(
                     fingerprint=tuple(sorted(fingerprint.items())),
                     local=frozenset(local),
                     remote={d: frozenset(s) for d, s in remote.items()},
                     cycles=cyc,
                     vector_pcs=frozenset(vector_pcs),
+                    statements=tuple(statements),
+                    instructions=count,
+                    branches=branches,
+                    reads=reads,
+                    writes=writes,
+                    neighbour_stores=nstores,
+                    final_pc=nxt,
                 )
             if op is Opcode.NOP:
                 pass
             elif op in ALU_OPS:
-                a, t1 = read_operand(instr.src1, False)
-                b, t2 = read_operand(instr.src2, False)
-                if t2 and op in (Opcode.SHL, Opcode.SHR, Opcode.SRA):
+                a, t1, e1 = read_operand(instr.src1, False)
+                b, t2, e2 = read_operand(instr.src2, False)
+                if t2 and op in _SHIFT_OPS:
                     raise _Bail  # data-dependent shift may fault mid-run
                 result = evaluate_alu(op, a, b, instr.aux)
                 addr = write_addr(instr.dst)
@@ -885,27 +993,31 @@ def _profile_footprint(
                 written[addr] = t1 or t2
                 if t1 or t2:
                     vector_pcs.add(pc)
+                    statements.append(
+                        (_alu_template(op, instr.aux, t1, t2), (addr, e1, e2))
+                    )
                 w[addr] = result
             elif op in UNARY_OPS:
                 addr = write_addr(instr.dst)
-                value, taint = read_operand(instr.src1, False)
-                if op is Opcode.ABS:
-                    value = abs(value)
-                elif op is Opcode.NEG:
-                    value = -value
-                elif op is Opcode.NOT:
-                    value = ~value
+                value, taint, e1 = read_operand(instr.src1, False)
                 if not 0 <= addr < size:
                     raise _Bail
                 local.add(addr)
                 written[addr] = taint
                 if taint:
                     vector_pcs.add(pc)
+                    statements.append((_unary_template(op), (addr, e1)))
+                if op is Opcode.ABS:
+                    value = abs(value)
+                elif op is Opcode.NEG:
+                    value = -value
+                elif op is Opcode.NOT:
+                    value = ~value
                 w[addr] = wrap_word(value)
             elif op is Opcode.JMP:
                 nxt = targets[pc]
             elif op in BRANCH_OPS:
-                value, _ = read_operand(instr.src1, True)
+                value, _, _ = read_operand(instr.src1, True)
                 taken = (
                     value == 0 if op is Opcode.BZ
                     else value != 0 if op is Opcode.BNZ
@@ -914,14 +1026,17 @@ def _profile_footprint(
                 )
                 if taken:
                     nxt = targets[pc]
+                    branches += 1
             elif op is Opcode.SNB:
                 naddr = write_addr(instr.dst)
-                _, taint = read_operand(instr.src1, False)
+                _, taint, e1 = read_operand(instr.src1, False)
                 if not 0 <= naddr < size:
                     raise _Bail  # would fault in the neighbour: not provable
                 if taint:
                     vector_pcs.add(pc)
                 remote.setdefault(instr.aux, set()).add(naddr)
+                statements.append((_SNB_TEMPLATES[taint], (naddr, e1)))
+                nstores += 1
             pc = nxt
         raise _Bail  # fell out of the region without halting
     except _Bail:
@@ -936,14 +1051,17 @@ def footprint_for(tile: "Tile", dec: DecodedProgram, base: int) -> Footprint | N
     Profiles at most once per ``(program, entry pc)`` (cached on the
     decoded program); on every use the control fingerprint is re-checked
     against the live memory, so a changed control word simply demotes the
-    tile to conservative scheduling for that run.
+    tile to conservative scheduling and per-instruction execution for
+    that run.
     """
     cache = dec.__dict__.get("_footprints")
     if cache is None:
         cache = dec.__dict__["_footprints"] = {}
     entry = tile.pc - base
     if entry not in cache:
+        started = time.perf_counter()
         cache[entry] = _profile_footprint(dec, entry, tile.dmem._words)
+        COUNTERS.lowering_s += time.perf_counter() - started
     footprint = cache[entry]
     if footprint is None:
         return None
@@ -954,164 +1072,144 @@ def footprint_for(tile: "Tile", dec: DecodedProgram, base: int) -> Footprint | N
     return footprint
 
 
-# ---------------------------------------------------------------------------
-# the run memo
-# ---------------------------------------------------------------------------
-
-
-class _RecordingWords:
-    """Data-memory proxy recording the read/write footprint of one run.
-
-    ``read_set``: addresses whose *first* access was a read, with the
-    value observed — the run's input-region fingerprint.  Every value the
-    execution consumed is in this set, so matching it on a later run
-    proves (by determinism) that the whole execution is identical.
-    """
-
-    __slots__ = ("_w", "first", "init", "written")
-
-    def __init__(self, w: list[int]) -> None:
-        self._w = w
-        self.first: dict[int, str] = {}
-        self.init: dict[int, int] = {}
-        self.written: set[int] = set()
-
-    def __getitem__(self, addr: int) -> int:
-        value = self._w[addr]
-        if addr not in self.first:
-            self.first[addr] = "r"
-            self.init[addr] = value
-        return value
-
-    def __setitem__(self, addr: int, value: int) -> None:
-        if addr not in self.first:
-            self.first[addr] = "w"
-        self.written.add(addr)
-        self._w[addr] = value
-
-
-@dataclass
-class _MemoEntry:
-    """Recorded effect of one silent entry-to-HALT run."""
-
-    read_list: list[tuple[int, int]]
-    write_list: list[tuple[int, int]]
-    cycles: int
-    instructions: int
-    branches: int
-    reads: int
-    writes: int
-    final_pc: int  # program-local
-    hits: int = 0
-
-
-@dataclass
-class _MemoState:
-    """Memo slot for one ``(coord, entry pc)`` of a decoded program.
-
-    Holds up to :data:`_MEMO_MAX_ENTRIES` recorded runs (most recently
-    hit first); runs are matched by their full input-region fingerprint,
-    so one tile re-running a program over several distinct control/data
-    states (e.g. per-stage butterflies) keeps one entry per state.
-    """
-
-    entries: list[_MemoEntry] = field(default_factory=list)
-    #: Consecutive misses; streams of never-repeating data disable the key.
-    misses: int = 0
-    disabled: bool = False
-
-
-#: Recorded runs kept per memo key (distinct input states seen).
-_MEMO_MAX_ENTRIES = 8
-#: Consecutive fingerprint misses after which a key stops recording
-#: (varying-data workloads shed the recording overhead quickly).
-_MEMO_MAX_MISSES = 12
-
-
-def run_to_halt(
-    tile: "Tile",
-    dec: DecodedProgram,
-    base: int,
-    budget: int,
-    *,
-    memo: bool = True,
-) -> tuple[int, int]:
-    """Run a tile to ``HALT`` through the fast path, memoizing silent runs.
-
-    Only programs without ``SNB`` are memo candidates (their effects are
-    fully local and deterministic given the read footprint).  The memo
-    lives on the *decoded program* keyed by ``(tile coord, entry pc)`` —
-    program identity plus input-region fingerprint, so streaming
-    workloads that rebuild meshes per transform (and pytest-benchmark
-    iterations) still reuse recorded runs.  A replay applies the recorded
-    write-set and accrues bit-identical cycles, statistics and access
-    counters; any fingerprint mismatch falls back to real execution and
-    records the new state, and a long streak of misses disables the key
-    so never-repeating data pays (almost) nothing.
-    """
-    if not memo or dec.has_snb or not memo_enabled():
-        return run_block(tile, dec, base, budget)
-
-    memo_store = dec.__dict__.get("_memo")
-    if memo_store is None:
-        memo_store = dec.__dict__["_memo"] = {}
-    key = (tile.coord, tile.pc - base)
-    state = memo_store.get(key)
-    if state is None:
-        state = memo_store[key] = _MemoState()
-    if state.disabled:
-        return run_block(tile, dec, base, budget)
-
-    dmem = tile.dmem
-    w = dmem._words
-    entries = state.entries
-    for slot, entry in enumerate(entries):
-        if entry.cycles > budget:
+def _longest_repeat(templates: list[str], at: int) -> tuple[int, int]:
+    """``(period, repeats)`` of the longest periodic stretch starting at
+    ``at`` whose period fits a chunk (``(1, 1)`` when nothing repeats)."""
+    best = (1, 1)
+    first = templates[at]
+    for period in range(1, min(_CHUNK_STATEMENTS, (len(templates) - at) // 2 + 1)):
+        if templates[at + period] != first:
             continue
-        for addr, value in entry.read_list:
-            if w[addr] != value:
-                break
-        else:  # fingerprint match: replay
-            for addr, value in entry.write_list:
-                w[addr] = value
-            stats = tile.stats
-            stats.instructions += entry.instructions
-            stats.cycles += entry.cycles
-            stats.branches_taken += entry.branches
-            stats.halts += 1
-            dmem.reads += entry.reads
-            dmem.writes += entry.writes
-            tile.pc = base + entry.final_pc
-            tile.halted = True
-            entry.hits += 1
-            state.misses = 0
-            if slot:  # keep the hit ordering most-recent-first
-                entries.insert(0, entries.pop(slot))
-            return BLOCK_HALT, entry.cycles
+        body = templates[at:at + period]
+        repeats = 1
+        while templates[at + repeats * period:at + (repeats + 1) * period] == body:
+            repeats += 1
+        if repeats * period > best[0] * best[1]:
+            best = (period, repeats)
+    return best
 
-    state.misses += 1
-    if state.misses > _MEMO_MAX_MISSES:
-        state.disabled = True
-        state.entries.clear()
-        return run_block(tile, dec, base, budget)
 
-    # footprint-recording run
-    stats = tile.stats
-    before = (stats.instructions, stats.cycles, stats.branches_taken,
-              dmem.reads, dmem.writes)
-    recorder = _RecordingWords(w)
-    boundary, cyc = run_block(tile, dec, base, budget, words=recorder)
-    if boundary == BLOCK_HALT:
-        entries.insert(0, _MemoEntry(
-            read_list=[(a, recorder.init[a])
-                       for a, kind in recorder.first.items() if kind == "r"],
-            write_list=[(a, w[a]) for a in recorder.written],
-            cycles=cyc,
-            instructions=stats.instructions - before[0],
-            branches=stats.branches_taken - before[2],
-            reads=dmem.reads - before[3],
-            writes=dmem.writes - before[4],
-            final_pc=tile.pc - base,
+def _compile_trace(footprint: Footprint, name: str) -> tuple[Callable, ...]:
+    """Compile ``footprint.statements`` into bounded ``(w, n)`` functions.
+
+    Folding the control slice leaves the data-plane statements of a
+    counted loop as one body repeated with different addresses.  Where
+    re-rolling such a stretch saves at least a chunk of statements it is
+    compiled once, as a ``for`` over the table of the arguments that
+    vary (``compile()`` costs ~15 us and ~150 bytes a statement, and a
+    conv2d frame is 3 700 of them); everything else stays straight-line.
+    """
+    started = time.perf_counter()
+    rows = footprint.statements
+    templates = [template for template, _ in rows]
+    #: (source lines, loop table or None), in trace order
+    units: list[tuple[list[str], tuple | None]] = []
+    at = 0
+    while at < len(rows):
+        period, repeats = _longest_repeat(templates, at)
+        if (repeats - 1) * period < _CHUNK_STATEMENTS:
+            template, args = rows[at]
+            units.append(([template.format(*map(_lit, args))], None))
+            at += 1
+            continue
+        body, columns = [], []
+        for k in range(period):
+            template, args = rows[at + k]
+            slots = []
+            for j, value in enumerate(args):
+                column = [
+                    rows[at + r * period + k][1][j] for r in range(repeats)
+                ]
+                if column.count(value) == repeats:
+                    slots.append(_lit(value))  # loop-invariant: inline
+                else:
+                    slots.append(f"a{len(columns)}")
+                    columns.append(column)
+            body.append("    " + template.format(*slots))
+        targets = "".join(f"a{i}, " for i in range(len(columns)))
+        units.append((
+            [f"for {targets or '_'} in _rows{len(units)}:"] + body,
+            tuple(zip(*columns)) if columns else (None,) * repeats,
         ))
-        del entries[_MEMO_MAX_ENTRIES:]
-    return boundary, cyc
+        at += period * repeats
+
+    chunks = []
+    lines: list[str] = []
+    tables: dict[str, tuple] = {}
+
+    def flush() -> None:
+        namespace: dict[str, object] = {}
+        source = "def _t(w, n):\n    " + "\n    ".join(lines)
+        exec(
+            compile(source, f"<trace:{name}#{len(chunks)}>", "exec"),
+            {**_GEN_GLOBALS, **tables},
+            namespace,
+        )
+        chunks.append(namespace["_t"])
+        COUNTERS.statements += len(lines)
+        lines.clear()
+        tables.clear()
+
+    for index, (unit, table) in enumerate(units):
+        if lines and len(lines) + len(unit) > _CHUNK_STATEMENTS:
+            flush()
+        lines.extend(unit)
+        if table is not None:
+            tables[f"_rows{index}"] = table
+    if lines:
+        flush()
+    footprint.chunks = tuple(chunks)
+    footprint.statements = ()
+    COUNTERS.traces_lowered += 1
+    COUNTERS.lowering_s += time.perf_counter() - started
+    return footprint.chunks
+
+
+def run_lowered(
+    tile: "Tile", footprint: Footprint | None, base: int, budget: int
+) -> int | None:
+    """Run the tile entry-to-``HALT`` as its lowered trace; returns cycles.
+
+    ``footprint`` must come from :func:`footprint_for` for the run the
+    tile is about to perform (``None``: unproven, or the fingerprint no
+    longer matches).  Returns ``None`` — nothing executed — whenever the
+    per-instruction path has to decide the run instead: the trace does
+    not fit ``budget`` (``run_block`` trips on the crossing instruction),
+    or it stores toward a direction whose link is not active / whose
+    memory is not the standard size (``run_block`` raises at the ``SNB``).
+    """
+    if footprint is None or footprint.cycles > budget:
+        COUNTERS.fallback_runs += 1
+        return None
+    dmem = tile.dmem
+    neighbour = None
+    if footprint.remote:
+        # The mesh's resolver carries the port lookup; a standalone tile
+        # or a hand-installed resolver has none and takes the slow path.
+        port = getattr(tile.neighbour_resolver, "port", None)
+        if port is not None and len(footprint.remote) == 1:
+            (code,) = footprint.remote
+            neighbour = port(_DIRS[code])
+        if neighbour is None or neighbour.size != _N:
+            COUNTERS.fallback_runs += 1
+            return None
+        neighbour.writes += footprint.neighbour_stores
+        neighbour = neighbour._words
+    chunks = footprint.chunks
+    if chunks is None:
+        chunks = _compile_trace(footprint, tile.program.name)
+    w = dmem._words
+    for chunk in chunks:
+        chunk(w, neighbour)
+    tile.pc = base + footprint.final_pc
+    tile.halted = True
+    stats = tile.stats
+    stats.instructions += footprint.instructions
+    stats.cycles += footprint.cycles
+    stats.branches_taken += footprint.branches
+    stats.neighbour_stores += footprint.neighbour_stores
+    stats.halts += 1
+    dmem.reads += footprint.reads
+    dmem.writes += footprint.writes
+    COUNTERS.lowered_runs += 1
+    return footprint.cycles

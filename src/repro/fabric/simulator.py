@@ -19,11 +19,11 @@ Two execution tiers share this contract (see :mod:`repro.fabric.predecode`):
   boundary*: a statically decoded program advances through whole silent
   basic-block runs between ``SNB``/``HALT`` events.  Tiles that some other
   tile can store into are single-stepped so every remote write lands at
-  its exact global time, and silent tiles with no ``SNB`` at all run
-  straight to ``HALT`` through the run memo.  Store order, cycle counts,
-  memory images and the returned :class:`ConcurrentRun` are bit-identical
-  across tiers; ``REPRO_REFERENCE_SIM=1`` (or ``engine="reference"``)
-  forces the oracle.
+  its exact global time, and tiles of a phase proven conflict-free run
+  entry-to-``HALT`` in one event as their lowered trace.  Store order,
+  cycle counts, memory images and the returned :class:`ConcurrentRun` are
+  bit-identical across tiers; ``REPRO_REFERENCE_SIM=1`` (or
+  ``engine="reference"``) forces the oracle.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ def run_concurrent(
         decoded = [_pd.decode_for_tile(tile) for tile in tiles]
         if all(entry is not None for entry in decoded):
             return _run_fast(tiles, decoded, max_cycles_per_tile, start_ns)
+        _pd.COUNTERS.fallback_runs += len(tiles)
     return _run_reference(tiles, max_cycles_per_tile, start_ns)
 
 
@@ -146,11 +147,10 @@ def _run_reference(
 
 
 # Per-tile advance mode in the fast loop.
-_MODE_FULL = 0  # proven conflict-free: runs entry->HALT in one event
-_MODE_MEMO = 1  # silent program, nobody stores into it: memoized full run
-_MODE_BATCH = 2  # runs whole silent blocks, pausing before each SNB
-_MODE_STEP = 3  # some other tile stores into it: one instruction per event
-_MODE_REF = 4  # left its decoded image (co-residency): oracle single-steps
+_MODE_FULL = 0  # proven conflict-free: entry->HALT in one event, lowered
+_MODE_BATCH = 1  # runs whole silent blocks, pausing before each SNB
+_MODE_STEP = 2  # some other tile stores into it: one instruction per event
+_MODE_REF = 3  # left its decoded image (co-residency): oracle single-steps
 
 # Phase-analysis memo: the edge/commute/mode derivation is a pure function
 # of the phase signature (per-tile coord, decoded program, base, entry pc)
@@ -199,7 +199,6 @@ def _run_fast(
         start_instr.append(tile.stats.instructions)
 
     # --- phase analysis -------------------------------------------------
-    coords = {tile.coord: i for i, tile in enumerate(tiles)}
     footprints = [
         _pd.footprint_for(tile, dec, base)
         for tile, (dec, base) in zip(tiles, decoded)
@@ -217,6 +216,7 @@ def _run_fast(
     if hit is not None:
         modes = list(hit[0])
     else:
+        coords = {tile.coord: i for i, tile in enumerate(tiles)}
         modes = _analyse_phase(tiles, decoded, coords, footprints)
         if len(_ANALYSIS_MEMO) >= _ANALYSIS_MEMO_MAX:
             _ANALYSIS_MEMO.clear()
@@ -224,6 +224,8 @@ def _run_fast(
             tuple(modes),
             tuple(dec for dec, _base in decoded),
         )
+
+    _pd.COUNTERS.fallback_runs += len(modes) - modes.count(_MODE_FULL)
 
     # --- the event loop -------------------------------------------------
     elapsed = [0] * len(tiles)
@@ -234,22 +236,25 @@ def _run_fast(
         tile = tiles[index]
         mode = modes[index]
         remaining = max_cycles_per_tile - now
-        if mode == _MODE_STEP:
+        if mode == _MODE_FULL:
+            dec, base = decoded[index]
+            # The phase proof keeps every store of this phase off the
+            # footprint's words, so the fingerprint checked at phase
+            # start still holds when the event pops.
+            boundary = _pd.BLOCK_HALT
+            cycles = _pd.run_lowered(tile, footprints[index], base, remaining)
+            if cycles is None:
+                boundary, cycles = _pd.run_block(tile, dec, base, remaining)
+        elif mode == _MODE_STEP:
             dec, base = decoded[index]
             boundary, cycles = _pd.run_block(
                 tile, dec, base, remaining, max_instrs=1
             )
-        elif mode == _MODE_MEMO:
-            dec, base = decoded[index]
-            boundary, cycles = _pd.run_to_halt(tile, dec, base, remaining)
         elif mode == _MODE_BATCH:
             dec, base = decoded[index]
             boundary, cycles = _pd.run_block(
                 tile, dec, base, remaining, stop_at_comm=True
             )
-        elif mode == _MODE_FULL:
-            dec, base = decoded[index]
-            boundary, cycles = _pd.run_block(tile, dec, base, remaining)
         else:  # _MODE_REF
             cycles = tile.step()
             boundary = _pd.BLOCK_HALT if tile.halted else _pd.BLOCK_LIMIT
@@ -340,14 +345,8 @@ def _analyse_phase(tiles, decoded, coords, footprints) -> list[int]:
             if j is not None:
                 timed_into[j] = True
 
-    modes = []
-    for i, (dec, _base) in enumerate(decoded):
-        if full[i]:
-            modes.append(_MODE_FULL if dec.has_snb else _MODE_MEMO)
-        elif timed_into[i]:
-            modes.append(_MODE_STEP)
-        elif dec.has_snb:
-            modes.append(_MODE_BATCH)
-        else:
-            modes.append(_MODE_MEMO)
-    return modes
+    # A silent unproven program simply never pauses in batch mode.
+    return [
+        _MODE_FULL if full[i] else _MODE_STEP if timed_into[i] else _MODE_BATCH
+        for i in range(len(tiles))
+    ]

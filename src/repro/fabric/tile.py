@@ -335,8 +335,8 @@ class Tile:
     def run(self, max_cycles: int = 10_000_000, *, engine: str | None = None) -> int:
         """Run until ``HALT``; returns cycles consumed by this call.
 
-        ``engine`` selects the execution tier: ``"fast"`` (predecoded
-        closures + run memo), ``"reference"`` (the per-instruction
+        ``engine`` selects the execution tier: ``"fast"`` (the lowered
+        trace, else predecoded closures), ``"reference"`` (the per-instruction
         interpreter above), or ``None`` for *auto* — fast unless the
         ``REPRO_REFERENCE_SIM`` environment variable forces the oracle.
         Both tiers are observationally identical (memories, stats,
@@ -371,28 +371,29 @@ class Tile:
         return consumed
 
     def _run_fast(self, dec, base: int, max_cycles: int) -> int:
-        """Fast-tier run loop over decoded blocks (see ``predecode``)."""
+        """Fast-tier run: the lowered trace, else decoded blocks."""
         from repro.fabric import predecode as _pd
 
-        consumed = 0
+        if self.halted:
+            return 0
+        consumed = _pd.run_lowered(
+            self, _pd.footprint_for(self, dec, base), base, max_cycles
+        )
+        if consumed is not None:
+            return consumed
+        boundary, consumed = _pd.run_block(self, dec, base, max_cycles)
+        if boundary == _pd.BLOCK_BUDGET:
+            raise ExecutionError(
+                f"{self!r} exceeded {max_cycles} cycles without halting"
+            )
+        # BLOCK_EXIT: the pc left the decoded image (co-residency
+        # fall-through) — finish on the reference interpreter.
         while not self.halted:
-            boundary, cyc = _pd.run_to_halt(self, dec, base, max_cycles - consumed)
-            consumed += cyc
-            if boundary == _pd.BLOCK_BUDGET:
+            consumed += self.step()
+            if consumed > max_cycles:
                 raise ExecutionError(
                     f"{self!r} exceeded {max_cycles} cycles without halting"
                 )
-            if boundary == _pd.BLOCK_HALT:
-                break
-            # BLOCK_EXIT: the pc left the decoded image (co-residency
-            # fall-through) — finish on the reference interpreter.
-            while not self.halted:
-                consumed += self.step()
-                if consumed > max_cycles:
-                    raise ExecutionError(
-                        f"{self!r} exceeded {max_cycles} cycles without halting"
-                    )
-            break
         return consumed
 
     def run_ns(self, max_cycles: int = 10_000_000, *, engine: str | None = None) -> float:

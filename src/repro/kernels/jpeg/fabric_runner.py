@@ -85,7 +85,11 @@ class FabricBlockPipeline:
         self._programs = tuple(
             spec.programs[(0, 0)] for spec in self.artifact.plan.body
         )
+        #: Fabric time of each block of the current ``encode_image`` /
+        #: ``encode_block_stack`` call (a serve session encodes blocks for
+        #: the life of the process; nothing reads further back).
         self._block_times: list[float] = []
+        self._last_block_ns = 0.0
         self._preloaded = False
 
     # ------------------------------------------------------------------
@@ -141,7 +145,7 @@ class FabricBlockPipeline:
             self._preload()
         start_ns = self.rtms.now_ns
         self.rtms.execute_artifact(self.artifact, block)
-        self._block_times.append(self.rtms.now_ns - start_ns)
+        self._last_block_ns = self.rtms.now_ns - start_ns
         return self.read_zigzag()
 
     def encode_blocks(self, stack: np.ndarray, on_slice=None) -> np.ndarray:
@@ -186,6 +190,7 @@ class FabricBlockPipeline:
         sims = np.empty(len(stack))
         reconfigs = np.empty(len(stack))
         tile = self.mesh.tile((0, 0))
+        self._block_times = []
         first = 0
         if any(tile.resident_base(p) is None for p in self._programs):
             # Cold fabric: the first block pays the program pinning on the
@@ -193,7 +198,8 @@ class FabricBlockPipeline:
             # is warm and replicated lane timings stay honest.
             busy_before = self.rtms.icap.total_busy_ns
             out[0] = self.encode_block(stack[0])
-            sims[0] = setup_sim + self._block_times[-1]
+            self._block_times.append(self._last_block_ns)
+            sims[0] = setup_sim + self._last_block_ns
             reconfigs[0] = (
                 setup_busy + self.rtms.icap.total_busy_ns - busy_before
             )
@@ -225,19 +231,18 @@ class FabricBlockPipeline:
         host = JPEGEncoder(quality=self.quality)
         writer = BitWriter()
         prev_dc = 0
-        count = 0
+        times = self._block_times = []
         for r in range(rows):
             for c in range(cols):
                 zz = self.encode_block(blocks[r, c])
+                times.append(self._last_block_ns)
                 prev_dc = encode_block_coefficients(zz, prev_dc, writer)
-                count += 1
         stream = host._wrap_stream(writer.flush(), height, width)
 
-        times = self._block_times[-count:]
         steady = sum(times[1:]) / (len(times) - 1) if len(times) > 1 else times[0]
         return FabricEncodeResult(
             stream=stream,
-            blocks=count,
+            blocks=len(times),
             total_ns=self.rtms.now_ns,
             first_block_ns=times[0],
             steady_block_ns=steady,

@@ -2,11 +2,11 @@
 
 The reference interpreter checks ``consumed > max_cycles`` *after* each
 instruction, so a run that halts at exactly ``max_cycles`` is legal and
-one cycle less raises.  The fast path batches whole superblocks and can
-replay memoized runs, so these tests pin the boundary behaviour for
+one cycle less raises.  The fast path batches whole superblocks and runs
+proven traces lowered, so these tests pin the boundary behaviour for
 ``Tile.run`` and ``run_concurrent`` under both tiers — including the
-memo-replay second run, which must honour the budget rather than replay
-a recorded run that would not have fit.
+re-run of an already lowered trace, which must honour the budget rather
+than execute a trace that would not have fit.
 """
 
 from __future__ import annotations
@@ -85,22 +85,35 @@ def test_concurrent_one_cycle_short_raises(engine, exact_cycles):
         run_concurrent([tile], max_cycles_per_tile=exact_cycles - 1, engine=engine)
 
 
-def test_memo_replay_respects_budget(exact_cycles):
-    """A memoized run must not replay into a budget it would overflow."""
+def test_lowered_rerun_respects_budget(exact_cycles):
+    """A lowered trace must not run into a budget it would overflow: one
+    cycle short, the interpreter path faults on the crossing instruction
+    and leaves exactly the reference's partial state."""
+    from repro.fabric.predecode import COUNTERS
+
     program = assemble(_SOURCE)
-    # Prime the memo with an unconstrained fast run.
+    # Lower the trace with an unconstrained fast run.
     tile = Tile()
     tile.load_program(program)
     tile.run(engine="fast")
-    # Exact budget: replay (or re-execution) must succeed...
+    # Exact budget: the lowered re-run must succeed...
+    lowered = COUNTERS.lowered_runs
     tile2 = Tile()
     tile2.load_program(program)
     assert tile2.run(max_cycles=exact_cycles, engine="fast") == exact_cycles
+    assert COUNTERS.lowered_runs == lowered + 1
     # ...one cycle less must raise exactly like the reference tier.
-    tile3 = Tile()
-    tile3.load_program(program)
-    with pytest.raises(ExecutionError, match="exceeded"):
-        tile3.run(max_cycles=exact_cycles - 1, engine="fast")
+    states = []
+    for engine in ENGINES:
+        tile3 = Tile()
+        tile3.load_program(program)
+        with pytest.raises(ExecutionError, match="exceeded"):
+            tile3.run(max_cycles=exact_cycles - 1, engine=engine)
+        states.append((tile3.pc, tile3.halted, tile3.stats,
+                       tile3.dmem.dump_block(0, 8), tile3.dmem.reads,
+                       tile3.dmem.writes))
+    assert states[0] == states[1]
+    assert COUNTERS.lowered_runs == lowered + 1
 
 
 def test_engines_agree_on_cycle_count(exact_cycles):

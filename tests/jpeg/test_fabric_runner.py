@@ -65,6 +65,24 @@ class TestImage:
         times = pipeline._block_times[1:]
         assert max(times) - min(times) < 10.0
 
+    def test_block_timing_record_does_not_outlive_the_call(self, encoded):
+        """A serve session encodes blocks for the life of the process;
+        the record holds the current call's blocks only."""
+        image, _, result = encoded
+        pipeline = FabricBlockPipeline(quality=75)
+        first = pipeline.encode_image(image)
+        assert len(pipeline._block_times) == result.blocks
+        for _ in range(5):
+            pipeline.encode_block(image[:8, :8])
+        assert len(pipeline._block_times) == result.blocks
+        pipeline.encode_blocks(np.stack([image[:8, :8]] * 3))
+        assert len(pipeline._block_times) == 3
+        again = pipeline.encode_image(image)
+        assert len(pipeline._block_times) == again.blocks == result.blocks
+        assert first.first_block_ns == result.first_block_ns
+        assert first.steady_block_ns == result.steady_block_ns
+        assert again.steady_block_ns == pytest.approx(result.steady_block_ns)
+
     def test_steady_block_rate(self, encoded):
         _, _, result = encoded
         # ~10k cycles/block at 2.5ns -> tens of microseconds
