@@ -20,8 +20,9 @@ meaning but now proven across process death and rejoin:
   :class:`~repro.errors.RpcError`; the harness proves no ack is
   fabricated (the ``epipe`` fault submits to a corpse on purpose);
 * **no conflicting client result**, **per-journal single DONE**,
-  **MOVED-not-into-void**, **idempotent replay** — per journal, folded
-  after the cluster shuts down;
+  **MOVED-not-into-void** (the job is SUBMITTED or terminal in another
+  journal), **idempotent replay** — per journal, folded after the
+  cluster shuts down;
 * **bit-identical outputs** — every executed DONE output equals the
   fault-free single-engine baseline even though it crossed the wire
   codec (possibly twice, via handoff).
@@ -43,14 +44,21 @@ from repro.cluster.lifecycle.health import ShardState
 from repro.cluster.proc.rpc import RetryPolicy
 from repro.cluster.proc.shard import ProcShardWorker
 from repro.cluster.proc.supervisor import ProcessSupervisor
-from repro.cluster.router import ShardRouter
+from repro.cluster.ring import HashRing
+from repro.cluster.router import ShardRouter, spec_routing_key
 from repro.errors import ChaosError, ClusterError, RpcError
 from repro.serve.durability.journal import FsyncPolicy, JobJournal
 from repro.serve.durability.records import RecordType
 from repro.serve.durability.recovery import replay
 from repro.serve.jobs import JobStatus
 
-__all__ = ["ProcScenario", "ProcReport", "run_proc_scenario"]
+__all__ = [
+    "ProcScenario",
+    "ProcReport",
+    "LOST_REPLIES",
+    "lost_reply_scenario",
+    "run_proc_scenario",
+]
 
 
 @dataclass(frozen=True)
@@ -63,8 +71,9 @@ class ProcScenario:
     n_shards: int = 3
     hot_fraction: float = 0.6
     #: Victim shard by sorted index; ``None`` picks the hottest serving
-    #: shard when the fault fires.  ``torn`` arms the victim's own write
-    #: path at *spawn*, so it needs the choice up front.
+    #: shard when the fault fires.  ``torn`` and ``exit`` arm the
+    #: victim's own write path at *spawn*, so they need the choice up
+    #: front.
     victim: int | None = None
     pool_size: int = 1
     #: RPC budget per ordinary call (submit/step/reads).
@@ -80,10 +89,10 @@ class ProcScenario:
         if self.n_shards < 2:
             raise ChaosError("process faults need at least 2 shards")
         if self.fault is not None:
-            if self.fault.kind == "torn" and self.victim is None:
+            if self.fault.at_spawn and self.victim is None:
                 raise ChaosError(
-                    "the torn fault arms the victim at spawn — pick one "
-                    "(victim=<index>)"
+                    f"the {self.fault.kind} fault arms the victim at spawn "
+                    f"— pick one (victim=<index>)"
                 )
             if self.fault.after_completions >= self.n_jobs:
                 raise ChaosError(
@@ -106,6 +115,44 @@ class ProcScenario:
             n_shards=self.n_shards,
             hot_fraction=self.hot_fraction,
         )
+
+
+#: The kinds of reply a dying shard can fail to deliver, as (which
+#: shard of the trace, which of its responses).  Under the round
+#: protocol every one of them changes state on the far side, so none is
+#: absorbed as a harmless failed probe.  ``hot`` is the shard the ring
+#: homes most of the trace on (every steal's victim); ``idle`` is one it
+#: homes nothing on, so its first ``submit`` ack can only be a thief's
+#: and its first result is a stolen job's.
+LOST_REPLIES = {
+    "client-submit-ack": ("hot", "submit:3"),
+    "step-reply-with-result": ("idle", "step:1"),
+    "thief-submit-ack": ("idle", "submit:1"),
+    "release-ack": ("hot", "release:1"),
+}
+
+
+def lost_reply_scenario(kind: str, reply: str, **kwargs) -> ProcScenario:
+    """The scenario in which a ``torn`` or ``exit`` fault destroys the
+    ``reply`` (a key of :data:`LOST_REPLIES`) of the shard that sends it."""
+    who, response = LOST_REPLIES[reply]
+    base = ProcScenario(**kwargs).cluster_scenario()
+    names = base.shard_names()
+    ring = HashRing(names)
+    homed = dict.fromkeys(names, 0)
+    for request in base.requests():
+        homed[ring.route(spec_routing_key(request.spec))] += 1
+    if who == "hot":
+        victim = max(names, key=lambda name: homed[name])
+    else:
+        victim = min(names, key=lambda name: homed[name])
+        if homed[victim]:
+            raise ChaosError(f"the trace leaves no shard idle: {homed}")
+    return ProcScenario(
+        fault=ProcFault(kind=kind, response=response),
+        victim=names.index(victim),
+        **kwargs,
+    )
 
 
 @dataclass
@@ -175,11 +222,11 @@ def run_proc_scenario(
         count = spawned.get(name, 0)
         spawned[name] = count + 1
         chaos_env = None
-        # Arm the torn-frame hook only on the victim's FIRST process —
-        # the respawned member must not re-tear into a crash loop.
+        # Arm the write-path hook only on the victim's FIRST process —
+        # the respawned member must not die again into a crash loop.
         if (
             fault is not None
-            and fault.kind == "torn"
+            and fault.at_spawn
             and name == pinned_victim
             and count == 0
         ):
@@ -291,13 +338,13 @@ def run_proc_scenario(
             if (
                 fault is not None
                 and not fired
-                and fault.kind != "torn"
+                and not fault.at_spawn
                 and len(router.results) >= fault.after_completions
             ):
                 fired = True
                 report.fault_fired = True
                 fire_fault()
-            if fault is not None and fault.kind == "torn" and not fired:
+            if fault is not None and fault.at_spawn and not fired:
                 victim_shard = router.shards[pinned_victim]
                 if not victim_shard.alive:
                     fired = True
@@ -320,8 +367,9 @@ def run_proc_scenario(
                 break
             if fired and len(attempts) >= supervisor.max_respawns_per_shard:
                 break  # rejoin budget exhausted — report the failure
-            # Otherwise keep ticking: a verdict (or the torn trigger's
-            # response count) is still brewing on an idle cluster.
+            # Otherwise keep ticking: a verdict (or the spawn-armed
+            # trigger's response count) is still brewing on an idle
+            # cluster.
         for job_id, result in router.results.items():
             if job_id in acked:
                 deliver(result)
@@ -392,7 +440,10 @@ def run_proc_scenario(
             report.violations.append(f"{job_id}: acknowledged but lost")
 
     # ---- invariants over every shard journal --------------------------
-    submitted_by_shard: dict[str, set[str]] = {}
+    #: Jobs each journal owns or owned to the end: SUBMITTED there, or
+    #: terminal there (rejoin's ``compact()`` keeps only the DONE record
+    #: of a finished job, by design).
+    held_by_shard: dict[str, set[str]] = {}
     done_by_job: dict[str, int] = {}
     moved: list[tuple[str, str]] = []
     for name in names:
@@ -403,8 +454,10 @@ def run_proc_scenario(
         records, scan = journal.scan()
         journal.close()
         report.journal_records += scan.records
-        submitted_by_shard[name] = {
-            r.job_id for r in records if r.type is RecordType.SUBMITTED
+        held_by_shard[name] = {
+            r.job_id
+            for r in records
+            if r.type in (RecordType.SUBMITTED, RecordType.DONE)
         }
         per_job_done: dict[str, int] = {}
         for record in records:
@@ -435,12 +488,13 @@ def run_proc_scenario(
     for shard_name, job_id in moved:
         elsewhere = any(
             job_id in ids
-            for name, ids in submitted_by_shard.items()
+            for name, ids in held_by_shard.items()
             if name != shard_name
         )
         if not elsewhere:
             report.violations.append(
-                f"{shard_name}/{job_id}: MOVED but SUBMITTED nowhere else"
+                f"{shard_name}/{job_id}: MOVED but neither SUBMITTED nor "
+                f"DONE anywhere else"
             )
 
     # ---- invariant: executed outputs match the baseline ---------------

@@ -17,15 +17,29 @@ typed RPC client, and that changes the failure semantics deliberately:
   owns the resubmission decision.
 - **reads degrade.**  ``queue_depth`` / ``has_job`` / probes return
   empty answers against an unreachable process instead of wedging a
-  router round behind per-call timeouts; ``step_one`` marks the shard
+  router round behind per-call timeouts; a step marks the shard
   unreachable and goes idle so the supervisor — not an exception — ends
   the shard's tenure.
-- **a step has two halves.**  ``step_begin`` sends the request and
-  returns; ``step_one`` collects the reply (or, with nothing begun, is
-  the whole blocking call).  A router round begins a step on every
-  shard before it collects any, which is what lets the shard processes
-  execute at the same time.  Failure lands where it always did: in
-  ``step_one``, as ``None``.
+- **the queue is mirrored, not asked for.**  The process changes state
+  only in reply to this handle, and every such reply says what changed
+  (see :mod:`repro.cluster.proc.worker`), so the handle keeps the ids
+  queued there and the ids finished there and answers ``queue_depth``,
+  ``has_job`` and a ``finished`` miss from them without a round trip.
+  The mirror holds ids only — never a payload or an output.  Each reply
+  also carries the process's own depth; one that disagrees with the
+  mirror (a reply was lost after the process had acted on it) makes the
+  handle read the backlog once instead of trusting itself.
+- **a step has two halves, and results are handed on exactly once.**
+  ``step_begin`` sends the request, with the ids of the results handed
+  on since the last one (the acknowledgement), and returns;
+  ``step_all`` / ``step_one`` collect the reply (or, with nothing
+  begun, are the whole blocking call).  A router round begins a step on
+  every shard before it collects any, which is what lets the shard
+  processes execute at the same time.  The reply lists every result the
+  process still holds unacknowledged; the handle hands on the ones it
+  has not handed on before, and retires an acknowledgement only when a
+  reply to the request that carried it has arrived.  Failure lands
+  where it always did: in the collecting call, as nothing.
 
 A shard that answered nothing is distinguished from one that is *gone*:
 EOF/EPIPE (process exited) drops ``alive`` immediately, while a timeout
@@ -99,6 +113,14 @@ class ProcShardWorker:
         self._alive = False
         self._unreachable = False
         self.hello: dict = {}
+        #: The mirror: ids queued in the process, ids finished there.
+        self._queued: set[str] = set()
+        self._finished: set[str] = set()
+        #: Ids of results handed on and not yet known to be acknowledged,
+        #: oldest first; the first ``_acks_sent`` went out with the step
+        #: now in flight.
+        self._handed: list[str] = []
+        self._acks_sent = 0
 
         argv = [
             sys.executable,
@@ -166,6 +188,8 @@ class ProcShardWorker:
                 f"{error.get('type', 'Error')}: {error.get('message', '')}"
             )
         self.hello = hello.get("value") or {}
+        self._queued.update(self.hello.get("queued_ids", ()))
+        self._finished.update(self.hello.get("finished_ids", ()))
         self._alive = True
 
     # ------------------------------------------------------------------
@@ -240,14 +264,26 @@ class ProcShardWorker:
     # state queries (degrade, never wedge)
     # ------------------------------------------------------------------
 
+    def _reconcile(self, depth: int) -> None:
+        """Hold the mirror to the depth the process just reported.
+
+        They differ only after a reply was lost once the process had
+        acted on it (a ``release`` that timed out, a ``submit`` whose
+        every attempt did); then the process's own backlog is read.
+        """
+        if depth == len(self._queued):
+            return
+        try:
+            jobs = self._call("backlog")["jobs"]
+        except (RpcError, ClusterError):
+            return
+        self._queued = {str(job["job_id"]) for job in jobs}
+
     @property
     def queue_depth(self) -> int:
         if not self._alive or self._unreachable:
             return 0
-        try:
-            return int(self._call("queue_depth")["depth"])
-        except (RpcError, ClusterError):
-            return 0
+        return len(self._queued)
 
     def resident_keys(self) -> set[str]:
         if not self._alive or self._unreachable:
@@ -260,13 +296,12 @@ class ProcShardWorker:
     def has_job(self, job_id: str) -> bool:
         if not self._alive or self._unreachable:
             return False
-        try:
-            return bool(self._call("has_job", {"job_id": job_id})["has"])
-        except (RpcError, ClusterError):
-            return False
+        return job_id in self._queued or job_id in self._finished
 
     def finished(self, job_id: str) -> JobResult | None:
         if not self._alive or self._unreachable:
+            return None
+        if job_id not in self._finished:
             return None
         try:
             data = self._call("finished", {"job_id": job_id})["result"]
@@ -343,6 +378,8 @@ class ProcShardWorker:
         """
         value = self._call("submit", {"job": wire.encode_job(request)})
         pre = value.get("result")
+        (self._queued if pre is None else self._finished).add(request.job_id)
+        self._reconcile(value["depth"])
         if pre is not None:
             return wire.decode_result(pre)
         self.jobs_submitted += 1
@@ -351,39 +388,73 @@ class ProcShardWorker:
     def step_begin(self) -> None:
         """Send this round's ``step`` and return without its reply.
 
-        The router begins a step on every shard before it collects one,
-        so the shard processes execute at the same time;
-        :meth:`step_one` is the other half.  Never raises: a shard that
-        cannot be reached is left for ``step_one`` to report idle.
+        The request acknowledges every result handed on so far.  The
+        router begins a step on every shard before it collects one, so
+        the shard processes execute at the same time; :meth:`step_all`
+        is the other half.  Never raises: a shard that cannot be
+        reached is left for the collecting call to report idle.
         """
         if self._alive and not self._unreachable:
-            self._begin("step")
+            self._acks_sent = len(self._handed)
+            self._begin("step", {"ack": list(self._handed)})
 
-    def step_one(self) -> JobResult | None:
-        """Run the shard's oldest queued job — or collect the step that
-        :meth:`step_begin` started; ``None`` when idle or unreachable
-        (the supervisor owns an unreachable shard's fate)."""
+    def _step(self, limit: int | None) -> list[JobResult]:
+        """Collect a step (beginning one first if none is in flight) and
+        hand on up to ``limit`` results not handed on before; what is
+        left stays unacknowledged and comes back with the next step."""
         if not self._alive or self._unreachable:
-            return None
+            return []
         try:
             if not self.rpc.outstanding:
-                self._begin("step")
+                self.step_begin()
             value = self._finish()
         except (RpcError, ClusterError):
-            return None
-        if value.get("idle") or value.get("result") is None:
-            return None
-        self.jobs_completed += 1
-        return wire.decode_result(value["result"])
+            return []
+        # This reply answers the request that carried these acks.
+        del self._handed[: self._acks_sent]
+        self._acks_sent = 0
+        fresh = []
+        for data in value["results"]:
+            job_id = str(data["job_id"])
+            self._queued.discard(job_id)
+            self._finished.add(job_id)
+            if job_id not in self._handed:
+                fresh.append(data)
+        self._reconcile(value["depth"])
+        results = [wire.decode_result(data) for data in fresh[:limit]]
+        self._handed += [result.job_id for result in results]
+        self.jobs_completed += len(results)
+        return results
+
+    def step_all(self) -> list[JobResult]:
+        """Run the shard's oldest queued job — or collect the step that
+        :meth:`step_begin` started — and hand on every result the
+        process holds that was not handed on before: the job's own,
+        its batch lanes', and any a lost reply left behind.  Empty when
+        idle or unreachable (the supervisor owns an unreachable shard's
+        fate)."""
+        return self._step(None)
+
+    def step_one(self) -> JobResult | None:
+        """:meth:`step_all` for a caller that takes one result at a
+        time: the oldest not yet handed on, or ``None``."""
+        results = self._step(1)
+        return results[0] if results else None
 
     def release(self, job_id: str, data: dict) -> JobRequest:
         """Give up a queued job (MOVED journaled in the process)."""
         value = self._call("release", {"job_id": job_id, "data": data})
+        self._queued.discard(job_id)
+        self._reconcile(value["depth"])
         self.jobs_stolen_away += 1
         return wire.decode_job(value["job"])
 
     def expire(self, job_id: str, *, where: str = "in queue") -> JobResult:
         value = self._call("expire", {"job_id": job_id, "where": where})
+        self._queued.discard(job_id)
+        self._finished.add(job_id)
+        self._handed.append(job_id)  # the caller has it: ack, don't re-send
+        self._reconcile(value["depth"])
         return wire.decode_result(value["result"])
 
     def compact_journal(self) -> int:

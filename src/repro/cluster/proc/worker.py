@@ -16,19 +16,37 @@ hello (pid + recovery counts) the spawner blocks on, so a worker that
 cannot take its journal lock fails loudly and typed instead of hanging
 the router.
 
-The ops mirror :class:`repro.cluster.shard.ShardWorker`'s surface one
-for one — submit/step/heartbeat/steal_candidates/release/expire plus
-the read probes — so the router drives either through the same code
-path.  stdout belongs to the protocol alone: ``sys.stdout`` is rebound
-to stderr before the engine imports can print anything.
+The ops mirror :class:`repro.cluster.shard.ShardWorker`'s surface —
+submit/step/heartbeat/steal_candidates/release/expire plus the read
+probes — so the router drives either through the same code path.
+stdout belongs to the protocol alone: ``sys.stdout`` is rebound to
+stderr before the engine imports can print anything.
 
-Chaos hooks (armed via environment, used by the proc fault harness):
+**The round protocol.**  This process changes state only in reply to
+its one handle, so every reply that changes the queue says how deep it
+now is and the handle never has to ask:
 
-- ``REPRO_PROC_TORN_AFTER=n`` — the ``n``-th response frame is written
-  *half* and the process exits: a torn frame mid-message, as seen by
-  the router.
-- ``REPRO_PROC_EXIT_AFTER=n`` — the process exits just before writing
-  the ``n``-th response: death between accepting work and acking it.
+- the hello lists the ids recovery requeued and the ids it found
+  finished;
+- ``submit`` / ``release`` / ``expire`` reply with their answer and
+  ``depth``;
+- ``step`` takes ``ack`` (ids of results the handle has handed on),
+  lets those decay (:meth:`DurableEngine.ack`), runs the oldest job and
+  replies with **every** unacknowledged result, oldest first, and
+  ``depth``.  A result is therefore sent again on every ``step`` until
+  it is acknowledged: a reply lost to a timeout, or one that arrives
+  after its retry and is dropped as stale, costs nothing.
+
+Chaos hooks (armed via environment, used by the proc fault harness).
+Each takes ``n`` (the ``n``-th response frame of any kind, the hello
+included) or ``op:n`` (the ``n``-th response to ``op``; for ``step``
+only replies that carry a result count):
+
+- ``REPRO_PROC_TORN_AFTER`` — that response frame is written *half*
+  and the process exits: a torn frame mid-message, as seen by the
+  router.
+- ``REPRO_PROC_EXIT_AFTER`` — the process exits just before writing
+  that response: death between accepting work and acking it.
 """
 
 from __future__ import annotations
@@ -63,23 +81,37 @@ def _fail(out, exc: BaseException) -> None:
     out.flush()
 
 
+def _trigger(variable: str) -> tuple[str, int]:
+    """A chaos hook's ``"n"`` or ``"op:n"`` as ``(op, n)``; unset is
+    ``("", 0)``, which no response ever matches."""
+    op, _, count = os.environ.get(variable, "0").rpartition(":")
+    return op, int(count)
+
+
 class _ChaosWriter:
     """Response writer with the torn-frame / exit-before-ack hooks."""
 
     def __init__(self, out) -> None:
         self.out = out
-        self.responses = 0
-        self.torn_after = int(os.environ.get("REPRO_PROC_TORN_AFTER", "0"))
-        self.exit_after = int(os.environ.get("REPRO_PROC_EXIT_AFTER", "0"))
+        #: Responses written so far: all of them under ``""``, and per
+        #: op the ones an ``op:n`` trigger counts.
+        self.written: dict[str, int] = {}
+        self.torn_at = _trigger("REPRO_PROC_TORN_AFTER")
+        self.exit_at = _trigger("REPRO_PROC_EXIT_AFTER")
 
-    def write(self, message: dict) -> None:
+    def write(self, message: dict, op: str = "") -> None:
+        """Write one response; ``op`` names the request it answers when
+        the ``op:n`` triggers should count it."""
         frame = wire.encode_message(message)
-        self.responses += 1
-        if self.exit_after and self.responses >= self.exit_after:
+        reached = set()
+        for kind in {"", op}:
+            self.written[kind] = self.written.get(kind, 0) + 1
+            reached.add((kind, self.written[kind]))
+        if self.exit_at in reached:
             # Dead before the ack ever hits the pipe — the router sees
             # EOF exactly where a SIGKILL mid-message would leave it.
             os._exit(17)
-        if self.torn_after and self.responses >= self.torn_after:
+        if self.torn_at in reached:
             self.out.write(frame[: max(1, len(frame) // 2)])
             self.out.flush()
             os._exit(18)
@@ -94,14 +126,17 @@ def _dispatch(engine: DurableEngine, name: str, op: str, params: dict):
     if op == "submit":
         request = wire.decode_job(params["job"])
         pre = engine.submit(request)
-        return {"result": wire.encode_result(pre) if pre else None}
-    if op == "step":
-        if not engine.queue:
-            return {"idle": True, "result": None}
-        result = engine.step()
         return {
-            "idle": False,
-            "result": wire.encode_result(result) if result else None,
+            "result": wire.encode_result(pre) if pre else None,
+            "depth": len(engine.queue),
+        }
+    if op == "step":
+        engine.ack(params.get("ack") or ())
+        if engine.queue:
+            engine.step()
+        return {
+            "results": [wire.encode_result(r) for r in engine.unacked()],
+            "depth": len(engine.queue),
         }
     if op == "heartbeat":
         from repro.cluster.lifecycle.health import ShardHeartbeat
@@ -137,18 +172,15 @@ def _dispatch(engine: DurableEngine, name: str, op: str, params: dict):
         request = engine.mark_moved(
             str(params["job_id"]), dict(params.get("data") or {})
         )
-        return {"job": wire.encode_job(request)}
+        return {"job": wire.encode_job(request), "depth": len(engine.queue)}
     if op == "expire":
         result = engine.expire(
             str(params["job_id"]),
             where=str(params.get("where", "in queue")),
         )
-        return {"result": wire.encode_result(result)}
-    if op == "has_job":
-        job_id = str(params["job_id"])
         return {
-            "has": job_id in engine.results
-            or any(r.job_id == job_id for r in engine.queue)
+            "result": wire.encode_result(result),
+            "depth": len(engine.queue),
         }
     if op == "finished":
         result = engine.results.get(str(params["job_id"]))
@@ -165,8 +197,6 @@ def _dispatch(engine: DurableEngine, name: str, op: str, params: dict):
         }
     if op == "backlog":
         return {"jobs": [wire.encode_job(r) for r in engine.queue]}
-    if op == "queue_depth":
-        return {"depth": len(engine.queue)}
     if op == "compact":
         removed = engine.journal.compact()
         return {"removed": removed}
@@ -214,7 +244,13 @@ def serve(engine: DurableEngine, name: str, stdin, writer: _ChaosWriter) -> None
                     }
                 )
             else:
-                writer.write({"id": call_id, "ok": True, "value": value})
+                # A step that handed nothing back is not "a step reply
+                # carrying a result": the op:n chaos triggers skip it.
+                counted = op != "step" or value["results"]
+                writer.write(
+                    {"id": call_id, "ok": True, "value": value},
+                    op if counted else "",
+                )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -269,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
                 "recovered_requeued": engine.report.recovered_requeued,
                 "corrupt_lines_dropped": engine.report.corrupt_lines_dropped,
                 "queue_depth": len(engine.queue),
+                "queued_ids": [r.job_id for r in engine.queue],
+                "finished_ids": list(engine.results),
             },
         }
     )

@@ -51,12 +51,7 @@ from repro.cluster.ring import KEY_BITS, HashRing
 from repro.cluster.shard import ShardWorker
 from repro.serve.durability.journal import FsyncPolicy, JobJournal
 from repro.serve.durability.recovery import replay
-from repro.serve.jobs import (
-    JobRequest,
-    JobResult,
-    JobStatus,
-    KernelSpec,
-)
+from repro.serve.jobs import JobRequest, JobResult, KernelSpec
 from repro.serve.metrics import MetricsRegistry
 
 __all__ = ["ShardRouter", "spec_routing_key", "CP_STEAL", "CP_HANDOFF"]
@@ -238,7 +233,9 @@ class ShardRouter:
         return sum(s.queue_depth for s in self.live_shards())
 
     def step_round(self) -> int:
-        """One round: every live shard runs one queued job.
+        """One round: every live shard runs one queued job and hands
+        back every result it has not handed back before (the job's, its
+        batch lanes', any that a lost reply left behind).
 
         Scatter, then gather.  The round first begins a step on every
         live shard, then collects the replies; both passes go in name
@@ -256,8 +253,7 @@ class ShardRouter:
             shard.step_begin()
         completed = 0
         for shard in stepping:
-            result = shard.step_one()
-            if result is not None:
+            for result in shard.step_all():
                 self._record(result)
                 completed += 1
         return completed
@@ -305,19 +301,36 @@ class ShardRouter:
     def _steal(
         self, victim: ShardWorker, thief: ShardWorker, request: JobRequest
     ) -> bool:
-        """Move one queued job, thief-first (see the module docstring)."""
-        pre = thief.submit(request)
+        """Move one queued job, thief-first (see the module docstring).
+
+        A shard that dies under the move must not raise out of the
+        round — the supervisor ends its tenure, as it does for a shard
+        that dies under a step.  No ack from the thief means no steal:
+        nothing was released, and if the thief journaled the job before
+        dying, handoff finds it still queued on the victim and skips
+        it.  No ack from the victim, after the thief's, is the
+        two-journal window reached by transport instead of by crash:
+        the thief owns the job and first-wins delivery absorbs a second
+        execution.
+        """
+        try:
+            pre = thief.submit(request)
+        except ClusterError:
+            return False
         if pre is not None:
             # The thief already finished this id (a duplicate left over
             # from an earlier crash window): don't take ownership twice.
             self._record(pre)
             return False
         thief.jobs_stolen_in += 1
-        crashpoint(CP_STEAL)
-        victim.release(
-            request.job_id, {"to": thief.name, "reason": "steal"}
-        )
         self.owner[request.job_id] = thief.name
+        crashpoint(CP_STEAL)
+        try:
+            victim.release(
+                request.job_id, {"to": thief.name, "reason": "steal"}
+            )
+        except ClusterError:
+            return False
         self.steals += 1
         self.metrics.counter(
             "cluster_jobs_stolen_total", "Jobs moved by work stealing"
@@ -371,24 +384,7 @@ class ShardRouter:
         journal.close()
         state = replay(records)
         for job in state.finished_jobs():
-            done = job.done or {}
-            try:
-                status = JobStatus(done.get("status", "done"))
-            except ValueError:
-                status = JobStatus.FAILED
-            self._record(
-                JobResult(
-                    job_id=job.job_id,
-                    status=status,
-                    error=str(done.get("error", "")),
-                    worker_id=str(done.get("worker", "")),
-                    attempts=int(done.get("attempts", 0)),
-                    warm=bool(done.get("warm", False)),
-                    sim_ns=float(done.get("sim_ns", 0.0)),
-                    reconfig_ns=float(done.get("reconfig_ns", 0.0)),
-                    recovered=True,
-                )
-            )
+            self._record(job.recorded_result())
         rehomed = 0
         for request in state.recovered_requests():
             # Checkpoints are local to the dead shard; successors run

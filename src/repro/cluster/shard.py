@@ -192,18 +192,33 @@ class ShardWorker:
     def step_begin(self) -> None:
         """The send half of a step.  A process-backed shard starts
         executing here; this one shares the router's thread and does
-        all of its work in :meth:`step_one`, so there is nothing to
-        send — the method exists so both shard classes keep one
+        all of its work when the step is collected, so there is nothing
+        to send — the method exists so both shard classes keep one
         surface."""
 
-    def step_one(self) -> JobResult | None:
-        """Run this shard's oldest queued job; ``None`` when idle."""
+    def _step(self, limit: int | None) -> list[JobResult]:
+        """The three engine calls a shard is: step, read the outbox,
+        acknowledge what is handed on (the subprocess shard makes the
+        same three across a pipe)."""
         engine = self._require_alive()
-        if not engine.queue:
-            return None
-        result = engine.step()
-        self.jobs_completed += 1
-        return result
+        if engine.queue:
+            engine.step()
+        results = engine.unacked()[:limit]
+        engine.ack(result.job_id for result in results)
+        self.jobs_completed += len(results)
+        return results
+
+    def step_all(self) -> list[JobResult]:
+        """Run this shard's oldest queued job and hand on every result
+        not handed on before — its batch lanes' included; empty when
+        idle."""
+        return self._step(None)
+
+    def step_one(self) -> JobResult | None:
+        """:meth:`step_all` for a caller that takes one result at a
+        time: the oldest not yet handed on, or ``None``."""
+        results = self._step(1)
+        return results[0] if results else None
 
     def release(self, job_id: str, data: dict) -> JobRequest:
         """Give up a queued job (MOVED journaled before the queue pop)."""
@@ -215,7 +230,9 @@ class ShardWorker:
         """Fail a queued job whose deadline lapsed (TIMEOUT journaled
         here — an expired job is never worth migrating)."""
         engine = self._require_alive()
-        return engine.expire(job_id, where=where)
+        result = engine.expire(job_id, where=where)
+        engine.ack([job_id])  # the caller has it
+        return result
 
     # ------------------------------------------------------------------
     # lifecycle

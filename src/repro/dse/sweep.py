@@ -11,7 +11,6 @@ so sweeps are reproducible.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable
@@ -104,6 +103,10 @@ def sweep(
         # ~4 chunks per worker balances scheduling slack against pickling
         # overhead for the small, even workloads a sweep produces.
         chunksize = max(1, len(points) // (processes * 4))
+        # Imported here: it pulls in multiprocessing, which every process
+        # that merely imports repro (each shard worker) would pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             values = list(
                 pool.map(_call, [(fn, p) for p in points], chunksize=chunksize)

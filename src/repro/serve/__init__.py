@@ -42,7 +42,6 @@ from repro.serve.scheduler import (
     make_policy,
     simulate_trace,
 )
-from repro.serve.service import FabricJobService
 from repro.serve.sessions import (
     CancelToken,
     FFTSession,
@@ -50,6 +49,18 @@ from repro.serve.sessions import (
     SessionStats,
     default_session_factory,
 )
+
+
+
+def __getattr__(name: str):
+    """``FabricJobService`` on first use (PEP 562): its module imports
+    asyncio, which shard workers and the durable engine never run."""
+    if name == "FabricJobService":
+        from repro.serve.service import FabricJobService
+
+        return FabricJobService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AffinityPolicy",

@@ -23,7 +23,13 @@ One engine instance is one process incarnation:
   ``OSError`` propagates to the caller, which therefore knows the job
   was *not* acknowledged);
 * :meth:`run` drains the queue one job at a time with the same
-  dispatch/retry/done journaling the service performs.
+  dispatch/retry/done journaling the service performs;
+* every result finished here is *unacknowledged* until :meth:`ack`
+  (the outbox a shard transport drains: :meth:`unacked` re-sends until
+  the reader says it has them), and an acknowledged result decays to
+  exactly what a restart would rebuild from its DONE record — a shard
+  remembers after ack what it would remember after a crash.  An engine
+  nobody acks keeps every result whole.
 """
 
 from __future__ import annotations
@@ -154,28 +160,16 @@ class DurableEngine:
         self._no_batch: set[str] = set()
         self.report = EngineReport()
         self.results: dict[str, JobResult] = {}
+        #: Results finished in this incarnation and not yet acknowledged,
+        #: in finish order.
+        self._outbox: dict[str, JobResult] = {}
         self.queue: list[JobRequest] = []
         # -- recovery: construction replays the previous incarnation ---
         records, self.scan_report = self.journal.scan()
         self.report.corrupt_lines_dropped = self.scan_report.dropped
         state = replay(records)
         for job in state.finished_jobs():
-            done = job.done or {}
-            try:
-                status = JobStatus(done.get("status", "done"))
-            except ValueError:
-                status = JobStatus.FAILED
-            self.results[job.job_id] = JobResult(
-                job_id=job.job_id,
-                status=status,
-                error=str(done.get("error", "")),
-                worker_id=str(done.get("worker", "")),
-                attempts=int(done.get("attempts", 0)),
-                warm=bool(done.get("warm", False)),
-                sim_ns=float(done.get("sim_ns", 0.0)),
-                reconfig_ns=float(done.get("reconfig_ns", 0.0)),
-                recovered=True,
-            )
+            self.results[job.job_id] = job.recorded_result()
             self.report.recovered_finished += 1
         for request in state.recovered_requests():
             self.queue.append(request)
@@ -222,6 +216,61 @@ class DurableEngine:
         raise ServeError(f"mark_moved: job {job_id!r} is not queued here")
 
     # ------------------------------------------------------------------
+    # the terminal edge and the outbox
+    # ------------------------------------------------------------------
+
+    def _finish(self, result: JobResult, **body) -> JobResult:
+        """Journal the DONE record, then publish ``result``: it joins
+        :attr:`results` and waits in the outbox for its :meth:`ack`."""
+        self.journal.done(
+            result.job_id, {"status": result.status.value, **body}
+        )
+        self.results[result.job_id] = result
+        self._outbox[result.job_id] = result
+        return result
+
+    def _finish_done(self, result: JobResult) -> None:
+        self._finish(
+            result,
+            worker=result.worker_id,
+            attempts=result.attempts,
+            warm=result.warm,
+            sim_ns=result.sim_ns,
+            reconfig_ns=result.reconfig_ns,
+        )
+        self.report.completed += 1
+
+    def unacked(self) -> list[JobResult]:
+        """Every result finished here that no :meth:`ack` has covered,
+        oldest first — what a reader that may have missed a reply must
+        be sent again."""
+        return list(self._outbox.values())
+
+    def ack(self, job_ids) -> None:
+        """The reader holds these results; stop keeping them whole.
+
+        Each decays to the entry :func:`replay` would rebuild from its
+        DONE record (no output, ``recovered=True``), so a resubmit is
+        answered the same way whether or not the process restarted in
+        between.  Ids that are unknown or already acknowledged are
+        ignored, which is what makes a repeated ack harmless.
+        """
+        for job_id in job_ids:
+            result = self._outbox.pop(job_id, None)
+            if result is not None:
+                self.results[job_id] = JobResult(
+                    job_id=job_id,
+                    status=result.status,
+                    error=result.error,
+                    worker_id=result.worker_id,
+                    attempts=result.attempts,
+                    warm=result.warm,
+                    sim_ns=float(result.sim_ns),
+                    reconfig_ns=float(result.reconfig_ns),
+                    recovered=True,
+                )
+
+    # ------------------------------------------------------------------
     # deadline expiry
     # ------------------------------------------------------------------
 
@@ -235,21 +284,16 @@ class DurableEngine:
         waiting long ago.
         """
         error = f"deadline expired {where}"
-        self.journal.done(
-            request.job_id,
-            {
-                "status": JobStatus.TIMEOUT.value,
-                "error": error,
-                "attempts": attempts,
-            },
-        )
-        result = JobResult(
-            job_id=request.job_id,
-            status=JobStatus.TIMEOUT,
+        result = self._finish(
+            JobResult(
+                job_id=request.job_id,
+                status=JobStatus.TIMEOUT,
+                error=error,
+                attempts=attempts,
+            ),
             error=error,
             attempts=attempts,
         )
-        self.results[request.job_id] = result
         self.report.expired += 1
         self.report.failed += 1
         return result
@@ -273,7 +317,14 @@ class DurableEngine:
             raise ServeError("every fabric is out of rotation")
         return min(
             candidates,
-            key=lambda w: (w.switch_cost_ns(request.spec), w.id),
+            # Equal cold costs go to a fabric with nothing resident:
+            # evicting a warm plan while another fabric sits empty
+            # turns every later job of that plan cold as well.
+            key=lambda w: (
+                w.switch_cost_ns(request.spec),
+                w.resident_key is not None,
+                w.id,
+            ),
         )
 
     def _progress_hook(self, request: JobRequest):
@@ -370,19 +421,7 @@ class DurableEngine:
                 reconfig_ns=run.stats.reconfig_ns,
                 reconfig_saved_ns=run.reconfig_saved_ns,
             )
-            self.journal.done(
-                request.job_id,
-                {
-                    "status": JobStatus.DONE.value,
-                    "worker": worker.id,
-                    "attempts": 1,
-                    "warm": run.warm,
-                    "sim_ns": run.stats.sim_ns,
-                    "reconfig_ns": run.stats.reconfig_ns,
-                },
-            )
-            self.results[request.job_id] = result
-            self.report.completed += 1
+            self._finish_done(result)
             self.report.sim_ns += run.stats.sim_ns
             self.report.reconfig_ns += run.stats.reconfig_ns
             if head_result is None:
@@ -434,16 +473,12 @@ class DurableEngine:
                         worker_id=worker.id,
                         attempts=attempts,
                     )
-                    self.journal.done(
-                        request.job_id,
-                        {
-                            "status": result.status.value,
-                            "error": result.error,
-                            "worker": worker.id,
-                            "attempts": attempts,
-                        },
+                    self._finish(
+                        result,
+                        error=result.error,
+                        worker=worker.id,
+                        attempts=attempts,
                     )
-                    self.results[request.job_id] = result
                     self.report.failed += 1
                     return result
                 if request.expired(self.clock()):
@@ -468,19 +503,7 @@ class DurableEngine:
                 reconfig_saved_ns=run.reconfig_saved_ns,
                 resumed_slices=run.resumed_slices,
             )
-            self.journal.done(
-                request.job_id,
-                {
-                    "status": JobStatus.DONE.value,
-                    "worker": worker.id,
-                    "attempts": attempts,
-                    "warm": run.warm,
-                    "sim_ns": run.stats.sim_ns,
-                    "reconfig_ns": run.stats.reconfig_ns,
-                },
-            )
-            self.results[request.job_id] = result
-            self.report.completed += 1
+            self._finish_done(result)
             self.report.resumed_slices += run.resumed_slices
             self.report.sim_ns += run.stats.sim_ns
             self.report.reconfig_ns += run.stats.reconfig_ns

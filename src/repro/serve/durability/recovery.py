@@ -31,7 +31,7 @@ from repro.serve.durability.records import (
     RecordType,
     decode_request,
 )
-from repro.serve.jobs import JobRequest
+from repro.serve.jobs import JobRequest, JobResult, JobStatus
 
 __all__ = ["JobReplay", "RecoveryState", "replay"]
 
@@ -62,6 +62,26 @@ class JobReplay:
     @property
     def resumable(self) -> bool:
         return bool(self.checkpoint_path) and self.progress_slice > 0
+
+    def recorded_result(self) -> JobResult:
+        """The result a restart serves for this finished job: what its
+        DONE record holds, which is everything but the output."""
+        done = self.done or {}
+        try:
+            status = JobStatus(done.get("status", "done"))
+        except ValueError:
+            status = JobStatus.FAILED
+        return JobResult(
+            job_id=self.job_id,
+            status=status,
+            error=str(done.get("error", "")),
+            worker_id=str(done.get("worker", "")),
+            attempts=int(done.get("attempts", 0)),
+            warm=bool(done.get("warm", False)),
+            sim_ns=float(done.get("sim_ns", 0.0)),
+            reconfig_ns=float(done.get("reconfig_ns", 0.0)),
+            recovered=True,
+        )
 
     def apply(self, record: JournalRecord) -> None:
         """Fold one record in (idempotent, order-tolerant via seq sort)."""

@@ -17,7 +17,12 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import ProcFault
-from repro.cluster.proc.harness import ProcScenario, run_proc_scenario
+from repro.cluster.proc.harness import (
+    LOST_REPLIES,
+    ProcScenario,
+    lost_reply_scenario,
+    run_proc_scenario,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -67,11 +72,7 @@ class TestFaultMatrix:
     def test_torn_frame_poisons_then_rejoins(self, tmp_path):
         report = _run(
             tmp_path,
-            ProcScenario(
-                fault=ProcFault(kind="torn", torn_response=10),
-                victim=0,
-                n_jobs=12,
-            ),
+            lost_reply_scenario("torn", "step-reply-with-result", n_jobs=12),
         )
         assert report.fault_fired and report.rejoined
         assert report.jobs_completed == 12
@@ -88,3 +89,16 @@ class TestFaultMatrix:
         assert report.epipe_typed  # the dead-pipe submit raised typed
         assert report.rejoined
         assert report.jobs_completed == 12  # including the held-back job
+
+
+class TestLostReplies:
+    """Torn frames and exits placed by protocol event, not by index:
+    every kind of reply a victim can fail to deliver, lost both ways."""
+
+    @pytest.mark.parametrize("reply", sorted(LOST_REPLIES))
+    @pytest.mark.parametrize("fault_kind", ["torn", "exit"])
+    def test_every_kind_of_reply_can_be_lost(self, tmp_path, fault_kind, reply):
+        report = _run(tmp_path, lost_reply_scenario(fault_kind, reply, n_jobs=12))
+        assert report.fault_fired and report.rejoined
+        assert report.rejoin["ok"]
+        assert report.jobs_completed == 12

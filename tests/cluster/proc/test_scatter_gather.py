@@ -9,7 +9,9 @@ processes execute at the same time.  Two things must survive that:
 * **what a failure is** — a shard that dies *between* the scatter and
   the gather costs the round nothing but that shard's job: the round
   returns normally, the other shard's job is delivered, and the
-  supervisor's handoff + rejoin recovers the rest.
+  supervisor's handoff + rejoin recovers the rest.  The same holds for
+  a shard that dies under the round's ``rebalance()``, on either side
+  of a steal.
 
 No test here looks at a clock: overlap is a throughput property and is
 measured by ``benchmarks/spine``, not asserted.
@@ -26,7 +28,8 @@ import pytest
 from repro.cluster.proc.rpc import RetryPolicy
 from repro.cluster.proc.shard import ProcShardWorker
 from repro.cluster.proc.supervisor import ProcessSupervisor
-from repro.cluster.router import ShardRouter
+from repro.cluster.ring import HashRing
+from repro.cluster.router import ShardRouter, spec_routing_key
 from repro.serve.jobs import JobRequest, JobStatus, fft_spec, jpeg_spec
 
 FFT = fft_spec(16, 4, 2)
@@ -93,8 +96,9 @@ def test_in_process_and_subprocess_rounds_agree(tmp_path):
 # death between scatter and gather
 # ----------------------------------------------------------------------
 
-#: A shard's responses before its first step reply: hello, two submits.
-_FIRST_STEP_RESPONSE = 4
+#: The victim's first step reply that carries a result (the worker
+#: counts responses per op; see ``repro.cluster.proc.worker``).
+_FIRST_STEP_REPLY = "step:1"
 
 
 def _after_begin(action):
@@ -124,11 +128,11 @@ FAULTS = {
     "sigstop": ({}, _after_begin(ProcShardWorker.sigstop)),
     # the process executes the job, then dies instead of acking it
     "exit-before-ack": (
-        {"REPRO_PROC_EXIT_AFTER": str(_FIRST_STEP_RESPONSE)}, None
+        {"REPRO_PROC_EXIT_AFTER": _FIRST_STEP_REPLY}, None
     ),
     # ... or dies half-way through writing the ack
     "torn-frame": (
-        {"REPRO_PROC_TORN_AFTER": str(_FIRST_STEP_RESPONSE)}, None
+        {"REPRO_PROC_TORN_AFTER": _FIRST_STEP_REPLY}, None
     ),
 }
 
@@ -176,6 +180,77 @@ def test_death_between_scatter_and_gather(tmp_path, fault, victim):
         assert supervisor.rejoins[0].ok
         assert router.shards[victim].alive and victim in router.ring
         for job in jobs[victim] + jobs[survivor]:
+            result = router.results[job.job_id]
+            assert result.status is JobStatus.DONE
+            if not result.recovered:
+                np.testing.assert_allclose(
+                    result.output, np.fft.fft(job.payload), atol=1e-6
+                )
+    finally:
+        router.close()
+        for shard in router.shards.values():
+            if shard.proc.poll() is None:
+                shard.kill()
+
+
+# ----------------------------------------------------------------------
+# death under rebalance
+# ----------------------------------------------------------------------
+
+#: Which side of a steal dies, on which of its responses.
+STEAL_REPLIES = {
+    # the thief journals SUBMITTED and dies: no steal happened
+    "thief-submit-ack": ("thief", "submit:1"),
+    # the victim journals MOVED and dies: the thief owns the job
+    "release-ack": ("victim", "release:1"),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("reply", sorted(STEAL_REPLIES))
+@pytest.mark.parametrize(
+    "hook", ["REPRO_PROC_EXIT_AFTER", "REPRO_PROC_TORN_AFTER"]
+)
+def test_death_under_rebalance_stays_inside_the_round(tmp_path, hook, reply):
+    names = ["shard-0", "shard-1"]
+    # Every job homes on one shard, so the other's first submit ack is a
+    # thief's and the home shard is every steal's victim.
+    home = HashRing(names).route(spec_routing_key(FFT))
+    sides = {"victim": home, "thief": names[1 - names.index(home)]}
+    side, response = STEAL_REPLIES[reply]
+    dying = sides[side]
+    armed = {dying: {hook: response}}  # the respawn must come up clean
+
+    def factory(name, directory):
+        return ProcShardWorker(
+            name,
+            directory,
+            chaos_env=armed.pop(name, None),
+            call_timeout_s=1.0,
+            heartbeat_timeout_s=0.3,
+            retry=RetryPolicy(attempts=2, base_delay_s=0.01, max_delay_s=0.02),
+        )
+
+    router = ShardRouter(tmp_path, names, worker_factory=factory)
+    try:
+        supervisor = ProcessSupervisor(router, scrub_every=0)
+        jobs = [_request(index, FFT) for index in range(8)]
+        for job in jobs:
+            assert router.submit(job) is None
+        assert router.shards[home].queue_depth == 8
+
+        # The steal hits the armed reply; neither call raises.
+        router.rebalance()
+        assert not router.shards[dying].alive
+        assert router.steals == 0  # no move completed
+        router.step_round()
+
+        supervisor.run()
+        assert [r.shard for r in supervisor.rejoins] == [dying]
+        assert supervisor.rejoins[0].ok
+        assert router.shards[dying].alive and dying in router.ring
+        assert router.pending == 0
+        for job in jobs:
             result = router.results[job.job_id]
             assert result.status is JobStatus.DONE
             if not result.recovered:

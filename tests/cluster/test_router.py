@@ -124,14 +124,13 @@ class _RecordingShard:
     def step_begin(self):
         self.log.append(("begin", self.name))
 
-    def step_one(self):
-        self.log.append(("one", self.name))
-        job_id = self.answers.get(self.name)
-        if job_id is None:
-            return None  # idle — or unreachable, which reads the same
-        return JobResult(
-            job_id=job_id, status=JobStatus.DONE, worker_id=self.name
-        )
+    def step_all(self):
+        self.log.append(("all", self.name))
+        # Nothing: idle — or unreachable, which reads the same.
+        return [
+            JobResult(job_id=job_id, status=JobStatus.DONE, worker_id=self.name)
+            for job_id in self.answers.get(self.name, "").split()
+        ]
 
     def close(self):
         pass
@@ -158,7 +157,7 @@ class TestRoundOrder:
         assert router.step_round() == 3
         assert log == [
             ("begin", "a"), ("begin", "b"), ("begin", "c"),
-            ("one", "a"), ("one", "b"), ("one", "c"),
+            ("all", "a"), ("all", "b"), ("all", "c"),
         ]
         assert list(router.results) == ["job-a", "job-b", "job-c"]
 
@@ -170,6 +169,14 @@ class TestRoundOrder:
         )
         assert router.step_round() == 2
         assert list(router.results) == ["job-a", "job-c"]
+
+    def test_every_result_a_shard_hands_back_is_folded(self, tmp_path):
+        """Batch lanes, or results a lost reply left behind."""
+        router, _ = self._router(
+            tmp_path, ["a", "b"], {"a": "head lane-1 lane-2", "b": "job-b"}
+        )
+        assert router.step_round() == 4
+        assert list(router.results) == ["head", "lane-1", "lane-2", "job-b"]
 
     def test_first_wins_dedup_follows_name_order(self, tmp_path):
         router, _ = self._router(
