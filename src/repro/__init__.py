@@ -42,67 +42,44 @@ Quickstart::
 See README.md for the full tour and DESIGN.md for the reproduction notes.
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.errors import (
-    AssemblerError,
-    DSEError,
-    ExecutionError,
-    FabricError,
-    FaultError,
-    KernelError,
-    LinkError,
-    MappingError,
-    ProcessNetworkError,
-    ReconfigError,
-    ReproError,
-    ScrubError,
+
+# Exported names by defining module, imported on first use.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.errors": (
+            "AssemblerError", "DSEError", "ExecutionError", "FabricError",
+            "FaultError", "KernelError", "LinkError", "MappingError",
+            "ProcessNetworkError", "ReconfigError", "ReproError", "ScrubError",
+        ),
+        "repro.fabric": (
+            "Direction", "IcapPort", "Mesh", "Program", "RuntimeManager", "Tile",
+            "assemble",
+        ),
+        "repro.pn": (
+            "Channel", "Configuration", "Epoch", "Process", "ProcessNetwork",
+            "eq1_runtime", "fft1024_processes", "jpeg_process_network",
+            "jpeg_processes",
+        ),
+        "repro.mapping": (
+            "PipelineMapping", "PipelineMetrics", "Stage", "TileCostModel",
+            "evaluate_mapping", "rebalance", "rebalance_one", "rebalance_opt",
+            "rebalance_two",
+        ),
+        "repro.kernels.fft": (
+            "FabricFFT", "FFTPerformanceModel", "FFTPlan", "StageProfile",
+            "classify_twiddles", "fft_reference",
+        ),
+        "repro.kernels.jpeg": (
+            "JPEGDecoder", "JPEGEncoder", "decode_image", "encode_image",
+        ),
+        "repro.dse": (
+            "DesignPoint", "explore_fft", "explore_jpeg", "pareto_front", "sweep",
+        ),
+    },
 )
-from repro.fabric import (
-    Direction,
-    IcapPort,
-    Mesh,
-    Program,
-    RuntimeManager,
-    Tile,
-    assemble,
-)
-from repro.pn import (
-    Channel,
-    Configuration,
-    Epoch,
-    Process,
-    ProcessNetwork,
-    eq1_runtime,
-    fft1024_processes,
-    jpeg_process_network,
-    jpeg_processes,
-)
-from repro.mapping import (
-    PipelineMapping,
-    PipelineMetrics,
-    Stage,
-    TileCostModel,
-    evaluate_mapping,
-    rebalance,
-    rebalance_one,
-    rebalance_opt,
-    rebalance_two,
-)
-from repro.kernels.fft import (
-    FabricFFT,
-    FFTPerformanceModel,
-    FFTPlan,
-    StageProfile,
-    classify_twiddles,
-    fft_reference,
-)
-from repro.kernels.jpeg import (
-    JPEGDecoder,
-    JPEGEncoder,
-    decode_image,
-    encode_image,
-)
-from repro.dse import DesignPoint, explore_fft, explore_jpeg, pareto_front, sweep
 
 __all__ = [
     "AssemblerError",

@@ -21,6 +21,7 @@ Modules
     The ``python -m repro chaos`` walkthrough.
 """
 
+from repro._lazy import lazy_exports
 from repro.chaos.crashpoints import (
     FaultSpec,
     SimulatedCrash,
@@ -30,17 +31,20 @@ from repro.chaos.crashpoints import (
     register_crashpoint,
     registered_crashpoints,
 )
-from repro.chaos.harness import (
-    ChaosScenario,
-    ScenarioReport,
-    run_scenario,
-)
 from repro.chaos.procfaults import (
     PROC_FAULT_KINDS,
     ProcFault,
     sigcont_pid,
     sigkill_pid,
     sigstop_pid,
+)
+
+# The harness drives the durable engine, which itself imports the crash
+# points above: importing it on first use keeps ``repro.serve.durability``
+# importable on its own.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {"repro.chaos.harness": ("ChaosScenario", "ScenarioReport", "run_scenario")},
 )
 
 __all__ = [

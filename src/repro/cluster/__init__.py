@@ -22,39 +22,36 @@ journal CRCs and cache disk entries before recovery has to trust them.
 :mod:`repro.cluster.harness` is its deterministic chaos counterpart.
 """
 
-from repro.cluster.harness import (
-    ClusterReport,
-    ClusterScenario,
-    run_cluster_scenario,
+from repro._lazy import lazy_exports
+
+# Imported on first use: a shard subprocess needs only the wire and
+# the durable engine, not the router, load generator or harnesses.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.harness": (
+            "ClusterReport", "ClusterScenario", "run_cluster_scenario",
+        ),
+        "repro.cluster.lifecycle": (
+            "AntiEntropyScrubber", "ClusterSupervisor", "DrainReport",
+            "HealthMonitor", "ScrubReport", "ShardHeartbeat", "ShardState",
+            "StateTransition", "SupervisorReport", "drain_shard",
+        ),
+        "repro.cluster.loadgen": (
+            "LoadSpec", "LoadReport", "generate_trace", "run_load", "simulate",
+        ),
+        "repro.cluster.proc": (
+            "ProcShardWorker", "ProcessSupervisor", "RejoinReport", "RetryPolicy",
+            "RpcClient",
+        ),
+        "repro.cluster.proc.harness": (
+            "ProcReport", "ProcScenario", "run_proc_scenario",
+        ),
+        "repro.cluster.ring": ("KEY_BITS", "HashRing", "ring_position"),
+        "repro.cluster.router": ("ShardRouter", "spec_routing_key"),
+        "repro.cluster.shard": ("ShardWorker",),
+    },
 )
-from repro.cluster.lifecycle import (
-    AntiEntropyScrubber,
-    ClusterSupervisor,
-    DrainReport,
-    HealthMonitor,
-    ScrubReport,
-    ShardHeartbeat,
-    ShardState,
-    StateTransition,
-    SupervisorReport,
-    drain_shard,
-)
-from repro.cluster.loadgen import LoadSpec, LoadReport, generate_trace, run_load, simulate
-from repro.cluster.proc import (
-    ProcShardWorker,
-    ProcessSupervisor,
-    RejoinReport,
-    RetryPolicy,
-    RpcClient,
-)
-from repro.cluster.proc.harness import (
-    ProcReport,
-    ProcScenario,
-    run_proc_scenario,
-)
-from repro.cluster.ring import KEY_BITS, HashRing, ring_position
-from repro.cluster.router import ShardRouter, spec_routing_key
-from repro.cluster.shard import ShardWorker
 
 __all__ = [
     "KEY_BITS",

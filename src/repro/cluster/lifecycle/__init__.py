@@ -19,15 +19,22 @@ watches *shards* and *durable state* without stopping the cluster:
   (dead shards are handed off automatically; gauges are published).
 """
 
-from repro.cluster.lifecycle.drain import DrainReport, drain_shard
-from repro.cluster.lifecycle.health import (
-    HealthMonitor,
-    ShardHeartbeat,
-    ShardState,
-    StateTransition,
+from repro._lazy import lazy_exports
+
+# Imported on first use: the wire needs ``health`` alone.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.lifecycle.drain": ("DrainReport", "drain_shard"),
+        "repro.cluster.lifecycle.health": (
+            "HealthMonitor", "ShardHeartbeat", "ShardState", "StateTransition",
+        ),
+        "repro.cluster.lifecycle.scrub": ("AntiEntropyScrubber", "ScrubReport"),
+        "repro.cluster.lifecycle.supervisor": (
+            "ClusterSupervisor", "SupervisorReport",
+        ),
+    },
 )
-from repro.cluster.lifecycle.scrub import AntiEntropyScrubber, ScrubReport
-from repro.cluster.lifecycle.supervisor import ClusterSupervisor, SupervisorReport
 
 __all__ = [
     "AntiEntropyScrubber",

@@ -15,15 +15,20 @@ loop: phi-accrual verdicts over real heartbeats, SIGKILL for the
 wedged, journal handoff, respawn, a scrub gate, and ring re-join.
 """
 
-from repro.cluster.proc.rpc import RemoteOpError, RetryPolicy, RpcClient
-from repro.cluster.proc.shard import ProcShardWorker
-from repro.cluster.proc.supervisor import ProcessSupervisor, RejoinReport
-from repro.cluster.proc.wire import (
-    FrameDecoder,
-    decode_frame,
-    decode_message,
-    encode_frame,
-    encode_message,
+from repro._lazy import lazy_exports
+
+# Imported on first use: the shard subprocess imports ``wire`` alone.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.proc.rpc": ("RemoteOpError", "RetryPolicy", "RpcClient"),
+        "repro.cluster.proc.shard": ("ProcShardWorker",),
+        "repro.cluster.proc.supervisor": ("ProcessSupervisor", "RejoinReport"),
+        "repro.cluster.proc.wire": (
+            "FrameDecoder", "decode_frame", "decode_message", "encode_frame",
+            "encode_message",
+        ),
+    },
 )
 
 __all__ = [

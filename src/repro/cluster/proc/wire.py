@@ -40,6 +40,7 @@ import base64
 import binascii
 import json
 import struct
+import sys
 from typing import Any
 
 import numpy as np
@@ -341,7 +342,8 @@ def decode_result(data: dict) -> JobResult:
             status=JobStatus(data["status"]),
             output=_decode_output(data["output"]),
             error=str(data.get("error", "")),
-            worker_id=str(data.get("worker_id", "")),
+            # one string per worker, not one per kept result
+            worker_id=sys.intern(str(data.get("worker_id", ""))),
             attempts=int(data.get("attempts", 0)),
             warm=bool(data.get("warm", False)),
             queue_wait_s=float(data.get("queue_wait_s", 0.0)),

@@ -31,12 +31,12 @@ any number of concurrent consumers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import CompileError
 from repro.fabric.links import Direction
-from repro.fabric.rtms import EpochSpec
+from repro.fabric.rtms import BoundEpoch, EpochSpec
 
 __all__ = [
     "Coord",
@@ -287,21 +287,6 @@ class PassTiming:
     wall_ns: float
 
 
-def _retag(spec: EpochSpec, tag: str) -> EpochSpec:
-    """A fresh spec whose name carries the work-item tag.
-
-    Shares the payload dictionaries (programs, links, images) — they are
-    read-only to the runtime manager, and sharing preserves program
-    identity, which is what makes pinning free across work items.
-    """
-    return replace(
-        spec,
-        name=f"{tag}{spec.name}",
-        run=list(spec.run),
-        depends_on=list(spec.depends_on),
-    )
-
-
 @dataclass
 class CompiledArtifact:
     """The executable product of one compile.
@@ -351,26 +336,33 @@ class CompiledArtifact:
         validates shape/headroom exactly as the legacy runners did); a
         plan without one rejects payloads.  ``tag`` prefixes every epoch
         name — the per-job/per-transform labelling the streaming and
-        serving layers use.
+        serving layers use.  The epochs are :class:`BoundEpoch` s: they
+        share every dict and list with the plan's templates, and carry
+        the job identity a runtime manager replays its lowered plan by.
         """
         port = self.plan.input_port
-        epochs: list[EpochSpec] = []
+        body = self.plan.body
         if port is not None:
             if payload is None:
                 raise CompileError(
                     f"plan {self.plan.kind!r} has input port {port.name!r}; "
                     f"bind() needs a payload"
                 )
-            epochs.append(port.bind(payload, tag))
+            job = (self, len(body) + 1)
+            first = port.bind(payload, tag)
+            epochs = [BoundEpoch.of(first, first.name, job, 0)]
         elif payload is not None:
             raise CompileError(
                 f"plan {self.plan.kind!r} has no input port; "
                 f"bind() got an unexpected payload"
             )
-        if tag:
-            epochs.extend(_retag(spec, tag) for spec in self.plan.body)
         else:
-            epochs.extend(_retag(spec, "") for spec in self.plan.body)
+            job = (self, len(body))
+            epochs = []
+        epochs += [
+            BoundEpoch.of(spec, tag + spec.name, job, index)
+            for index, spec in enumerate(body, len(epochs))
+        ]
         return epochs
 
     def pin_epochs(self) -> list[EpochSpec]:

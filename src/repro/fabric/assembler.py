@@ -93,10 +93,6 @@ class Program:
         """Bytes of instruction image pushed through the ICAP on a load."""
         return self.imem_words * 9  # 72-bit words
 
-    def data_words_used(self) -> int:
-        """Highest data address touched by the initial image, plus one."""
-        return max(self.data_image, default=-1) + 1
-
     def addr(self, symbol: str) -> int:
         """Resolve a ``.var`` symbol to its data-memory address."""
         try:

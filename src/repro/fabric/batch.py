@@ -679,14 +679,6 @@ class BatchResult:
     jit_tier: str = "numpy"
     pilot_sim_ns: float = 0.0
 
-    @property
-    def batched_lanes(self) -> int:
-        return sum(1 for lane in self.lanes if lane.batched)
-
-    @property
-    def fallback_lanes(self) -> int:
-        return sum(1 for lane in self.lanes if not lane.batched)
-
 
 # ---------------------------------------------------------------------------
 # per-epoch configuration mirroring
@@ -705,7 +697,7 @@ def _mirror_epoch_config(state: BatchState, mesh, lane_specs) -> None:
     planner's apply order exactly: pokes first, then (sorted) data images
     of programs being loaded, then the epoch's own (sorted) data images.
     Link changes carry no data-memory payload.  Body epochs share their
-    image dicts across lanes by identity (``CompiledArtifact._retag``),
+    image dicts across lanes by identity (``CompiledArtifact.bind``),
     so only pokes are genuinely per-lane.
     """
     spec0 = lane_specs[0]
@@ -860,23 +852,16 @@ class _PhaseDriver:
         if self.degraded or not tiles:
             return
         try:
-            from repro.fabric.simulator import _MODE_FULL, _analyse_phase
+            from repro.fabric.simulator import FastPhase
 
-            decoded = []
-            for tile in tiles:
-                entry = _pd.decode_for_tile(tile)
-                if entry is None:
-                    raise BatchDegrade(f"tile {tile.coord} not decodable")
-                decoded.append(entry)
-            coords = {tile.coord: i for i, tile in enumerate(tiles)}
-            footprints = []
-            for tile, (dec, base) in zip(tiles, decoded):
-                fp = _pd.footprint_for(tile, dec, base)
+            phase = FastPhase.analyse(tiles)
+            if phase is None:
+                raise BatchDegrade("a tile of the phase is not decodable")
+            decoded, footprints = phase.decoded, phase.footprints
+            for tile, fp in zip(tiles, footprints):
                 if fp is None:
                     raise BatchDegrade(f"no footprint for tile {tile.coord}")
-                footprints.append(fp)
-            modes = _analyse_phase(tiles, decoded, coords, footprints)
-            if any(mode != _MODE_FULL for mode in modes):
+            if phase.fallbacks:
                 raise BatchDegrade("phase not proven conflict-free")
             # -- per-lane divergence masks (sticky) ---------------------
             for tile, fp in zip(tiles, footprints):
@@ -967,7 +952,7 @@ def execute_artifact_batch(
 
     # Bind the pilot fully; other lanes only need their *input* epoch
     # (the per-lane pokes) — body epochs share every payload dict across
-    # lanes by construction (``CompiledArtifact._retag``), so retagging
+    # lanes by construction (``CompiledArtifact.bind``), so retagging
     # them per lane would only burn time on identical copies.  Binding
     # the input port up front still validates each lane's payload shape
     # before anything runs (mismatched shapes are rejected cleanly).

@@ -95,8 +95,16 @@ class DataMemory:
         is how :class:`~repro.fabric.reconfig.ReconfigPlanner` applies data
         images.
         """
+        words = self._words
+        size = self.size
         for addr, value in image.items():
-            self.poke(addr, value)
+            if type(addr) is not int or not 0 <= addr < size:
+                self._check(addr)
+            # wrap_word inlined, as in write(): images are the bulk of pokes.
+            value &= _WORD_MASK
+            if value & _SIGN_BIT:
+                value -= _WORD_WRAP
+            words[addr] = value
         if reconfig:
             self.reconfig_writes += len(image)
         return len(image)

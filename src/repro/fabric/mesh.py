@@ -136,17 +136,18 @@ class Mesh:
                 last_direction, last_write = direction, write
             last_write(naddr, value)
 
-        memories: dict[Direction, object] = {}
+        # Keyed by ``id``: an enum member hashes in Python, once a run.
+        memories: dict[int, object] = {}
 
         def port(direction: Direction):
             """Data memory behind the link, or None unless it is active
             (a lowered trace stores there directly; see ``predecode``)."""
             if get_active(coord) is not direction:
                 return None
-            memory = memories.get(direction)
+            memory = memories.get(id(direction))
             if memory is None:
                 target = self.neighbour_coord(coord, direction)
-                memory = memories[direction] = self._tiles[target].dmem
+                memory = memories[id(direction)] = self._tiles[target].dmem
             return memory
 
         resolve.port = port

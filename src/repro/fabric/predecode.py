@@ -49,7 +49,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ExecutionError, MemoryError_
@@ -132,6 +132,7 @@ class EngineCounters:
     engine; it is either ``lowered`` (straight-line trace) or a
     ``fallback`` (:func:`run_block` / the oracle: unproven footprint,
     interleaved phase, budget edge, missing link, corrupted imem).
+    A *plan* counter counts whole artifact jobs, not tile runs.
     """
 
     #: Traces compiled (one per proven ``(program, entry pc)`` that ran).
@@ -142,6 +143,10 @@ class EngineCounters:
     fallback_runs: int = 0
     #: Cumulative seconds in the proof/lowering walk and ``compile()``.
     lowering_s: float = 0.0
+    #: Artifact jobs that replayed their lowered plan, and jobs whose
+    #: recorded plan failed its guard (``RuntimeManager._begin_job``).
+    plan_runs: int = 0
+    plan_fallbacks: int = 0
 
 
 COUNTERS = EngineCounters()
@@ -840,6 +845,15 @@ class Footprint:
     #: ``statements`` compiled by :func:`_compile_trace` at the first run.
     chunks: tuple[Callable, ...] | None = None
 
+    @cached_property
+    def direction(self) -> Direction | None:
+        """The one direction the run stores toward (``None``: none, or
+        several — a lowered trace has one neighbour memory ``n``)."""
+        if len(self.remote) != 1:
+            return None
+        (code,) = self.remote
+        return _DIRS[code]
+
 
 class _Bail(Exception):
     """Internal: the footprint is data-dependent (or too hairy to prove)."""
@@ -1187,9 +1201,9 @@ def run_lowered(
         # The mesh's resolver carries the port lookup; a standalone tile
         # or a hand-installed resolver has none and takes the slow path.
         port = getattr(tile.neighbour_resolver, "port", None)
-        if port is not None and len(footprint.remote) == 1:
-            (code,) = footprint.remote
-            neighbour = port(_DIRS[code])
+        direction = footprint.direction
+        if port is not None and direction is not None:
+            neighbour = port(direction)
         if neighbour is None or neighbour.size != _N:
             COUNTERS.fallback_runs += 1
             return None

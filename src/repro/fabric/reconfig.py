@@ -20,6 +20,7 @@ times so reconfiguration of an idle tile overlaps computation elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ReconfigError
 from repro.fabric.assembler import Program
@@ -35,23 +36,31 @@ Coord = tuple[int, int]
 
 @dataclass
 class ReconfigTransaction:
-    """An ordered list of partial bitstreams plus the programs behind them.
+    """An ordered list of partial bitstreams plus the payloads behind them.
 
-    ``programs`` maps tile coordinates to the decoded
-    :class:`~repro.fabric.assembler.Program` whose encoded form is in the
-    corresponding IMEM bitstream — the simulator executes decoded
-    instructions, the bitstream only carries the cost.
+    ``ops`` holds, per bitstream, ``(kind, coord, nbytes, label, target)``
+    where ``target`` is what applying it writes: the decoded
+    :class:`~repro.fabric.assembler.Program` (IMEM; the simulator runs
+    decoded instructions, the bitstream only carries the cost), the
+    ``{addr: word}`` image (DMEM) or the direction (LINK): a recorded
+    transaction re-applies without decoding words.  Totals are cached.
     """
 
     bitstreams: list[PartialBitstream] = field(default_factory=list)
-    programs: dict[Coord, Program] = field(default_factory=dict)
+    ops: list[tuple] = field(default_factory=list)
 
-    @property
+    def add(self, bitstream: PartialBitstream, target) -> None:
+        """Append one bitstream and the payload applying it writes."""
+        self.bitstreams.append(bitstream)
+        b = bitstream
+        self.ops.append((b.kind, b.coord, b.nbytes, b.label, target))
+
+    @cached_property
     def total_bytes(self) -> int:
         """Total ICAP payload in bytes (links excluded; they cost time L)."""
         return sum(b.nbytes for b in self.bitstreams)
 
-    @property
+    @cached_property
     def link_changes(self) -> int:
         """Number of link settings changed (the ``l_ij`` of Eq. 1)."""
         return sum(1 for b in self.bitstreams if b.kind is ReconfigKind.LINK)
@@ -120,53 +129,54 @@ class ReconfigPlanner:
             tile = self.mesh.tile(coord)
             if not force_program_reload and tile.resident_base(program) is not None:
                 continue  # pinned: already resident (possibly co-resident)
-            txn.bitstreams.append(
+            txn.add(
                 PartialBitstream(
                     ReconfigKind.IMEM,
                     coord,
                     tuple(program.encoded()),
                     label=f"imem:{program.name}@{coord}",
-                )
+                ),
+                program,
             )
             if program.data_image:
-                flat: list[int] = []
-                for addr, value in sorted(program.data_image.items()):
-                    flat.extend((addr, value))
-                txn.bitstreams.append(
-                    PartialBitstream(
-                        ReconfigKind.DMEM,
-                        coord,
-                        tuple(flat),
-                        label=f"dmem:{program.name}@{coord}",
-                    )
+                self._add_image(
+                    txn, coord, program.data_image, f"dmem:{program.name}@{coord}"
                 )
-            txn.programs[coord] = program
         for coord, image in sorted((data_images or {}).items()):
             if not image:
                 continue
             self.mesh.tile(coord)
-            flat = []
-            for addr, value in sorted(image.items()):
-                flat.extend((addr, value))
-            txn.bitstreams.append(
-                PartialBitstream(
-                    ReconfigKind.DMEM, coord, tuple(flat), label=f"dmem:data@{coord}"
-                )
-            )
+            self._add_image(txn, coord, image, f"dmem:data@{coord}")
         for coord, direction in sorted(
             (links or {}).items(), key=lambda kv: kv[0]
         ):
             if self.mesh.active_link(coord) == direction:
                 continue
-            txn.bitstreams.append(
+            self.mesh.tile(coord)  # validated here, so apply need not
+            if direction is not None:
+                self.mesh.neighbour_coord(coord, direction)  # stays on-mesh
+            txn.add(
                 PartialBitstream(
                     ReconfigKind.LINK,
                     coord,
                     aux=-1 if direction is None else direction.code,
                     label=f"link@{coord}",
-                )
+                ),
+                direction,
             )
         return txn
+
+    @staticmethod
+    def _add_image(
+        txn: ReconfigTransaction, coord: Coord, image: dict[int, int], label: str
+    ) -> None:
+        flat: list[int] = []
+        for addr, value in sorted(image.items()):
+            flat.extend((addr, value))
+        txn.add(
+            PartialBitstream(ReconfigKind.DMEM, coord, tuple(flat), label=label),
+            image,
+        )
 
     # ------------------------------------------------------------------
     # application
@@ -190,41 +200,32 @@ class ReconfigPlanner:
         ready: dict[Coord, float] = {}
         first_start = None
         last_end = now_ns
-        for bitstream in txn.bitstreams:
-            coord = bitstream.coord
-            earliest = max(now_ns, busy.get(coord, now_ns), ready.get(coord, 0.0))
-            if bitstream.kind is ReconfigKind.LINK:
-                start, end = self.icap.schedule_fixed(
-                    self.link_cost_ns, earliest, bitstream.label
-                )
-                direction = (
-                    None if bitstream.aux == -1 else Direction.from_code(bitstream.aux)
-                )
-                self.mesh.configure_link(coord, direction)
+        icap = self.icap
+        links = self.mesh.links
+        for kind, coord, nbytes, label, target in txn.ops:
+            # ``max`` and ``min`` unrolled: same first-extreme results
+            earliest = now_ns
+            at = busy.get(coord, now_ns)
+            earliest = at if at > earliest else earliest
+            at = ready.get(coord, 0.0)
+            earliest = at if at > earliest else earliest
+            if kind is ReconfigKind.LINK:
+                start, end = icap.schedule_fixed(self.link_cost_ns, earliest, label)
+                links.configure(coord, target)
             else:
-                start, end = self.icap.schedule(
-                    bitstream.nbytes, earliest, bitstream.label
-                )
-                if bitstream.kind is ReconfigKind.IMEM:
-                    program = txn.programs.get(coord)
-                    if program is None:
-                        raise ReconfigError(
-                            "IMEM bitstream without a decoded program",
-                            coord=coord,
-                            icap_ns=self.icap.busy_until_ns,
-                        )
-                    tile = self.mesh.tile(coord)
-                    if tile.resident_base(program) is None:
-                        tile.install_program(program, reconfig=True)
-                    else:  # forced refresh of a resident image
-                        tile.imem.reconfig_writes += program.imem_words
-                        tile.dmem.load_image(program.data_image, reconfig=True)
-                else:
-                    image = dict(zip(bitstream.words[0::2], bitstream.words[1::2]))
-                    self.mesh.tile(coord).dmem.load_image(image, reconfig=True)
+                start, end = icap.schedule(nbytes, earliest, label)
+                tile = self.mesh.tile(coord)
+                if kind is ReconfigKind.DMEM:
+                    tile.dmem.load_image(target, reconfig=True)
+                elif tile.resident_base(target) is None:
+                    tile.install_program(target, reconfig=True)
+                else:  # forced refresh of a resident image
+                    tile.imem.reconfig_writes += target.imem_words
+                    tile.dmem.load_image(target.data_image, reconfig=True)
             ready[coord] = end
-            first_start = start if first_start is None else min(first_start, start)
-            last_end = max(last_end, end)
+            if first_start is None or start < first_start:
+                first_start = start
+            last_end = end if end > last_end else last_end
         return AppliedReconfig(
             start_ns=first_start if first_start is not None else now_ns,
             end_ns=last_end,

@@ -27,17 +27,21 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ReconfigError
+from repro.fabric import predecode as _pd
 from repro.fabric.assembler import Program
 from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.mesh import Mesh
-from repro.fabric.reconfig import ReconfigPlanner
-from repro.fabric.simulator import run_concurrent
+from repro.fabric.reconfig import ReconfigPlanner, ReconfigTransaction
+from repro.fabric.simulator import FastPhase, run_concurrent
+from repro.fabric.tile import Tile
 
 __all__ = [
+    "BoundEpoch",
     "EpochSpec",
     "EpochReport",
     "FabricCheckpoint",
+    "LoweredPlan",
     "RunReport",
     "RuntimeManager",
 ]
@@ -84,6 +88,66 @@ class EpochSpec:
     run: list[Coord] = field(default_factory=list)
     restart: bool = True
     depends_on: list[Coord] = field(default_factory=list)
+
+
+class BoundEpoch(EpochSpec):
+    """One epoch of a bound work item (what ``CompiledArtifact.bind``
+    returns): a template epoch under the item's tagged name, sharing
+    every dict and list with it.  ``job`` is ``(artifact, epoch count)``,
+    one tuple per item, and ``index`` the epoch's place in it — how
+    :class:`RuntimeManager` recognises the epochs of one job in order.
+    """
+
+    job: tuple | None = None
+    index: int = 0
+
+    @classmethod
+    def of(cls, template: EpochSpec, name: str, job: tuple, index: int):
+        epoch = object.__new__(cls)
+        epoch.__dict__.update(template.__dict__, name=name, job=job, index=index)
+        return epoch
+
+
+@dataclass(eq=False)
+class PlanStep:
+    """One recorded epoch: its involved tiles, reconfiguration delta,
+    run tiles with the program each selects, and fast-engine phase."""
+
+    involved: set
+    txn: ReconfigTransaction
+    starts: tuple[tuple[Tile, Program | None], ...]
+    phase: FastPhase | None
+
+
+@dataclass(eq=False)
+class LoweredPlan:
+    """A recorded job of one artifact on one runtime manager.
+
+    ``state`` is the :meth:`RuntimeManager._tile_state` of every tile in
+    ``tiles`` (those the job touches) at job start, and at job end: only
+    a job that leaves them as it found them becomes a plan.  ``None``
+    marks a plan made stale by ``reset``/``restore``.  ``keep`` holds the
+    artifact and programs the plan is keyed and guarded by ``id`` of.
+    """
+
+    tiles: tuple[Tile, ...]
+    state: tuple | None
+    dataflow: bool
+    steps: list[PlanStep]
+    keep: tuple
+
+
+@dataclass(eq=False, slots=True)
+class _JobRun:
+    """The job in progress: replaying ``plan``, or recording ``steps``
+    and each tile's state at first touch (``plan is None``)."""
+
+    job: tuple
+    plan: LoweredPlan | None
+    links: int
+    index: int = 0
+    steps: list[PlanStep] = field(default_factory=list)
+    start: dict[Coord, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -226,6 +290,9 @@ class RuntimeManager:
         #: the batched execution tier (``repro.fabric.batch``) installs
         #: its lane driver here.  Hooks must not raise.
         self.phase_hook = None
+        #: Lowered plans by ``id`` of their artifact (``None``: one job ran).
+        self._plans: dict[int, LoweredPlan | None] = {}
+        self._job_run: _JobRun | None = None
 
     @property
     def link_cost_ns(self) -> float:
@@ -242,6 +309,14 @@ class RuntimeManager:
         self.icap.reset()
         self.tile_ready_ns.clear()
         self.now_ns = 0.0
+        self._forget_plans()
+
+    def _forget_plans(self) -> None:
+        """Make every lowered plan stale: its next job re-records."""
+        self._job_run = None
+        for plan in self._plans.values():
+            if plan is not None:
+                plan.state = None
 
     # ------------------------------------------------------------------
     # checkpointing (epoch-boundary recovery)
@@ -265,6 +340,7 @@ class RuntimeManager:
         measure.  The ICAP transfer time of the rewrite itself is charged
         by the caller (partial diff vs. full reload policies differ).
         """
+        self._forget_plans()
         for coord, state in cp.tiles.items():
             self.mesh.tile(coord).restore(state)
         for coord, direction in cp.links.items():
@@ -340,12 +416,82 @@ class RuntimeManager:
     # ------------------------------------------------------------------
 
     def execute(self, epochs: list[EpochSpec]) -> RunReport:
-        """Run the epoch list; returns a :class:`RunReport`."""
+        """Run the epoch list; returns a :class:`RunReport`.
+
+        The :class:`BoundEpoch` s of one work item, run in order in one
+        call or several, form a job.  An artifact's second job here
+        records a :class:`LoweredPlan`; later jobs replay it when its
+        guard holds (:meth:`_begin_job`).  DESIGN §16 "Lowered plans".
+        """
         report = RunReport()
-        for spec in epochs:
-            report.epochs.append(self._execute_epoch(spec))
-        self.now_ns = max(self.now_ns, report.total_ns)
+        for spec in epochs:  # each epoch advances ``now_ns`` past its end
+            report.epochs.append(self._run_epoch(spec))
         return report
+
+    def _run_epoch(self, spec: EpochSpec) -> EpochReport:
+        job = getattr(spec, "job", None)
+        run, self._job_run = self._job_run, None
+        links = self.mesh.links
+        if job is not None and spec.index == 0:
+            run = self._begin_job(job)
+        elif not (
+            run and run.job is job and run.index == spec.index
+            and run.links == links.reconfig_count
+        ):
+            run = None
+        if run is None:
+            return self._execute_epoch(spec)
+        plan = run.plan
+        report = self._execute_epoch(
+            spec, plan.steps[run.index] if plan else None, None if plan else run
+        )
+        run.index += 1
+        if run.index < job[1]:
+            run.links = links.reconfig_count
+            self._job_run = run
+        elif plan is None:
+            self._keep_plan(run)
+        return report
+
+    def _tile_state(self, tile: Tile) -> tuple:
+        """A tile's configuration plus its write link (a plan's guard)."""
+        return tile.configuration(), self.mesh.links.get(tile.coord)
+
+    def _begin_job(self, job: tuple) -> _JobRun | None:
+        """The guard, once per job: replay when there is no
+        ``phase_hook``, the fast engine runs in the plan's ``dataflow``
+        mode and every tile of the plan is in the state it recorded."""
+        key = id(job[0])
+        if key not in self._plans:
+            self._plans[key] = None  # a plan run once records nothing
+            return None
+        plan = self._plans[key]
+        eligible = (
+            self.phase_hook is None and _pd.resolve_engine(self.engine) == "fast"
+        )
+        links = self.mesh.links.reconfig_count
+        if (
+            plan is not None
+            and eligible
+            and plan.dataflow == self.dataflow
+            and plan.state == tuple(map(self._tile_state, plan.tiles))
+        ):
+            _pd.COUNTERS.plan_runs += 1
+            return _JobRun(job, plan, links)
+        if plan is not None:
+            _pd.COUNTERS.plan_fallbacks += 1
+        return _JobRun(job, None, links) if eligible else None
+
+    def _keep_plan(self, run: _JobRun) -> None:
+        """Keep a recorded job as its artifact's plan if it ended where it
+        started (warm jobs do; a cold one leaves programs behind)."""
+        tiles = tuple(self.mesh.tile(coord) for coord in run.start)
+        state = tuple(map(self._tile_state, tiles))
+        if state == tuple(run.start.values()):
+            self._plans[id(run.job[0])] = LoweredPlan(
+                tiles, state, self.dataflow, run.steps,
+                keep=(run.job[0], *map(Tile.resident_programs, tiles)),
+            )
 
     # ------------------------------------------------------------------
     # compiled-artifact entry points (duck-typed: any object exposing
@@ -416,11 +562,31 @@ class RuntimeManager:
         involved |= set(spec.links) | set(spec.pokes)
         return involved
 
-    def _execute_epoch(self, spec: EpochSpec) -> EpochReport:
-        if self.dataflow:
+    def _execute_epoch(
+        self,
+        spec: EpochSpec,
+        step: PlanStep | None = None,
+        record: _JobRun | None = None,
+    ) -> EpochReport:
+        """Execute one epoch, replaying ``step`` or appending to ``record``.
+
+        A replayed :class:`PlanStep` stands in for planning, tile lookups
+        and phase analysis only; pokes, applying the delta, tile starts,
+        the run and the timeline's float operations are this same code.
+        """
+        mesh = self.mesh
+        ready = self.tile_ready_ns
+        if step is not None:
+            involved = step.involved
+        elif self.dataflow or record is not None:
             involved = self._involved_tiles(spec)
+            if record is not None:
+                for coord in involved:
+                    if coord not in record.start:
+                        record.start[coord] = self._tile_state(mesh.tile(coord))
+        if self.dataflow:
             epoch_start = max(
-                (self.tile_ready_ns.get(c, 0.0) for c in involved),
+                (ready.get(c, 0.0) for c in involved),
                 default=0.0,
             )
         else:
@@ -428,61 +594,72 @@ class RuntimeManager:
 
         # -- free host writes (preprocessing / on-tile generation) -----
         for coord, image in spec.pokes.items():
-            tile = self.mesh.tile(coord)
-            for addr, value in image.items():
-                tile.dmem.poke(addr, value)
+            mesh.tile(coord).dmem.load_image(image)
 
         # -- reconfiguration ------------------------------------------
-        txn = self.planner.plan(
-            programs=spec.programs,
-            data_images=spec.data_images,
-            links=spec.links,
+        txn = step.txn if step is not None else self.planner.plan(
+            programs=spec.programs, data_images=spec.data_images, links=spec.links
         )
-        busy_before = self.icap.total_busy_ns
-        applied = self.planner.apply(txn, self.tile_ready_ns, now_ns=epoch_start)
-        # Term B of Eq. 1: actual configuration-port busy time, not the
-        # per-tile waiting (queueing on the single port is already visible
-        # in the tile ready times).
-        reconfig_ns = self.icap.total_busy_ns - busy_before
-        for coord, ready in applied.tile_ready_ns.items():
-            self.tile_ready_ns[coord] = ready
+        reconfig_ns = 0.0
+        reconfig_end = epoch_start
+        if txn.bitstreams:
+            busy_before = self.icap.total_busy_ns
+            applied = self.planner.apply(txn, ready, now_ns=epoch_start)
+            # Term B of Eq. 1: actual configuration-port busy time, not the
+            # per-tile waiting (queueing on the single port is already
+            # visible in the tile ready times).
+            reconfig_ns = self.icap.total_busy_ns - busy_before
+            reconfig_end = applied.end_ns
+            for coord, ready_at in applied.tile_ready_ns.items():
+                ready[coord] = ready_at
 
         # -- compute ----------------------------------------------------
         compute_ns = 0.0
         busy: dict[Coord, float] = {}
         compute_end = epoch_start
+        phase = None
+        starts = ()
         if spec.run:
+            starts = step.starts if step is not None else tuple(
+                (mesh.tile(coord), spec.programs.get(coord)) for coord in spec.run
+            )
             tiles = []
             gate = epoch_start
-            for coord in spec.run:
-                tile = self.mesh.tile(coord)
-                program = spec.programs.get(coord)
+            for tile, program in starts:
                 if program is not None:
                     tile.start(program)  # resident: select this entry point
                 elif spec.restart and tile.halted:
                     tile.restart()
                 tiles.append(tile)
-                gate = max(gate, self.tile_ready_ns.get(coord, epoch_start))
+                # ``b if b > a else a`` is ``max(a, b)``, without the call
+                at = ready.get(tile.coord, epoch_start)
+                gate = at if at > gate else gate
             for coord in spec.depends_on:
-                gate = max(gate, self.tile_ready_ns.get(coord, epoch_start))
+                at = ready.get(coord, epoch_start)
+                gate = at if at > gate else gate
             if self.phase_hook is not None:
                 self.phase_hook(spec, tiles)
-            result = run_concurrent(tiles, start_ns=gate, engine=self.engine)
+            result = run_concurrent(
+                tiles, start_ns=gate, engine=self.engine,
+                phase=step.phase if step is not None else None,
+            )
+            phase = result.phase
             compute_ns = result.makespan_ns
             compute_end = gate + result.makespan_ns
-            busy = dict(result.busy_ns)
+            busy = result.busy_ns
             # A tile that finishes its own work early is free for the next
             # epoch's reconfiguration even while slower tiles still run.
-            for coord, tile_busy in result.busy_ns.items():
-                self.tile_ready_ns[coord] = max(
-                    self.tile_ready_ns.get(coord, epoch_start),
-                    gate + tile_busy,
-                )
-        epoch_end = max(compute_end, applied.end_ns, epoch_start)
+            for coord, tile_busy in busy.items():
+                at = ready.get(coord, epoch_start)
+                end = gate + tile_busy
+                ready[coord] = end if end > at else at
+        if record is not None:
+            record.steps.append(PlanStep(involved, txn, starts, phase))
+        epoch_end = max(compute_end, reconfig_end, epoch_start)
 
         # Reconfiguration time is "overlapped" (hidden) to the extent the
         # ICAP finished before the compute critical path did.
-        overlapped = max(0.0, reconfig_ns - max(0.0, applied.end_ns - compute_end))
+        overlapped = max(0.0, reconfig_ns - max(0.0, reconfig_end - compute_end))
 
         report = EpochReport(
             name=spec.name,

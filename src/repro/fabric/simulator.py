@@ -36,7 +36,7 @@ from repro.fabric import predecode as _pd
 from repro.fabric.tile import Tile
 from repro.units import CYCLE_NS
 
-__all__ = ["ConcurrentRun", "run_concurrent"]
+__all__ = ["ConcurrentRun", "FastPhase", "run_concurrent"]
 
 
 @dataclass
@@ -49,6 +49,8 @@ class ConcurrentRun:
     busy_ns: dict[tuple[int, int], float] = field(default_factory=dict)
     #: Per-tile instruction counts for this run.
     instructions: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: The :class:`FastPhase` a fast-engine run executed (None: oracle).
+    phase: "FastPhase | None" = field(default=None, repr=False, compare=False)
 
     @property
     def utilization(self) -> float:
@@ -64,6 +66,7 @@ def run_concurrent(
     start_ns: float = 0.0,
     *,
     engine: str | None = None,
+    phase: "FastPhase | None" = None,
 ) -> ConcurrentRun:
     """Run every tile to ``HALT`` with globally time-ordered interleaving.
 
@@ -79,8 +82,14 @@ def run_concurrent(
 
     ``engine`` selects ``"fast"`` / ``"reference"`` / ``None`` (auto —
     fast unless ``REPRO_REFERENCE_SIM`` is set); both tiers produce
-    bit-identical results.
+    bit-identical results.  A fast run returns the :class:`FastPhase` it
+    executed as ``ConcurrentRun.phase``; passing that back as ``phase``
+    for the same tiles at the same programs, bases and entry pcs (what a
+    lowered plan's guard establishes) skips decoding and phase analysis
+    whenever :meth:`FastPhase.holds`.
     """
+    if phase is not None and phase.holds():
+        return phase.run(max_cycles_per_tile, start_ns)
     if not tiles:
         return ConcurrentRun(makespan_ns=0.0)
     seen: set[tuple[int, int]] = set()
@@ -92,9 +101,9 @@ def run_concurrent(
             raise ExecutionError(f"{tile!r} is halted; load or restart it first")
 
     if _pd.resolve_engine(engine) == "fast":
-        decoded = [_pd.decode_for_tile(tile) for tile in tiles]
-        if all(entry is not None for entry in decoded):
-            return _run_fast(tiles, decoded, max_cycles_per_tile, start_ns)
+        phase = FastPhase.analyse(tiles)
+        if phase is not None:
+            return phase.run(max_cycles_per_tile, start_ns)
         _pd.COUNTERS.fallback_runs += len(tiles)
     return _run_reference(tiles, max_cycles_per_tile, start_ns)
 
@@ -151,6 +160,7 @@ _MODE_FULL = 0  # proven conflict-free: entry->HALT in one event, lowered
 _MODE_BATCH = 1  # runs whole silent blocks, pausing before each SNB
 _MODE_STEP = 2  # some other tile stores into it: one instruction per event
 _MODE_REF = 3  # left its decoded image (co-residency): oracle single-steps
+_BLOCK_HALT, _BLOCK_BUDGET = _pd.BLOCK_HALT, _pd.BLOCK_BUDGET
 
 # Phase-analysis memo: the edge/commute/mode derivation is a pure function
 # of the phase signature (per-tile coord, decoded program, base, entry pc)
@@ -162,126 +172,168 @@ _ANALYSIS_MEMO: dict[tuple, tuple[tuple[int, ...], tuple]] = {}
 _ANALYSIS_MEMO_MAX = 4096
 
 
-def _run_fast(
-    tiles: list[Tile],
-    decoded: list[tuple[_pd.DecodedProgram, int]],
-    max_cycles_per_tile: int,
-    start_ns: float,
-) -> ConcurrentRun:
-    """Communication-boundary batching over the same event heap.
+@dataclass(eq=False)
+class FastPhase:
+    """One phase's fast-engine state, hoisted out of the event loop:
+    each tile's ``(decoded program, base)``, validated footprint and
+    advance mode.  A caller that knows the phase repeats (a lowered plan)
+    keeps the object and re-checks only :meth:`holds` before a
+    :meth:`run`."""
 
-    Soundness argument (why this preserves bit-identical results):
+    tiles: list[Tile]
+    decoded: list[tuple[_pd.DecodedProgram, int]]
+    footprints: list[_pd.Footprint | None]
+    modes: tuple[int, ...]
 
-    * tiles only *read* their own data memory, and only *write* remotely
-      through ``SNB`` — so a tile may be advanced through a silent run
-      in one event iff no other tile in the phase can store into it;
-    * which tiles can store into which is static: the ``SNB`` direction
-      fields of each decoded program give the (conservative) set of
-      target coordinates.  Targets are single-stepped, everyone else
-      runs whole silent blocks, pausing *before* each of their own
-      ``SNB`` s so the store executes when the paused event pops — i.e.
-      at exactly the heap key ``(elapsed, coord)`` the reference
-      interpreter gives that instruction.  The global store order is
-      therefore unchanged;
-    * on top of that, the footprint profiler (:func:`predecode.footprint_for`)
-      can *prove* a phase conflict-free: when every store edge's remote
-      address set is disjoint from its target's local footprint (and
-      storers into a common target don't overlap), the interleaving of
-      the phase's stores with the target's execution commutes, so both
-      sides of an exchange advance entry-to-``HALT`` in single events;
-    * all event keys are exact integers (elapsed cycles), so ordering and
-      the final ``cycles * CYCLE_NS`` conversions are bit-exact.
-    """
-    clock: list[tuple[int, tuple[int, int], int]] = []
-    start_instr: list[int] = []
-    for index, tile in enumerate(tiles):
-        heapq.heappush(clock, (0, tile.coord, index))
-        start_instr.append(tile.stats.instructions)
+    def __post_init__(self) -> None:
+        self.coords = tuple(tile.coord for tile in self.tiles)
+        self.pcs = tuple(tile.pc for tile in self.tiles)
+        #: The elapsed-0 events, sorted: already a valid heap.
+        self.first = sorted((0, c, i) for i, c in enumerate(self.coords))
+        #: Per tile, everything an event needs: (tile, mode, dec, base, fp).
+        self.events = [
+            (tile, mode, dec, base, fp) for tile, mode, (dec, base), fp
+            in zip(self.tiles, self.modes, self.decoded, self.footprints)
+        ]
+        self.fallbacks = len(self.modes) - self.modes.count(_MODE_FULL)
 
-    # --- phase analysis -------------------------------------------------
-    footprints = [
-        _pd.footprint_for(tile, dec, base)
-        for tile, (dec, base) in zip(tiles, decoded)
-    ]
-
-    # Footprint objects are cached per (program, entry) on the decoded
-    # program, so the rest of the analysis is fully determined by the
-    # phase signature plus which footprints validated — memoized.
-    signature = tuple(
-        (tile.coord, id(dec), base, tile.pc)
-        for tile, (dec, base) in zip(tiles, decoded)
-    )
-    memo_key = (signature, tuple(fp is not None for fp in footprints))
-    hit = _ANALYSIS_MEMO.get(memo_key)
-    if hit is not None:
-        modes = list(hit[0])
-    else:
-        coords = {tile.coord: i for i, tile in enumerate(tiles)}
-        modes = _analyse_phase(tiles, decoded, coords, footprints)
-        if len(_ANALYSIS_MEMO) >= _ANALYSIS_MEMO_MAX:
-            _ANALYSIS_MEMO.clear()
-        _ANALYSIS_MEMO[memo_key] = (
-            tuple(modes),
-            tuple(dec for dec, _base in decoded),
+    @classmethod
+    def analyse(cls, tiles: list[Tile]) -> "FastPhase | None":
+        """Decode and analyse a phase (``None``: a tile is ineligible)."""
+        decoded = [_pd.decode_for_tile(tile) for tile in tiles]
+        if any(entry is None for entry in decoded):
+            return None
+        footprints = [
+            _pd.footprint_for(tile, dec, base)
+            for tile, (dec, base) in zip(tiles, decoded)
+        ]
+        # Footprint objects are cached per (program, entry) on the decoded
+        # program, so the rest of the analysis is fully determined by the
+        # phase signature plus which footprints validated — memoized.
+        signature = tuple(
+            (tile.coord, id(dec), base, tile.pc)
+            for tile, (dec, base) in zip(tiles, decoded)
         )
+        memo_key = (signature, tuple(fp is not None for fp in footprints))
+        hit = _ANALYSIS_MEMO.get(memo_key)
+        if hit is not None:
+            modes = hit[0]
+        else:
+            coords = {tile.coord: i for i, tile in enumerate(tiles)}
+            modes = tuple(_analyse_phase(tiles, decoded, coords, footprints))
+            if len(_ANALYSIS_MEMO) >= _ANALYSIS_MEMO_MAX:
+                _ANALYSIS_MEMO.clear()
+            _ANALYSIS_MEMO[memo_key] = (modes, tuple(d for d, _ in decoded))
+        return cls(tiles, decoded, footprints, modes)
 
-    _pd.COUNTERS.fallback_runs += len(modes) - modes.count(_MODE_FULL)
+    def holds(self) -> bool:
+        """The per-run checks, per tile: the analysed entry pc, no
+        SEU-corrupted word, and :func:`predecode.footprint_for`'s verdict
+        unchanged (fingerprint words match, or still no footprint).
+        Program, residency and memory size are the caller's guarantee."""
+        for tile, (dec, base), fp, pc in zip(
+            self.tiles, self.decoded, self.footprints, self.pcs
+        ):
+            if tile.pc != pc or tile.imem.has_corruption:
+                return False
+            if fp is None:
+                if _pd.footprint_for(tile, dec, base) is not None:
+                    return False
+                continue
+            w = tile.dmem._words
+            for addr, value in fp.fingerprint:
+                if w[addr] != value:
+                    return False
+        return True
 
-    # --- the event loop -------------------------------------------------
-    elapsed = [0] * len(tiles)
-    makespan_cycles = 0
+    def run(
+        self, max_cycles_per_tile: int = 10_000_000, start_ns: float = 0.0
+    ) -> ConcurrentRun:
+        """Communication-boundary batching over the same event heap.
 
-    while clock:
-        now, coord, index = heapq.heappop(clock)
-        tile = tiles[index]
-        mode = modes[index]
-        remaining = max_cycles_per_tile - now
-        if mode == _MODE_FULL:
-            dec, base = decoded[index]
-            # The phase proof keeps every store of this phase off the
-            # footprint's words, so the fingerprint checked at phase
-            # start still holds when the event pops.
-            boundary = _pd.BLOCK_HALT
-            cycles = _pd.run_lowered(tile, footprints[index], base, remaining)
-            if cycles is None:
-                boundary, cycles = _pd.run_block(tile, dec, base, remaining)
-        elif mode == _MODE_STEP:
-            dec, base = decoded[index]
-            boundary, cycles = _pd.run_block(
-                tile, dec, base, remaining, max_instrs=1
-            )
-        elif mode == _MODE_BATCH:
-            dec, base = decoded[index]
-            boundary, cycles = _pd.run_block(
-                tile, dec, base, remaining, stop_at_comm=True
-            )
-        else:  # _MODE_REF
-            cycles = tile.step()
-            boundary = _pd.BLOCK_HALT if tile.halted else _pd.BLOCK_LIMIT
-            if cycles > remaining:
-                boundary = _pd.BLOCK_BUDGET
-        if boundary == _pd.BLOCK_BUDGET:
-            raise ExecutionError(
-                f"{tile!r} exceeded {max_cycles_per_tile} cycles without halting"
-            )
-        finished = now + cycles
-        elapsed[index] = finished
-        if finished > makespan_cycles:
-            makespan_cycles = finished
-        if boundary == _pd.BLOCK_EXIT and not tile.halted:
-            # co-residency fall-through: finish this tile on the oracle
-            modes[index] = _MODE_REF
-        if not tile.halted:
-            heapq.heappush(clock, (finished, coord, index))
+        Soundness argument (why this preserves bit-identical results):
 
-    return ConcurrentRun(
-        makespan_ns=makespan_cycles * CYCLE_NS,
-        busy_ns={t.coord: elapsed[i] * CYCLE_NS for i, t in enumerate(tiles)},
-        instructions={
-            t.coord: t.stats.instructions - start_instr[i]
-            for i, t in enumerate(tiles)
-        },
-    )
+        * tiles only *read* their own data memory, and only *write*
+          remotely through ``SNB`` — so a tile may be advanced through a
+          silent run in one event iff no other tile in the phase can
+          store into it;
+        * which tiles can store into which is static: the ``SNB``
+          direction fields of each decoded program give the
+          (conservative) set of target coordinates.  Targets are
+          single-stepped, everyone else runs whole silent blocks, pausing
+          *before* each of their own ``SNB`` s so the store executes when
+          the paused event pops — i.e. at exactly the heap key
+          ``(elapsed, coord)`` the reference interpreter gives that
+          instruction.  The global store order is therefore unchanged;
+        * on top of that, the footprint profiler
+          (:func:`predecode.footprint_for`) can *prove* a phase
+          conflict-free: when every store edge's remote address set is
+          disjoint from its target's local footprint (and storers into a
+          common target don't overlap), the interleaving of the phase's
+          stores with the target's execution commutes, so both sides of
+          an exchange advance entry-to-``HALT`` in single events;
+        * all event keys are exact integers (elapsed cycles), so ordering
+          and the final ``cycles * CYCLE_NS`` conversions are bit-exact.
+        """
+        tiles = self.tiles
+        events = self.events
+        start_instr = [tile.stats.instructions for tile in tiles]
+        _pd.COUNTERS.fallback_runs += self.fallbacks
+        run_lowered, run_block = _pd.run_lowered, _pd.run_block
+
+        elapsed = [0] * len(tiles)
+        makespan_cycles = 0
+        clock = list(self.first)
+
+        while clock:
+            now, coord, index = heapq.heappop(clock)
+            tile, mode, dec, base, footprint = events[index]
+            remaining = max_cycles_per_tile - now
+            if mode == _MODE_FULL:
+                # The phase proof keeps every store of this phase off the
+                # footprint's words, so the fingerprint checked at phase
+                # start still holds when the event pops.
+                boundary = _BLOCK_HALT
+                cycles = run_lowered(tile, footprint, base, remaining)
+                if cycles is None:
+                    boundary, cycles = run_block(tile, dec, base, remaining)
+            elif mode == _MODE_STEP:
+                boundary, cycles = run_block(
+                    tile, dec, base, remaining, max_instrs=1
+                )
+            elif mode == _MODE_BATCH:
+                boundary, cycles = run_block(
+                    tile, dec, base, remaining, stop_at_comm=True
+                )
+            else:  # _MODE_REF
+                cycles = tile.step()
+                boundary = _BLOCK_HALT if tile.halted else _pd.BLOCK_LIMIT
+                if cycles > remaining:
+                    boundary = _BLOCK_BUDGET
+            if boundary == _BLOCK_BUDGET:
+                raise ExecutionError(
+                    f"{tile!r} exceeded {max_cycles_per_tile} cycles without halting"
+                )
+            finished = now + cycles
+            elapsed[index] = finished
+            if finished > makespan_cycles:
+                makespan_cycles = finished
+            if not tile.halted:
+                if boundary == _pd.BLOCK_EXIT:
+                    # co-residency fall-through: finish this tile on the oracle
+                    events = list(events)
+                    events[index] = (tile, _MODE_REF, dec, base, footprint)
+                heapq.heappush(clock, (finished, coord, index))
+
+        return ConcurrentRun(
+            makespan_ns=makespan_cycles * CYCLE_NS,
+            busy_ns={c: e * CYCLE_NS for c, e in zip(self.coords, elapsed)},
+            instructions={
+                t.coord: t.stats.instructions - before
+                for t, before in zip(tiles, start_instr)
+            },
+            phase=self,
+        )
 
 
 def _analyse_phase(tiles, decoded, coords, footprints) -> list[int]:

@@ -105,6 +105,26 @@ class Tile:
         entry = self._resident.get(id(program))
         return entry[1] if entry is not None else None
 
+    def resident_programs(self) -> tuple[Program, ...]:
+        """The co-resident programs, in install order."""
+        return tuple(program for program, _base in self._resident.values())
+
+    def configuration(self) -> tuple:
+        """Selection, residency and memory shape as comparable values:
+        what a reconfiguration delta and the fast engine's eligibility
+        depend on besides links and memory contents.  Programs appear by
+        ``id``; a holder keeps :meth:`resident_programs` alive."""
+        return (
+            id(self.program),
+            self.pc,
+            self.halted,
+            tuple(self._resident),
+            self._next_free,
+            self.imem.has_corruption,
+            self.dmem.size,
+            self.imem.size,
+        )
+
     @property
     def imem_free_words(self) -> int:
         return self.imem.size - self._next_free
@@ -168,13 +188,13 @@ class Tile:
 
     def start(self, program: Program) -> None:
         """Point the pc at a resident program's entry."""
-        base = self.resident_base(program)
-        if base is None:
+        entry = self._resident.get(id(program))
+        if entry is None:
             raise ExecutionError(
                 f"{self!r}: {program.name!r} is not resident; install it first"
             )
         self.program = program
-        self.pc = base
+        self.pc = entry[1]
         self.halted = False
 
     def load_program(self, program: Program, *, reconfig: bool = False) -> None:

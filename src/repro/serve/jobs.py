@@ -215,7 +215,7 @@ class JobRequest:
         return self.deadline_s > 0 and now >= self.deadline_s
 
 
-@dataclass
+@dataclass(slots=True)
 class JobResult:
     """Terminal outcome of one job.
 
@@ -224,6 +224,8 @@ class JobResult:
     time the job held its worker, ``reconfig_ns`` the configuration-port
     busy time it caused, and ``reconfig_saved_ns`` how much of the cold
     configuration cost it avoided by landing on a warm fabric.
+
+    Slotted: a router keeps every result it delivered (first-wins).
     """
 
     job_id: str

@@ -120,6 +120,28 @@ class TestRpcBudget:
                    for s in router.shards.values())
         assert _calls(router) == before
 
+    def test_drain_reads_only_what_it_moves_and_did_not_ship(self, proc_router):
+        router = proc_router
+        plans = _two_plans_on_two_shards()
+        for index in range(0, 200, 2):  # 200 delivered jobs
+            for lane, spec in enumerate(plans):
+                router.submit(_request(index + lane, spec))
+            while router.pending:
+                router.step_round()
+        assert len(router.results) == 200
+        drained, successor = (router.shards[name] for name in NAMES[::-1])
+        for index in range(200, 205):  # homed on the drained shard
+            router.submit(_request(index, plans[1]))
+        unshipped = [drained.step_one(), drained.step_one()]  # not via the router
+        before = (drained.rpc.calls, successor.rpc.calls)
+        report = drain_shard(router, drained.name)
+        assert report.moved == 3
+        # backlog + a release per move + finished_ids + a finished() per
+        # unshipped result + shutdown; the successor pays the submits
+        assert drained.rpc.calls - before[0] == 3 + report.moved + len(unshipped)
+        assert successor.rpc.calls - before[1] == report.moved
+        assert all(r.job_id in router.results for r in unshipped)
+
     def test_each_steal_adds_three(self, proc_router):
         router = proc_router
         for index in range(6):  # all on one shard: 6 vs 0, margin 2
@@ -391,10 +413,13 @@ def test_acknowledged_outputs_leave_the_shard(tmp_path):
 def test_a_shard_worker_imports_neither_asyncio_nor_multiprocessing():
     probe = (
         "import sys, repro.cluster.proc.worker, repro.serve\n"
-        "print(sorted(m for m in ('asyncio', 'multiprocessing') "
-        "if m in sys.modules))\n"
+        "print(sorted(m for m in ('asyncio', 'multiprocessing', 'repro.dse', "
+        "'repro.mapping', 'repro.pn', 'repro.cluster.router', "
+        "'repro.cluster.loadgen') if m in sys.modules))\n"
         "from repro.serve import FabricJobService\n"
         "print(FabricJobService.__module__, 'asyncio' in sys.modules)\n"
+        "from repro import sweep\n"
+        "print(sweep.__module__)\n"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -405,8 +430,9 @@ def test_a_shard_worker_imports_neither_asyncio_nor_multiprocessing():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    imported, lazily = done.stdout.splitlines()
+    imported, lazily, top_level = done.stdout.splitlines()
     assert imported == "[]"
-    # The name still resolves, and pays for asyncio only when asked for.
+    # The names still resolve, and pay for their layer only when asked for.
     assert lazily == "repro.serve.service True"
+    assert top_level == "repro.dse.sweep"
     assert "FabricJobService" in repro.serve.__all__
