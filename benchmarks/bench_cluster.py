@@ -34,7 +34,8 @@ trace through :func:`repro.cluster.loadgen.simulate_rejoin` — SIGKILL
 the hottest shard, strand arrivals for the detection delay, hand the
 backlog off, fold the shard back in cold — and reports the disruption
 window's p99 blow-up.  ``measured`` runs a *real* three-subprocess
-cluster (:func:`repro.cluster.proc.harness.run_proc_scenario`) through
+cluster (:func:`repro.cluster.harness.run_cluster_scenario` with a
+process fault) through
 an actual SIGKILL and reports the supervisor's wall-clock MTTR from
 DEAD verdict to ring re-entry; being wall-clock it is the one leg that
 is not bit-deterministic, and the tier-1 guard pins invariants (``ok``,
@@ -72,25 +73,25 @@ def measure_rejoin() -> dict:
 
     Spawns :data:`REJOIN_MEASURED_SHARDS` worker subprocesses, drives a
     small trace, SIGKILLs the hottest shard mid-trace, and lets the
-    :class:`~repro.cluster.proc.supervisor.ProcessSupervisor` respawn it
-    against its journal, scrub-gate it and fold it back onto the ring.
+    supervisor (:class:`~repro.cluster.lifecycle.ClusterSupervisor`, with
+    a respawn budget) respawn it against its journal, scrub-gate it and
+    fold it back onto the ring.
     Returns the invariant-checked summary for the ``measured`` half of
     the ``rejoin`` leg.
     """
     import tempfile
 
     from repro.chaos import ProcFault
-    from repro.cluster.proc.harness import ProcScenario, run_proc_scenario
+    from repro.cluster.harness import ClusterScenario, run_cluster_scenario
 
-    scenario = ProcScenario(
-        fault=ProcFault(kind="sigkill", after_completions=20),
+    scenario = ClusterScenario(
+        faults=(ProcFault(kind="sigkill", after_completions=20),),
         n_jobs=REJOIN_MEASURED_JOBS,
         n_shards=REJOIN_MEASURED_SHARDS,
-        max_rounds=REJOIN_MEASURED_JOBS + 50,
     )
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bench-rejoin-") as workdir:
-        report = run_proc_scenario(scenario, Path(workdir))
+        report = run_cluster_scenario(scenario, Path(workdir))
     rejoin = report.rejoin
     return {
         "jobs": REJOIN_MEASURED_JOBS,

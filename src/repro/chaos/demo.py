@@ -3,8 +3,9 @@
 Runs a small ladder of deterministic chaos scenarios against the durable
 serving engine and prints, for each, where the process "died", how many
 restarts recovery needed, how much work the epoch checkpoints saved, and
-whether every recovery invariant held.  Everything is seeded: run it
-twice, get the same bytes.
+whether every invariant of :mod:`repro.chaos.invariants` held (the same
+oracle the cluster runner applies to both shard transports).
+Everything is seeded: run it twice, get the same bytes.
 """
 
 from __future__ import annotations

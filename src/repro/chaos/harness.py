@@ -11,19 +11,12 @@ engine knobs.  :func:`run_scenario` then:
    the current engine *incarnation* and a fresh one is constructed over
    the same journal directory (construction = recovery), up to
    ``max_restarts`` times;
-3. checks the recovery invariants and returns a
-   :class:`ScenarioReport` listing every violation (empty = pass):
-
-   * **no acknowledged job lost** — every job whose SUBMITTED append
-     returned normally reaches a terminal result by the end;
-   * **no duplicated client result** — no job is delivered two
-     conflicting terminal results across incarnations, and the final
-     journal holds at most one valid DONE record per job;
-   * **bit-identical outputs** — every executed DONE output equals the
-     fault-free baseline, including jobs resumed mid-transform from an
-     epoch checkpoint;
-   * **idempotent replay** — folding the final journal twice yields the
-     same recovery state.
+3. checks the serving invariants of :mod:`repro.chaos.invariants` —
+   no acknowledged job lost, no conflicting client result, at most one
+   DONE record per job, idempotent replay, and every executed output
+   (jobs resumed mid-transform from an epoch checkpoint included)
+   bit-identical to the fault-free baseline — and returns a
+   :class:`ScenarioReport` listing every violation (empty = pass).
 
 An injected ``OSError`` at submit time models a failed disk during the
 acknowledgment write: the client sees the error (the job was never
@@ -39,12 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.chaos.crashpoints import FaultSpec, SimulatedCrash, armed
+from repro.chaos.invariants import Deliveries, baseline_outputs, check_journals
 from repro.errors import ChaosError
 from repro.serve.durability.engine import DurableEngine
-from repro.serve.durability.journal import FsyncPolicy, JobJournal
-from repro.serve.durability.records import RecordType
-from repro.serve.durability.recovery import replay
-from repro.serve.jobs import JobRequest, JobResult, JobStatus, fft_spec, jpeg_spec
+from repro.serve.durability.journal import FsyncPolicy
+from repro.serve.jobs import JobRequest, JobResult, fft_spec, jpeg_spec
 
 __all__ = ["ChaosScenario", "ScenarioReport", "run_scenario"]
 
@@ -117,52 +109,24 @@ class ScenarioReport:
         return body
 
 
-def _baseline_outputs(scenario: ChaosScenario, tmp: Path) -> dict[str, object]:
-    """Fault-free reference run (own journal dir, discarded after)."""
-    engine = DurableEngine(
-        tmp / "baseline",
-        pool_size=scenario.pool_size,
-        fsync=FsyncPolicy.NEVER,
-    )
-    outputs: dict[str, object] = {}
-    for request in scenario.requests():
-        engine.submit(request)
-    engine.run()
-    for job_id, result in engine.results.items():
-        if result.status is JobStatus.DONE:
-            outputs[job_id] = result.output
-    engine.close()
-    return outputs
-
-
-def _outputs_equal(a, b) -> bool:
-    if isinstance(a, bytes) or isinstance(b, bytes):
-        return a == b
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
-
-
 def run_scenario(scenario: ChaosScenario, workdir: Path | str) -> ScenarioReport:
     """Execute one scenario under ``workdir`` (a scratch directory)."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     journal_dir = workdir / "journal"
     report = ScenarioReport()
-    baseline = _baseline_outputs(scenario, workdir)
-
+    deliveries = Deliveries(
+        baseline_outputs(
+            scenario.requests(),
+            workdir / "baseline",
+            pool_size=scenario.pool_size,
+        ),
+        report.violations,
+    )
     acked: set[str] = set()
-    delivered: dict[str, JobStatus] = {}
-    executed_outputs: dict[str, object] = {}
 
     def deliver(result: JobResult) -> None:
-        prior = delivered.get(result.job_id)
-        if prior is not None and prior is not result.status:
-            report.violations.append(
-                f"{result.job_id}: delivered {prior.value} then "
-                f"{result.status.value} (conflicting client results)"
-            )
-        delivered[result.job_id] = result.status
-        if result.status is JobStatus.DONE and not result.recovered:
-            executed_outputs[result.job_id] = result.output
+        if deliveries.deliver(result):
             report.resumed_slices += result.resumed_slices
             if result.resumed_slices:
                 report.jobs_resumed += 1
@@ -221,53 +185,14 @@ def run_scenario(scenario: ChaosScenario, workdir: Path | str) -> ScenarioReport
         f"{spec.point}:{spec.action}@{spec.hit}" for spec in controller.fired
     ]
     report.jobs_acked = len(acked)
-    report.jobs_completed = sum(
-        1 for s in delivered.values() if s is JobStatus.DONE
-    )
+    report.jobs_completed = deliveries.completed
     report.jobs_recovered_finished = sum(
         1
         for job_id, result in engine.results.items()
         if result.recovered and job_id in acked
     )
-
-    # ---- invariant: no acknowledged job lost -------------------------
-    for job_id in sorted(acked):
-        if job_id not in delivered:
-            report.violations.append(f"{job_id}: acknowledged but lost")
-
-    # ---- invariants over the final journal ---------------------------
-    journal = JobJournal(journal_dir, fsync=FsyncPolicy.NEVER, lock=False)
-    records, scan = journal.scan()
-    journal.close()
-    report.journal_records = scan.records
-    done_counts: dict[str, int] = {}
-    for record in records:
-        if record.type is RecordType.DONE:
-            done_counts[record.job_id] = done_counts.get(record.job_id, 0) + 1
-    for job_id, count in sorted(done_counts.items()):
-        if count > 1:
-            report.violations.append(
-                f"{job_id}: {count} DONE records (duplicated result)"
-            )
-    state_a, state_b = replay(records), replay(records)
-    fold_a = {
-        j.job_id: (j.finished, j.progress_slice, j.dispatches, j.retries)
-        for j in state_a.jobs.values()
-    }
-    fold_b = {
-        j.job_id: (j.finished, j.progress_slice, j.dispatches, j.retries)
-        for j in state_b.jobs.values()
-    }
-    if fold_a != fold_b:
-        report.violations.append("journal replay is not idempotent")
-
-    # ---- invariant: executed outputs match the fault-free baseline ---
-    for job_id, output in sorted(executed_outputs.items()):
-        want = baseline.get(job_id)
-        if want is None:
-            continue  # baseline failed too (not a durability question)
-        if not _outputs_equal(output, want):
-            report.violations.append(
-                f"{job_id}: output differs from fault-free baseline"
-            )
+    deliveries.check_acked(acked)
+    report.journal_records, _ = check_journals(
+        {"journal": journal_dir}, report.violations
+    )
     return report

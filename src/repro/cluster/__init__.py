@@ -3,8 +3,9 @@
 Affinity scheduling promoted one level: where a single
 :class:`~repro.serve.service.FabricJobService` keeps same-configuration
 jobs on warm *fabrics*, the cluster keeps same-plan-hash jobs on the
-same *shard* — a :class:`~repro.cluster.shard.ShardWorker` owning its
-own fabric pool, artifact-cache slice and journal directory — behind a
+same *shard* — a :class:`~repro.cluster.proc.shard.ProcShardWorker`
+owning its own fabric pool, artifact-cache slice and journal directory,
+in its own process or in this one — behind a
 consistent-hash :class:`~repro.cluster.router.ShardRouter`.  Hot shards
 shed cold-hash work to idle ones (never breaking a warm run), dead
 shards hand their journal off to their ring successors (the PR 5
@@ -30,31 +31,26 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.cluster.harness": (
-            "ClusterReport", "ClusterScenario", "run_cluster_scenario",
+            "LOST_REPLIES", "ClusterReport", "ClusterScenario",
+            "lost_reply_scenario", "run_cluster_scenario",
         ),
         "repro.cluster.lifecycle": (
             "AntiEntropyScrubber", "ClusterSupervisor", "DrainReport",
-            "HealthMonitor", "ScrubReport", "ShardHeartbeat", "ShardState",
-            "StateTransition", "SupervisorReport", "drain_shard",
+            "HealthMonitor", "RejoinReport", "ScrubReport", "ShardHeartbeat",
+            "ShardState", "StateTransition", "SupervisorReport", "drain_shard",
         ),
         "repro.cluster.loadgen": (
             "LoadSpec", "LoadReport", "generate_trace", "run_load", "simulate",
         ),
-        "repro.cluster.proc": (
-            "ProcShardWorker", "ProcessSupervisor", "RejoinReport", "RetryPolicy",
-            "RpcClient",
-        ),
-        "repro.cluster.proc.harness": (
-            "ProcReport", "ProcScenario", "run_proc_scenario",
-        ),
+        "repro.cluster.proc": ("ProcShardWorker", "RetryPolicy", "RpcClient"),
         "repro.cluster.ring": ("KEY_BITS", "HashRing", "ring_position"),
         "repro.cluster.router": ("ShardRouter", "spec_routing_key"),
-        "repro.cluster.shard": ("ShardWorker",),
     },
 )
 
 __all__ = [
     "KEY_BITS",
+    "LOST_REPLIES",
     "AntiEntropyScrubber",
     "ClusterReport",
     "ClusterScenario",
@@ -64,10 +60,7 @@ __all__ = [
     "HealthMonitor",
     "LoadReport",
     "LoadSpec",
-    "ProcReport",
-    "ProcScenario",
     "ProcShardWorker",
-    "ProcessSupervisor",
     "RejoinReport",
     "RetryPolicy",
     "RpcClient",
@@ -75,15 +68,14 @@ __all__ = [
     "ShardHeartbeat",
     "ShardRouter",
     "ShardState",
-    "ShardWorker",
     "StateTransition",
     "SupervisorReport",
     "drain_shard",
     "generate_trace",
+    "lost_reply_scenario",
     "ring_position",
     "run_cluster_scenario",
     "run_load",
-    "run_proc_scenario",
     "simulate",
     "spec_routing_key",
 ]

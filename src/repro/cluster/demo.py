@@ -9,11 +9,11 @@ lifecycle pass (phi-accrual health verdicts, anti-entropy scrub, the
 Prints the routing / stealing / handoff / drain accounting and every
 invariant verdict; exits non-zero on any violation (the CI smoke gate).
 
-``--procs N`` switches to the multi-process tier: N real worker
-subprocesses behind the framed RPC transport, a SIGKILL of the hottest
-shard mid-trace (unless ``--no-kill``), and the process supervisor's
-full detect → handoff → respawn → scrub-gate → rejoin pipeline — the
-same invariants, now across actual process death.
+``--procs N`` runs the same scenario runner over N real worker
+subprocesses behind the framed RPC transport: a SIGKILL of the hottest
+shard mid-trace (unless ``--no-kill``), and the supervisor's full
+detect → handoff → respawn → scrub-gate → rejoin pipeline — the same
+invariants, now across actual process death.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from repro.chaos.procfaults import ProcFault
 from repro.cluster.harness import ClusterScenario, run_cluster_scenario
 from repro.cluster.lifecycle import ClusterSupervisor, drain_shard
-from repro.cluster.proc.harness import ProcScenario, run_proc_scenario
 from repro.cluster.loadgen import LoadSpec, run_load
 from repro.cluster.router import ShardRouter
 from repro.serve.durability.journal import FsyncPolicy
@@ -104,67 +103,6 @@ def _run_lifecycle_demo(seed: int) -> dict:
     }
 
 
-def _run_proc_demo(args) -> int:
-    """The ``--procs N`` leg: real subprocess shards, real SIGKILL."""
-    fault = (
-        ProcFault(
-            kind="sigkill", after_completions=max(2, args.jobs // 5)
-        )
-        if args.kill
-        else None
-    )
-    scenario = ProcScenario(
-        fault=fault,
-        seed=args.seed,
-        n_jobs=args.jobs,
-        n_shards=args.procs,
-        max_rounds=args.jobs + 50,
-        deadline_s=max(180.0, args.jobs * 0.5),
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-proc-") as tmp:
-        report = run_proc_scenario(scenario, Path(tmp))
-
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-
-    print("multi-process shards: framed RPC, SIGKILL, supervised rejoin")
-    print("=" * 68)
-    print(
-        f"procs={args.procs}  jobs={args.jobs}  "
-        f"fault={report.fault or 'none'}  "
-        f"victim={report.victim or 'nobody'}"
-        + (f" (pid {report.victim_pid})" if report.victim_pid else "")
-    )
-    print(
-        f"acked={report.jobs_acked}  completed={report.jobs_completed}  "
-        f"steals={report.steals}  handoffs={report.handoffs}  "
-        f"rpc_retries={report.rpc_retries}"
-    )
-    if report.rejoin:
-        rejoin = report.rejoin
-        print(
-            f"rejoin: ok={rejoin['ok']}  "
-            f"mttr={rejoin['mttr_s'] * 1e3:.0f} ms  "
-            f"requeued={rejoin['recovered_requeued']}  "
-            f"deduped={rejoin['deduped_on_rejoin']}  "
-            f"compacted={rejoin['compacted_records']}"
-        )
-    print(
-        f"duplicate_executions={report.duplicate_executions}  "
-        f"journal_records={report.journal_records}  "
-        f"rounds={report.rounds}"
-    )
-    verdict = "OK " if report.ok else "FAIL"
-    print(
-        f"[{verdict}] no acked job lost, outputs bit-identical across "
-        f"the wire, dead shard rejoined"
-    )
-    for violation in report.violations:
-        print(f"      VIOLATION: {violation}")
-    return 0 if report.ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro cluster",
@@ -211,29 +149,36 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.procs > 0:
-        return _run_proc_demo(args)
-
-    kill_index = 1 if args.kill and args.shards > 1 else None
-    # The drained shard must differ from the killed one and may not be
-    # the last one serving.
+    procs = args.procs > 0
+    shards = args.procs if procs else args.shards
+    # In-process, one shard is killed (handoff) and another live-drained
+    # — never the same one, nor the last one serving.  Over processes
+    # the hottest shard is SIGKILL'd instead and must rejoin.
+    kill_index = 1 if args.kill and shards > 1 and not procs else None
     drain_index: int | None = None
-    if args.drain:
+    if args.drain and not procs:
         min_shards = 3 if kill_index is not None else 2
-        if args.shards >= min_shards:
+        if shards >= min_shards:
             drain_index = 2 if kill_index is not None else 1
+    kill_after = max(2, args.jobs // 5)
+    sigkill = ProcFault(kind="sigkill", after_completions=kill_after)
     scenario = ClusterScenario(
+        faults=(sigkill,) if procs and args.kill else (),
+        processes=procs,
         seed=args.seed,
         n_jobs=args.jobs,
-        n_shards=args.shards,
+        n_shards=shards,
         kill_shard=kill_index,
-        kill_after=max(2, args.jobs // 5),
+        kill_after=kill_after,
         drain_shard=drain_index,
         drain_after=max(2, args.jobs // 3),
+        deadline_s=max(180.0, args.jobs * 0.5),
     )
     with tempfile.TemporaryDirectory(prefix="repro-cluster-") as tmp:
         report = run_cluster_scenario(scenario, Path(tmp))
-    lifecycle = _run_lifecycle_demo(args.seed) if report.ok else None
+    lifecycle = None
+    if report.ok and not procs:
+        lifecycle = _run_lifecycle_demo(args.seed)
 
     if args.json:
         body = report.as_dict()
@@ -241,30 +186,49 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(body, indent=2, sort_keys=True))
         return 0 if report.ok else 1
 
-    print("sharded scale-out serving: routing, stealing, handoff, drain")
+    print(
+        "multi-process shards: framed RPC, SIGKILL, supervised rejoin"
+        if procs
+        else "sharded scale-out serving: routing, stealing, handoff, drain"
+    )
     print("=" * 68)
     print(
-        f"shards={args.shards}  jobs={args.jobs}  "
-        f"killed={report.shard_killed or 'nobody'}  "
-        f"drained={report.shard_drained or 'nobody'}"
+        f"shards={shards}  jobs={args.jobs}  "
+        f"killed={report.shard_killed or report.victim or 'nobody'}"
+        + (f" (pid {report.victim_pid})" if report.victim_pid else "")
+        + f"  drained={report.shard_drained or 'nobody'}"
     )
     print(
         f"acked={report.jobs_acked}  completed={report.jobs_completed}  "
-        f"steals={report.steals}  handoffs={report.handoffs}"
+        f"steals={report.steals}  handoffs={report.handoffs}  "
+        f"rpc_retries={report.rpc_retries}"
     )
-    print(
-        f"drain_moved={report.drain_moved}  "
-        f"drain_deduped={report.drain_deduped}  "
-        f"drain_expired={report.drain_expired}"
-    )
+    if report.shard_drained:
+        print(
+            f"drain_moved={report.drain_moved}  "
+            f"drain_deduped={report.drain_deduped}  "
+            f"drain_expired={report.drain_expired}"
+        )
+    if report.rejoin:
+        rejoin = report.rejoin
+        print(
+            f"rejoin: ok={rejoin['ok']}  "
+            f"mttr={rejoin['mttr_s'] * 1e3:.0f} ms  "
+            f"requeued={rejoin['recovered_requeued']}  "
+            f"deduped={rejoin['deduped_on_rejoin']}  "
+            f"compacted={rejoin['compacted_records']}"
+        )
     print(
         f"duplicate_executions={report.duplicate_executions}  "
         f"journal_records={report.journal_records}  "
-        f"restarts={report.restarts}"
+        f"restarts={report.restarts}  rounds={report.rounds}"
     )
     verdict = "OK " if report.ok else "FAIL"
-    print(f"[{verdict}] no acked job lost, outputs bit-identical, "
-          f"per-journal results unique")
+    print(
+        f"[{verdict}] no acked job lost, outputs bit-identical, "
+        f"per-journal results unique"
+        + (", dead shard rejoined" if scenario.proc_fault else "")
+    )
     for violation in report.violations:
         print(f"      VIOLATION: {violation}")
 
@@ -295,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in lifecycle["metrics"]:
             print(f"  {line}")
 
-    if args.load_jobs > 0 and report.ok:
+    if args.load_jobs > 0 and report.ok and not procs:
         print("\nopen-loop synthetic load (Zipf-skewed plans)")
         print("-" * 68)
         for shards in (1, 2, 4):

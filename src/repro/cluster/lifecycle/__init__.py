@@ -16,7 +16,8 @@ watches *shards* and *durable state* without stopping the cluster:
   the background, quarantining corruption before recovery needs it;
 * :mod:`~repro.cluster.lifecycle.supervisor` — the control loop tying
   them together over a :class:`~repro.cluster.router.ShardRouter`
-  (dead shards are handed off automatically; gauges are published).
+  (dead shards are handed off automatically and, within a respawn
+  budget, scrub-gated back onto the ring; gauges are published).
 """
 
 from repro._lazy import lazy_exports
@@ -31,7 +32,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.cluster.lifecycle.scrub": ("AntiEntropyScrubber", "ScrubReport"),
         "repro.cluster.lifecycle.supervisor": (
-            "ClusterSupervisor", "SupervisorReport",
+            "ClusterSupervisor", "RejoinReport", "SupervisorReport",
         ),
     },
 )
@@ -41,6 +42,7 @@ __all__ = [
     "ClusterSupervisor",
     "DrainReport",
     "HealthMonitor",
+    "RejoinReport",
     "ScrubReport",
     "ShardHeartbeat",
     "ShardState",

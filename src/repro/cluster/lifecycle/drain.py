@@ -145,11 +145,11 @@ def drain_shard(router, name: str) -> DrainReport:
     shard.draining = False
     # Fold the shard's finished results into first-wins delivery before
     # it closes — post-drain dedup must not depend on an earlier round
-    # having already shipped them.  Only the unshipped ones: first-wins
-    # would discard the rest, each at the price of a read of the shard.
-    for job_id in shard.finished_ids():
-        if job_id not in router.results:
-            router._record(shard.finished(job_id))
+    # having already shipped them.  Only the unshipped ones (first-wins
+    # would discard the rest), all in one read of the shard.
+    unshipped = [j for j in shard.finished_ids() if j not in router.results]
+    for result in shard.finished_results(unshipped):
+        router._record(result)
     shard.close()
     router.metrics.counter(
         "cluster_drains_total", "Live shard drains completed"

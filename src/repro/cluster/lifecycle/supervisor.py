@@ -21,6 +21,18 @@ lockstep execution rounds):
    (``cluster_shard_state{shard}``, ``cluster_drain_backlog{shard}``,
    ``scrub_segments_verified_total``, ``scrub_corruption_found_total``).
 
+With a respawn budget (``max_respawns_per_shard``) a DEAD verdict also
+brings the member *back*, as a partially reconfigurable fabric folds a
+rewritten region back in.  After the kill + handoff: scrub the dead
+journal (a torn tail from the crash is *expected*), respawn through the
+router's ``worker_factory`` over the same directory (construction is
+recovery; a process waits bounded on the dir lock, and LockTimeout names
+a wedged holder's pid), compact the journal, re-scrub it — it must be
+CLEAN or readmission is refused — release recovered jobs the cluster
+already owns, ``mark_recovered`` (the one sanctioned exit from DEAD) and
+re-enter the ring.  Every step is idempotent or strictly local, so a
+crash of the supervisor mid-rejoin leaves a cluster merely degraded.
+
 Everything is deterministic and synchronous — the supervisor is driven,
 not threaded — so chaos scenarios can interleave supervision with
 crashes reproducibly.
@@ -28,13 +40,16 @@ crashes reproducibly.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.cluster.lifecycle.drain import drain_shard
 from repro.cluster.lifecycle.health import HealthMonitor, ShardState
 from repro.cluster.lifecycle.scrub import AntiEntropyScrubber
+from repro.errors import ClusterError, LockTimeout, ReproError
 
-__all__ = ["SupervisorReport", "ClusterSupervisor"]
+__all__ = ["ClusterSupervisor", "RejoinReport", "SupervisorReport"]
 
 
 @dataclass
@@ -48,6 +63,38 @@ class SupervisorReport:
     auto_drains: int = 0
     scrub_rounds: int = 0
     transitions: list[str] = field(default_factory=list)
+
+    def as_dict(self) -> dict:
+        return dict(self.__dict__)
+
+
+@dataclass
+class RejoinReport:
+    """One shard's journey from DEAD verdict back onto the ring."""
+
+    shard: str
+    #: Supervision round of the DEAD verdict that started this rejoin.
+    detect_round: int = 0
+    #: Round at which the shard re-entered the ring (0 = never did).
+    rejoin_round: int = 0
+    #: Corrupt journal lines found by the pre-respawn scrub (a torn
+    #: tail from the crash is expected here, and already excluded from
+    #: both the handoff fold and the respawn replay).
+    scrub_corrupt_lines: int = 0
+    #: Journal records dropped by the respawned shard's compaction.
+    compacted_records: int = 0
+    #: Corrupt lines found by the post-compaction gate scrub (must be 0
+    #: for readmission).
+    gate_corrupt_lines: int = 0
+    #: Jobs the respawn replay requeued from the journal.
+    recovered_requeued: int = 0
+    #: Recovered-queue jobs released at rejoin because the handoff (or a
+    #: delivered result) already owns them.
+    deduped_on_rejoin: int = 0
+    #: Wall-clock seconds from DEAD verdict to ring re-entry.
+    mttr_s: float = 0.0
+    ok: bool = False
+    error: str = ""
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -74,6 +121,14 @@ class ClusterSupervisor:
         (the shard is up — migrate, don't bury).  Off by default: real
         operators usually want a human between "suspicious" and
         "membership change", while DEAD is always acted on.
+    max_respawns_per_shard:
+        Respawns (see the module docstring) per shard name; a shard that
+        keeps dying is left dead for the operator.  0, the default,
+        leaves every dead shard dead.
+    require_clean_scrub:
+        The readmission gate: when True (default) a respawned shard
+        whose *compacted* journal still fails CRC verification is shut
+        back down instead of rejoining.
     """
 
     def __init__(
@@ -85,6 +140,8 @@ class ClusterSupervisor:
         cache=None,
         scrub_every: int = 4,
         drain_on_suspect: bool = False,
+        max_respawns_per_shard: int = 0,
+        require_clean_scrub: bool = True,
     ) -> None:
         self.router = router
         self.monitor = monitor if monitor is not None else HealthMonitor()
@@ -99,7 +156,12 @@ class ClusterSupervisor:
         self.scrubber = scrubber
         self.scrub_every = scrub_every
         self.drain_on_suspect = drain_on_suspect
+        self.max_respawns_per_shard = max_respawns_per_shard
+        self.require_clean_scrub = require_clean_scrub
         self.report = SupervisorReport()
+        #: Every rejoin attempt, successful or not, in order.
+        self.rejoins: list[RejoinReport] = []
+        self._respawns: dict[str, int] = {}
         self.round = 0
         self._m_state = router.metrics.gauge(
             "cluster_shard_state",
@@ -175,6 +237,84 @@ class ClusterSupervisor:
                 drain_shard(self.router, name)
                 self.monitor.mark_dead(name, self.round, reason="drained")
                 self.report.auto_drains += 1
+        # Respawn what is still dead (a drained shard included) while
+        # its budget lasts.
+        for transition in list(self.monitor.transitions[seen:]):
+            name = transition.shard
+            used = self._respawns.get(name, 0)
+            if (
+                transition.after is ShardState.DEAD
+                and self.monitor.state(name) is ShardState.DEAD
+                and used < self.max_respawns_per_shard
+            ):
+                self._respawns[name] = used + 1
+                self.rejoins.append(self.rejoin(name, transition.round_index))
+
+    # ------------------------------------------------------------------
+    # the rejoin protocol
+    # ------------------------------------------------------------------
+
+    def _scrub_once(self, name: str, journal_dir: Path) -> int:
+        """CRC-verify every segment of one directory; corrupt lines."""
+        scrubber = AntiEntropyScrubber(
+            {name: journal_dir}, segments_per_round=1_000_000
+        )
+        return scrubber.scrub_all().corrupt_lines_found
+
+    def rejoin(self, name: str, detect_round: int) -> RejoinReport:
+        """Respawn, scrub-gate and re-ring one dead shard; never raises —
+        failures come back in the report and the shard stays dead."""
+        report = RejoinReport(shard=name, detect_round=detect_round)
+        started = time.monotonic()
+        shard = self.router.shards.get(name)
+        journal_dir = Path(
+            shard.journal_dir if shard is not None else self.router.root / name
+        )
+        worker = None
+        try:
+            if shard is not None and shard.alive:
+                raise ClusterError(
+                    f"shard {name!r} is alive — rejoin is for the dead"
+                )
+            report.scrub_corrupt_lines = self._scrub_once(name, journal_dir)
+            worker = self.router.worker_factory(name, journal_dir)
+            report.recovered_requeued = len(worker.backlog())
+            report.compacted_records = worker.compact_journal()
+            report.gate_corrupt_lines = self._scrub_once(name, journal_dir)
+            if report.gate_corrupt_lines and self.require_clean_scrub:
+                raise ClusterError(
+                    f"scrub gate refused {name!r}: "
+                    f"{report.gate_corrupt_lines} corrupt line(s) survived "
+                    f"compaction"
+                )
+            report.deduped_on_rejoin = self.router.rejoin_shard(name, worker)
+            self.monitor.mark_recovered(name, self.round)
+            report.rejoin_round = self.round
+            report.ok = True
+        except LockTimeout as exc:
+            report.error = (
+                "journal lock still held"
+                + (f" by pid {exc.holder_pid}" if exc.holder_pid else "")
+                + f": {exc}"
+            )
+        except ReproError as exc:
+            report.error = str(exc)
+        if not report.ok and worker is not None:
+            try:
+                worker.close()
+            except ReproError:  # pragma: no cover - teardown best effort
+                pass
+        report.mttr_s = time.monotonic() - started
+        self.report.transitions.append(
+            f"round {self.round}: {name} "
+            + (
+                f"rejoined (mttr {report.mttr_s * 1e3:.0f} ms, "
+                f"{report.deduped_on_rejoin} deduped)"
+                if report.ok
+                else f"rejoin failed ({report.error})"
+            )
+        )
+        return report
 
     def _scrub_tick(self) -> None:
         self.scrubber.scrub_round()

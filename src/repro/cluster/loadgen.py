@@ -567,7 +567,7 @@ def simulate_rejoin(
     after a further ``rejoin_s`` (journal replay + compaction + scrub
     gate — the modeled MTTR tail) the shard re-enters the ring *cold*:
     fresh process, empty fabric residency, exactly like the respawned
-    member of :class:`~repro.cluster.proc.supervisor.ProcessSupervisor`.
+    member of :class:`~repro.cluster.lifecycle.supervisor.ClusterSupervisor`.
 
     Completions bucket into steady state (before the crash), the
     disruption window (crash → ``window_s`` after the rejoin, stretched

@@ -1,12 +1,12 @@
-"""Shard worker subprocess: a :class:`DurableEngine` behind framed pipes.
+"""A shard's op table, served over framed pipes or called in-process.
 
 ``python -m repro.cluster.proc.worker --name shard-0 --dir <journal>``
-turns the in-process shard of PR 7 into a real OS process.  Crash
-isolation is the entire point: a SIGKILL, a wedge, or a torn write here
-leaves the router untouched, and everything the shard *was* survives in
-its journal directory — the same directory this process replays on the
-way up, because construction-is-recovery carries across the process
-boundary unchanged.
+runs one shard as a real OS process.  Crash isolation is the entire
+point: a SIGKILL, a wedge, or a torn write here leaves the router
+untouched, and everything the shard *was* survives in its journal
+directory — the same directory this process replays on the way up,
+because construction-is-recovery carries across the process boundary
+unchanged.
 
 Protocol: length-prefixed CRC-framed JSON messages
 (:mod:`repro.cluster.proc.wire`) over stdin/stdout.  Every request
@@ -14,13 +14,14 @@ Protocol: length-prefixed CRC-framed JSON messages
 "value"|"error"}``; the first message out is the unsolicited ``id 0``
 hello (pid + recovery counts) the spawner blocks on, so a worker that
 cannot take its journal lock fails loudly and typed instead of hanging
-the router.
+the router.  stdout belongs to the protocol alone: ``sys.stdout`` is
+rebound to stderr before the engine imports can print anything.
 
-The ops mirror :class:`repro.cluster.shard.ShardWorker`'s surface —
-submit/step/heartbeat/steal_candidates/release/expire plus the read
-probes — so the router drives either through the same code path.
-stdout belongs to the protocol alone: ``sys.stdout`` is rebound to
-stderr before the engine imports can print anything.
+The same op table (:func:`_dispatch`) and hello serve an in-process
+shard: :class:`LoopbackClient` has the RPC client's surface and calls
+the table directly, with no framing, so a
+:class:`~repro.cluster.proc.shard.ProcShardWorker` runs one protocol
+over either transport.
 
 **The round protocol.**  This process changes state only in reply to
 its one handle, so every reply that changes the queue says how deep it
@@ -37,7 +38,7 @@ now is and the handle never has to ask:
   it is acknowledged: a reply lost to a timeout, or one that arrives
   after its retry and is dropped as stale, costs nothing.
 
-Chaos hooks (armed via environment, used by the proc fault harness).
+Chaos hooks (armed via environment by the cluster scenario runner).
 Each takes ``n`` (the ``n``-th response frame of any kind, the hello
 included) or ``op:n`` (the ``n``-th response to ``op``; for ``step``
 only replies that carry a result count):
@@ -57,28 +58,18 @@ import sys
 from pathlib import Path
 
 from repro.cluster.proc import wire
-from repro.errors import ReproError
+from repro.cluster.proc.rpc import RemoteOpError
+from repro.errors import ReproError, RpcError, RpcSequenceError
 from repro.serve.durability.engine import DurableEngine
 from repro.serve.durability.journal import FsyncPolicy
 
-__all__ = ["main", "serve"]
+__all__ = ["LoopbackClient", "hello", "main", "serve"]
 
 
-def _fail(out, exc: BaseException) -> None:
-    """Report a startup failure as the hello slot's error response."""
-    out.write(
-        wire.encode_message(
-            {
-                "id": 0,
-                "ok": False,
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                },
-            }
-        )
-    )
-    out.flush()
+def _error(call_id: int, exc: BaseException) -> dict:
+    """The response reporting ``exc`` (the caller re-raises it typed)."""
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    return {"id": call_id, "ok": False, "error": error}
 
 
 def _trigger(variable: str) -> tuple[str, int]:
@@ -119,8 +110,30 @@ class _ChaosWriter:
         self.out.flush()
 
 
+def hello(engine: DurableEngine, name: str) -> dict:
+    """What a shard says when it comes up: who it is and what recovery
+    found (the handle seeds its mirror from the two id lists)."""
+    return {
+        "op": "hello",
+        "name": name,
+        "pid": os.getpid(),
+        "recovered_finished": engine.report.recovered_finished,
+        "recovered_requeued": engine.report.recovered_requeued,
+        "corrupt_lines_dropped": engine.report.corrupt_lines_dropped,
+        "queue_depth": len(engine.queue),
+        "queued_ids": [r.job_id for r in engine.queue],
+        "finished_ids": list(engine.results),
+    }
+
+
+def _resident(engine: DurableEngine) -> set[str]:
+    """Configurations warm on the shard's fabrics."""
+    workers = engine.pool.workers
+    return {w.resident_key for w in workers if w.resident_key is not None}
+
+
 def _dispatch(engine: DurableEngine, name: str, op: str, params: dict):
-    """Run one op against the engine; mirrors ShardWorker's surface."""
+    """Run one op against the engine (the whole shard surface)."""
     if op == "ping":
         return {"pid": os.getpid()}
     if op == "submit":
@@ -156,11 +169,7 @@ def _dispatch(engine: DurableEngine, name: str, op: str, params: dict):
             )
         )
     if op == "steal_candidates":
-        resident = {
-            w.resident_key
-            for w in engine.pool.workers
-            if w.resident_key is not None
-        }
+        resident = _resident(engine)
         return {
             "jobs": [
                 wire.encode_job(r)
@@ -183,32 +192,89 @@ def _dispatch(engine: DurableEngine, name: str, op: str, params: dict):
             "depth": len(engine.queue),
         }
     if op == "finished":
-        result = engine.results.get(str(params["job_id"]))
-        return {"result": wire.encode_result(result) if result else None}
+        found = (engine.results.get(str(j)) for j in params["job_ids"])
+        return {"results": [wire.encode_result(r) for r in found if r]}
     if op == "finished_ids":
         return {"job_ids": sorted(engine.results)}
     if op == "resident_keys":
-        return {
-            "keys": sorted(
-                w.resident_key
-                for w in engine.pool.workers
-                if w.resident_key is not None
-            )
-        }
+        return {"keys": sorted(_resident(engine))}
     if op == "backlog":
         return {"jobs": [wire.encode_job(r) for r in engine.queue]}
     if op == "compact":
         removed = engine.journal.compact()
         return {"removed": removed}
-    if op == "report":
-        return {
-            "completed": engine.report.completed,
-            "recovered_finished": engine.report.recovered_finished,
-            "recovered_requeued": engine.report.recovered_requeued,
-            "corrupt_lines_dropped": engine.report.corrupt_lines_dropped,
-            "journal_records": engine.journal.appended,
-        }
+    if op == "shutdown":
+        engine.close()
+        return {}
     raise ReproError(f"unknown shard op {op!r}")
+
+
+class LoopbackClient:
+    """:class:`~repro.cluster.proc.rpc.RpcClient`'s surface over an
+    engine in this process.
+
+    :meth:`begin` only records the request; :meth:`finish` runs it
+    through :func:`_dispatch`.  An in-process shard therefore executes
+    when a round *collects* its step — one shard after another, in name
+    order — so a crash point fires exactly where it would in one engine.
+    An ``Exception`` from an op comes back as :class:`RemoteOpError`, as
+    over the pipe; a ``BaseException`` (a simulated crash) propagates.
+    """
+
+    def __init__(self, engine: DurableEngine, shard: str) -> None:
+        #: The shard's engine (``None`` once killed or shut down).
+        self.engine: DurableEngine | None = engine
+        self.shard = shard
+        self._outstanding: tuple[str, dict] | None = None
+        self.calls = 0
+        #: Always 0: nothing in between can time out or arrive late.
+        self.retries = 0
+        self.stale_responses = 0
+
+    @property
+    def outstanding(self) -> bool:
+        return self._outstanding is not None
+
+    def begin(self, op: str, params: dict | None = None, *, timeout_s=None):
+        if self._outstanding is not None:
+            raise RpcSequenceError(
+                f"shard {self.shard} still owes a reply to "
+                f"{self._outstanding[0]!r}; finish it before {op!r}"
+            )
+        self.calls += 1
+        self._outstanding = (op, params or {})
+
+    def finish(self):
+        request, self._outstanding = self._outstanding, None
+        if request is None:
+            raise RpcSequenceError(
+                f"no request outstanding on shard {self.shard}"
+            )
+        op, params = request
+        engine = self.engine
+        if engine is None:
+            raise RpcError(
+                f"shard {self.shard} is gone", shard=self.shard, op=op
+            )
+        if op == "shutdown":
+            self.engine = None
+        try:
+            return _dispatch(engine, self.shard, op, params)
+        except Exception as exc:
+            raise RemoteOpError(
+                f"shard {self.shard} op {op!r} failed: "
+                f"{type(exc).__name__}: {exc}",
+                remote_type=type(exc).__name__,
+            ) from exc
+
+    def call(self, op: str, params: dict | None = None, *, timeout_s=None):
+        self.begin(op, params)
+        return self.finish()
+
+    def kill(self) -> None:
+        """Drop the engine unclosed: the journal stays exactly as the
+        last append left it, as after a SIGKILL."""
+        self.engine = None
 
 
 def serve(engine: DurableEngine, name: str, stdin, writer: _ChaosWriter) -> None:
@@ -226,23 +292,10 @@ def serve(engine: DurableEngine, name: str, stdin, writer: _ChaosWriter) -> None
             call_id = message["id"]
             op = str(message.get("op", ""))
             params = message.get("params") or {}
-            if op == "shutdown":
-                writer.write({"id": call_id, "ok": True, "value": {}})
-                running = False
-                break
             try:
                 value = _dispatch(engine, name, op, params)
             except Exception as exc:
-                writer.write(
-                    {
-                        "id": call_id,
-                        "ok": False,
-                        "error": {
-                            "type": type(exc).__name__,
-                            "message": str(exc),
-                        },
-                    }
-                )
+                writer.write(_error(call_id, exc))
             else:
                 # A step that handed nothing back is not "a step reply
                 # carrying a result": the op:n chaos triggers skip it.
@@ -251,6 +304,9 @@ def serve(engine: DurableEngine, name: str, stdin, writer: _ChaosWriter) -> None
                     {"id": call_id, "ok": True, "value": value},
                     op if counted else "",
                 )
+            if op == "shutdown":
+                running = False
+                break
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -289,27 +345,12 @@ def main(argv: list[str] | None = None) -> int:
             lock_timeout_s=args.lock_timeout,
         )
     except BaseException as exc:  # noqa: BLE001 - reported over the wire
-        _fail(out, exc)
+        out.write(wire.encode_message(_error(0, exc)))
+        out.flush()
         return 1
 
     writer = _ChaosWriter(out)
-    writer.write(
-        {
-            "id": 0,
-            "ok": True,
-            "value": {
-                "op": "hello",
-                "name": args.name,
-                "pid": os.getpid(),
-                "recovered_finished": engine.report.recovered_finished,
-                "recovered_requeued": engine.report.recovered_requeued,
-                "corrupt_lines_dropped": engine.report.corrupt_lines_dropped,
-                "queue_depth": len(engine.queue),
-                "queued_ids": [r.job_id for r in engine.queue],
-                "finished_ids": list(engine.results),
-            },
-        }
-    )
+    writer.write({"id": 0, "ok": True, "value": hello(engine, args.name)})
     try:
         serve(engine, args.name, stdin, writer)
     finally:

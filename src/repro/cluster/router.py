@@ -24,8 +24,8 @@ by construction and the router delivers first-wins — while a crash
 before the first write leaves it exactly where it was.  At no point can
 replay drop it, which is the invariant the steal chaos matrix pins.
 Only cold-hash jobs are stolen (see
-:meth:`~repro.cluster.shard.ShardWorker.steal_candidates`), so stealing
-never breaks a warm affinity run.
+:meth:`~repro.cluster.proc.shard.ProcShardWorker.steal_candidates`), so
+stealing never breaks a warm affinity run.
 
 **Handoff** (dead shard → successors) is recovery-as-construction
 reused across shard boundaries: scan the dead shard's journal
@@ -48,7 +48,7 @@ from repro.chaos.crashpoints import crashpoint, register_crashpoint
 from repro.compile.hashing import plan_hash_prefix
 from repro.errors import ClusterError
 from repro.cluster.ring import KEY_BITS, HashRing
-from repro.cluster.shard import ShardWorker
+from repro.cluster.proc.shard import ProcShardWorker
 from repro.serve.durability.journal import FsyncPolicy, JobJournal
 from repro.serve.durability.recovery import replay
 from repro.serve.jobs import JobRequest, JobResult, KernelSpec
@@ -92,7 +92,7 @@ def spec_routing_key(spec: KernelSpec, bits: int = KEY_BITS) -> int:
 
 
 class ShardRouter:
-    """Consistent-hash front door over a set of :class:`ShardWorker` s."""
+    """Consistent-hash front door over a set of shards."""
 
     def __init__(
         self,
@@ -110,7 +110,7 @@ class ShardRouter:
         breaker_factory=None,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
-        worker_factory: Callable[[str, Path], ShardWorker] | None = None,
+        worker_factory: Callable[[str, Path], ProcShardWorker] | None = None,
     ) -> None:
         if not shard_names:
             raise ClusterError("a cluster needs at least one shard")
@@ -118,33 +118,30 @@ class ShardRouter:
             raise ClusterError(f"duplicate shard names: {shard_names}")
         if steal_margin < 1:
             raise ClusterError(f"steal_margin must be >= 1, got {steal_margin}")
-        from repro.serve.sessions import default_session_factory
-
         self.root = Path(root)
         self.metrics = metrics or MetricsRegistry()
         self.steal_margin = steal_margin
         self.max_steals_per_round = max_steals_per_round
         self.clock = clock
         #: How this router builds a shard over a journal directory.  The
-        #: default is the in-process worker; the multi-process tier
-        #: passes a factory spawning :class:`~repro.cluster.proc.shard.
-        #: ProcShardWorker` subprocesses, and the process supervisor
-        #: reuses the same factory to respawn a dead member for rejoin.
+        #: default is an in-process loopback shard; the multi-process
+        #: tier passes :class:`~repro.cluster.proc.shard.ProcShardWorker`
+        #: itself (a subprocess per shard), and the supervisor reuses the
+        #: same factory to respawn a dead member for rejoin.
         self.worker_factory = worker_factory or (
-            lambda name, journal_dir: ShardWorker(
+            lambda name, journal_dir: ProcShardWorker.loopback(
                 name,
                 journal_dir,
                 pool_size=pool_size,
-                session_factory=session_factory or default_session_factory,
+                session_factory=session_factory,
                 fsync=fsync,
                 checkpoint_every_slices=checkpoint_every_slices,
                 max_batch=max_batch,
                 breaker_factory=breaker_factory,
-                metrics=self.metrics,
                 clock=clock,
             )
         )
-        self.shards: dict[str, ShardWorker] = {}
+        self.shards: dict[str, ProcShardWorker] = {}
         for name in shard_names:
             self.shards[name] = self.worker_factory(name, self.root / name)
         self.ring = HashRing(shard_names, vnodes=vnodes)
@@ -176,10 +173,10 @@ class ShardRouter:
     def shard_for(self, spec: KernelSpec) -> str:
         return self.ring.route(self.routing_key(spec), exclude=self.draining)
 
-    def live_shards(self) -> list[ShardWorker]:
+    def live_shards(self) -> list[ProcShardWorker]:
         return [s for s in self.shards.values() if s.alive]
 
-    def serving_shards(self) -> list[ShardWorker]:
+    def serving_shards(self) -> list[ProcShardWorker]:
         """Live shards still admitting work (not mid-drain)."""
         return [
             s
@@ -239,7 +236,7 @@ class ShardRouter:
 
         Scatter, then gather.  The round first begins a step on every
         live shard, then collects the replies; both passes go in name
-        order, so results fold — and in-process shards, which do their
+        order, so results fold — and loopback shards, which do their
         work at collection, execute — in exactly the order a one-by-one
         loop would give, which is what lets the cluster chaos matrix
         place crashes reproducibly.  Shard *processes* execute between
@@ -299,7 +296,10 @@ class ShardRouter:
         return moved
 
     def _steal(
-        self, victim: ShardWorker, thief: ShardWorker, request: JobRequest
+        self,
+        victim: ProcShardWorker,
+        thief: ProcShardWorker,
+        request: JobRequest,
     ) -> bool:
         """Move one queued job, thief-first (see the module docstring).
 
@@ -416,7 +416,7 @@ class ShardRouter:
         ).inc(shard=name)
         return rehomed
 
-    def rejoin_shard(self, name: str, shard: ShardWorker) -> int:
+    def rejoin_shard(self, name: str, shard: ProcShardWorker) -> int:
         """Re-admit a respawned shard as a fresh ring member.
 
         ``shard`` is a *new* worker (typically respawned by the process

@@ -208,9 +208,9 @@ class TestDeterminism:
         )
 
     def test_outputs_equal_helper(self):
-        from repro.chaos.harness import _outputs_equal
+        from repro.chaos.invariants import outputs_equal
 
-        assert _outputs_equal(np.arange(4), np.arange(4))
-        assert not _outputs_equal(np.arange(4), np.arange(4) + 1)
-        assert _outputs_equal(b"x", b"x")
-        assert not _outputs_equal(b"x", b"y")
+        assert outputs_equal(np.arange(4), np.arange(4))
+        assert not outputs_equal(np.arange(4), np.arange(4) + 1)
+        assert outputs_equal(b"x", b"x")
+        assert not outputs_equal(b"x", b"y")

@@ -1,6 +1,7 @@
 """The real-process chaos matrix: SIGKILL, SIGSTOP, torn frames, EPIPE.
 
-Each case runs :func:`run_proc_scenario` — actual worker subprocesses
+Each case runs :func:`run_cluster_scenario` with a process fault in its
+plan — actual worker subprocesses
 behind the framed transport — fires one real process fault mid-trace,
 and asserts the full invariant set: the fault fired, no acked job was
 lost, nothing executed twice, outputs stayed bit-identical to a
@@ -17,18 +18,18 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import ProcFault
-from repro.cluster.proc.harness import (
+from repro.cluster.harness import (
     LOST_REPLIES,
-    ProcScenario,
+    ClusterScenario,
     lost_reply_scenario,
-    run_proc_scenario,
+    run_cluster_scenario,
 )
 
 pytestmark = pytest.mark.slow
 
 
-def _run(tmp_path, scenario: ProcScenario):
-    report = run_proc_scenario(scenario, tmp_path / "proc")
+def _run(tmp_path, scenario: ClusterScenario):
+    report = run_cluster_scenario(scenario, tmp_path / "proc")
     assert report.violations == []
     assert report.ok
     return report
@@ -36,7 +37,7 @@ def _run(tmp_path, scenario: ProcScenario):
 
 class TestNoFault:
     def test_clean_run_completes_everything(self, tmp_path):
-        report = _run(tmp_path, ProcScenario(fault=None, n_jobs=9))
+        report = _run(tmp_path, ClusterScenario(processes=True, n_jobs=9))
         assert report.jobs_completed == 9
         assert report.fault_fired is False
         assert report.duplicate_executions == 0
@@ -46,8 +47,8 @@ class TestFaultMatrix:
     def test_sigkill_mid_trace(self, tmp_path):
         report = _run(
             tmp_path,
-            ProcScenario(
-                fault=ProcFault(kind="sigkill", after_completions=4),
+            ClusterScenario(
+                faults=(ProcFault(kind="sigkill", after_completions=4),),
                 n_jobs=12,
             ),
         )
@@ -59,8 +60,8 @@ class TestFaultMatrix:
     def test_sigstop_hang_is_detected_and_killed(self, tmp_path):
         report = _run(
             tmp_path,
-            ProcScenario(
-                fault=ProcFault(kind="sigstop", after_completions=4),
+            ClusterScenario(
+                faults=(ProcFault(kind="sigstop", after_completions=4),),
                 n_jobs=12,
                 heartbeat_timeout_s=0.5,
                 call_timeout_s=2.0,
@@ -80,8 +81,8 @@ class TestFaultMatrix:
     def test_epipe_submit_is_typed_and_retried(self, tmp_path):
         report = _run(
             tmp_path,
-            ProcScenario(
-                fault=ProcFault(kind="epipe", after_completions=4),
+            ClusterScenario(
+                faults=(ProcFault(kind="epipe", after_completions=4),),
                 n_jobs=12,
             ),
         )

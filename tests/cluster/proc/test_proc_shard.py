@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.lifecycle import ClusterSupervisor
 from repro.cluster.proc.shard import ProcShardWorker
+from repro.cluster.router import ShardRouter
 from repro.errors import ClusterError
 from repro.locks import HAS_FLOCK
 from repro.serve.jobs import JobRequest, JobStatus, fft_spec
@@ -143,3 +145,28 @@ class TestJournalLock:
             assert successor.alive
         finally:
             successor.close()
+
+
+class TestGauges:
+    def test_fabric_gauges_come_from_the_last_heartbeat(self, tmp_path):
+        router = ShardRouter(
+            tmp_path, ["shard-0", "shard-1"], worker_factory=ProcShardWorker
+        )
+        fabric_gauges = (
+            "cluster_shard_breaker_open_fabrics",
+            "cluster_shard_quarantined_fabrics",
+        )
+        try:
+            router.publish_metrics()  # no heartbeat yet: nothing to say
+            assert not any(name in router.metrics for name in fabric_gauges)
+            ClusterSupervisor(router, scrub_every=0).tick()
+            calls = [shard.rpc.calls for shard in router.shards.values()]
+            router.publish_metrics()
+            assert [s.rpc.calls for s in router.shards.values()] == calls
+            for name in fabric_gauges:
+                gauge = router.metrics.gauge(name)
+                assert [gauge.value(shard=s) for s in router.shards] == [0, 0]
+            retries = router.metrics.gauge("cluster_shard_rpc_retries")
+            assert [retries.value(shard=s) for s in router.shards] == [0, 0]
+        finally:
+            router.close()

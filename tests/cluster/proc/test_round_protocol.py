@@ -1,17 +1,20 @@
 """The thin round protocol: what crosses the pipe, and what never has to.
 
-A shard process changes state only in reply to its one handle, so the
-handle mirrors the process's queue from the replies it already gets and
+A shard's engine changes state only in reply to its one handle, so the
+handle mirrors the engine's queue from the replies it already gets and
 a warm job costs two round trips (its ``submit``, its share of a
 round's two ``step``\\ s) instead of nine.  These tests pin that down
-with exact counts:
+with exact counts, over both transports of the one shard class (the
+``*Loopback`` classes rerun a class over the in-process loopback):
 
 * the RPC budget of a run, and that ``submit`` / ``rebalance`` /
-  ``pending`` probe nothing;
-* the mirror equal to the process's own ``backlog`` / ``finished_ids``
+  ``pending`` probe nothing; a drain's closing fold is two reads;
+* the mirror equal to the engine's own ``backlog`` / ``finished_ids``
   after every kind of state change;
 * a ``step`` reply that arrives after its retry loses and duplicates
   nothing;
+* an engine exception is a :class:`RemoteOpError` either way, and a
+  simulated crash inside a loopback op reaches the caller;
 * batch lanes reach ``router.results``; acknowledged outputs leave the
   shard;
 * a shard worker imports neither ``asyncio`` nor ``multiprocessing``.
@@ -31,9 +34,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.chaos.crashpoints import FaultSpec, SimulatedCrash, armed
 from repro.cluster.lifecycle.drain import drain_shard
 from repro.cluster.proc import worker as worker_module
-from repro.cluster.proc.rpc import RetryPolicy, RpcClient
+from repro.cluster.proc.rpc import RemoteOpError, RetryPolicy, RpcClient
 from repro.cluster.proc.shard import ProcShardWorker
 from repro.cluster.proc.wire import FrameDecoder, encode_message
 from repro.cluster.ring import HashRing
@@ -44,6 +48,8 @@ from repro.serve.jobs import JobRequest, JobStatus, fft_spec, jpeg_spec
 FFT = fft_spec(16, 4, 2)
 JPEG = jpeg_spec(75, False)
 NAMES = ["shard-0", "shard-1"]
+#: The two transports of the one shard class, by name.
+TRANSPORTS = {"loopback": ProcShardWorker.loopback, "subprocess": ProcShardWorker}
 
 
 def _request(index: int, spec=FFT, **kwargs) -> JobRequest:
@@ -71,8 +77,9 @@ def _calls(router: ShardRouter) -> int:
 
 
 @pytest.fixture
-def proc_router(tmp_path):
-    router = ShardRouter(tmp_path, NAMES, worker_factory=ProcShardWorker)
+def proc_router(request, tmp_path):
+    factory = TRANSPORTS[request.cls.transport]
+    router = ShardRouter(tmp_path, NAMES, worker_factory=factory)
     yield router
     router.close()
 
@@ -83,6 +90,8 @@ def proc_router(tmp_path):
 
 
 class TestRpcBudget:
+    transport = "subprocess"
+
     def test_n_warm_jobs_cost_n_plus_two_per_round(self, proc_router):
         router = proc_router
         plans = _two_plans_on_two_shards()
@@ -136,11 +145,31 @@ class TestRpcBudget:
         before = (drained.rpc.calls, successor.rpc.calls)
         report = drain_shard(router, drained.name)
         assert report.moved == 3
-        # backlog + a release per move + finished_ids + a finished() per
-        # unshipped result + shutdown; the successor pays the submits
-        assert drained.rpc.calls - before[0] == 3 + report.moved + len(unshipped)
+        # backlog + a release per move + finished_ids + one finished for
+        # every unshipped result + shutdown; the successor pays the submits
+        assert drained.rpc.calls - before[0] == 4 + report.moved
         assert successor.rpc.calls - before[1] == report.moved
         assert all(r.job_id in router.results for r in unshipped)
+
+    def test_a_drain_folds_recovered_results_in_two_reads(self, proc_router):
+        router = proc_router
+        spec = _two_plans_on_two_shards()[1]
+        name = NAMES[1]
+        shard = router.shards[name]
+        for index in range(4):  # run here, never shipped to the router
+            shard.submit(_request(index, spec))
+            assert shard.step_one().job_id == f"rp-{index:03d}"
+        router.kill_shard(name)
+        respawned = router.worker_factory(name, shard.journal_dir)
+        assert router.rejoin_shard(name, respawned) == 0
+        assert not router.results
+        before = respawned.rpc.calls
+        report = drain_shard(router, name)
+        assert report.backlog == report.moved == 0
+        # backlog + finished_ids + one finished for all four + shutdown
+        assert respawned.rpc.calls - before == 4
+        assert sorted(router.results) == [f"rp-{i:03d}" for i in range(4)]
+        assert all(r.recovered for r in router.results.values())
 
     def test_each_steal_adds_three(self, proc_router):
         router = proc_router
@@ -153,13 +182,17 @@ class TestRpcBudget:
         assert _calls(router) - before == 3 * steals
 
 
+class TestRpcBudgetLoopback(TestRpcBudget):
+    transport = "loopback"
+
+
 # ----------------------------------------------------------------------
 # (b) the mirror is exact
 # ----------------------------------------------------------------------
 
 
 def _assert_mirror(shard: ProcShardWorker, universe) -> None:
-    """The handle's local answers equal the process's own."""
+    """The handle's local answers equal the engine's own."""
     before = shard.rpc.calls
     depth = shard.queue_depth
     has = {job_id: shard.has_job(job_id) for job_id in universe}
@@ -173,9 +206,13 @@ def _assert_mirror(shard: ProcShardWorker, universe) -> None:
 
 
 class TestMirror:
+    transport = "subprocess"
+
     def test_after_every_kind_of_state_change(self, tmp_path):
         universe = [f"rp-{index:03d}" for index in range(12)] + ["never"]
-        router = ShardRouter(tmp_path, NAMES, worker_factory=ProcShardWorker)
+        router = ShardRouter(
+            tmp_path, NAMES, worker_factory=TRANSPORTS[self.transport]
+        )
         try:
             home = router.shards[router.shard_for(FFT)]
             other = next(s for s in router.shards.values() if s is not home)
@@ -207,17 +244,17 @@ class TestMirror:
 
     def test_a_respawn_over_a_non_empty_journal(self, tmp_path):
         universe = [f"rp-{index:03d}" for index in range(4)]
-        first = ProcShardWorker("shard-r", tmp_path)
+        first = TRANSPORTS[self.transport]("shard-r", tmp_path)
         for index in range(4):
             first.submit(_request(index))
         assert first.step_one().job_id == "rp-000"
         first.kill()
-        second = ProcShardWorker("shard-r", tmp_path)
+        second = TRANSPORTS[self.transport]("shard-r", tmp_path)
         try:
             assert second.queue_depth == 3
             assert second.has_job("rp-000") and second.has_job("rp-003")
             _assert_mirror(second, universe)
-            # A finished() miss is local; a hit is one read of the process.
+            # A finished() miss is local; a hit is one read of the engine.
             before = second.rpc.calls
             assert second.finished("rp-001") is None
             assert second.rpc.calls == before
@@ -228,9 +265,9 @@ class TestMirror:
             second.close()
 
     def test_a_lost_reply_is_repaired_from_the_reported_depth(self, tmp_path):
-        """The process acted, the reply never made it: the next reply's
+        """The engine acted, the reply never made it: the next reply's
         depth disagrees with the mirror and the backlog is read once."""
-        shard = ProcShardWorker("shard-d", tmp_path)
+        shard = TRANSPORTS[self.transport]("shard-d", tmp_path)
         try:
             for index in range(3):
                 shard.submit(_request(index))
@@ -243,6 +280,34 @@ class TestMirror:
             _assert_mirror(shard, [f"rp-{index:03d}" for index in range(3)])
         finally:
             shard.close()
+
+
+class TestMirrorLoopback(TestMirror):
+    transport = "loopback"
+
+
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_an_engine_exception_is_a_remote_op_error(tmp_path, transport):
+    """The shard ran the op and said no: an answer, not a death."""
+    shard = TRANSPORTS[transport]("shard-e", tmp_path)
+    try:
+        with pytest.raises(RemoteOpError) as caught:
+            shard.release("never-queued", {})
+        assert caught.value.remote_type == "ServeError"
+        assert shard.alive
+        assert shard.submit(_request(0)) is None  # and it still serves
+    finally:
+        shard.close()
+
+
+def test_a_simulated_crash_in_a_loopback_step_reaches_the_caller(tmp_path):
+    shard = ProcShardWorker.loopback("shard-c", tmp_path)
+    shard.submit(_request(0))
+    with armed(FaultSpec("journal.append.after", hit=1)) as controller:
+        with pytest.raises(SimulatedCrash):
+            shard.step_all()  # dies journaling the step's DISPATCHED
+    assert [spec.point for spec in controller.fired] == ["journal.append.after"]
+    assert not shard.rpc.outstanding
 
 
 # ----------------------------------------------------------------------
@@ -391,14 +456,20 @@ def test_acknowledged_outputs_leave_the_shard(tmp_path):
             if index % 2:
                 router.step_round()
         assert router.pending == 0 and len(router.results) == 200
-        held = [
+        held = lambda: [  # noqa: E731
             result
             for shard in router.shards.values()
-            for result in shard.engine.results.values()
+            for result in shard.rpc.engine.results.values()
         ]
-        assert len(held) == 200
-        assert sum(result.output is not None for result in held) == 0
-        assert all(shard.engine.unacked() == [] for shard in router.shards.values())
+        # The last round's two results are handed on, not yet acknowledged:
+        # the next step carries their ack.
+        assert sum(result.output is not None for result in held()) == 2
+        assert router.step_round() == 0
+        assert len(held()) == 200
+        assert sum(result.output is not None for result in held()) == 0
+        assert all(
+            shard.rpc.engine.unacked() == [] for shard in router.shards.values()
+        )
         # The router's copies are the whole ones.
         assert all(r.output is not None for r in router.results.values())
     finally:

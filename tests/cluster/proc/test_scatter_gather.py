@@ -3,7 +3,7 @@
 A round begins a step on every shard before it collects one, so shard
 processes execute at the same time.  Two things must survive that:
 
-* **what a round is** — the same seeded trace through in-process shards
+* **what a round is** — the same seeded trace through loopback shards
   (which execute one by one, at collection) and through subprocesses
   (which overlap) gives the same results in the same order;
 * **what a failure is** — a shard that dies *between* the scatter and
@@ -25,9 +25,9 @@ import signal
 import numpy as np
 import pytest
 
+from repro.cluster.lifecycle import ClusterSupervisor
 from repro.cluster.proc.rpc import RetryPolicy
 from repro.cluster.proc.shard import ProcShardWorker
-from repro.cluster.proc.supervisor import ProcessSupervisor
 from repro.cluster.ring import HashRing
 from repro.cluster.router import ShardRouter, spec_routing_key
 from repro.serve.jobs import JobRequest, JobStatus, fft_spec, jpeg_spec
@@ -158,7 +158,9 @@ def test_death_between_scatter_and_gather(tmp_path, fault, victim):
     survivor = names[1 - names.index(victim)]
     router = ShardRouter(tmp_path, names, worker_factory=factory)
     try:
-        supervisor = ProcessSupervisor(router, scrub_every=0)
+        supervisor = ClusterSupervisor(
+            router, scrub_every=0, max_respawns_per_shard=2
+        )
         jobs = {name: [] for name in names}
         for index in range(4):
             name = names[index % 2]
@@ -233,7 +235,9 @@ def test_death_under_rebalance_stays_inside_the_round(tmp_path, hook, reply):
 
     router = ShardRouter(tmp_path, names, worker_factory=factory)
     try:
-        supervisor = ProcessSupervisor(router, scrub_every=0)
+        supervisor = ClusterSupervisor(
+            router, scrub_every=0, max_respawns_per_shard=2
+        )
         jobs = [_request(index, FFT) for index in range(8)]
         for job in jobs:
             assert router.submit(job) is None

@@ -1,10 +1,10 @@
-"""The rejoin protocol, deterministically (in-process workers).
+"""The rejoin protocol, deterministically (loopback shards).
 
-:class:`ProcessSupervisor` works over any router whose
-``worker_factory`` rebuilds a shard from its journal directory; running
-it over the *in-process* :class:`ShardWorker` makes every step of
-detect → handoff → respawn → scrub-gate → rejoin assertable without
-subprocess timing in the way.  (The subprocess tier gets the same
+:class:`ClusterSupervisor` with a respawn budget works over any router
+whose ``worker_factory`` rebuilds a shard from its journal directory;
+running it over the router's default *loopback* shards makes every step
+of detect → handoff → respawn → scrub-gate → rejoin assertable without
+subprocess timing in the way.  (Subprocess shards get the same
 treatment under chaos in ``test_proc_chaos.py``.)
 """
 
@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.lifecycle import (
+    ClusterSupervisor,
     HealthMonitor,
     ShardHeartbeat,
     ShardState,
 )
-from repro.cluster.proc.supervisor import ProcessSupervisor
 from repro.cluster.router import ShardRouter
 from repro.errors import ClusterError
 from repro.serve.durability.journal import FsyncPolicy
@@ -43,7 +43,8 @@ def _cluster(tmp_path, **kwargs):
         pool_size=1,
         fsync=FsyncPolicy.NEVER,
     )
-    supervisor = ProcessSupervisor(router, scrub_every=0, **kwargs)
+    kwargs.setdefault("max_respawns_per_shard", 2)
+    supervisor = ClusterSupervisor(router, scrub_every=0, **kwargs)
     return router, supervisor
 
 
@@ -113,19 +114,20 @@ class TestGuards:
         router.close()
 
     def test_respawn_budget_contains_crash_loops(self, tmp_path):
-        router, supervisor = _cluster(tmp_path, max_respawns_per_shard=0)
-        state = _kill_and_supervise(router, supervisor, rounds=8)
-        assert state is ShardState.DEAD
-        assert supervisor.rejoins == []
-        assert not router.shards["shard-1"].alive
-        router.close()
-
-    def test_respawn_false_behaves_like_base_supervisor(self, tmp_path):
-        router, supervisor = _cluster(tmp_path, respawn=False)
-        state = _kill_and_supervise(router, supervisor, rounds=8)
-        assert state is ShardState.DEAD
-        assert supervisor.rejoins == []
-        router.close()
+        """An exhausted budget and the default (none) are one path: dead
+        stays dead, as under a supervisor that never respawns."""
+        for index, kwargs in enumerate(({"max_respawns_per_shard": 0}, {})):
+            router = ShardRouter(
+                tmp_path / f"cluster-{index}",
+                [f"shard-{i}" for i in range(3)],
+            )
+            supervisor = ClusterSupervisor(router, scrub_every=0, **kwargs)
+            state = _kill_and_supervise(router, supervisor, rounds=8)
+            assert state is ShardState.DEAD
+            assert supervisor.rejoins == []
+            assert supervisor.report.auto_handoffs == 1
+            assert not router.shards["shard-1"].alive
+            router.close()
 
 
 class TestScrubGate:
@@ -137,7 +139,7 @@ class TestScrubGate:
             router.submit(_request(index))
 
         calls = {"n": 0}
-        real = ProcessSupervisor._scrub_once
+        real = ClusterSupervisor._scrub_once
 
         def dirty_gate(self, name, journal_dir):
             calls["n"] += 1
@@ -147,7 +149,7 @@ class TestScrubGate:
                 return 3
             return real(self, name, journal_dir)
 
-        monkeypatch.setattr(ProcessSupervisor, "_scrub_once", dirty_gate)
+        monkeypatch.setattr(ClusterSupervisor, "_scrub_once", dirty_gate)
         state = _kill_and_supervise(router, supervisor, rounds=8)
         assert state is ShardState.DEAD  # readmission refused
         attempts = [r for r in supervisor.rejoins if r.shard == "shard-1"]
@@ -161,7 +163,7 @@ class TestScrubGate:
             tmp_path, require_clean_scrub=False
         )
         monkeypatch.setattr(
-            ProcessSupervisor, "_scrub_once", lambda self, n, d: 1
+            ClusterSupervisor, "_scrub_once", lambda self, n, d: 1
         )
         state = _kill_and_supervise(router, supervisor)
         assert state is ShardState.HEALTHY

@@ -108,8 +108,7 @@ class TestStealing:
         for i in range(3):
             pair.submit(_request(HOT, f"rs-{i}"))
         shard = pair.shards[home]
-        assert shard.engine is not None
-        shard.engine.queue[0].resume_slice = 2
+        shard.rpc.engine.queue[0].resume_slice = 2
         candidates = {r.job_id for r in shard.steal_candidates()}
         assert candidates == {"rs-1", "rs-2"}
 
@@ -203,7 +202,7 @@ class TestKillAndHandoff:
             (s for s in router.live_shards()), key=lambda s: s.queue_depth
         ).name
         unfinished = router.shards[victim].queue_depth
-        finished_there = len(router.shards[victim].engine.results)
+        finished_there = len(router.shards[victim].finished_ids())
         router.kill_shard(victim)
         rehomed = router.handoff(victim)
         assert rehomed == unfinished
