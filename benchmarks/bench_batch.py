@@ -19,8 +19,7 @@ Two questions the tentpole batch tier must answer with numbers:
 
 Writes ``BENCH_batch.json``::
 
-    {"jit_tier": "numpy",
-     "sweep": [{"k": 1, "wall_s": ..., "jobs_per_core_s": ...}, ...],
+    {"sweep": [{"k": 1, "wall_s": ..., "jobs_per_core_s": ...}, ...],
      "serve": {"jobs": 200, "pool": 2, "wall_s_affinity": ...,
                "wall_s_batch": ..., "coalescing_win": ...}}
 
@@ -157,12 +156,9 @@ def serve_trace_comparison(jobs: int = FULL_TRACE_JOBS, pool_size: int = 2) -> d
 
 
 def run_bench(quick: bool = False, output: Path | str = DEFAULT_OUTPUT) -> dict:
-    from repro.fabric.batch import resolve_jit_tier
-
     ks = QUICK_KS if quick else FULL_KS
     jobs = QUICK_TRACE_JOBS if quick else FULL_TRACE_JOBS
     report = {
-        "jit_tier": resolve_jit_tier(),
         "quick": quick,
         "sweep": sweep_batch_widths(ks, repeats=1 if quick else 3),
         "serve": serve_trace_comparison(jobs),
@@ -178,7 +174,7 @@ def main() -> None:
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args()
     report = run_bench(quick=args.quick, output=args.output)
-    print(f"wrote {args.output}  (jit tier: {report['jit_tier']})")
+    print(f"wrote {args.output}")
     for entry in report["sweep"]:
         print(
             f"K={entry['k']:<3d} wall {entry['wall_s'] * 1e3:8.2f} ms  "

@@ -47,7 +47,9 @@ to force the oracle path when debugging.
 from __future__ import annotations
 
 import os
+import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
@@ -248,10 +250,6 @@ class DecodedProgram:
     def n(self) -> int:
         return len(self.instrs)
 
-    @property
-    def has_snb(self) -> bool:
-        return bool(self.snb_dirs)
-
 
 # ---------------------------------------------------------------------------
 # code generation
@@ -295,30 +293,39 @@ def _write_addr_code(operand, temp: str, *, check: bool = True) -> tuple[list[st
 _SHIFT_OPS = (Opcode.SHL, Opcode.SHR, Opcode.SRA)
 
 
+def _alu_raw(op: Opcode, aux: int, x: str, y: str) -> str | None:
+    """The expression :func:`_alu_expr` wraps to 48 bits (``None``: the
+    op's result is in range without a wrap)."""
+    if op is Opcode.ADD:
+        return f"{x} + {y}"
+    if op is Opcode.SUB:
+        return f"{x} - {y}"
+    if op is Opcode.MUL:
+        return f"{x} * {y}"
+    if op is Opcode.MULQ:
+        return f"({x} * {y} + {1 << (aux - 1)}) >> {aux}"
+    if op is Opcode.AND:
+        return f"{x} & {y}"
+    if op is Opcode.OR:
+        return f"{x} | {y}"
+    if op is Opcode.XOR:
+        return f"{x} ^ {y}"
+    if op is Opcode.SHL:
+        return f"{x} << {y}"
+    if op is Opcode.SHR:
+        return f"({x} & {_MASK}) >> {y}"
+    return None
+
+
 def _alu_expr(op: Opcode, aux: int, x: str, y: str) -> str:
     """Expression for ALU ``op`` over the operand expressions ``x``, ``y``.
 
     Mirrors :func:`repro.fabric.isa.evaluate_alu` exactly, including the
     wrap-to-48-bit semantics; the shift range check is the caller's.
     """
-    if op is Opcode.ADD:
-        return _wrap_expr(f"{x} + {y}")
-    if op is Opcode.SUB:
-        return _wrap_expr(f"{x} - {y}")
-    if op is Opcode.MUL:
-        return _wrap_expr(f"{x} * {y}")
-    if op is Opcode.MULQ:
-        return _wrap_expr(f"({x} * {y} + {1 << (aux - 1)}) >> {aux}")
-    if op is Opcode.AND:
-        return _wrap_expr(f"{x} & {y}")
-    if op is Opcode.OR:
-        return _wrap_expr(f"{x} | {y}")
-    if op is Opcode.XOR:
-        return _wrap_expr(f"{x} ^ {y}")
-    if op is Opcode.SHL:
-        return _wrap_expr(f"{x} << {y}")
-    if op is Opcode.SHR:
-        return _wrap_expr(f"({x} & {_MASK}) >> {y}")
+    raw = _alu_raw(op, aux, x, y)
+    if raw is not None:
+        return _wrap_expr(raw)
     if op is Opcode.SRA:
         return f"{x} >> {y}"  # result always in range
     if op is Opcode.MIN:
@@ -328,15 +335,21 @@ def _alu_expr(op: Opcode, aux: int, x: str, y: str) -> str:
     raise AssertionError(f"not an ALU opcode: {op}")  # pragma: no cover
 
 
+def _unary_raw(op: Opcode, x: str) -> str | None:
+    """The expression :func:`_unary_expr` wraps (``None`` for MOV)."""
+    if op is Opcode.MOV:
+        return None
+    if op is Opcode.ABS:
+        return f"abs({x})"
+    if op is Opcode.NEG:
+        return f"-{x}"
+    return f"~{x}"
+
+
 def _unary_expr(op: Opcode, x: str) -> str:
     """Expression for a unary ``op`` (MOV/ABS/NEG/NOT) over ``x``."""
-    if op is Opcode.MOV:
-        return x
-    if op is Opcode.ABS:
-        return _wrap_expr(f"abs({x})")
-    if op is Opcode.NEG:
-        return _wrap_expr(f"-{x}")
-    return _wrap_expr(f"~{x}")
+    raw = _unary_raw(op, x)
+    return x if raw is None else _wrap_expr(raw)
 
 
 def _alu_body(op: Opcode, aux: int, *, static_shift: bool = False) -> list[str]:
@@ -820,13 +833,6 @@ class Footprint:
     remote: dict[int, frozenset[int]]
     #: Total cycles of the run.
     cycles: int
-    #: Program-local pcs that ever read or produced *tainted* (payload)
-    #: data during the profiled run.  Everything outside this set is pure
-    #: control: given a matching fingerprint its operands and results are
-    #: identical in every run, which is what lets the vector-batched tier
-    #: (:mod:`repro.fabric.batch`) execute those instructions once on
-    #: lane 0 and broadcast, vectorizing only the data-plane pcs.
-    vector_pcs: frozenset[int] = frozenset()
     #: The lowered trace over ``w`` (own words) and ``n`` (the words of
     #: the neighbour behind the link), one ``(template, args)`` per
     #: statement — ``template.format(*args)`` is the Python source:
@@ -881,14 +887,46 @@ def _slot(index: int, taint: bool) -> str:
     return f"w[{{{index}}}]" if taint else f"{{{index}}}"
 
 
+#: Template -> the same statement with its 48-bit wrap left out.
+_UNWRAPPED: dict[str, str] = {}
+#: Template -> its lane-axis form where the text differs: ``w``/``n``
+#: are ``(512, K)`` int64 arrays, whose wrap-around keeps every other op
+#: exact mod 2**48 (``_mulq`` needs the full 96-bit product).
+_LANES: dict[str, str] = {}
+#: Templates of ADD/SUB/NEG: their result reduced mod 2**48 depends only
+#: on their operands mod 2**48, so they may consume unwrapped values.
+_ADDITIVE: set[str] = set()
+
+
+def _template(op: Opcode, raw: str | None, wrapped: str, lanes: str = "") -> str:
+    template = "w[{0}] = " + wrapped
+    if raw is not None:
+        _UNWRAPPED[template] = "w[{0}] = " + raw
+    if lanes:
+        _LANES[template] = "w[{0}] = " + lanes
+    if op in (Opcode.ADD, Opcode.SUB, Opcode.NEG):
+        _ADDITIVE.add(template)
+    return template
+
+
 @lru_cache(maxsize=None)
 def _alu_template(op: Opcode, aux: int, taint1: bool, taint2: bool) -> str:
-    return "w[{0}] = " + _alu_expr(op, aux, _slot(1, taint1), _slot(2, taint2))
+    x, y = _slot(1, taint1), _slot(2, taint2)
+    lanes = {
+        Opcode.MULQ: f"_mulq({x}, {y}, {aux})",
+        Opcode.MIN: f"np.minimum({x}, {y})",
+        Opcode.MAX: f"np.maximum({x}, {y})",
+    }.get(op, "")
+    return _template(
+        op, _alu_raw(op, aux, x, y), _alu_expr(op, aux, x, y), lanes
+    )
 
 
 @lru_cache(maxsize=None)
 def _unary_template(op: Opcode) -> str:
-    return "w[{0}] = " + _unary_expr(op, _slot(1, True))
+    x = _slot(1, True)
+    lanes = f"+{x}" if op is Opcode.MOV else ""  # a copy, never a row view
+    return _template(op, _unary_raw(op, x), _unary_expr(op, x), lanes)
 
 
 #: Neighbour-store templates, indexed by the taint of the stored value.
@@ -917,7 +955,6 @@ def _profile_footprint(
     fingerprint: dict[int, int] = {}
     local: set[int] = set()
     remote: dict[int, set[int]] = {}
-    vector_pcs: set[int] = set()
     statements: list[tuple[str, tuple[int, ...]]] = []
 
     def read(addr: int, control: bool) -> tuple[int, bool]:
@@ -983,7 +1020,6 @@ def _profile_footprint(
                     local=frozenset(local),
                     remote={d: frozenset(s) for d, s in remote.items()},
                     cycles=cyc,
-                    vector_pcs=frozenset(vector_pcs),
                     statements=tuple(statements),
                     instructions=count,
                     branches=branches,
@@ -1006,7 +1042,6 @@ def _profile_footprint(
                 local.add(addr)
                 written[addr] = t1 or t2
                 if t1 or t2:
-                    vector_pcs.add(pc)
                     statements.append(
                         (_alu_template(op, instr.aux, t1, t2), (addr, e1, e2))
                     )
@@ -1019,7 +1054,6 @@ def _profile_footprint(
                 local.add(addr)
                 written[addr] = taint
                 if taint:
-                    vector_pcs.add(pc)
                     statements.append((_unary_template(op), (addr, e1)))
                 if op is Opcode.ABS:
                     value = abs(value)
@@ -1046,8 +1080,6 @@ def _profile_footprint(
                 _, taint, e1 = read_operand(instr.src1, False)
                 if not 0 <= naddr < size:
                     raise _Bail  # would fault in the neighbour: not provable
-                if taint:
-                    vector_pcs.add(pc)
                 remote.setdefault(instr.aux, set()).add(naddr)
                 statements.append((_SNB_TEMPLATES[taint], (naddr, e1)))
                 nstores += 1
@@ -1088,10 +1120,12 @@ def footprint_for(tile: "Tile", dec: DecodedProgram, base: int) -> Footprint | N
 
 def _longest_repeat(templates: list[str], at: int) -> tuple[int, int]:
     """``(period, repeats)`` of the longest periodic stretch starting at
-    ``at`` whose period fits a chunk (``(1, 1)`` when nothing repeats)."""
+    ``at`` whose loop fits a chunk beside its register loads and stores
+    (``(1, 1)`` when nothing repeats)."""
     best = (1, 1)
     first = templates[at]
-    for period in range(1, min(_CHUNK_STATEMENTS, (len(templates) - at) // 2 + 1)):
+    longest = _CHUNK_STATEMENTS - 2
+    for period in range(1, min(longest, (len(templates) - at) // 2 + 1)):
         if templates[at + period] != first:
             continue
         body = templates[at:at + period]
@@ -1103,30 +1137,178 @@ def _longest_repeat(templates: list[str], at: int) -> tuple[int, int]:
     return best
 
 
-def _compile_trace(footprint: Footprint, name: str) -> tuple[Callable, ...]:
-    """Compile ``footprint.statements`` into bounded ``(w, n)`` functions.
+@dataclass
+class _Unit:
+    """A straight-line statement, or a re-rolled loop over ``table``;
+    statements are ``(template, slot texts)``."""
 
-    Folding the control slice leaves the data-plane statements of a
-    counted loop as one body repeated with different addresses.  Where
-    re-rolling such a stretch saves at least a chunk of statements it is
-    compiled once, as a ``for`` over the table of the arguments that
-    vary (``compile()`` costs ~15 us and ~150 bytes a statement, and a
-    conv2d frame is 3 700 of them); everything else stays straight-line.
+    body: list[tuple[str, tuple[str, ...]]]
+    table: tuple | None = None
+    #: Per loop column: ``"w"``/``"n"`` (addresses there) or ``"v"``.
+    kinds: tuple[str, ...] = ()
+
+    def column(self, k: int) -> tuple:
+        return tuple(row[k] for row in self.table)
+
+
+#: A literal word of ``w``, and a loop column of ``w``/``n``, in source.
+_WORD = re.compile(r"\bw\[(\d+)\]")
+_COLUMN = re.compile(r"\b([wn])\[a(\d+)\]")
+
+
+def _independent(unit: _Unit, regs: set[int]) -> bool:
+    """Whether a loop's iterations can run as one array statement per
+    body line: every literal word it touches is a local written before it
+    is read in each iteration, and no word (or neighbour word) one
+    iteration writes is touched by another."""
+    body = [template.format(*slots).split(" = ", 1) for template, slots in unit.body]
+    written = {int(m[1]) for lhs, _ in body if (m := _WORD.fullmatch(lhs))}
+    seen: set[int] = set()
+    stores, loads = set(), set()
+    for lhs, rhs in body:
+        for addr in map(int, _WORD.findall(rhs)):
+            if addr not in regs or (addr in written and addr not in seen):
+                return False
+        loads.update(int(k) for _, k in _COLUMN.findall(rhs))
+        if m := _WORD.fullmatch(lhs):
+            if int(m[1]) not in regs:
+                return False
+            seen.add(int(m[1]))
+        elif m := _COLUMN.fullmatch(lhs):
+            stores.add((m[1], int(m[2])))
+        else:
+            return False  # a literal neighbour word, stored every iteration
+    owner: dict[tuple[str, int], int] = {}
+    for i, row in enumerate(unit.table):
+        for memory, k in stores:
+            if owner.setdefault((memory, row[k]), i) != i:
+                return False
+    return all(
+        owner.get(("w", row[k]), i) == i
+        for i, row in enumerate(unit.table) for k in loads
+    )
+
+
+def _chunk_source(
+    units: list[_Unit], lanes: bool = False
+) -> tuple[list[str], dict[str, tuple]]:
+    """Body lines and loop tables of one chunk, register-allocated.
+
+    A literal word the chunk touches more than once lives in the local
+    ``r<addr>`` when no loop column of the chunk can address it: loaded
+    at entry if read before written, stored once at exit.  A result whose
+    every consumer is an ADD/SUB/NEG stays unwrapped, because the 48-bit
+    wrap is reduction mod 2**48 and those ops commute with it; a store
+    to ``w``/``n`` and every other consumer sees a wrapped value.
+
+    ``lanes`` emits the same trace over ``(512, K)`` int64 arrays, one
+    column per lane (:data:`_LANES`); a loop whose iterations are
+    independent (:func:`_independent`) becomes one array statement per
+    body line over its address columns, its locals one row per iteration.
     """
-    started = time.perf_counter()
-    rows = footprint.statements
+    # The chunk as executed, each loop body twice (the second pass shows
+    # every loop-carried use): (statement id, template, reads, written).
+    flat = []
+    aliased: set[int] = set()
+    for u, unit in enumerate(units):
+        aliased.update(
+            addr for k, kind in enumerate(unit.kinds) if kind == "w"
+            for addr in unit.column(k)
+        )
+        for _ in range(1 if unit.table is None else 2):
+            for s, (template, slots) in enumerate(unit.body):
+                lhs, rhs = template.format(*slots).split(" = ", 1)
+                target = _WORD.fullmatch(lhs)
+                reads = [int(addr) for addr in _WORD.findall(rhs)]
+                flat.append(((u, s), template, reads, target and int(target[1])))
+    uses = Counter()
+    first: dict[int, bool] = {}  # word -> read before written
+    for _, _, reads, written in flat:
+        uses.update(reads)
+        first.update((addr, True) for addr in reads if addr not in first)
+        if written is not None:
+            uses[written] += 1
+            first.setdefault(written, False)
+    regs = {addr for addr, count in uses.items() if count > 1} - aliased
+
+    unwrapped: dict[tuple[int, int], bool] = {}
+    for i, (sid, template, _, written) in enumerate(flat):
+        if written not in regs or template not in _UNWRAPPED:
+            continue
+        ok = True
+        for j in range(i + 1, len(flat)):
+            _, consumer, reads, rewritten = flat[j]
+            if written in reads and consumer not in _ADDITIVE:
+                ok = False
+                break
+            if rewritten == written:
+                break
+        unwrapped[sid] = unwrapped.get(sid, True) and ok
+    last = {written: sid for sid, _, _, written in flat if written in regs}
+    wrap_at_exit = {addr for addr, sid in last.items() if unwrapped.get(sid)}
+
+    def statement(sid, template: str, slots) -> str:
+        if lanes and template in _LANES:
+            template = _LANES[template]
+        elif unwrapped.get(sid):
+            template = _UNWRAPPED[template]
+        text = template.format(*slots)
+        if not regs:
+            return text
+        return _WORD.sub(lambda m: f"r{m[1]}" if int(m[1]) in regs else m[0], text)
+
+    lines: list[str] = []
+    tables: dict[str, tuple] = {}
+    loads = sorted(addr for addr in regs if first[addr])
+    if loads:  # lane rows by fancy index: copies, never views into ``w``
+        words = f"w[{loads}]" if lanes else ", ".join(f"w[{a}]" for a in loads)
+        lines.append(", ".join(f"r{a}" for a in loads) + f"{',' * lanes} = {words}")
+    for u, unit in enumerate(units):
+        if unit.table is None:
+            lines.append(statement((u, 0), *unit.body[0]))
+        elif lanes and _independent(unit, regs):
+            for k, kind in enumerate(unit.kinds):
+                tables[f"a{u}_{k}"] = (kind, unit.column(k))
+            rows = [statement((u, s), *row) for s, row in enumerate(unit.body)]
+            lines += [re.sub(r"\ba(\d+)\b", rf"a{u}_\1", row) for row in rows]
+            lines += [
+                f"r{addr} = _last(r{addr})"
+                for addr in sorted({w for sid, _, _, w in flat if sid[0] == u} & regs)
+            ]
+        else:
+            targets = "".join(f"a{i}, " for i in range(len(unit.kinds))) or "_"
+            lines.append(f"for {targets} in _rows{u}:")
+            tables[f"_rows{u}"] = unit.table
+            lines.extend(
+                "    " + statement((u, s), *row) for s, row in enumerate(unit.body)
+            )
+    stores = sorted(last)
+    if stores:
+        lines.append(
+            ", ".join(f"w[{a}]" for a in stores) + " = "
+            + ", ".join(
+                _wrap_expr(f"r{a}") if a in wrap_at_exit else f"r{a}"
+                for a in stores
+            )
+        )
+    return lines, tables
+
+
+def _trace_units(rows) -> list[_Unit]:
+    """Trace statements as units: a periodic stretch whose re-rolling
+    saves at least a chunk of statements becomes one loop over the table
+    of the arguments that vary (loop-invariant ones stay literals)."""
     templates = [template for template, _ in rows]
-    #: (source lines, loop table or None), in trace order
-    units: list[tuple[list[str], tuple | None]] = []
+    units: list[_Unit] = []
     at = 0
     while at < len(rows):
         period, repeats = _longest_repeat(templates, at)
         if (repeats - 1) * period < _CHUNK_STATEMENTS:
             template, args = rows[at]
-            units.append(([template.format(*map(_lit, args))], None))
+            units.append(_Unit([(template, tuple(map(_lit, args)))]))
             at += 1
             continue
-        body, columns = [], []
+        body, columns, kinds = [], [], []
         for k in range(period):
             template, args = rows[at + k]
             slots = []
@@ -1136,22 +1318,49 @@ def _compile_trace(footprint: Footprint, name: str) -> tuple[Callable, ...]:
                 ]
                 if column.count(value) == repeats:
                     slots.append(_lit(value))  # loop-invariant: inline
-                else:
-                    slots.append(f"a{len(columns)}")
-                    columns.append(column)
-            body.append("    " + template.format(*slots))
-        targets = "".join(f"a{i}, " for i in range(len(columns)))
-        units.append((
-            [f"for {targets or '_'} in _rows{len(units)}:"] + body,
-            tuple(zip(*columns)) if columns else (None,) * repeats,
-        ))
+                    continue
+                slots.append(f"a{len(columns)}")
+                columns.append(column)
+                kinds.append(
+                    "w" if f"w[{{{j}}}]" in template
+                    else "n" if f"n[{{{j}}}]" in template else "v"
+                )
+            body.append((template, tuple(slots)))
+        table = tuple(zip(*columns)) if columns else (None,) * repeats
+        units.append(_Unit(body, table, tuple(kinds)))
         at += period * repeats
+    return units
 
+
+def _chunk_groups(units: list[_Unit]) -> list[list[_Unit]]:
+    """Units packed into chunks of at most ``_CHUNK_STATEMENTS`` lines,
+    two of them kept for the register loads and stores."""
+    groups: list[list[_Unit]] = [[]]
+    size = 0
+    for unit in units:
+        length = len(unit.body) + (unit.table is not None)
+        if groups[-1] and size + length > _CHUNK_STATEMENTS - 2:
+            groups.append([])
+            size = 0
+        groups[-1].append(unit)
+        size += length
+    return groups if groups[0] else []
+
+
+def _compile_trace(footprint: Footprint, name: str) -> tuple[Callable, ...]:
+    """Compile ``footprint.statements`` into bounded ``(w, n)`` functions.
+
+    Folding the control slice leaves the data-plane statements of a
+    counted loop as one body repeated with different addresses, which
+    compiles once as a ``for`` over an address table (``compile()`` costs
+    ~15 us and ~150 bytes a statement, and a conv2d frame is 3 700 of
+    them); each chunk keeps its busy words in locals (:func:`_chunk_source`).
+    """
+    started = time.perf_counter()
+    units = _trace_units(footprint.statements)
     chunks = []
-    lines: list[str] = []
-    tables: dict[str, tuple] = {}
-
-    def flush() -> None:
+    for group in _chunk_groups(units):
+        lines, tables = _chunk_source(group)
         namespace: dict[str, object] = {}
         source = "def _t(w, n):\n    " + "\n    ".join(lines)
         exec(
@@ -1161,22 +1370,31 @@ def _compile_trace(footprint: Footprint, name: str) -> tuple[Callable, ...]:
         )
         chunks.append(namespace["_t"])
         COUNTERS.statements += len(lines)
-        lines.clear()
-        tables.clear()
-
-    for index, (unit, table) in enumerate(units):
-        if lines and len(lines) + len(unit) > _CHUNK_STATEMENTS:
-            flush()
-        lines.extend(unit)
-        if table is not None:
-            tables[f"_rows{index}"] = table
-    if lines:
-        flush()
     footprint.chunks = tuple(chunks)
     footprint.statements = ()
     COUNTERS.traces_lowered += 1
     COUNTERS.lowering_s += time.perf_counter() - started
     return footprint.chunks
+
+
+def lane_source(statements) -> str:
+    """A lowered trace's ``statements`` over a lane axis, as
+    self-contained source: one ``_t<i>(w, n)`` per chunk, over
+    ``(512, K)`` int64 lane arrays, each preceded by its tables (``np``,
+    ``_mulq`` and ``_last`` are the caller's globals)."""
+    parts = []
+    for index, group in enumerate(_chunk_groups(_trace_units(statements))):
+        lines, tables = _chunk_source(group, lanes=True)
+        for table, value in tables.items():
+            if table.startswith("_rows"):
+                parts.append(f"{table} = {value!r}")
+            else:
+                kind, column = value
+                shape = "" if kind in "wn" else "[:, None]"
+                parts.append(f"{table} = np.array({list(column)!r}){shape}")
+        parts.append(f"def _t{index}(w, n):\n    " + "\n    ".join(lines))
+        COUNTERS.statements += len(lines)
+    return "\n".join(parts) + "\n"
 
 
 def run_lowered(

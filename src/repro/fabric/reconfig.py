@@ -217,11 +217,8 @@ class ReconfigPlanner:
                 tile = self.mesh.tile(coord)
                 if kind is ReconfigKind.DMEM:
                     tile.dmem.load_image(target, reconfig=True)
-                elif tile.resident_base(target) is None:
-                    tile.install_program(target, reconfig=True)
-                else:  # forced refresh of a resident image
-                    tile.imem.reconfig_writes += target.imem_words
-                    tile.dmem.load_image(target.data_image, reconfig=True)
+                else:
+                    self.install(tile, target)
             ready[coord] = end
             if first_start is None or start < first_start:
                 first_start = start
@@ -231,3 +228,12 @@ class ReconfigPlanner:
             end_ns=last_end,
             tile_ready_ns=ready,
         )
+
+    @staticmethod
+    def install(tile, program: Program) -> None:
+        """Write an instruction bitstream's payload into ``tile``."""
+        if tile.resident_base(program) is None:
+            tile.install_program(program, reconfig=True)
+        else:  # forced refresh of a resident image
+            tile.imem.reconfig_writes += program.imem_words
+            tile.dmem.load_image(program.data_image, reconfig=True)

@@ -23,18 +23,21 @@ simply epochs whose programs are copy processes).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ReconfigError
 from repro.fabric import predecode as _pd
 from repro.fabric.assembler import Program
+from repro.fabric.bitstream import ReconfigKind
 from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.mesh import Mesh
 from repro.fabric.reconfig import ReconfigPlanner, ReconfigTransaction
-from repro.fabric.simulator import FastPhase, run_concurrent
+from repro.fabric.simulator import _MODE_FULL, FastPhase, run_concurrent
 from repro.fabric.tile import Tile
+from repro.units import CYCLE_NS
 
 __all__ = [
     "BoundEpoch",
@@ -110,9 +113,11 @@ class BoundEpoch(EpochSpec):
 
 @dataclass(eq=False)
 class PlanStep:
-    """One recorded epoch: its involved tiles, reconfiguration delta,
-    run tiles with the program each selects, and fast-engine phase."""
+    """One recorded epoch: its spec, involved tiles, reconfiguration
+    delta, run tiles with the program each selects, and fast-engine
+    phase (what :func:`_epoch_source` generates its function from)."""
 
+    spec: EpochSpec
     involved: set
     txn: ReconfigTransaction
     starts: tuple[tuple[Tile, Program | None], ...]
@@ -128,6 +133,7 @@ class LoweredPlan:
     a job that leaves them as it found them becomes a plan.  ``None``
     marks a plan made stale by ``reset``/``restore``.  ``keep`` holds the
     artifact and programs the plan is keyed and guarded by ``id`` of.
+    ``epochs`` are the generated functions replaying ``steps``, one each.
     """
 
     tiles: tuple[Tile, ...]
@@ -135,6 +141,7 @@ class LoweredPlan:
     dataflow: bool
     steps: list[PlanStep]
     keep: tuple
+    epochs: tuple = ()
 
 
 @dataclass(eq=False, slots=True)
@@ -264,6 +271,10 @@ class RuntimeManager:
       only the accounted start times differ, so callers must declare
       cross-tile data dependencies via ``depends_on``.
     """
+
+    #: Per-tile cycle budget of every compute phase (``run_concurrent``'s
+    #: ``max_cycles_per_tile``): a tile still running past it raises.
+    max_cycles_per_tile: int = 10_000_000
 
     def __init__(
         self,
@@ -442,9 +453,10 @@ class RuntimeManager:
         if run is None:
             return self._execute_epoch(spec)
         plan = run.plan
-        report = self._execute_epoch(
-            spec, plan.steps[run.index] if plan else None, None if plan else run
-        )
+        if plan is None:
+            report = self._execute_epoch(spec, run)
+        else:
+            report = plan.epochs[run.index](spec)
         run.index += 1
         if run.index < job[1]:
             run.links = links.reconfig_count
@@ -477,6 +489,8 @@ class RuntimeManager:
             and plan.state == tuple(map(self._tile_state, plan.tiles))
         ):
             _pd.COUNTERS.plan_runs += 1
+            if not plan.epochs:  # at the first replay: churn never pays it
+                plan.epochs = _epoch_functions(plan, self)
             return _JobRun(job, plan, links)
         if plan is not None:
             _pd.COUNTERS.plan_fallbacks += 1
@@ -533,7 +547,6 @@ class RuntimeManager:
         *,
         tag: str = "",
         on_slice=None,
-        jit: str | None = None,
         min_vector_lanes: int | None = None,
     ):
         """Execute one artifact over K payloads, vectorized across lanes.
@@ -552,7 +565,6 @@ class RuntimeManager:
             payloads,
             tag=tag,
             on_slice=on_slice,
-            jit=jit,
             min_vector_lanes=min_vector_lanes,
         )
 
@@ -562,23 +574,32 @@ class RuntimeManager:
         involved |= set(spec.links) | set(spec.pokes)
         return involved
 
-    def _execute_epoch(
-        self,
-        spec: EpochSpec,
-        step: PlanStep | None = None,
-        record: _JobRun | None = None,
-    ) -> EpochReport:
-        """Execute one epoch, replaying ``step`` or appending to ``record``.
+    def _compute(self, tiles: list[Tile], gate: float, epoch_start: float):
+        """Run ``tiles`` from ``gate``; each one's ready time moves to the
+        end of its own work (a tile finishing early is free for the next
+        epoch's reconfiguration even while slower tiles still run)."""
+        result = run_concurrent(
+            tiles, self.max_cycles_per_tile, start_ns=gate, engine=self.engine
+        )
+        ready = self.tile_ready_ns
+        for coord, tile_busy in result.busy_ns.items():
+            at = ready.get(coord, epoch_start)
+            end = gate + tile_busy
+            ready[coord] = end if end > at else at
+        return result
 
-        A replayed :class:`PlanStep` stands in for planning, tile lookups
-        and phase analysis only; pokes, applying the delta, tile starts,
-        the run and the timeline's float operations are this same code.
+    def _execute_epoch(
+        self, spec: EpochSpec, record: _JobRun | None = None
+    ) -> EpochReport:
+        """Execute one epoch, appending it to ``record`` when recording.
+
+        A replayed epoch runs its generated function instead
+        (:func:`_epoch_source`), which does what this does in the order
+        this does it, with the planning and phase analysis folded away.
         """
         mesh = self.mesh
         ready = self.tile_ready_ns
-        if step is not None:
-            involved = step.involved
-        elif self.dataflow or record is not None:
+        if self.dataflow or record is not None:
             involved = self._involved_tiles(spec)
             if record is not None:
                 for coord in involved:
@@ -597,7 +618,7 @@ class RuntimeManager:
             mesh.tile(coord).dmem.load_image(image)
 
         # -- reconfiguration ------------------------------------------
-        txn = step.txn if step is not None else self.planner.plan(
+        txn = self.planner.plan(
             programs=spec.programs, data_images=spec.data_images, links=spec.links
         )
         reconfig_ns = 0.0
@@ -620,7 +641,7 @@ class RuntimeManager:
         phase = None
         starts = ()
         if spec.run:
-            starts = step.starts if step is not None else tuple(
+            starts = tuple(
                 (mesh.tile(coord), spec.programs.get(coord)) for coord in spec.run
             )
             tiles = []
@@ -639,22 +660,13 @@ class RuntimeManager:
                 gate = at if at > gate else gate
             if self.phase_hook is not None:
                 self.phase_hook(spec, tiles)
-            result = run_concurrent(
-                tiles, start_ns=gate, engine=self.engine,
-                phase=step.phase if step is not None else None,
-            )
+            result = self._compute(tiles, gate, epoch_start)
             phase = result.phase
             compute_ns = result.makespan_ns
             compute_end = gate + result.makespan_ns
             busy = result.busy_ns
-            # A tile that finishes its own work early is free for the next
-            # epoch's reconfiguration even while slower tiles still run.
-            for coord, tile_busy in busy.items():
-                at = ready.get(coord, epoch_start)
-                end = gate + tile_busy
-                ready[coord] = end if end > at else at
         if record is not None:
-            record.steps.append(PlanStep(involved, txn, starts, phase))
+            record.steps.append(PlanStep(spec, involved, txn, starts, phase))
         epoch_end = max(compute_end, reconfig_end, epoch_start)
 
         # Reconfiguration time is "overlapped" (hidden) to the extent the
@@ -674,3 +686,250 @@ class RuntimeManager:
         )
         self.now_ns = max(self.now_ns, epoch_end)
         return report
+
+
+# ----------------------------------------------------------------------
+# epoch functions (DESIGN §16 "Lowered plans")
+# ----------------------------------------------------------------------
+
+#: Compiled epoch-function factories by source text, process-wide.  The
+#: source holds no constant of the recording (those are bound when a
+#: factory is called), so epochs of one shape share one compile.
+_EPOCH_CODE: dict[str, Callable] = {}
+#: ``(factory, constants)`` per step by plan key (``LoweredPlan.keep``
+#: pins the ids): a re-created session re-records but generates nothing.
+_PLAN_CODE: dict[tuple, tuple] = {}
+_CODE_MAX = 4096
+_EPOCH_GLOBALS = {"EpochReport": EpochReport, "_COUNTERS": _pd.COUNTERS,
+                  "_install": ReconfigPlanner.install}
+
+
+def _epoch_functions(plan: LoweredPlan, rtms: "RuntimeManager") -> tuple:
+    """One generated function per step of ``plan``, bound to ``rtms``."""
+    key = (
+        id(plan.keep[0]), plan.dataflow,
+        tuple(tile.coord for tile in plan.tiles), plan.state,
+    )
+    hit = _PLAN_CODE.get(key)
+    if hit is None:
+        started = time.perf_counter()
+        links = {t.coord: state[1] for t, state in zip(plan.tiles, plan.state)}
+        steps = []
+        for step in plan.steps:
+            consts: list = []
+            lines = _epoch_source(step, links, plan.dataflow, consts)
+            source = "def _make(rt, mesh, K):\n    " + "\n    ".join(lines)
+            make = _EPOCH_CODE.get(source)
+            if make is None:
+                namespace: dict[str, object] = {}
+                exec(compile(source, "<epoch>", "exec"), _EPOCH_GLOBALS, namespace)
+                make = _EPOCH_CODE[source] = namespace["_make"]
+                _pd.COUNTERS.statements += len(lines)
+            steps.append((make, consts))
+        for cache in (_EPOCH_CODE, _PLAN_CODE):
+            if len(cache) >= _CODE_MAX:
+                cache.clear()
+        hit = _PLAN_CODE[key] = (plan.keep, steps)
+        _pd.COUNTERS.lowering_s += time.perf_counter() - started
+    return tuple(make(rtms, rtms.mesh, consts) for make, consts in hit[1])
+
+
+def _lowered_runs(phase: FastPhase | None, links: dict) -> list | None:
+    """``(tile, footprint, base, entry pc, neighbour coord)`` per tile of a
+    phase whose every tile runs its lowered trace (``None``: the phase
+    must run through the engine)."""
+    if phase is None or any(mode != _MODE_FULL for mode in phase.modes):
+        return None
+    runs = []
+    for tile, (dec, base), fp, pc in zip(
+        phase.tiles, phase.decoded, phase.footprints, phase.pcs
+    ):
+        neighbour = None
+        if fp.remote:
+            direction = fp.direction
+            if direction is None or links.get(tile.coord) is not direction:
+                return None
+            dr, dc = direction.delta
+            neighbour = (tile.coord[0] + dr, tile.coord[1] + dc)
+        if fp.chunks is None:
+            _pd._compile_trace(fp, dec.name)
+        runs.append((tile, fp, base, pc, neighbour))
+    return runs
+
+
+def _epoch_source(
+    step: PlanStep, links: dict, dataflow: bool, consts: list
+) -> list[str]:
+    """Source of the factory of one recorded epoch's function: what
+    :meth:`RuntimeManager._execute_epoch` did for it, in the same order
+    with the same float operations — pokes, the delta's ICAP schedule,
+    tile starts, per-run checks guarding the trace chunks and statistics
+    (a failed one runs the phase through the engine), the report.  What
+    the recording fixed goes to ``consts`` (``k<i>`` in the source);
+    ``links`` (coord -> direction) is advanced past the epoch."""
+    spec, txn = step.spec, step.txn
+    bound: dict[Coord, int] = {}  # coord -> suffix of its tile's names
+
+    def tile(coord: Coord) -> int:
+        return bound.setdefault(coord, len(bound))
+
+    def k(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    body: list[str] = []
+    emit = body.append
+    if not dataflow:
+        emit("s = rt.now_ns")
+    else:  # max((R.get(c, 0.0) for c in involved), default=0.0)
+        emit("s = 0.0")
+        for index, coord in enumerate(step.involved):
+            emit(f"a = R.get({k(coord)}, 0.0)")
+            emit("s = a" if index == 0 else "s = a if a > s else s")
+    emit("for c, image in spec.pokes.items():")
+    emit("    DM[c].load_image(image)")
+
+    if txn.bitstreams:  # ReconfigPlanner.apply, unrolled
+        emit("b = icap._busy_total_ns")
+        touched: list[Coord] = []
+        for kind, coord, nbytes, label, target in txn.ops:
+            i = tile(coord)
+            emit(f"a = R.get(c{i}, s)")
+            emit("e = a if a > s else s")
+            if coord in touched:
+                emit(f"e = q{i} if q{i} > e else e")
+            else:
+                touched.append(coord)
+            if kind is ReconfigKind.LINK:
+                emit(f"_, q{i} = icap.schedule_fixed(planner.link_cost_ns, e, {k(label)})")
+                emit(f"links.configure(c{i}, {k(target)})")
+                links[coord] = target
+                continue
+            emit(f"_, q{i} = icap.schedule({k(nbytes)}, e, {k(label)})")
+            if kind is ReconfigKind.DMEM:
+                emit(f"d{i}.load_image({k(target)}, reconfig=True)")
+            else:
+                emit(f"_install(t{i}, {k(target)})")
+        emit("rn = icap._busy_total_ns - b")
+        emit(f"re = q{tile(txn.ops[-1][1])}")
+        body.extend(f"R[c{tile(coord)}] = q{tile(coord)}" for coord in touched)
+    else:
+        emit("rn = 0.0")
+        emit("re = s")
+
+    if step.starts:
+        for t, program in step.starts:
+            i = tile(t.coord)
+            if program is not None:
+                emit(f"t{i}.start({k(program)})")
+            elif spec.restart:
+                emit(f"if t{i}.halted:")
+                emit(f"    t{i}.restart()")
+        emit("g = s")
+        for coord in [t.coord for t, _ in step.starts] + list(spec.depends_on):
+            emit(f"a = R.get(c{tile(coord)}, s)")
+            emit("g = a if a > g else g")
+        run_tiles = ", ".join(f"t{tile(t.coord)}" for t, _ in step.starts)
+        generic = [
+            f"r = rt._compute([{run_tiles}], g, s)",
+            "cn = r.makespan_ns",
+            "busy = r.busy_ns",
+        ]
+        runs = _lowered_runs(step.phase, links)
+        if runs is None:
+            body.extend(generic)
+        else:
+            body.extend(_lowered_source(runs, generic, tile, k))
+        emit("ce = g + cn")
+    else:
+        emit("cn = 0.0")
+        emit("ce = s")
+        emit("busy = {}")
+
+    body += [  # max(ce, re, s); max(0.0, rn - max(0.0, re - ce)); report
+        "ee = ce",
+        "ee = re if re > ee else ee",
+        "ee = s if s > ee else ee",
+        "x = re - ce",
+        "x = x if x > 0.0 else 0.0",
+        "x = rn - x",
+        "ov = x if x > 0.0 else 0.0",
+        f"report = EpochReport(spec.name, s, ee, rn, cn, ov, "
+        f"{k(txn.link_changes)}, {k(txn.total_bytes)}, busy)",
+        "x = rt.now_ns",
+        "rt.now_ns = ee if ee > x else x",
+        "return report",
+    ]
+    prologue = [
+        "R = rt.tile_ready_ns",
+        "icap = rt.icap",
+        "planner = rt.planner",
+        "links = mesh.links",
+        "DM = {t.coord: t.dmem for t in mesh}",
+    ]
+    for coord, i in bound.items():
+        prologue += [
+            f"c{i} = {k(coord)}",
+            f"t{i} = mesh.tile(c{i})",
+            f"d{i} = t{i}.dmem",
+            f"S{i} = t{i}.stats",
+            f"C{i} = t{i}.imem._corrupted",
+        ]
+    names = "".join(f"k{i}, " for i in range(len(consts)))
+    return [f"{names} = K"] + prologue + ["def _epoch(spec):"] + [
+        f"    {line}" for line in body
+    ] + ["return _epoch"]
+
+
+def _lowered_source(runs: list, generic: list[str], tile, k) -> list[str]:
+    """A proven phase: the per-run checks, then each tile's trace chunks
+    and literal statistics (``FastPhase.run`` of an all-FULL phase)."""
+    lines = [f"w{tile(t.coord)} = d{tile(t.coord)}._words" for t, *_ in runs]
+    longest = max(fp.cycles for _, fp, *_ in runs)
+    checks = [f"rt.max_cycles_per_tile < {k(longest)}"]
+    for t, fp, _base, pc, _ in runs:
+        i = tile(t.coord)
+        checks += [f"t{i}.pc != {k(pc)}", f"C{i}"]
+        checks += [
+            f"w{i}[{k(addr)}] != {k(value)}" for addr, value in fp.fingerprint
+        ]
+    lines.append(f"if {' or '.join(checks)}:")
+    lines += [f"    {line}" for line in generic]
+    lines.append("else:")
+    fast = []
+    # the event loop pops the phase's elapsed-0 events in coordinate order
+    for t, fp, base, _pc, neighbour in sorted(runs, key=lambda r: r[0].coord):
+        i = tile(t.coord)
+        words = "None"
+        if neighbour is not None:
+            j = tile(neighbour)
+            words = "nw"
+            fast += [f"nw = d{j}._words", f"d{j}.writes += {k(fp.neighbour_stores)}"]
+        fast += [f"{k(chunk)}(w{i}, {words})" for chunk in fp.chunks]
+        fast += [f"t{i}.pc = {k(base + fp.final_pc)}", f"t{i}.halted = True"]
+        fast += [
+            f"{owner}{i}.{counter} += {k(count)}"
+            for owner, counter, count in (
+                ("S", "instructions", fp.instructions),
+                ("S", "cycles", fp.cycles),
+                ("S", "branches_taken", fp.branches),
+                ("S", "neighbour_stores", fp.neighbour_stores),
+                ("S", "halts", 1),
+                ("d", "reads", fp.reads),
+                ("d", "writes", fp.writes),
+            )
+            if count
+        ]
+    busy = [(tile(t.coord), fp.cycles * CYCLE_NS) for t, fp, *_ in runs]
+    fast += [
+        f"_COUNTERS.lowered_runs += {len(runs)}",
+        f"cn = {k(longest * CYCLE_NS)}",
+        "busy = {" + ", ".join(f"c{i}: {k(b)}" for i, b in busy) + "}",
+    ]
+    for i, tile_busy in busy:
+        fast += [
+            f"a = R.get(c{i}, s)",
+            f"x = g + {k(tile_busy)}",
+            f"R[c{i}] = x if x > a else a",
+        ]
+    return lines + [f"    {line}" for line in fast]

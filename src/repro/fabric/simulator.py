@@ -66,7 +66,6 @@ def run_concurrent(
     start_ns: float = 0.0,
     *,
     engine: str | None = None,
-    phase: "FastPhase | None" = None,
 ) -> ConcurrentRun:
     """Run every tile to ``HALT`` with globally time-ordered interleaving.
 
@@ -83,13 +82,8 @@ def run_concurrent(
     ``engine`` selects ``"fast"`` / ``"reference"`` / ``None`` (auto —
     fast unless ``REPRO_REFERENCE_SIM`` is set); both tiers produce
     bit-identical results.  A fast run returns the :class:`FastPhase` it
-    executed as ``ConcurrentRun.phase``; passing that back as ``phase``
-    for the same tiles at the same programs, bases and entry pcs (what a
-    lowered plan's guard establishes) skips decoding and phase analysis
-    whenever :meth:`FastPhase.holds`.
+    executed as ``ConcurrentRun.phase`` (what a lowered plan records).
     """
-    if phase is not None and phase.holds():
-        return phase.run(max_cycles_per_tile, start_ns)
     if not tiles:
         return ConcurrentRun(makespan_ns=0.0)
     seen: set[tuple[int, int]] = set()
@@ -176,9 +170,7 @@ _ANALYSIS_MEMO_MAX = 4096
 class FastPhase:
     """One phase's fast-engine state, hoisted out of the event loop:
     each tile's ``(decoded program, base)``, validated footprint and
-    advance mode.  A caller that knows the phase repeats (a lowered plan)
-    keeps the object and re-checks only :meth:`holds` before a
-    :meth:`run`."""
+    advance mode (a lowered plan generates its epoch functions from it)."""
 
     tiles: list[Tile]
     decoded: list[tuple[_pd.DecodedProgram, int]]
@@ -225,26 +217,6 @@ class FastPhase:
                 _ANALYSIS_MEMO.clear()
             _ANALYSIS_MEMO[memo_key] = (modes, tuple(d for d, _ in decoded))
         return cls(tiles, decoded, footprints, modes)
-
-    def holds(self) -> bool:
-        """The per-run checks, per tile: the analysed entry pc, no
-        SEU-corrupted word, and :func:`predecode.footprint_for`'s verdict
-        unchanged (fingerprint words match, or still no footprint).
-        Program, residency and memory size are the caller's guarantee."""
-        for tile, (dec, base), fp, pc in zip(
-            self.tiles, self.decoded, self.footprints, self.pcs
-        ):
-            if tile.pc != pc or tile.imem.has_corruption:
-                return False
-            if fp is None:
-                if _pd.footprint_for(tile, dec, base) is not None:
-                    return False
-                continue
-            w = tile.dmem._words
-            for addr, value in fp.fingerprint:
-                if w[addr] != value:
-                    return False
-        return True
 
     def run(
         self, max_cycles_per_tile: int = 10_000_000, start_ns: float = 0.0

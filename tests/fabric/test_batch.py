@@ -18,12 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.fabric.assembler import assemble
-from repro.fabric.batch import (
-    BATCH_JIT_ENV,
-    CODEGEN_VERSION,
-    DEFAULT_MIN_VECTOR_LANES,
-    resolve_jit_tier,
-)
+from repro.fabric.batch import CODEGEN_VERSION, DEFAULT_MIN_VECTOR_LANES
 from repro.fabric.icap import IcapPort
 from repro.fabric.mesh import Mesh
 from repro.fabric.rtms import EpochSpec, RuntimeManager
@@ -31,14 +26,6 @@ from repro.kernels.fft.decompose import FFTPlan
 from repro.kernels.fft.runner import FabricFFT
 
 PLAN = FFTPlan(64, 8, 2)
-
-
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 @pytest.fixture(scope="module")
@@ -237,54 +224,22 @@ class TestDivergence:
 
 
 # ---------------------------------------------------------------------------
-# JIT tier selection
+# the vector floor: below ``min_vector_lanes`` every lane runs scalar
 # ---------------------------------------------------------------------------
 
 
 class TestJitTier:
-    def test_unknown_tier_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="valid tiers"):
-            resolve_jit_tier("turbo")
-        monkeypatch.setenv(BATCH_JIT_ENV, "warp9")
-        with pytest.raises(ValueError, match=BATCH_JIT_ENV):
-            resolve_jit_tier()
-
-    def test_auto_degrades_without_numba(self):
-        expected = "numba" if _numba_available() else "numpy"
-        assert resolve_jit_tier("auto") == expected
-        assert resolve_jit_tier(None) in ("numba", "numpy", "off")
-
-    @pytest.mark.skipif(
-        _numba_available(), reason="numba installed: explicit request works"
-    )
-    def test_explicit_numba_without_numba_errors(self):
-        with pytest.raises(ValueError, match="numba"):
-            resolve_jit_tier("numba")
-
     def test_off_tier_runs_every_lane_scalar(self, runner):
         rng = np.random.default_rng(9)
         xs = (
             rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
         ) * 0.01
         outs, result = _batch_outputs(
-            runner, list(xs), jit="off", min_vector_lanes=2
+            runner, list(xs), min_vector_lanes=len(xs) + 1
         )
-        assert result.degraded and result.jit_tier == "off"
-        for x, out in zip(xs, outs):
-            assert np.array_equal(out, runner.run(x).output)
-
-    @pytest.mark.skipif(
-        not _numba_available(), reason="numba not installed"
-    )
-    def test_numba_tier_bit_identical(self, runner):
-        rng = np.random.default_rng(10)
-        xs = (
-            rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
-        ) * 0.01
-        outs, result = _batch_outputs(
-            runner, list(xs), jit="numba", min_vector_lanes=2
-        )
-        assert not result.degraded and result.jit_tier == "numba"
+        assert result.degraded
+        assert result.degrade_reason == "vector tier disabled"
+        assert not any(lane.batched for lane in result.lanes)
         for x, out in zip(xs, outs):
             assert np.array_equal(out, runner.run(x).output)
 
@@ -299,7 +254,7 @@ class TestJitTier:
 
 
 # ---------------------------------------------------------------------------
-# generated-source persistence (the cached JIT tier)
+# generated-source persistence (the artifact cache's disk tier)
 # ---------------------------------------------------------------------------
 
 

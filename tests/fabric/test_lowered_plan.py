@@ -16,7 +16,6 @@ which the plan guard refuses) and to the reference interpreter.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from repro.compile.frontends import compile_kernel, compile_plan, get_frontend
 from repro.compile.ir import IRBuilder
 from repro.errors import ExecutionError, FaultError, JobCancelled
 from repro.fabric import predecode as pd
-from repro.fabric import rtms as rtms_module
 from repro.fabric import simulator
 from repro.fabric.assembler import assemble
 from repro.fabric.icap import IcapPort
@@ -73,7 +71,7 @@ class Fabric:
             self.mesh,
             IcapPort(),
             link_cost_ns=LINK_COST_NS,
-            engine="reference" if how == "reference" else None,
+            engine="reference" if how == "reference" else "fast",
         )
         if how == "unlowered":
             self.rtms.phase_hook = _no_op
@@ -329,27 +327,25 @@ def test_link_flipped_mid_job_ends_the_replay():
     assert fabrics[0].state() == fabrics[1].state()
 
 
-def test_cycle_budget_a_trace_crosses(monkeypatch):
+def test_cycle_budget_a_trace_crosses():
     artifact, fabrics, payloads = _warm_pair()
-    monkeypatch.setattr(
-        rtms_module,
-        "run_concurrent",
-        functools.partial(simulator.run_concurrent, max_cycles_per_tile=5),
-    )
     messages = []
     for fabric in fabrics:
+        fabric.rtms.max_cycles_per_tile = 5
         with pytest.raises(ExecutionError, match="exceeded 5 cycles") as info:
             fabric.rtms.execute_artifact(artifact, payloads[0], "budget_")
         messages.append(str(info.value))
+        del fabric.rtms.max_cycles_per_tile  # back to the class default
     assert messages[0] == messages[1]
     assert fabrics[0].state() == fabrics[1].state()
-    monkeypatch.undo()
     _falls_back_once_then_replays(artifact, fabrics, payloads[1:])
 
 
 def test_cancel_mid_job_then_resume_from_the_checkpoint():
     spec = fft_spec(64, 8, 2)
     sessions = [FFTSession(spec), FFTSession(spec)]
+    for session in sessions:
+        session.rtms.engine = "fast"  # whatever REPRO_REFERENCE_SIM says
     sessions[1].rtms.phase_hook = _no_op
     payloads = _payloads("fft", 8, seed=2)
 
@@ -396,6 +392,92 @@ def test_cancel_mid_job_then_resume_from_the_checkpoint():
     for payload in payloads[5:]:
         deltas = same_run(lambda s: s.run(payload, CancelToken()))
         assert deltas[0] == (1, 0)
+
+
+def test_changed_control_word_reanalyses_only_its_epoch(monkeypatch):
+    """A fingerprint word rewritten between two slices of a replaying job
+    fails that epoch's per-run compare: its phase alone is analysed
+    afresh (the word is back before the next one), the replay goes on,
+    and the job stays equal to the oracle."""
+    program = assemble(
+        """
+        .org 16
+        .var p
+        .word p, 2
+        ADD 8, @p, #1
+        ADD 9, 9, 8
+        HALT
+        """,
+        name="pointer",
+    )
+    builder = IRBuilder("pointer", {}, 1, 1, LINK_COST_NS)
+    for index in range(3):
+        builder.emit(EpochSpec(
+            name=f"run{index}", programs={(0, 0): program}, run=[(0, 0)]
+        ))
+    artifact = compile_plan(builder.graph(), builder.plan())
+    fabrics = Fabric.trio(artifact)
+    for index in range(3):
+        deltas = _same_job(fabrics, artifact, None, f"j{index}_")
+    assert deltas[0] == (1, 0)
+    analysed = []
+    analyse = simulator.FastPhase.analyse.__func__
+    monkeypatch.setattr(
+        simulator.FastPhase, "analyse",
+        classmethod(lambda cls, tiles: analysed.append(tiles) or analyse(cls, tiles)),
+    )
+    reports = []
+    for fabric in fabrics:
+        analysed.clear()
+        before = pd.COUNTERS.plan_runs
+        epochs = artifact.bind(None, "poked_")
+        dmem = fabric.mesh.tile((0, 0)).dmem
+        report = []
+        for epoch, pointer in zip(epochs, (2, 5, 2)):
+            dmem.poke(16, pointer)  # the pointer ``p``
+            report += fabric.rtms.execute([epoch]).epochs
+        reports.append(report)
+        if fabric is fabrics[0]:
+            assert pd.COUNTERS.plan_runs == before + 1
+            assert len(analysed) == 1  # epoch 1 only; epoch 2 replays
+    assert reports[0] == reports[1] == reports[2]
+    assert fabrics[0].state() == fabrics[1].state() == fabrics[2].state()
+
+
+def test_a_second_manager_replays_without_compiling():
+    """Compiled epoch functions are cached process-wide: a re-created
+    session records its plan again but compiles nothing."""
+    artifact = _artifact("fft")
+    payloads = _payloads("fft", 3, seed=4)
+    first = Fabric(artifact.rows, artifact.cols)
+    first.rtms.run_setup(artifact)
+    for index, payload in enumerate(payloads):
+        first.job(artifact, payload, f"j{index}_")
+    compiled = pd.COUNTERS.statements
+    second = Fabric.trio(artifact)
+    deltas = [
+        _same_job(second, artifact, payload, f"j{index}_")[0]
+        for index, payload in enumerate(payloads)
+    ]
+    assert deltas == [(0, 0), (0, 0), (1, 0)]
+    assert pd.COUNTERS.statements == compiled
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sliced_replay_equals_unlowered_epoch_by_epoch(kind):
+    """Every kind, one ``execute`` per epoch: each replayed
+    ``EpochReport``, the ``Transfer`` log, tile stats and memory counters
+    equal the unlowered run's after every slice."""
+    artifact = _artifact(kind)
+    lowered, unlowered, _ = Fabric.trio(artifact)
+    for index, payload in enumerate(_payloads(kind, 4, seed=5)):
+        for epoch in artifact.bind(payload, f"j{index}_"):
+            reports = [
+                fabric.rtms.execute([epoch]).epochs
+                for fabric in (lowered, unlowered)
+            ]
+            assert reports[0] == reports[1]
+            assert lowered.state() == unlowered.state()
 
 
 class _AsFabric:

@@ -155,6 +155,103 @@ class TestDifferential:
 
 
 # ---------------------------------------------------------------------------
+# (a') register-allocated traces: locals, unwrapped add chains, aliasing
+# ---------------------------------------------------------------------------
+
+#: Words within 2**16 of the 48-bit extremes: any add chain overflows.
+_NEAR = st.one_of(
+    st.integers(2**47 - 2**16, 2**47 - 1),
+    st.integers(-(2**47), -(2**47) + 2**16),
+)
+#: ADD/SUB twice as likely, so most results feed further adds.
+_CHAIN_OPS = ("ADD", "ADD", "SUB", "SUB", "NEG", "MULQ", "SRA", "MIN", "SNB")
+_WINDOW = 48  # dmem[0..48) is the payload; the loop walks [8, 48)
+
+
+@st.composite
+def _chain_op(draw, sources, targets):
+    op = draw(st.sampled_from(_CHAIN_OPS))
+    dst = draw(st.sampled_from(targets))
+    a, b = draw(st.sampled_from(sources)), draw(st.sampled_from(sources))
+    if op == "NEG":
+        return f"NEG {dst}, {a}"
+    if op == "MULQ":
+        return f"MULQ {dst}, {a}, {b}, {draw(st.integers(1, 47))}"
+    if op == "SRA":
+        return f"SRA {dst}, {a}, #{draw(st.integers(0, 47))}"
+    if op == "SNB":
+        return f"SNB.E {draw(st.integers(0, 511))}, {a}"
+    return f"{op} {dst}, {a}, {b}"
+
+
+@st.composite
+def chain_programs(draw):
+    """(initial payload, assembly): straight-line runs and counted loops
+    of add chains over a few busy words, operands near +-2**47."""
+    initial = draw(st.lists(_NEAR, min_size=_WINDOW, max_size=_WINDOW))
+    busy = [str(r) for r in range(6)]
+    lines = [".org 100", ".var cnt", ".var p", "MOV p, #8"]
+    for index in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            for _ in range(draw(st.integers(1, 40))):
+                lines.append(draw(_chain_op(busy, busy)))
+            continue
+        trips = draw(st.sampled_from([3, 24, 40]))
+        lines += ["MOV p, #8", f"MOV cnt, #{trips}", f"loop{index}:"]
+        for _ in range(draw(st.integers(1, 4))):
+            lines.append(draw(_chain_op(busy + ["@p"], busy + ["@p"])))
+        lines += ["ADD p, p, #1", "SUB cnt, cnt, #1", f"BNZ cnt, loop{index}"]
+    lines.append("HALT")
+    return initial, "\n".join(lines)
+
+
+def _lowered_equals_the_interpreter(initial, source):
+    """Run ``source`` on both engines; returns the lowered footprint."""
+    program = assemble(source)
+    results = {}
+    lowered = pd.COUNTERS.lowered_runs
+    for engine in ("fast", "reference"):
+        mesh, west = _pair_mesh(initial, program)
+        west.run(engine=engine)
+        results[engine] = _state(mesh)
+    assert results["fast"] == results["reference"]  # both tiles, all of it
+    assert pd.COUNTERS.lowered_runs == lowered + 1
+    return pd.predecode(program).__dict__["_footprints"][0]
+
+
+class TestRegisterAllocation:
+    @given(chain_programs())
+    @settings(max_examples=80, deadline=None)
+    def test_chains_near_the_word_limits_match_the_interpreter(self, case):
+        _lowered_equals_the_interpreter(*case)
+
+    def test_a_word_a_loop_column_can_address_stays_in_memory(self):
+        """``@p`` walks over word 10 while the loop also names it: 10 is
+        aliased, so it is read and written in memory; word 5 is not."""
+        source = """
+        .org 100
+        .var cnt
+        .var p
+        MOV p, #8
+        MOV cnt, #40
+        loop:
+        ADD 10, 10, @p
+        ADD 5, 5, 10
+        MULQ @p, @p, 5, 20
+        ADD p, p, #1
+        SUB cnt, cnt, #1
+        BNZ cnt, loop
+        HALT
+        """
+        footprint = _lowered_equals_the_interpreter(
+            [2**47 - 1 - i for i in range(_WINDOW)], source
+        )
+        [chunk] = footprint.chunks
+        assert "r5" in chunk.__code__.co_varnames
+        assert "r10" not in chunk.__code__.co_varnames
+
+
+# ---------------------------------------------------------------------------
 # (b) fallback edges: same exception, same pc, same partial stats
 # ---------------------------------------------------------------------------
 
@@ -347,6 +444,7 @@ def test_every_registered_kernel_serves_warm_jobs_lowered():
         params = frontend.canonicalize(None)
         rng = np.random.default_rng(3)
         session = default_session_factory(spec_for(kind))
+        session.rtms.engine = "fast"  # whatever REPRO_REFERENCE_SIM says
         session.run(frontend.example_payload(params, rng), CancelToken())
         lowered, fallbacks = pd.COUNTERS.lowered_runs, pd.COUNTERS.fallback_runs
         for _ in range(10):
@@ -395,7 +493,8 @@ def test_long_trace_compiles_into_bounded_chunks():
     footprint = _both_engines(
         assemble(body + "\nHALT"), [3, -5, 7, 11, -13, 2**40]
     )
-    assert pd.COUNTERS.statements == compiled + 500
+    # every chunk loads its six busy words into locals and stores them back
+    assert pd.COUNTERS.statements == compiled + 500 + 2 * len(footprint.chunks)
     assert len(footprint.chunks) == math.ceil(500 / pd._CHUNK_STATEMENTS)
     assert all(
         0 < _source_lines(chunk) <= pd._CHUNK_STATEMENTS
@@ -429,9 +528,11 @@ def test_counted_loop_body_is_compiled_once():
         assemble(source), [3, -5, 7, 11, -13, 2**40, 0, 0, *range(1, 25)]
     )
     assert footprint.instructions > 600
-    [chunk] = footprint.chunks  # body + loop header + two control stores
-    assert _source_lines(chunk) == 6 + 1 + 2
-    assert pd.COUNTERS.statements == compiled + 6 + 1 + 2
+    # register loads + loop header + body + two control stores + register
+    # stores: words 0-5 stay in locals across the 100 iterations
+    [chunk] = footprint.chunks
+    assert _source_lines(chunk) == 1 + 1 + 6 + 2 + 1
+    assert pd.COUNTERS.statements == compiled + 1 + 1 + 6 + 2 + 1
 
 
 def test_rolled_loop_with_neighbour_stores():
