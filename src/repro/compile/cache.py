@@ -14,11 +14,12 @@ Two-level keying, deliberately split:
 The optional on-disk store persists artifacts as pickles named by their
 content hash, plus an ``index.json`` mapping request keys to hashes so a
 fresh process reaches the disk tier without lowering first.  Predecoded
-closures are unpicklable by design
-(:meth:`CompiledArtifact.__getstate__` drops them) and input-port
+closures are unpicklable by design and the switch pieces are derived
+state (:meth:`CompiledArtifact.__getstate__` drops both), and input-port
 encoders pickle as their static signature
 (:func:`repro.compile.ir.register_port_encoder` rebuilds them), so a
-disk load re-runs the predecode pass before the artifact is handed out;
+disk load re-runs the predecode and switch-table passes before the
+artifact is handed out;
 loaded artifacts are re-verified against the hash embedded in the file
 name.
 Note that disk-loaded artifacts carry *fresh* ``Program`` objects —
@@ -45,7 +46,11 @@ from repro.errors import CompileError
 from repro.locks import FileLock
 
 from repro.compile.ir import CompiledArtifact
-from repro.compile.passes import predecode_pass, CompileUnit
+from repro.compile.passes import (
+    CompileUnit,
+    predecode_pass,
+    switch_table_pass,
+)
 
 __all__ = ["CacheStats", "ArtifactCache", "get_cache", "cache_stats",
            "clear_cache"]
@@ -283,11 +288,14 @@ class ArtifactCache:
                 f"disk store entry {path.name} hashes to "
                 f"{artifact.artifact_hash[:12]}… (corrupt or renamed)"
             )
-        # Predecoded closures are stripped before pickling; revive them.
+        # Predecoded closures and switch pieces are stripped before
+        # pickling; revive them.
         unit = CompileUnit(graph=artifact.graph, plan=artifact.plan)
         predecode_pass(unit)
+        switch_table_pass(unit)
         artifact.programs = tuple(unit.programs)
         artifact.decoded = tuple(unit.decoded)
+        artifact.switch_pieces = unit.switch_pieces
         return artifact
 
     def _disk_save(self, artifact: CompiledArtifact) -> None:

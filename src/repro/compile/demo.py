@@ -49,7 +49,7 @@ def _describe(artifact: CompiledArtifact) -> list[str]:
         )
         for i in range(k):
             row = "  ".join(
-                f"{artifact.switch_table[i][j]:10.1f}" for j in range(k)
+                f"{artifact.switch_cost_ns(i, j):10.1f}" for j in range(k)
             )
             lines.append(f"    after {artifact.epoch_names[i]:<18} {row}")
     return lines

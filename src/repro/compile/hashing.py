@@ -14,11 +14,19 @@ pin down:
   word, or one instruction word yields a different hash.
 
 Python's built-in ``hash`` is salted per process and is never used.
+
+:func:`canonical_bytes` over :func:`epoch_fingerprint` is the reference
+encoding of an epoch.  :func:`plan_hash` emits the same bytes through
+:func:`epoch_bytes`, a flat encoder that writes coordinates, link
+targets and word images straight from the :class:`EpochSpec` instead of
+building and walking a fingerprint; any value outside the exact types it
+handles sends the epoch through the reference encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Any
 
 from repro.errors import CompileError
@@ -31,6 +39,7 @@ __all__ = [
     "plan_hash_prefix",
     "program_fingerprint",
     "epoch_fingerprint",
+    "epoch_bytes",
 ]
 
 
@@ -131,6 +140,77 @@ def epoch_fingerprint(spec: EpochSpec) -> tuple:
     )
 
 
+#: ``_emit`` of a link target: a principal direction or ``None``.
+_LINK_BYTES = {d: b"d" + d.name.encode("ascii") + b";" for d in Direction}
+_LINK_BYTES[None] = b"n;"
+#: ``_emit`` of an ``(int, int)`` coordinate and of one ``int: int`` word.
+_COORD = b"t2:i%d;i%d;"
+_WORD = b"i%d;i%d;"
+_LINK_TYPES = {Direction, type(None)}
+_SEQUENCE_TYPES = (list, tuple)
+
+
+def _flat_epoch(spec: EpochSpec) -> bytes | None:
+    """``canonical_bytes(epoch_fingerprint(spec))`` emitted straight from
+    the spec, or ``None`` when some piece is not of the exact type this
+    encoder handles (``(int, int)`` coordinates, ``Direction``/``None``
+    links, ``dict`` images of ``int`` to ``int``, list or tuple runs).
+
+    Exact ``type`` tests keep ``bool`` and numpy integers, which ``%d``
+    would format as plain numbers, on the reference path.  Keys sort as
+    ints and int pairs, so the bytes do not depend on the hash seed.
+    """
+    name, links, programs = spec.name, spec.links, spec.programs
+    data_images, pokes = spec.data_images, spec.pokes
+    run, depends_on = spec.run, spec.depends_on
+    if (type(name) is not str or type(run) not in _SEQUENCE_TYPES
+            or type(depends_on) not in _SEQUENCE_TYPES):
+        return None
+    coords = [*links, *programs, *data_images, *pokes, *run, *depends_on]
+    if not (set(map(type, coords)) <= {tuple} and set(map(len, coords)) <= {2}
+            and set(map(type, chain.from_iterable(coords))) <= {int}
+            and set(map(type, links.values())) <= _LINK_TYPES):
+        return None
+    raw = name.encode("utf-8")
+    out = [b"t9:s5:epochs%d:" % len(raw), raw, b"m%d:" % len(links)]
+    for coord in sorted(links):
+        out.append(_COORD % coord)
+        out.append(_LINK_BYTES[links[coord]])
+    out.append(b"m%d:" % len(programs))
+    for coord in sorted(programs):
+        out.append(_COORD % coord)
+        out.append(_program_canonical(programs[coord]))
+    for images in (data_images, pokes):
+        out.append(b"m%d:" % len(images))
+        for coord in sorted(images):
+            image = images[coord]
+            if type(image) is not dict:
+                return None
+            types = set(map(type, image))
+            types.update(map(type, image.values()))
+            if not types <= {int}:
+                return None
+            out.append(_COORD % coord)
+            out.append(b"m%d:" % len(image))
+            out.append((_WORD * len(image))
+                       % tuple(chain.from_iterable(sorted(image.items()))))
+    out.append(b"t%d:" % len(run))
+    out.extend(map(_COORD.__mod__, run))
+    out.append(b"b1;" if spec.restart else b"b0;")
+    out.append(b"t%d:" % len(depends_on))
+    out.extend(map(_COORD.__mod__, depends_on))
+    return b"".join(out)
+
+
+def epoch_bytes(spec: EpochSpec) -> bytes:
+    """``canonical_bytes(epoch_fingerprint(spec))``, encoded flat when
+    the spec allows (see :func:`_flat_epoch`)."""
+    flat = _flat_epoch(spec)
+    if flat is None:
+        flat = canonical_bytes(epoch_fingerprint(spec))
+    return _Canonical(flat)
+
+
 def plan_hash_prefix(artifact, bits: int = 64) -> int:
     """Routing key: the top ``bits`` bits of a plan's content address.
 
@@ -177,10 +257,10 @@ def plan_hash(plan) -> str:
         plan.rows,
         plan.cols,
         float(plan.link_cost_ns),
-        tuple(epoch_fingerprint(spec) for spec in plan.setup),
+        tuple(epoch_bytes(spec) for spec in plan.setup),
         None if port is None else (
             "input", port.name, tuple(port.depends_on), tuple(port.signature)
         ),
-        tuple(epoch_fingerprint(spec) for spec in plan.body),
+        tuple(epoch_bytes(spec) for spec in plan.body),
     )
     return hashlib.sha256(canonical_bytes(doc)).hexdigest()

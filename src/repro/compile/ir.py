@@ -19,8 +19,9 @@ The pipeline mirrors what a CGRA toolchain calls its mid-end
    interchangeable.
 3. :class:`CompiledArtifact` — the executable product: eagerly
    predecoded tile programs, per-epoch cold bitstream deltas, and the
-   pairwise switch-cost table (Eq. 1's term-B oracle), plus the content
-   hash and per-pass timings.
+   per-epoch transfer pieces the pairwise switch-cost table (Eq. 1's
+   term-B oracle) is priced from on demand, plus the content hash and
+   per-pass timings.
 
 Epoch *templates* in a plan are tagless; :meth:`CompiledArtifact.bind`
 prefixes a per-work-item tag (the streaming/serving discipline the FFT
@@ -47,6 +48,7 @@ __all__ = [
     "InputPort",
     "EpochPlan",
     "PassTiming",
+    "SwitchPieces",
     "CompiledArtifact",
     "IRBuilder",
     "register_port_encoder",
@@ -287,17 +289,29 @@ class PassTiming:
     wall_ns: float
 
 
+#: What one epoch transfers when it runs: its program loads ``(coord,
+#: program, ns)`` and link targets ``(coord, direction)`` in coordinate
+#: order, and the durations of its charged data images.
+SwitchPieces = tuple[
+    tuple[tuple[Coord, Any, float], ...],
+    tuple[float, ...],
+    tuple[tuple[Coord, Direction | None], ...],
+]
+
+
 @dataclass
 class CompiledArtifact:
     """The executable product of one compile.
 
     ``programs``/``decoded`` hold every distinct tile program of the
     plan in first-use order with its eagerly predecoded fast-path table
-    (no lazy per-tile decode on the first work item).  ``switch_table``
-    is the pairwise reconfiguration-cost oracle over ``epoch_names``
-    (see :func:`repro.compile.passes.switch_table_pass`), and
-    ``cold_bytes``/``cold_link_changes`` the per-epoch bitstream deltas
-    a cold fabric streams.  ``artifact_hash`` is the content address.
+    (no lazy per-tile decode on the first work item).
+    ``switch_pieces`` records, per entry of ``epoch_names``, what that
+    epoch transfers (see :func:`repro.compile.passes.switch_table_pass`);
+    :meth:`switch_cost_ns` prices one pair of the reconfiguration-cost
+    oracle from them.  ``cold_bytes``/``cold_link_changes`` are the
+    per-epoch bitstream deltas a cold fabric streams.  ``artifact_hash``
+    is the content address.
     """
 
     plan: EpochPlan
@@ -305,7 +319,7 @@ class CompiledArtifact:
     programs: tuple = ()  # tuple[Program, ...] (kept loose for pickling)
     decoded: tuple = ()  # parallel tuple[DecodedProgram, ...]
     epoch_names: tuple[str, ...] = ()
-    switch_table: tuple[tuple[float, ...], ...] = ()
+    switch_pieces: tuple[SwitchPieces, ...] = ()
     cold_bytes: tuple[int, ...] = ()
     cold_link_changes: tuple[int, ...] = ()
     artifact_hash: str = ""
@@ -375,8 +389,40 @@ class CompiledArtifact:
         ]
 
     def switch_cost_ns(self, i: int, j: int) -> float:
-        """Table lookup: marginal cost of epoch ``j`` right after ``i``."""
-        return self.switch_table[i][j]
+        """Marginal cost of epoch ``j`` right after epoch ``i``.
+
+        A fresh fabric right after ``i`` holds one program per tile and
+        the links ``i`` configured; ``j``'s pieces are charged against
+        that state in the order the planner charges them (loads, images,
+        links), so the float is bit-identical to the runtime's.
+        """
+        previous = self.plan.epochs[i]
+        resident, links = previous.programs, previous.links
+        loads, images, targets = self.switch_pieces[j]
+        link_cost_ns = self.plan.link_cost_ns
+        total = 0.0
+        for coord, program, ns in loads:
+            if resident.get(coord) is not program:
+                total += ns
+        for ns in images:
+            total += ns
+        for coord, direction in targets:
+            if links.get(coord) != direction:
+                total += link_cost_ns
+        return total
+
+    @property
+    def switch_table(self) -> tuple[tuple[float, ...], ...]:
+        """Every pair of :meth:`switch_cost_ns`: ``table[i][j]``.
+
+        Built on each access (E² entries) for callers that want the
+        whole table; a scheduler prices only the pairs it needs.
+        """
+        n = len(self.switch_pieces)
+        return tuple(
+            tuple(self.switch_cost_ns(i, j) for j in range(n))
+            for i in range(n)
+        )
 
     @property
     def total_cold_bytes(self) -> int:
@@ -396,11 +442,21 @@ class CompiledArtifact:
     # -- pickling (the optional on-disk store) ---------------------------
 
     def __getstate__(self) -> dict:
-        """Drop the unpicklable predecoded closures; the disk loader
-        re-runs the predecode pass (see ``ArtifactCache._disk_load``)."""
+        """Drop the unpicklable predecoded closures and the derived
+        switch pieces; the disk loader re-runs the predecode and
+        switch-table passes (see ``ArtifactCache._disk_load``)."""
         state = dict(self.__dict__)
         state["decoded"] = ()
+        state["switch_pieces"] = ()
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Disk entries written before the table was priced on demand
+        # carry an eager ``switch_table``; the loader re-derives the
+        # pieces instead.
+        state = dict(state)
+        state.pop("switch_table", None)
+        self.__dict__.update(state)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import CompileError
+from repro.fabric.bitstream import DMEM_BYTES_PER_WORD, program_icap_bytes
 from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.predecode import predecode
@@ -46,6 +47,7 @@ from repro.compile.ir import (
     EpochPlan,
     KernelGraph,
     PassTiming,
+    SwitchPieces,
 )
 
 __all__ = [
@@ -63,11 +65,6 @@ __all__ = [
     "finish",
 ]
 
-#: Bytes streamed per 72-bit instruction word / 48-bit data word.
-IMEM_BYTES_PER_WORD = 9
-DMEM_BYTES_PER_WORD = 6
-
-
 @dataclass
 class CompileUnit:
     """Mutable state threaded through the pass pipeline."""
@@ -77,7 +74,7 @@ class CompileUnit:
     programs: list = field(default_factory=list)
     decoded: list = field(default_factory=list)
     epoch_names: tuple[str, ...] = ()
-    switch_table: tuple[tuple[float, ...], ...] = ()
+    switch_pieces: tuple[SwitchPieces, ...] = ()
     cold_bytes: tuple[int, ...] = ()
     cold_link_changes: tuple[int, ...] = ()
     artifact_hash: str = ""
@@ -259,66 +256,36 @@ def validate_routes_pass(unit: CompileUnit) -> None:
 
 
 def switch_table_pass(unit: CompileUnit) -> None:
-    """Precompute the pairwise switch-cost table over setup + body.
+    """Record, per epoch, the pieces the pairwise switch-cost table is
+    priced from.
 
-    ``table[i][j]`` is the reconfiguration time epoch ``j`` costs when it
-    executes immediately after epoch ``i`` on an otherwise fresh fabric —
-    exactly ``RuntimeManager.switch_cost([e_i, e_j]) -
-    RuntimeManager.switch_cost([e_i])`` on a fresh mesh (pinned by the
-    parity tests).  Row access is what a scheduler needs to score "how
-    expensive is it to jump from configuration ``i`` to ``j``" without
-    touching a mesh.
-
-    Mirrors ``switch_cost``'s delta rules exactly: resident programs
-    free, data images always charged, links charged only on change.
-    What epoch ``j`` would transfer — and how long each piece takes —
-    does not depend on its predecessor, so it is worked out once per
-    epoch (each distinct program is sized once); a pair then only tests
-    residency and link membership, adding the pieces in the order the
-    planner charges them so the floats come out bit-identical.
+    ``artifact.switch_cost_ns(i, j)`` is the reconfiguration time epoch
+    ``j`` costs when it executes immediately after epoch ``i`` on an
+    otherwise fresh fabric — exactly ``RuntimeManager.switch_cost([e_i,
+    e_j]) - RuntimeManager.switch_cost([e_i])`` on a fresh mesh (pinned
+    by the parity tests).  What epoch ``j`` would transfer — and how long
+    each piece takes — does not depend on its predecessor, so this pass
+    works it out once per epoch: its program loads ``(coord, program,
+    ns)`` and link targets ``(coord, direction)`` in coordinate order and
+    the durations of its charged data images.  An entry then only tests
+    ``i``'s residency and links against ``j``'s pieces, so the pass is
+    linear in the epochs and no E² table is built or stored.
     """
-    plan = unit.plan
-    epochs = plan.epochs
-    link_cost_ns = plan.link_cost_ns
     transfer_ns = IcapPort().transfer_ns
-    program_ns: dict[int, float] = {}
     pieces = []
-    for spec in epochs:
-        loads = []
-        for coord, program in sorted(spec.programs.items()):
-            ns = program_ns.get(id(program))
-            if ns is None:
-                nbytes = len(program.encoded()) * IMEM_BYTES_PER_WORD
-                if program.data_image:
-                    nbytes += len(program.data_image) * DMEM_BYTES_PER_WORD
-                ns = program_ns[id(program)] = transfer_ns(nbytes)
-            loads.append((coord, program, ns))
-        images = [
+    for spec in unit.plan.epochs:
+        loads = tuple(
+            (coord, program, transfer_ns(program_icap_bytes(program)))
+            for coord, program in sorted(spec.programs.items())
+        )
+        images = tuple(
             transfer_ns(len(image) * DMEM_BYTES_PER_WORD)
             for _, image in sorted(spec.data_images.items())
             if image
-        ]
-        pieces.append((loads, images, sorted(spec.links.items())))
-    table = []
-    for previous in epochs:
-        # A fresh fabric right after ``previous``: one program per tile
-        # resident, and the links it configured.
-        resident, links = previous.programs, previous.links
-        row = []
-        for loads, images, targets in pieces:
-            total = 0.0
-            for coord, program, ns in loads:
-                if resident.get(coord) is not program:
-                    total += ns
-            for ns in images:
-                total += ns
-            for coord, direction in targets:
-                if links.get(coord) != direction:
-                    total += link_cost_ns
-            row.append(total)
-        table.append(tuple(row))
-    unit.epoch_names = tuple(spec.name for spec in epochs)
-    unit.switch_table = tuple(table)
+        )
+        pieces.append((loads, images, tuple(sorted(spec.links.items()))))
+    unit.epoch_names = tuple(spec.name for spec in unit.plan.epochs)
+    unit.switch_pieces = tuple(pieces)
 
 
 def cold_deltas_pass(unit: CompileUnit) -> None:
@@ -341,8 +308,7 @@ def cold_deltas_pass(unit: CompileUnit) -> None:
         for coord, program in sorted(spec.programs.items()):
             if id(program) in resident.get(coord, ()):
                 continue
-            nbytes += len(program.encoded()) * IMEM_BYTES_PER_WORD
-            nbytes += len(program.data_image) * DMEM_BYTES_PER_WORD
+            nbytes += program_icap_bytes(program)
             resident.setdefault(coord, set()).add(id(program))
         for _, image in sorted(spec.data_images.items()):
             nbytes += len(image) * DMEM_BYTES_PER_WORD
@@ -391,7 +357,7 @@ def finish(unit: CompileUnit) -> CompiledArtifact:
         programs=tuple(unit.programs),
         decoded=tuple(unit.decoded),
         epoch_names=unit.epoch_names,
-        switch_table=unit.switch_table,
+        switch_pieces=unit.switch_pieces,
         cold_bytes=unit.cold_bytes,
         cold_link_changes=unit.cold_link_changes,
         artifact_hash=unit.artifact_hash,

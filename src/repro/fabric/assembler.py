@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.errors import AssemblerError
+from repro.fabric.bitstream import IMEM_BYTES_PER_WORD
 from repro.fabric.isa import (
     ALU_OPS,
     BRANCH_OPS,
@@ -91,7 +92,7 @@ class Program:
     @property
     def imem_bytes(self) -> int:
         """Bytes of instruction image pushed through the ICAP on a load."""
-        return self.imem_words * 9  # 72-bit words
+        return self.imem_words * IMEM_BYTES_PER_WORD
 
     def addr(self, symbol: str) -> int:
         """Resolve a ``.var`` symbol to its data-memory address."""

@@ -22,7 +22,17 @@ from dataclasses import dataclass
 from repro.errors import ReconfigError
 from repro.fabric.links import Direction
 
-__all__ = ["ReconfigKind", "PartialBitstream"]
+__all__ = [
+    "ReconfigKind",
+    "PartialBitstream",
+    "IMEM_BYTES_PER_WORD",
+    "DMEM_BYTES_PER_WORD",
+    "program_icap_bytes",
+]
+
+#: Bytes streamed per 72-bit instruction word / 48-bit data word.
+IMEM_BYTES_PER_WORD = 9
+DMEM_BYTES_PER_WORD = 6
 
 _MAGIC = b"RPRB"
 _HEADER = struct.Struct("<4sBhhhI")  # magic, kind, row, col, aux, payload words
@@ -87,9 +97,9 @@ class PartialBitstream:
         are charged by duration, not bytes.
         """
         if self.kind is ReconfigKind.IMEM:
-            return self.payload_words * 9
+            return self.payload_words * IMEM_BYTES_PER_WORD
         if self.kind is ReconfigKind.DMEM:
-            return self.payload_words * 6
+            return self.payload_words * DMEM_BYTES_PER_WORD
         return 0
 
     # ------------------------------------------------------------------
@@ -125,3 +135,19 @@ class PartialBitstream:
             for i in range(nwords)
         )
         return cls(ReconfigKind(kind), (row, col), words, aux)
+
+
+def program_icap_bytes(program) -> int:
+    """Bytes one load of ``program`` streams: its instruction image plus
+    its ``.var`` data image.
+
+    Programs are immutable, so the size is cached on the object (as its
+    encoded words are); the compile passes size every load from here.
+    """
+    cached = program.__dict__.get("_icap_bytes")
+    if cached is None:
+        cached = program.__dict__["_icap_bytes"] = (
+            program.imem_words * IMEM_BYTES_PER_WORD
+            + len(program.data_image) * DMEM_BYTES_PER_WORD
+        )
+    return cached

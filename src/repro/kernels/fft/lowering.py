@@ -164,7 +164,8 @@ class _FFTLowering:
 
     def _twiddle_epoch(self, col: int, stage: int) -> EpochSpec | None:
         """Install stage twiddles; YELLOW tiles pay the ICAP, others are free."""
-        lay = self.layout
+        re_base, im_base = self.layout.wre, self.layout.wim
+        wre, wim = self._wre_words, self._wim_words
         images: dict[Coord, dict[int, int]] = {}
         pokes: dict[Coord, dict[int, int]] = {}
         for row in range(self.plan.rows):
@@ -172,9 +173,10 @@ class _FFTLowering:
             image = self._twiddle_images.get((row, stage))
             if image is None:
                 exps = self.plan.tile_twiddle_exponents(row, stage)
-                wre, wim = self._wre_words, self._wim_words
-                image = {lay.wre + j: wre[e] for j, e in enumerate(exps)}
-                image.update((lay.wim + j, wim[e]) for j, e in enumerate(exps))
+                image = dict(zip(range(re_base, re_base + len(exps)),
+                                 map(wre.__getitem__, exps)))
+                image.update(zip(range(im_base, im_base + len(exps)),
+                                 map(wim.__getitem__, exps)))
                 self._twiddle_images[(row, stage)] = image
             if cls is TwiddleClass.YELLOW:
                 images[(row, col)] = image

@@ -8,6 +8,7 @@ import pytest
 
 from repro.compile.cache import ArtifactCache, CacheStats
 from repro.compile.frontends import compile_fft, compile_jpeg
+from repro.compile.ir import CompiledArtifact
 from repro.errors import CompileError
 from repro.kernels.fft.decompose import FFTPlan
 
@@ -115,6 +116,44 @@ class TestDiskTier:
 
         bound = revived.bind(np.zeros((8, 8)))
         assert bound[0].name == "pixels" and bound[0].pokes
+
+    def test_pickled_state_carries_no_switch_pieces(self):
+        artifact = compile_fft(FFTPlan(16, 16, 1), cache=ArtifactCache())
+        state = artifact.__getstate__()
+        assert state["switch_pieces"] == () and state["decoded"] == ()
+        assert "switch_table" not in state
+        assert len(artifact.switch_pieces) == len(artifact.epoch_names)
+
+    def test_entry_with_a_stored_switch_table_loads_and_prices(
+            self, tmp_path, monkeypatch):
+        # Older disk entries pickled the eager E² ``switch_table`` field
+        # and no switch pieces; such an entry must still load and price
+        # every pair exactly like a fresh compile.
+        fresh = compile_fft(FFTPlan(64, 8, 2), 100.0, cache=ArtifactCache())
+        table = fresh.switch_table
+
+        def old_layout(self):
+            state = dict(self.__dict__)
+            state["decoded"] = ()
+            del state["switch_pieces"]
+            state["switch_table"] = table
+            return state
+
+        monkeypatch.setattr(CompiledArtifact, "__getstate__", old_layout)
+        blob = pickle.dumps(fresh)
+        monkeypatch.undo()
+        assert b"switch_table" in blob and b"switch_pieces" not in blob
+        (tmp_path / f"{fresh.artifact_hash}.artifact").write_bytes(blob)
+
+        revived = ArtifactCache(disk_dir=tmp_path)._disk_load(
+            fresh.artifact_hash)
+        assert "switch_table" not in vars(revived)
+        n = len(fresh.epoch_names)
+        assert len(revived.switch_pieces) == n > 10
+        assert [revived.switch_cost_ns(i, j)
+                for i in range(n) for j in range(n)] == \
+            [fresh.switch_cost_ns(i, j) for i in range(n) for j in range(n)]
+        assert revived.switch_table == table
 
     def test_memoised_request_revives_from_disk_after_clearing_memory(
             self, tmp_path):

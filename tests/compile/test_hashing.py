@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compile import hashing
 from repro.compile.hashing import (
     canonical_bytes,
+    epoch_bytes,
     epoch_fingerprint,
     plan_hash,
     program_fingerprint,
 )
+from repro.compile.ir import IRBuilder
 from repro.errors import CompileError
 from repro.fabric.assembler import assemble
 from repro.fabric.links import Direction
@@ -153,3 +156,90 @@ class TestSemanticSensitivity:
         a = build_tiny_plan(image_word=w1).plan()
         b = build_tiny_plan(image_word=w2).plan()
         assert (plan_hash(a) == plan_hash(b)) == (w1 == w2)
+
+
+coords = st.tuples(st.integers(-2, 40), st.integers(-2, 40))
+words = st.one_of(
+    st.integers(-(2**47), 2**47 - 1),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -1, 2**47 - 1, -(2**47)]),
+)
+images = st.dictionaries(st.integers(-5, 600), words, max_size=6)
+sequences = st.one_of(
+    st.lists(coords, max_size=4),
+    st.lists(coords, max_size=4).map(tuple),
+)
+_PROGRAMS = [
+    assemble("MOV 5, #1\nHALT", name="tiny"),
+    assemble(".var a\n.word a, 42\nHALT", name="with_image"),
+]
+
+
+@st.composite
+def epoch_specs(draw):
+    return EpochSpec(
+        name=draw(st.text(max_size=8)),
+        links=draw(st.dictionaries(
+            coords, st.sampled_from([None, *Direction]), max_size=4)),
+        programs=draw(st.dictionaries(
+            coords, st.sampled_from(_PROGRAMS), max_size=3)),
+        data_images=draw(st.dictionaries(coords, images, max_size=3)),
+        pokes=draw(st.dictionaries(coords, images, max_size=3)),
+        run=draw(sequences),
+        restart=draw(st.booleans()),
+        depends_on=draw(sequences),
+    )
+
+
+def _plan_with(**epoch):
+    builder = IRBuilder("tiny", {}, 2, 2, 0.0)
+    builder.emit(EpochSpec(name="e", **epoch))
+    return builder.plan()
+
+
+class TestFlatEpochEncoder:
+    """``plan_hash`` encodes epochs flat; the fingerprint walk is the
+    reference it must match byte for byte."""
+
+    @settings(max_examples=200)
+    @given(epoch_specs())
+    def test_flat_bytes_equal_the_reference(self, spec):
+        reference = canonical_bytes(epoch_fingerprint(spec))
+        assert hashing._flat_epoch(spec) == reference
+        assert epoch_bytes(spec) == reference
+
+    def test_reference_types_take_the_reference_path(self):
+        # bool and numpy words would format as plain numbers under
+        # ``%d``; the flat encoder hands them to the general encoder.
+        import numpy as np
+
+        for image in ({3: True}, {np.int64(3): 1}, {3: 1.5}):
+            spec = EpochSpec(name="e", pokes={(0, 0): image})
+            assert hashing._flat_epoch(spec) is None
+        spec = EpochSpec(name="e", pokes={(0, 0): {3: True}})
+        assert epoch_bytes(spec) == canonical_bytes(epoch_fingerprint(spec))
+        assert b"b1;" in epoch_bytes(spec)
+        for odd in (EpochSpec(name="e", run=[[0, 1]]),
+                    EpochSpec(name="e", links={(0, True): None})):
+            assert hashing._flat_epoch(odd) is None
+            assert epoch_bytes(odd) == canonical_bytes(epoch_fingerprint(odd))
+
+    def test_numpy_word_is_a_compile_error(self):
+        import numpy as np
+
+        plan = _plan_with(pokes={(0, 0): {3: np.int64(7)}})
+        with pytest.raises(CompileError, match="cannot canonically hash"):
+            plan_hash(plan)
+
+    def test_set_value_is_a_compile_error(self):
+        plan = _plan_with(data_images={(0, 0): {1: set()}})
+        with pytest.raises(CompileError, match="cannot canonically hash"):
+            plan_hash(plan)
+
+    def test_float_address_hashes_as_a_tagged_float(self):
+        # A float address is no int: it goes through the reference
+        # encoder (tagged ``f``), so it never aliases the int address.
+        spec = EpochSpec(name="e", pokes={(0, 0): {3.0: 7}})
+        assert b"f3.0;i7;" in epoch_bytes(spec)
+        assert plan_hash(_plan_with(pokes={(0, 0): {3.0: 7}})) != \
+            plan_hash(_plan_with(pokes={(0, 0): {3: 7}}))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.compile.frontends import compile_fft, compile_jpeg
+from repro.fabric.bitstream import DMEM_BYTES_PER_WORD, IMEM_BYTES_PER_WORD
 from repro.fabric.icap import IcapPort
 from repro.fabric.mesh import Mesh
 from repro.fabric.rtms import RuntimeManager
@@ -58,6 +59,67 @@ class TestSwitchTableParity:
 
     def test_jpeg_chroma_variant(self):
         _assert_parity(compile_jpeg(90, chroma=True))
+
+
+def _eager_table(plan) -> list[list[float]]:
+    """The full pairwise table the switch-table pass used to build
+    eagerly — all E² pairs priced up front."""
+    epochs = plan.epochs
+    transfer_ns = IcapPort().transfer_ns
+    pieces = []
+    for spec in epochs:
+        loads = []
+        for coord, program in sorted(spec.programs.items()):
+            nbytes = len(program.encoded()) * IMEM_BYTES_PER_WORD
+            if program.data_image:
+                nbytes += len(program.data_image) * DMEM_BYTES_PER_WORD
+            loads.append((coord, program, transfer_ns(nbytes)))
+        images = [
+            transfer_ns(len(image) * DMEM_BYTES_PER_WORD)
+            for _, image in sorted(spec.data_images.items())
+            if image
+        ]
+        pieces.append((loads, images, sorted(spec.links.items())))
+    table = []
+    for previous in epochs:
+        resident, links = previous.programs, previous.links
+        row = []
+        for loads, images, targets in pieces:
+            total = 0.0
+            for coord, program, ns in loads:
+                if resident.get(coord) is not program:
+                    total += ns
+            for ns in images:
+                total += ns
+            for coord, direction in targets:
+                if links.get(coord) != direction:
+                    total += plan.link_cost_ns
+            row.append(total)
+        table.append(row)
+    return table
+
+
+class TestOnDemandEqualsEager:
+    """Each on-demand entry is the very float the eager table held."""
+
+    @pytest.mark.parametrize(
+        "artifact_fn",
+        [
+            lambda: compile_fft(FFTPlan(64, 8, 2), link_cost_ns=100.0),
+            lambda: compile_fft(FFTPlan(16, 16, 1)),
+            lambda: compile_jpeg(75),
+            lambda: compile_jpeg(90, chroma=True),
+        ],
+        ids=["fft64x8x2", "fft16x16x1", "jpeg75", "jpeg90-chroma"],
+    )
+    def test_every_entry_is_bit_identical(self, artifact_fn):
+        artifact = artifact_fn()
+        eager = _eager_table(artifact.plan)
+        n = len(eager)
+        got = [[artifact.switch_cost_ns(i, j) for j in range(n)]
+               for i in range(n)]
+        assert got == eager
+        assert artifact.switch_table == tuple(map(tuple, eager))
 
 
 class TestColdDeltasParity:
