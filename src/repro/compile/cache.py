@@ -13,9 +13,10 @@ Two-level keying, deliberately split:
 
 The optional on-disk store persists artifacts as pickles named by their
 content hash, plus an ``index.json`` mapping request keys to hashes so a
-fresh process reaches the disk tier without lowering first.  Predecoded
-closures are unpicklable by design and the switch pieces are derived
-state (:meth:`CompiledArtifact.__getstate__` drops both), and input-port
+fresh process reaches the disk tier without lowering first.  Decoded
+program tables cache compiled trace functions, which do not pickle, and
+the switch pieces are derived state
+(:meth:`CompiledArtifact.__getstate__` drops both), and input-port
 encoders pickle as their static signature
 (:func:`repro.compile.ir.register_port_encoder` rebuilds them), so a
 disk load re-runs the predecode and switch-table passes before the
@@ -137,10 +138,6 @@ class ArtifactCache:
         default_factory=OrderedDict)
     _memo: dict[RequestKey, str] = field(default_factory=dict)
     _index_lock: FileLock | None = field(default=None, repr=False)
-    #: Memory tier of the generated batch-codegen sources:
-    #: hash -> (codegen version, {source key -> source text}).
-    _batch_sources: dict[str, tuple[int, dict[str, str]]] = field(
-        default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -163,7 +160,6 @@ class ArtifactCache:
         still revive artifacts from disk)."""
         self._store.clear()
         self._memo.clear()
-        self._batch_sources.clear()
         self.stats = CacheStats()
         if self.disk_dir is not None:
             self._load_index()
@@ -288,8 +284,8 @@ class ArtifactCache:
                 f"disk store entry {path.name} hashes to "
                 f"{artifact.artifact_hash[:12]}… (corrupt or renamed)"
             )
-        # Predecoded closures and switch pieces are stripped before
-        # pickling; revive them.
+        # Decoded tables (and the traces they cache) and switch pieces are
+        # stripped before pickling; revive them.
         unit = CompileUnit(graph=artifact.graph, plan=artifact.plan)
         predecode_pass(unit)
         switch_table_pass(unit)
@@ -353,62 +349,6 @@ class ArtifactCache:
         self._insert(artifact)
         self._disk_save(artifact)
         return artifact
-
-    # -- batched-codegen source tier -------------------------------------
-
-    def _batch_source_path(self, artifact_hash: str) -> Path | None:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"{artifact_hash}.batchsrc"
-
-    def load_batch_sources(
-        self, artifact_hash: str, version: int
-    ) -> dict[str, str] | None:
-        """Generated batched-numpy sources persisted beside the artifact.
-
-        Keyed by plan hash + codegen version: a version mismatch (or any
-        corruption) reads as a miss, so the batch tier regenerates and
-        re-publishes.  Memory tier first, then the disk file.
-        """
-        cached = self._batch_sources.get(artifact_hash)
-        if cached is not None and cached[0] == version:
-            return dict(cached[1])
-        path = self._batch_source_path(artifact_hash)
-        if path is None or not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("version") != version:
-                return None
-            sources = payload["sources"]
-            if not isinstance(sources, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in sources.items()
-            ):
-                return None
-        except (OSError, ValueError, KeyError, TypeError):
-            return None  # pure cache: corruption means regenerate
-        self._batch_sources[artifact_hash] = (version, dict(sources))
-        return sources
-
-    def save_batch_sources(
-        self, artifact_hash: str, version: int, sources: dict[str, str]
-    ) -> None:
-        """Publish generated batch sources (atomic replace; best effort)."""
-        self._batch_sources[artifact_hash] = (version, dict(sources))
-        path = self._batch_source_path(artifact_hash)
-        if path is None:
-            return
-        data = json.dumps(
-            {"version": version, "sources": sources}, indent=1, sort_keys=True
-        ).encode("utf-8")
-        tmp = path.with_suffix(".batchsrc.tmp")
-        with tmp.open("wb") as fh:
-            fh.write(data)
-            if self.fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        tmp.replace(path)
 
     def lookup(self, artifact_hash: str) -> CompiledArtifact | None:
         """Content lookup (memory, then disk) without compiling; a

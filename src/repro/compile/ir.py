@@ -442,9 +442,10 @@ class CompiledArtifact:
     # -- pickling (the optional on-disk store) ---------------------------
 
     def __getstate__(self) -> dict:
-        """Drop the unpicklable predecoded closures and the derived
-        switch pieces; the disk loader re-runs the predecode and
-        switch-table passes (see ``ArtifactCache._disk_load``)."""
+        """Drop the decoded tables (they cache compiled trace functions,
+        which do not pickle) and the derived switch pieces; the disk
+        loader re-runs the predecode and switch-table passes (see
+        ``ArtifactCache._disk_load``)."""
         state = dict(self.__dict__)
         state["decoded"] = ()
         state["switch_pieces"] = ()

@@ -116,8 +116,8 @@ class Program:
     def __getstate__(self) -> dict:
         """Pickling support (the compile cache's on-disk artifact store):
         drop the derived caches stashed in ``__dict__`` — the encoded
-        words are cheap to rebuild and the predecoded table holds
-        closures that cannot be pickled at all."""
+        words are cheap to rebuild and the predecoded table caches
+        compiled traces that cannot be pickled at all."""
         return {k: v for k, v in self.__dict__.items()
                 if not k.startswith("_")}
 

@@ -22,7 +22,7 @@ the pilot does.  Safety nets, in order:
 
 * a phase is batched only when every tile decodes, every footprint
   validates, and the concurrent simulator's phase analysis proves the
-  exchange conflict-free (all tiles in FULL mode);
+  exchange conflict-free (``FastPhase.proven``);
 * a per-lane *fingerprint mask* compares each lane's control words
   against the profiled fingerprint — a diverging lane is degraded to the
   scalar path (checkpoint/rollback replay) without poisoning the batch,
@@ -33,14 +33,12 @@ the pilot does.  Safety nets, in order:
   exception inside the vector tier) degrades **all** non-pilot lanes to
   scalar replay.  The vector tier can therefore be slow, never wrong.
 
-Generated sources are exec'd as-is and persisted in the
-:class:`~repro.compile.cache.ArtifactCache` disk tier beside the
-artifact, keyed by plan hash + codegen version.
+Lane code compiles in milliseconds from the footprint's statements and
+is cached on the decoded program, per entry pc and fingerprint.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -55,14 +53,9 @@ __all__ = [
     "BatchError",
     "BatchResult",
     "LaneResult",
-    "CODEGEN_VERSION",
     "lane_trace",
     "execute_artifact_batch",
 ]
-
-#: Bumped whenever the generated-source shape changes; persisted sources
-#: with a different version are regenerated (cache key = plan hash + this).
-CODEGEN_VERSION = 2
 
 #: Below this lane count the vector tier costs more than it saves: numpy
 #: per-op dispatch overhead is flat in K, so a dispatch has a fixed wall
@@ -126,43 +119,26 @@ def lane_trace(
     footprint: Footprint,
     entry: int,
     words: list[int],
-    sources: "dict[str, str] | None" = None,
 ) -> tuple[Callable, ...]:
     """The run's lowered trace as ``(w, n)`` functions over lane arrays.
 
     Cached on the decode per ``(entry, fingerprint)``; ``words`` is a
     memory the fingerprint matches (a compiled trace has dropped its
-    statements, so they are profiled again from it).  ``sources`` is an
-    optional persistent source map (plan-hash keyed in the artifact
-    cache): a source found there is used as-is (a stale one is
-    regenerated), and generated sources are added so the caller can
-    flush the map back to disk.
+    statements, so they are profiled again from it).
     """
     cache = dec.__dict__.setdefault("_batch_code", {})
     code = cache.get((entry, footprint.fingerprint))
     if code is not None:
         return code
-    digest = hashlib.sha1(repr(footprint.fingerprint).encode()).hexdigest()[:10]
-    key = f"{dec.name}@{entry}@{digest}"
-    source = sources.get(key) if sources is not None else None
-    for attempt in (source, None):
-        if attempt is None:
-            rows = footprint.statements or _pd._profile_footprint(
-                dec, entry, words
-            ).statements
-            attempt = _pd.lane_source(rows)
-        namespace = {"np": np, "_mulq": _mulq, "_last": _last}
-        try:
-            exec(compile(attempt, f"<lanes:{dec.name}>", "exec"), namespace)
-        except Exception:
-            continue  # a stale persisted source: generate it afresh
-        if sources is not None:
-            sources[key] = attempt
-        count = sum(1 for name in namespace if name.startswith("_t"))
-        code = tuple(namespace[f"_t{index}"] for index in range(count))
-        cache[(entry, footprint.fingerprint)] = code
-        return code
-    raise AssertionError("generated lane source does not compile")  # pragma: no cover
+    rows = footprint.statements or _pd._profile_footprint(
+        dec, entry, words
+    ).statements
+    namespace = {"np": np, "_mulq": _mulq, "_last": _last}
+    exec(compile(_pd.lane_source(rows), f"<lanes:{dec.name}>", "exec"), namespace)
+    count = sum(1 for name in namespace if name.startswith("_t"))
+    code = tuple(namespace[f"_t{index}"] for index in range(count))
+    cache[(entry, footprint.fingerprint)] = code
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -319,47 +295,6 @@ def _broadcast_image(arr: np.ndarray, image: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# persistent source store (ArtifactCache disk tier)
-# ---------------------------------------------------------------------------
-
-
-class _SourceStore:
-    """Generated-source map persisted beside the artifact (best effort)."""
-
-    def __init__(self, artifact) -> None:
-        self.cache = None
-        self.artifact_hash = getattr(artifact, "artifact_hash", "") or ""
-        self.sources: dict[str, str] = {}
-        self._loaded_keys: frozenset[str] = frozenset()
-        if self.artifact_hash:
-            try:
-                from repro.compile.cache import get_cache
-
-                self.cache = get_cache()
-                loaded = self.cache.load_batch_sources(
-                    self.artifact_hash, CODEGEN_VERSION
-                )
-                if loaded:
-                    self.sources.update(loaded)
-            except Exception:
-                self.cache = None
-        self._loaded_keys = frozenset(self.sources)
-
-    def flush(self) -> None:
-        if self.cache is None or not self.artifact_hash:
-            return
-        if frozenset(self.sources) == self._loaded_keys:
-            return  # nothing new generated
-        try:
-            self.cache.save_batch_sources(
-                self.artifact_hash, CODEGEN_VERSION, self.sources
-            )
-            self._loaded_keys = frozenset(self.sources)
-        except Exception:
-            pass  # the source store is a pure cache; losing it is harmless
-
-
-# ---------------------------------------------------------------------------
 # the pilot-driven executor
 # ---------------------------------------------------------------------------
 
@@ -380,10 +315,9 @@ def _fingerprint_mask(fp: Footprint, arr: np.ndarray) -> np.ndarray:
 class _PhaseDriver:
     """The ``RuntimeManager.phase_hook`` advancing all lanes per phase."""
 
-    def __init__(self, rtms, state: BatchState, store: _SourceStore) -> None:
+    def __init__(self, rtms, state: BatchState) -> None:
         self.rtms = rtms
         self.state = state
-        self.store = store
         self.degraded = False
         self.reason = ""
 
@@ -406,7 +340,7 @@ class _PhaseDriver:
             for tile, fp in zip(tiles, footprints):
                 if fp is None:
                     raise BatchDegrade(f"no footprint for tile {tile.coord}")
-            if phase.fallbacks:
+            if not phase.proven:
                 raise BatchDegrade("phase not proven conflict-free")
             # -- per-lane divergence masks (sticky) ---------------------
             for tile, fp in zip(tiles, footprints):
@@ -417,9 +351,7 @@ class _PhaseDriver:
             # the tiles' runs commute, so each runs whole, in any order
             mesh, arrays = self.rtms.mesh, self.state.arrays
             for tile, (dec, base), fp in zip(tiles, decoded, footprints):
-                chunks = lane_trace(
-                    dec, fp, tile.pc - base, tile.dmem._words, self.store.sources
-                )
+                chunks = lane_trace(dec, fp, tile.pc - base, tile.dmem._words)
                 neighbour = None
                 if fp.remote:
                     direction = fp.direction
@@ -509,8 +441,7 @@ def execute_artifact_batch(
             for index, payload in enumerate(payloads[1:], start=1)
         ]
     state = BatchState(rtms.mesh, k)
-    store = _SourceStore(artifact)
-    driver = _PhaseDriver(rtms, state, store)
+    driver = _PhaseDriver(rtms, state)
     checkpoint = rtms.checkpoint()
     start_ns = rtms.now_ns
     busy_before = rtms.icap.total_busy_ns
@@ -532,7 +463,6 @@ def execute_artifact_batch(
             rtms.execute([epoch])
     finally:
         rtms.phase_hook = previous_hook
-        store.flush()
     pilot_sim = rtms.now_ns - start_ns
     pilot_reconfig = rtms.icap.total_busy_ns - busy_before
 

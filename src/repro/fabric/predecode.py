@@ -1,4 +1,4 @@
-"""The fast-path execution engine: predecoding, footprint proofs, lowering.
+"""The fast-path execution engine: footprint proofs and trace lowering.
 
 The reference interpreter (:meth:`repro.fabric.tile.Tile.step`) re-derives
 everything per instruction: it fetches through the bounds-checked
@@ -8,37 +8,33 @@ of all, recomputes the ``Instruction.cycles`` timing property on every
 step.  That is the right shape for an oracle and exactly the wrong shape
 for throughput.
 
-This module adds the fast tier of the two-tier engine:
+The fast engine does not interpret at all: a tile run is either its
+lowered trace or the oracle.
 
 * :func:`predecode` translates a :class:`~repro.fabric.assembler.Program`
-  **once** into a :class:`DecodedProgram`: a flat table of specialized,
-  code-generated Python closures (one per instruction, with addressing
-  modes, constants and wrapping arithmetic baked in) plus pre-computed
-  per-instruction cycle/read/write counts.  The result is cached on the
-  ``Program`` object, and is position-independent (branch targets are kept
-  program-local), so one decode serves every tile and load base.
+  **once** into a :class:`DecodedProgram`: the per-instruction branch
+  targets and cycle/read/write counts the footprint profiler walks, and
+  the directions the program can store toward.  The result is cached on
+  the ``Program`` object, and is position-independent (branch targets are
+  kept program-local), so one decode serves every tile and load base.
 * :func:`footprint_for` *proves*, per ``(program, entry pc)``, that control
   flow, addresses and shift amounts never depend on payload data, and in
   the same walk **lowers** the pinned trace: the whole control slice is
   constant-folded and every data-plane instruction becomes one Python
   statement with literal addresses (the repeated body of a long counted
   loop is compiled once, over a table of its addresses).
-  :func:`run_lowered` executes that code for any run whose live memory
+* :func:`run_lowered` executes that code for any run whose live memory
   matches the proof's fingerprint, whose trace fits the cycle budget and
   whose neighbour stores go through the active link — no dispatch, no
-  loop counters, no pointer arithmetic, no branches.
-* :func:`run_block` executes a decoded program in a tight loop until a
-  *communication boundary*: a ``HALT``, an ``SNB`` neighbour store (when
-  the caller asked to stop there), an exhausted cycle budget, or the pc
-  leaving the program region.  It is the path for every run the lowering
-  does not cover: unproven programs, phases the concurrent simulator must
-  interleave store by store, budget edges and faults (it stops at the
-  exact pc with exactly flushed partial statistics).
+  loop counters, no pointer arithmetic, no branches.  Every other run
+  (an unproven program, a phase whose stores must interleave, a budget
+  edge, a fault) goes to the oracle from its start state, which raises
+  the exact exception at the exact pc with exact partial statistics.
 
-Every path here is *observationally identical* to the reference
-interpreter: same memory images, same :class:`~repro.fabric.tile.TileStats`,
-same access counters, same exceptions at the same instruction.  The
-differential tests in ``tests/fabric/test_engine_equivalence.py`` and
+Both paths are *observationally identical*: same memory images, same
+:class:`~repro.fabric.tile.TileStats`, same access counters, same
+exceptions at the same instruction.  The differential tests in
+``tests/fabric/test_engine_equivalence.py`` and
 ``tests/fabric/test_lowering.py`` enforce this.  Set
 ``REPRO_REFERENCE_SIM=1`` (or pass ``engine="reference"`` to the run APIs)
 to force the oracle path when debugging.
@@ -54,7 +50,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import ExecutionError, MemoryError_
 from repro.fabric.fixedpoint import wrap_word
 from repro.fabric.isa import (
     ALU_OPS,
@@ -70,6 +65,7 @@ from repro.units import DATA_MEM_WORDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.assembler import Program
+    from repro.fabric.memory import DataMemory
     from repro.fabric.tile import Tile
 
 __all__ = [
@@ -77,16 +73,12 @@ __all__ = [
     "EngineCounters",
     "COUNTERS",
     "predecode",
-    "run_block",
+    "admit_lowered",
+    "run_trace",
     "run_lowered",
     "reference_forced",
     "resolve_engine",
     "VALID_ENGINES",
-    "BLOCK_HALT",
-    "BLOCK_COMM",
-    "BLOCK_BUDGET",
-    "BLOCK_EXIT",
-    "BLOCK_LIMIT",
 ]
 
 # ---------------------------------------------------------------------------
@@ -132,8 +124,10 @@ class EngineCounters:
 
     A *tile run* is one entry-to-``HALT`` execution started on the fast
     engine; it is either ``lowered`` (straight-line trace) or a
-    ``fallback`` (:func:`run_block` / the oracle: unproven footprint,
-    interleaved phase, budget edge, missing link, corrupted imem).
+    ``fallback`` to the oracle: an unproven footprint, a phase not proven
+    conflict-free, a budget edge, a missing link, or a tile the engine
+    cannot decode (corrupted imem, a non-standard memory, a pc outside
+    the image).
     A *plan* counter counts whole artifact jobs, not tile runs.
     """
 
@@ -154,59 +148,12 @@ class EngineCounters:
 COUNTERS = EngineCounters()
 
 
-# ---------------------------------------------------------------------------
-# block boundaries
-# ---------------------------------------------------------------------------
-
-#: The tile executed a ``HALT``.
-BLOCK_HALT = 0
-#: The tile stopped *before* an ``SNB`` (communication boundary).
-BLOCK_COMM = 1
-#: The cycle budget was exceeded (checked after each instruction, matching
-#: the reference ``consumed > max_cycles`` semantics).
-BLOCK_BUDGET = 2
-#: The pc left the decoded program's region (co-residency fall-through);
-#: callers resume with the reference interpreter for exact semantics.
-BLOCK_EXIT = 3
-#: The caller's ``max_instrs`` limit was reached (single-stepping tiles
-#: that other tiles store into keeps global time order exact).
-BLOCK_LIMIT = 4
-
-# instruction kinds in the decoded table
-_K_PLAIN = 0
-_K_BRANCH = 1
-_K_JMP = 2
-_K_HALT = 3
-_K_SNB = 4
-_K_NOP = 5
-
 _N = DATA_MEM_WORDS
 _MASK = (1 << 48) - 1
 _SIGN = 1 << 47
 
-class _FusedFault(Exception):
-    """Internal: an instruction inside a fused superblock raised.
-
-    Carries the number of instructions the block *completed* before the
-    fault plus the original exception, so :func:`run_block` can flush
-    partial statistics exactly as the per-instruction path would have.
-    """
-
-    def __init__(self, index: int, exc: BaseException) -> None:
-        self.index = index
-        self.exc = exc
-
-
 #: Directions indexed by their ``SNB`` aux code.
 _DIRS = tuple(Direction)
-
-#: Shared globals for the generated closures and lowered traces.
-_GEN_GLOBALS = {
-    "ExecutionError": ExecutionError,
-    "MemoryError_": MemoryError_,
-    "_FusedFault": _FusedFault,
-    "_DIRS": _DIRS,
-}
 
 
 @dataclass(eq=False)  # identity semantics: decoded tables key the phase-analysis memo
@@ -220,12 +167,8 @@ class DecodedProgram:
     """
 
     name: str
-    #: Original decoded instructions (for error messages / introspection).
+    #: Original decoded instructions (what the footprint profiler walks).
     instrs: list[Instruction]
-    #: Per-pc kind code (plain / branch / jmp / halt / snb / nop).
-    kinds: list[int]
-    #: Per-pc specialized closure (None for JMP/HALT/NOP).
-    fns: list[Callable | None]
     #: Per-pc control-flow target (branches and jumps; 0 elsewhere).
     targets: list[int]
     #: Per-pc cycle cost (the dual-port timing model, precomputed).
@@ -236,58 +179,79 @@ class DecodedProgram:
     writes: list[int]
     #: Directions this program can store toward (``SNB`` aux fields).
     snb_dirs: frozenset[Direction] = field(default_factory=frozenset)
-    #: Per-pc fused superblock (or None): ``(fn, count, cycles, reads,
-    #: writes, cycle_prefix, read_prefix, write_prefix, branch_target)``
-    #: covering the maximal straightline run of plain instructions
-    #: starting at that pc, optionally ending in a conditional branch
-    #: (``branch_target >= 0``; the function then returns the branch
-    #: outcome).  One Python call instead of ``count`` — the prefix
-    #: tuples restore exact per-instruction statistics if an instruction
-    #: inside the block faults.
-    blocks: list[tuple | None] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return len(self.instrs)
 
 
+def predecode(program: "Program") -> DecodedProgram:
+    """Translate ``program`` into its fast-path tables (cached).
+
+    The decode happens at most once per :class:`Program` instance; the
+    result is stored on the program object itself so its lifetime tracks
+    the program's.
+    """
+    cached = program.__dict__.get("_predecoded")
+    if cached is not None:
+        return cached
+    instrs = list(program.instructions)
+    decoded = DecodedProgram(
+        name=program.name,
+        instrs=instrs,
+        targets=[
+            instr.aux if instr.opcode is Opcode.JMP or instr.opcode in BRANCH_OPS
+            else 0
+            for instr in instrs
+        ],
+        cycles=[instr.cycles for instr in instrs],
+        reads=[instr.read_ports for instr in instrs],
+        writes=[
+            1 if instr.opcode in ALU_OPS or instr.opcode in UNARY_OPS else 0
+            for instr in instrs
+        ],
+        snb_dirs=frozenset(
+            Direction.from_code(instr.aux)
+            for instr in instrs if instr.opcode is Opcode.SNB
+        ),
+    )
+    program.__dict__["_predecoded"] = decoded
+    return decoded
+
+
+def decode_for_tile(tile: "Tile") -> tuple[DecodedProgram, int] | None:
+    """(decoded program, base) for a tile, or None when ineligible.
+
+    Eligibility mirrors what the lowered traces assume: the standard
+    512-word data memory, a resident selected program, and a pc inside
+    its image.  Ineligible tiles simply take the reference interpreter.
+    """
+    program = tile.program
+    if program is None or tile.dmem.size != DATA_MEM_WORDS:
+        return None
+    if tile.imem.has_corruption:
+        # An SEU-corrupted instruction word must fault when (and only
+        # when) the pc actually reaches it; the lowered traces bypass
+        # the instruction memory, so fall back to the reference
+        # interpreter, whose fetch path raises FaultError on the word.
+        return None
+    base = tile.resident_base(program)
+    if base is None:
+        return None
+    local = tile.pc - base
+    if not 0 <= local < len(program.instructions):
+        return None
+    return predecode(program), base
+
+
 # ---------------------------------------------------------------------------
-# code generation
+# expression generation
 # ---------------------------------------------------------------------------
 
 
 def _wrap_expr(expr: str) -> str:
     """48-bit two's-complement wrap of an arbitrary int expression."""
     return f"((({expr}) + {_SIGN}) & {_MASK}) - {_SIGN}"
-
-
-def _read_code(operand, temp: str) -> tuple[list[str], str]:
-    """(setup statements, value expression) for a source operand."""
-    if operand.mode is AddrMode.IMM:
-        return [], repr(operand.value)
-    if operand.mode is AddrMode.DIR:
-        return [], f"w[{operand.value}]"
-    # register-indirect: pointer fetch with the same bounds check (and the
-    # same error message) the reference data memory applies
-    stmts = [
-        f"{temp} = w[{operand.value}]",
-        f"if {temp} < 0 or {temp} >= {_N}: "
-        f"raise MemoryError_('address %d outside data memory [0, {_N})' % {temp})",
-    ]
-    return stmts, f"w[{temp}]"
-
-
-def _write_addr_code(operand, temp: str, *, check: bool = True) -> tuple[list[str], str]:
-    """(setup statements, address expression) for a destination operand."""
-    if operand.mode is AddrMode.DIR:
-        return [], repr(operand.value)
-    stmts = [f"{temp} = w[{operand.value}]"]
-    if check:
-        stmts.append(
-            f"if {temp} < 0 or {temp} >= {_N}: "
-            f"raise MemoryError_('address %d outside data memory [0, {_N})' % {temp})"
-        )
-    return stmts, temp
 
 
 _SHIFT_OPS = (Opcode.SHL, Opcode.SHR, Opcode.SRA)
@@ -350,449 +314,6 @@ def _unary_expr(op: Opcode, x: str) -> str:
     """Expression for a unary ``op`` (MOV/ABS/NEG/NOT) over ``x``."""
     raw = _unary_raw(op, x)
     return x if raw is None else _wrap_expr(raw)
-
-
-def _alu_body(op: Opcode, aux: int, *, static_shift: bool = False) -> list[str]:
-    """Statements computing ``r`` from operand temps ``x`` and ``y``.
-
-    ``static_shift`` elides the shift range check (same message as the
-    reference) when the decode already proved the (immediate) amount in
-    range.
-    """
-    body = [f"r = {_alu_expr(op, aux, 'x', 'y')}"]
-    if op in _SHIFT_OPS and not static_shift:
-        body.insert(
-            0,
-            "if y < 0 or y >= 48: "
-            "raise ExecutionError('shift amount %d outside [0, 48)' % y)",
-        )
-    return body
-
-
-_BRANCH_EXPR = {
-    Opcode.BZ: "x == 0",
-    Opcode.BNZ: "x != 0",
-    Opcode.BNEG: "x < 0",
-    Opcode.BPOS: "x > 0",
-}
-
-
-def _plain_lines(instr: Instruction) -> tuple[list[str], bool]:
-    """(body statements, can_raise) for a PLAIN (ALU / unary) instruction.
-
-    ``can_raise`` is True when the generated code contains any runtime
-    check that may fault (indirect addressing bounds, dynamic shift
-    amounts); fused superblocks use it to place fault-progress markers.
-    Evaluation order of operand side effects follows the reference
-    interpreter exactly (sources before the destination for ALU ops, the
-    destination first for unary moves).
-    """
-    op = instr.opcode
-    body: list[str] = []
-    can_raise = any(
-        operand is not None and operand.mode is AddrMode.IND
-        for operand in (instr.src1, instr.src2, instr.dst)
-    )
-    if op in ALU_OPS:
-        s1, e1 = _read_code(instr.src1, "p1")
-        s2, e2 = _read_code(instr.src2, "p2")
-        body += s1 + [f"x = {e1}"] + s2 + [f"y = {e2}"]
-        static_shift = (
-            op in _SHIFT_OPS
-            and instr.src2.mode is AddrMode.IMM
-            and 0 <= instr.src2.value < 48
-        )
-        if op in _SHIFT_OPS and not static_shift:
-            can_raise = True
-        body += _alu_body(op, instr.aux, static_shift=static_shift)
-        sd, ed = _write_addr_code(instr.dst, "q")
-        body += sd + [f"w[{ed}] = r"]
-    elif op in UNARY_OPS:
-        sd, ed = _write_addr_code(instr.dst, "q")
-        s1, e1 = _read_code(instr.src1, "p1")
-        body += sd + s1 + [f"x = {e1}", f"r = {_unary_expr(op, 'x')}"]
-        body += [f"w[{ed}] = r"]
-    else:  # pragma: no cover - callers dispatch on kind first
-        raise AssertionError(f"not a plain opcode: {op}")
-    return body, can_raise
-
-
-def _gen_instruction(i: int, instr: Instruction) -> list[str] | None:
-    """Source lines of the specialized closure for one instruction.
-
-    Returns ``None`` for instructions that need no closure (NOP, HALT,
-    JMP); evaluation order of operand side effects follows the reference
-    interpreter exactly (sources before the destination for ALU ops, the
-    destination first for unary moves and SNB).
-    """
-    op = instr.opcode
-    body: list[str] = []
-    if op in ALU_OPS or op in UNARY_OPS:
-        body, _ = _plain_lines(instr)
-    elif op in BRANCH_OPS:
-        s1, e1 = _read_code(instr.src1, "p1")
-        body += s1 + [f"x = {e1}", f"return {_BRANCH_EXPR[op]}"]
-    elif op is Opcode.SNB:
-        # the neighbour address is *not* bounds-checked locally — the
-        # neighbour's data memory performs the check on write, exactly
-        # like the reference ``_write_addr`` / resolver pair
-        sd, ed = _write_addr_code(instr.dst, "q", check=False)
-        s1, e1 = _read_code(instr.src1, "p1")
-        body += sd + [f"naddr = {ed}"] + s1 + [f"x = {e1}"]
-        body += [f"res(_d, naddr, x)"]
-        header = f"def _f{i}(w, res, _d=_DIRS[{instr.aux}]):"
-        return [header] + [f"    {line}" for line in body]
-    else:  # NOP / HALT / JMP need no closure
-        return None
-    return [f"def _f{i}(w):"] + [f"    {line}" for line in body]
-
-
-def predecode(program: "Program") -> DecodedProgram:
-    """Translate ``program`` into its fast-path tables (cached).
-
-    The decode happens at most once per :class:`Program` instance; the
-    result is stored on the program object itself so its lifetime tracks
-    the program's.
-    """
-    cached = program.__dict__.get("_predecoded")
-    if cached is not None:
-        return cached
-
-    instrs = list(program.instructions)
-    kinds: list[int] = []
-    targets: list[int] = []
-    cycles: list[int] = []
-    reads: list[int] = []
-    writes: list[int] = []
-    snb_dirs: set[Direction] = set()
-    source_lines: list[str] = []
-    fn_index: list[bool] = []
-
-    for i, instr in enumerate(instrs):
-        op = instr.opcode
-        if op is Opcode.NOP:
-            kinds.append(_K_NOP)
-        elif op is Opcode.HALT:
-            kinds.append(_K_HALT)
-        elif op is Opcode.JMP:
-            kinds.append(_K_JMP)
-        elif op in BRANCH_OPS:
-            kinds.append(_K_BRANCH)
-        elif op is Opcode.SNB:
-            kinds.append(_K_SNB)
-            snb_dirs.add(Direction.from_code(instr.aux))
-        else:
-            kinds.append(_K_PLAIN)
-        targets.append(instr.aux if (op is Opcode.JMP or op in BRANCH_OPS) else 0)
-        cycles.append(instr.cycles)
-        reads.append(instr.read_ports)
-        writes.append(1 if (op in ALU_OPS or op in UNARY_OPS) else 0)
-        gen = _gen_instruction(i, instr)
-        if gen is None:
-            fn_index.append(False)
-        else:
-            fn_index.append(True)
-            source_lines.extend(gen)
-
-    # --- fused superblocks: one generated function per maximal run of
-    # plain instructions (not crossing any branch/jump target) -----------
-    n = len(instrs)
-    leaders = {
-        targets[i]
-        for i in range(n)
-        if kinds[i] in (_K_BRANCH, _K_JMP)
-    }
-    block_meta: list[tuple[int, int, int, tuple, tuple, tuple, int]] = []
-    i = 0
-    while i < n:
-        if kinds[i] != _K_PLAIN:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and kinds[j] == _K_PLAIN and j not in leaders:
-            j += 1
-        # A trailing conditional branch folds into the block (the fused
-        # function then returns the branch outcome), so a whole loop body
-        # costs one Python call per iteration.
-        tail_branch = j < n and kinds[j] == _K_BRANCH
-        plain_count = j - i
-        count = plain_count + (1 if tail_branch else 0)
-        if count >= 2:
-            lines = [f"def _b{i}(w):"]
-            bodies = [_plain_lines(instrs[k]) for k in range(i, j)]
-            if tail_branch:
-                instr = instrs[j]
-                s1, e1 = _read_code(instr.src1, "p1")
-                bodies.append(
-                    (
-                        s1 + [f"x = {e1}", f"return {_BRANCH_EXPR[instr.opcode]}"],
-                        instr.src1.mode is AddrMode.IND,
-                    )
-                )
-            fallible = any(cr for _, cr in bodies)
-            indent = "    "
-            if fallible:
-                lines.append("    _i = 0")
-                lines.append("    try:")
-                indent = "        "
-            for k, (body, can_raise) in enumerate(bodies):
-                if fallible and can_raise and k > 0:
-                    lines.append(f"{indent}_i = {k}")
-                lines.extend(f"{indent}{stmt}" for stmt in body)
-            if fallible:
-                lines.append("    except BaseException as e:")
-                lines.append("        raise _FusedFault(_i, e) from None")
-            source_lines.extend(lines)
-            cyc_prefix = [0]
-            read_prefix = [0]
-            write_prefix = [0]
-            for k in range(i, i + count):
-                cyc_prefix.append(cyc_prefix[-1] + cycles[k])
-                read_prefix.append(read_prefix[-1] + reads[k])
-                write_prefix.append(write_prefix[-1] + (1 if k < j else 0))
-            block_meta.append(
-                (
-                    i,
-                    count,
-                    plain_count,
-                    tuple(cyc_prefix),
-                    tuple(read_prefix),
-                    tuple(write_prefix),
-                    targets[j] if tail_branch else -1,
-                )
-            )
-        i = j
-
-    namespace: dict[str, object] = {}
-    if source_lines:
-        code = compile("\n".join(source_lines), f"<predecode:{program.name}>", "exec")
-        exec(code, _GEN_GLOBALS, namespace)
-    fns: list[Callable | None] = [
-        namespace[f"_f{i}"] if present else None  # type: ignore[misc]
-        for i, present in enumerate(fn_index)
-    ]
-    blocks: list[tuple | None] = [None] * n
-    for start, count, plain_count, cyc_prefix, read_prefix, write_prefix, btarget in block_meta:
-        blocks[start] = (
-            namespace[f"_b{start}"],
-            count,
-            cyc_prefix[-1],
-            read_prefix[-1],
-            plain_count,
-            cyc_prefix,
-            read_prefix,
-            write_prefix,
-            btarget,
-        )
-
-    decoded = DecodedProgram(
-        name=program.name,
-        instrs=instrs,
-        kinds=kinds,
-        fns=fns,
-        targets=targets,
-        cycles=cycles,
-        reads=reads,
-        writes=writes,
-        snb_dirs=frozenset(snb_dirs),
-        blocks=blocks,
-    )
-    program.__dict__["_predecoded"] = decoded
-    return decoded
-
-
-def decode_for_tile(tile: "Tile") -> tuple[DecodedProgram, int] | None:
-    """(decoded program, base) for a tile, or None when ineligible.
-
-    Eligibility mirrors what the generated closures assume: the standard
-    512-word data memory, a resident selected program, and a pc inside
-    its image.  Ineligible tiles simply take the reference interpreter.
-    """
-    program = tile.program
-    if program is None or tile.dmem.size != DATA_MEM_WORDS:
-        return None
-    if tile.imem.has_corruption:
-        # An SEU-corrupted instruction word must fault when (and only
-        # when) the pc actually reaches it; the decoded closures bypass
-        # the instruction memory, so fall back to the reference
-        # interpreter, whose fetch path raises FaultError on the word.
-        return None
-    base = tile.resident_base(program)
-    if base is None:
-        return None
-    local = tile.pc - base
-    if not 0 <= local < len(program.instructions):
-        return None
-    return predecode(program), base
-
-
-# ---------------------------------------------------------------------------
-# the block driver
-# ---------------------------------------------------------------------------
-
-
-def run_block(
-    tile: "Tile",
-    dec: DecodedProgram,
-    base: int,
-    budget: int,
-    *,
-    stop_at_comm: bool = False,
-    exec_comm_first: bool = True,
-    max_instrs: int | None = None,
-) -> tuple[int, int]:
-    """Execute decoded instructions in a tight loop; returns
-    ``(boundary, cycles_consumed)``.
-
-    * ``budget`` — remaining cycle budget; the check is applied **after
-      each instruction** with the reference ``consumed > budget``
-      semantics (a run consuming exactly the budget is legal; the
-      instruction that crosses it trips :data:`BLOCK_BUDGET`).
-    * ``stop_at_comm`` — stop *before* executing an ``SNB`` so the caller
-      can sequence the store as a global heap event.  An ``SNB`` sitting
-      at the entry pc is executed when ``exec_comm_first`` (the caller
-      scheduled this event at exactly that store's start time).
-    * ``max_instrs`` — stop after that many instructions
-      (:data:`BLOCK_LIMIT`); the concurrent simulator single-steps tiles
-      that other tiles can store into.
-
-    The tile's pc, halted flag, statistics and data-memory access
-    counters are updated before returning, also when an exception
-    propagates (partial progress is flushed exactly as the reference
-    interpreter would leave it).
-    """
-    dmem = tile.dmem
-    w = dmem._words
-    kinds = dec.kinds
-    fns = dec.fns
-    targets = dec.targets
-    cyc_arr = dec.cycles
-    rd_arr = dec.reads
-    blocks = dec.blocks
-    n = len(kinds)
-
-    limit = -1 if max_instrs is None else max_instrs
-    resolver = tile.neighbour_resolver
-    pc = tile.pc - base
-    cyc = 0
-    instrs = 0
-    branches = 0
-    reads = 0
-    writes = 0
-    nstores = 0
-    halted = False
-    boundary = BLOCK_EXIT
-    try:
-        while 0 <= pc < n:
-            blk = blocks[pc]
-            if blk is not None and limit < 0:
-                (bfn, bcount, bcyc, brd, bwrites,
-                 cyc_prefix, read_prefix, write_prefix, btarget) = blk
-                if cyc + bcyc <= budget:
-                    # The whole block fits the budget, so the reference's
-                    # after-each-instruction check cannot trip inside it;
-                    # one Python call covers the straightline run (plus,
-                    # when btarget >= 0, the trailing conditional branch).
-                    try:
-                        taken = bfn(w)
-                    except _FusedFault as fault:
-                        done = fault.index
-                        cyc += cyc_prefix[done]
-                        instrs += done
-                        reads += read_prefix[done]
-                        writes += write_prefix[done]
-                        pc += done
-                        exc = fault.exc
-                        if isinstance(exc, ExecutionError):
-                            raise ExecutionError(
-                                f"{tile!r} pc={base + pc} "
-                                f"{dec.instrs[pc]}: {exc}"
-                            ) from None
-                        raise exc from None
-                    cyc += bcyc
-                    instrs += bcount
-                    reads += brd
-                    writes += bwrites
-                    if btarget >= 0 and taken:
-                        branches += 1
-                        pc = btarget
-                    else:
-                        pc += bcount
-                    continue
-            k = kinds[pc]
-            if k == 0:  # ALU / MOV / ABS / NEG / NOT
-                try:
-                    fns[pc](w)
-                except ExecutionError as exc:
-                    raise ExecutionError(
-                        f"{tile!r} pc={base + pc} {dec.instrs[pc]}: {exc}"
-                    ) from None
-                cyc += cyc_arr[pc]
-                instrs += 1
-                reads += rd_arr[pc]
-                writes += 1
-                pc += 1
-            elif k == 1:  # conditional branch
-                if fns[pc](w):
-                    branches += 1
-                    npc = targets[pc]
-                else:
-                    npc = pc + 1
-                cyc += cyc_arr[pc]
-                instrs += 1
-                reads += rd_arr[pc]
-                pc = npc
-            elif k == 2:  # JMP
-                cyc += cyc_arr[pc]
-                instrs += 1
-                pc = targets[pc]
-            elif k == 5:  # NOP
-                cyc += cyc_arr[pc]
-                instrs += 1
-                pc += 1
-            elif k == 3:  # HALT
-                cyc += cyc_arr[pc]
-                instrs += 1
-                halted = True
-                pc += 1
-                boundary = BLOCK_BUDGET if cyc > budget else BLOCK_HALT
-                break
-            else:  # SNB
-                if stop_at_comm and not (exec_comm_first and instrs == 0):
-                    boundary = BLOCK_COMM
-                    break
-                if resolver is None:
-                    raise ExecutionError(
-                        f"{tile!r}: SNB outside a mesh (no neighbour resolver)"
-                    )
-                # the operand reads precede the store: a store the link
-                # (or the neighbour's bounds check) refuses has made them
-                reads += rd_arr[pc]
-                fns[pc](w, resolver)
-                cyc += cyc_arr[pc]
-                instrs += 1
-                nstores += 1
-                pc += 1
-            if cyc > budget:
-                boundary = BLOCK_BUDGET
-                break
-            if instrs == limit:
-                boundary = BLOCK_LIMIT
-                break
-    finally:
-        tile.pc = base + pc
-        if halted:
-            tile.halted = True
-        stats = tile.stats
-        stats.instructions += instrs
-        stats.cycles += cyc
-        stats.branches_taken += branches
-        stats.neighbour_stores += nstores
-        if halted:
-            stats.halts += 1
-        dmem.reads += reads
-        dmem.writes += writes
-    return boundary, cyc
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +387,7 @@ class _Bail(Exception):
 
 
 #: Instruction cap for one profiling run; programs running longer than
-#: this are simply treated as unprovable (conservative scheduling).
+#: this are simply treated as unprovable (they run on the oracle).
 _PROFILE_MAX_INSTRS = 1_000_000
 
 #: Statements per generated function.  One function per trace would be
@@ -940,8 +461,8 @@ def _profile_footprint(
 
     Returns ``None`` when the footprint cannot be proven data-independent
     (tainted control flow, runaway loop, any execution error, or a pc
-    falling out of the program region) — callers then schedule the tile
-    conservatively and run it per instruction, which is always sound.
+    falling out of the program region) — callers then run it on the
+    oracle, which is always sound.
     """
     w = list(words)
     size = len(w)
@@ -1087,7 +608,7 @@ def _profile_footprint(
         raise _Bail  # fell out of the region without halting
     except _Bail:
         return None
-    except Exception:  # any simulated fault: schedule conservatively
+    except Exception:  # any simulated fault: the oracle raises it
         return None
 
 
@@ -1096,9 +617,8 @@ def footprint_for(tile: "Tile", dec: DecodedProgram, base: int) -> Footprint | N
 
     Profiles at most once per ``(program, entry pc)`` (cached on the
     decoded program); on every use the control fingerprint is re-checked
-    against the live memory, so a changed control word simply demotes the
-    tile to conservative scheduling and per-instruction execution for
-    that run.
+    against the live memory, so a changed control word simply sends that
+    run to the oracle.
     """
     cache = dec.__dict__.get("_footprints")
     if cache is None:
@@ -1365,7 +885,7 @@ def _compile_trace(footprint: Footprint, name: str) -> tuple[Callable, ...]:
         source = "def _t(w, n):\n    " + "\n    ".join(lines)
         exec(
             compile(source, f"<trace:{name}#{len(chunks)}>", "exec"),
-            {**_GEN_GLOBALS, **tables},
+            tables,
             namespace,
         )
         chunks.append(namespace["_t"])
@@ -1397,42 +917,49 @@ def lane_source(statements) -> str:
     return "\n".join(parts) + "\n"
 
 
-def run_lowered(
-    tile: "Tile", footprint: Footprint | None, base: int, budget: int
-) -> int | None:
-    """Run the tile entry-to-``HALT`` as its lowered trace; returns cycles.
+def admit_lowered(
+    tile: "Tile", footprint: Footprint | None, budget: int
+) -> "tuple[bool, DataMemory | None]":
+    """``(admitted, neighbour memory)`` of a run about to start.
 
     ``footprint`` must come from :func:`footprint_for` for the run the
     tile is about to perform (``None``: unproven, or the fingerprint no
-    longer matches).  Returns ``None`` — nothing executed — whenever the
-    per-instruction path has to decide the run instead: the trace does
-    not fit ``budget`` (``run_block`` trips on the crossing instruction),
-    or it stores toward a direction whose link is not active / whose
-    memory is not the standard size (``run_block`` raises at the ``SNB``).
+    longer matches).  The run is refused when its trace does not fit
+    ``budget`` (the oracle trips on the crossing instruction), or when it
+    stores toward a direction whose link is not active or whose memory is
+    not the standard size (the oracle raises at the ``SNB``).  The
+    neighbour memory is ``None`` for a trace that stores nowhere.
     """
     if footprint is None or footprint.cycles > budget:
-        COUNTERS.fallback_runs += 1
-        return None
-    dmem = tile.dmem
-    neighbour = None
-    if footprint.remote:
-        # The mesh's resolver carries the port lookup; a standalone tile
-        # or a hand-installed resolver has none and takes the slow path.
-        port = getattr(tile.neighbour_resolver, "port", None)
-        direction = footprint.direction
-        if port is not None and direction is not None:
-            neighbour = port(direction)
-        if neighbour is None or neighbour.size != _N:
-            COUNTERS.fallback_runs += 1
-            return None
+        return False, None
+    if not footprint.remote:
+        return True, None
+    # The mesh's resolver carries the port lookup; a standalone tile or a
+    # hand-installed resolver has none and takes the oracle.
+    port = getattr(tile.neighbour_resolver, "port", None)
+    direction = footprint.direction
+    if port is None or direction is None:
+        return False, None
+    neighbour = port(direction)
+    return neighbour is not None and neighbour.size == _N, neighbour
+
+
+def run_trace(
+    tile: "Tile", footprint: Footprint, base: int, neighbour: "DataMemory | None"
+) -> int:
+    """Run an admitted run (:func:`admit_lowered`) entry-to-``HALT`` as
+    its lowered trace, with the interpreter's statistics; returns cycles."""
+    words = None
+    if neighbour is not None:
         neighbour.writes += footprint.neighbour_stores
-        neighbour = neighbour._words
+        words = neighbour._words
     chunks = footprint.chunks
     if chunks is None:
         chunks = _compile_trace(footprint, tile.program.name)
+    dmem = tile.dmem
     w = dmem._words
     for chunk in chunks:
-        chunk(w, neighbour)
+        chunk(w, words)
     tile.pc = base + footprint.final_pc
     tile.halted = True
     stats = tile.stats
@@ -1445,3 +972,19 @@ def run_lowered(
     dmem.writes += footprint.writes
     COUNTERS.lowered_runs += 1
     return footprint.cycles
+
+
+def run_lowered(
+    tile: "Tile", footprint: Footprint | None, base: int, budget: int
+) -> int | None:
+    """Run the tile entry-to-``HALT`` as its lowered trace; returns cycles.
+
+    Returns ``None`` — nothing executed, one fallback counted — when
+    :func:`admit_lowered` refuses the run: the caller then runs it on the
+    oracle, which decides it exactly.
+    """
+    admitted, neighbour = admit_lowered(tile, footprint, budget)
+    if not admitted:
+        COUNTERS.fallback_runs += 1
+        return None
+    return run_trace(tile, footprint, base, neighbour)

@@ -35,7 +35,7 @@ from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.mesh import Mesh
 from repro.fabric.reconfig import ReconfigPlanner, ReconfigTransaction
-from repro.fabric.simulator import _MODE_FULL, FastPhase, run_concurrent
+from repro.fabric.simulator import FastPhase, run_concurrent
 from repro.fabric.tile import Tile
 from repro.units import CYCLE_NS
 
@@ -554,7 +554,8 @@ class RuntimeManager:
         Semantically identical to K sequential :meth:`execute_artifact`
         calls (bit-for-bit output equivalence is the contract); the
         batched tier in :mod:`repro.fabric.batch` makes it cheaper by
-        advancing all lanes through the predecoded superblocks at once.
+        running each proven phase's lowered traces once over a lane axis
+        (one column of every tile's memory per payload).
         Returns a :class:`repro.fabric.batch.BatchResult`.
         """
         from repro.fabric.batch import execute_artifact_batch
@@ -738,7 +739,7 @@ def _lowered_runs(phase: FastPhase | None, links: dict) -> list | None:
     """``(tile, footprint, base, entry pc, neighbour coord)`` per tile of a
     phase whose every tile runs its lowered trace (``None``: the phase
     must run through the engine)."""
-    if phase is None or any(mode != _MODE_FULL for mode in phase.modes):
+    if phase is None or not phase.proven:
         return None
     runs = []
     for tile, (dec, base), fp, pc in zip(
@@ -883,7 +884,7 @@ def _epoch_source(
 
 def _lowered_source(runs: list, generic: list[str], tile, k) -> list[str]:
     """A proven phase: the per-run checks, then each tile's trace chunks
-    and literal statistics (``FastPhase.run`` of an all-FULL phase)."""
+    and literal statistics (``FastPhase.run`` of a proven phase)."""
     lines = [f"w{tile(t.coord)} = d{tile(t.coord)}._words" for t, *_ in runs]
     longest = max(fp.cycles for _, fp, *_ in runs)
     checks = [f"rt.max_cycles_per_tile < {k(longest)}"]

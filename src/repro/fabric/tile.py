@@ -355,12 +355,14 @@ class Tile:
     def run(self, max_cycles: int = 10_000_000, *, engine: str | None = None) -> int:
         """Run until ``HALT``; returns cycles consumed by this call.
 
-        ``engine`` selects the execution tier: ``"fast"`` (the lowered
-        trace, else predecoded closures), ``"reference"`` (the per-instruction
-        interpreter above), or ``None`` for *auto* — fast unless the
-        ``REPRO_REFERENCE_SIM`` environment variable forces the oracle.
-        Both tiers are observationally identical (memories, stats,
-        counters, exceptions); the differential tests enforce it.
+        ``engine`` selects the execution tier: ``"fast"`` (the run's
+        lowered trace when :mod:`~repro.fabric.predecode` proves and
+        admits it, else the interpreter below), ``"reference"`` (the
+        per-instruction interpreter, :meth:`step`), or ``None`` for *auto*
+        — fast unless the ``REPRO_REFERENCE_SIM`` environment variable
+        forces the oracle.  Both tiers are observationally identical
+        (memories, stats, counters, exceptions); the differential tests
+        enforce it.
 
         The budget semantics are shared by both tiers and by
         :func:`~repro.fabric.simulator.run_concurrent`: ``consumed`` is
@@ -371,43 +373,26 @@ class Tile:
         """
         if self.program is None:
             raise ExecutionError(f"{self!r} has no program loaded")
+        if self.halted:
+            return 0
         from repro.fabric import predecode as _pd
 
         if _pd.resolve_engine(engine) == "fast":
             decoded = _pd.decode_for_tile(self)
-            if decoded is not None:
-                return self._run_fast(decoded[0], decoded[1], max_cycles)
+            if decoded is None:
+                _pd.COUNTERS.fallback_runs += 1
+            else:
+                dec, base = decoded
+                consumed = _pd.run_lowered(
+                    self, _pd.footprint_for(self, dec, base), base, max_cycles
+                )
+                if consumed is not None:
+                    return consumed
         return self._run_reference(max_cycles)
 
     def _run_reference(self, max_cycles: int) -> int:
         """The oracle run loop (one :meth:`step` per instruction)."""
         consumed = 0
-        while not self.halted:
-            consumed += self.step()
-            if consumed > max_cycles:
-                raise ExecutionError(
-                    f"{self!r} exceeded {max_cycles} cycles without halting"
-                )
-        return consumed
-
-    def _run_fast(self, dec, base: int, max_cycles: int) -> int:
-        """Fast-tier run: the lowered trace, else decoded blocks."""
-        from repro.fabric import predecode as _pd
-
-        if self.halted:
-            return 0
-        consumed = _pd.run_lowered(
-            self, _pd.footprint_for(self, dec, base), base, max_cycles
-        )
-        if consumed is not None:
-            return consumed
-        boundary, consumed = _pd.run_block(self, dec, base, max_cycles)
-        if boundary == _pd.BLOCK_BUDGET:
-            raise ExecutionError(
-                f"{self!r} exceeded {max_cycles} cycles without halting"
-            )
-        # BLOCK_EXIT: the pc left the decoded image (co-residency
-        # fall-through) — finish on the reference interpreter.
         while not self.halted:
             consumed += self.step()
             if consumed > max_cycles:

@@ -108,7 +108,7 @@ class TestDiskTier:
         assert second.stats.lowers == 0
         assert revived.artifact_hash == artifact.artifact_hash
         assert revived.switch_table == artifact.switch_table
-        # Predecoded closures were stripped at pickle time and revived.
+        # Decoded tables were stripped at pickle time and revived.
         assert len(revived.decoded) == len(revived.programs) > 0
         # The input-port encoder was rebuilt from its signature: the
         # revived artifact binds (and validates) payloads like new.

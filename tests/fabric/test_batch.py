@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.fabric.assembler import assemble
-from repro.fabric.batch import CODEGEN_VERSION, DEFAULT_MIN_VECTOR_LANES
+from repro.fabric.batch import DEFAULT_MIN_VECTOR_LANES
 from repro.fabric.icap import IcapPort
 from repro.fabric.mesh import Mesh
 from repro.fabric.rtms import EpochSpec, RuntimeManager
@@ -251,61 +251,3 @@ class TestJitTier:
         ) * 0.01
         _, result = _batch_outputs(runner, list(xs))  # default floor
         assert result.degraded  # 2 lanes < floor: scalar path, still exact
-
-
-# ---------------------------------------------------------------------------
-# generated-source persistence (the artifact cache's disk tier)
-# ---------------------------------------------------------------------------
-
-
-class TestSourcePersistence:
-    def test_batch_sources_roundtrip(self, tmp_path):
-        from repro.compile.cache import ArtifactCache
-
-        cache = ArtifactCache(disk_dir=tmp_path)
-        sources = {"prog@abc123": "def _b0(w):\n    return 0\n"}
-        cache.save_batch_sources("deadbeef", CODEGEN_VERSION, sources)
-        assert (
-            cache.load_batch_sources("deadbeef", CODEGEN_VERSION) == sources
-        )
-        # a codegen version bump invalidates the persisted source
-        assert (
-            cache.load_batch_sources("deadbeef", CODEGEN_VERSION + 1) is None
-        )
-        assert cache.load_batch_sources("cafebabe", CODEGEN_VERSION) is None
-
-    def test_corrupt_source_file_ignored(self, tmp_path):
-        from repro.compile.cache import ArtifactCache
-
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.save_batch_sources("feedface", CODEGEN_VERSION, {"a": "b"})
-        path = cache._batch_source_path("feedface")
-        path.write_text("{not json")
-        fresh = ArtifactCache(disk_dir=tmp_path)
-        assert fresh.load_batch_sources("feedface", CODEGEN_VERSION) is None
-
-    def test_batch_run_persists_sources(self, tmp_path, monkeypatch):
-        from repro.compile import cache as cache_mod
-
-        from repro.fabric.predecode import predecode
-
-        fresh = cache_mod.ArtifactCache(disk_dir=tmp_path)
-        monkeypatch.setattr(cache_mod, "_default_cache", fresh)
-        local = FabricFFT(PLAN, link_cost_ns=100.0)
-        # tile programs are lru_cache'd, so the decoded programs may carry
-        # batch code memoized by earlier tests — drop it so codegen must
-        # run again and flush its sources to the cache's disk tier
-        for spec in local.artifact.plan.body:
-            for prog in spec.programs.values():
-                predecode(prog).__dict__.pop("_batch_code", None)
-        rng = np.random.default_rng(12)
-        xs = (
-            rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-        ) * 0.01
-        _, result = _batch_outputs(local, list(xs), min_vector_lanes=2)
-        assert not result.degraded
-        persisted = fresh.load_batch_sources(
-            local.artifact.artifact_hash, CODEGEN_VERSION
-        )
-        assert persisted  # the dispatch wrote its generated sources
-        assert all(src.strip() for src in persisted.values())

@@ -2,8 +2,8 @@
 
 The reference interpreter checks ``consumed > max_cycles`` *after* each
 instruction, so a run that halts at exactly ``max_cycles`` is legal and
-one cycle less raises.  The fast path batches whole superblocks and runs
-proven traces lowered, so these tests pin the boundary behaviour for
+one cycle less raises.  The fast path runs a proven trace whole only when
+it fits the budget, so these tests pin the boundary behaviour for
 ``Tile.run`` and ``run_concurrent`` under both tiers — including the
 re-run of an already lowered trace, which must honour the budget rather
 than execute a trace that would not have fit.
@@ -18,8 +18,8 @@ from repro.fabric.assembler import assemble
 from repro.fabric.simulator import run_concurrent
 from repro.fabric.tile import Tile
 
-# Straightline body (fuses into one superblock) followed by a short loop
-# (exercises the branch path), then HALT.
+# Straightline body followed by a short loop (a folded branch in the
+# lowered trace), then HALT.
 _SOURCE = """
 .var a
 .var i

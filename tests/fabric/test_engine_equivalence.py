@@ -2,11 +2,11 @@
 
 Every shipped tile program (the FFT butterflies, copies, and twiddle
 generators; the JPEG block stages and Huffman helpers) runs through both
-execution tiers on identical data.  The fast path — predecoded closures,
-fused superblocks, and lowered traces — must be *architecturally
-invisible*: final data-memory images, :class:`TileStats`, memory-port
-counters, and :class:`ConcurrentRun` makespans all have to match the
-reference interpreter bit for bit.
+execution tiers on identical data.  The fast path — a lowered trace where
+the run is proven and admitted, the oracle everywhere else — must be
+*architecturally invisible*: final data-memory images,
+:class:`TileStats`, memory-port counters, and :class:`ConcurrentRun`
+makespans all have to match the reference interpreter bit for bit.
 
 Each single-tile case runs **twice** on fresh tiles so the second pass
 exercises the re-run of the already compiled trace, not just the first

@@ -255,6 +255,46 @@ class TestRegisterAllocation:
 # (b) fallback edges: same exception, same pc, same partial stats
 # ---------------------------------------------------------------------------
 
+#: A silent, provable counted loop.
+_COUNT_LOOP = """
+.org 16
+.var cnt
+MOV cnt, #4
+loop:
+ADD 8, 8, 0
+SUB cnt, cnt, #1
+BNZ cnt, loop
+HALT
+"""
+
+#: A branch on payload word 0: never provable.
+_DATA_BRANCH = """
+SUB 2, 0, #7
+BZ 2, skip
+ADD 1, 1, #5
+skip:
+HALT
+"""
+
+#: Stores ``count`` payload words to the neighbour's words 300.. (off its
+#: footprint, so two of these facing each other are a proven exchange).
+_EXCHANGE = """
+.org 16
+.var cnt
+.var p
+.var q
+MOV cnt, #{count}
+MOV p, #0
+MOV q, #300
+loop:
+SNB.{direction} @q, @p
+ADD p, p, #1
+ADD q, q, #1
+SUB cnt, cnt, #1
+BNZ cnt, loop
+HALT
+"""
+
 _COPY_EAST = """
 .org 16
 .var cnt
@@ -377,14 +417,7 @@ class TestFallbackEdges:
         assert pd.COUNTERS.lowered_runs == lowered + 2
 
     def test_data_dependent_branch_is_never_lowered(self):
-        source = """
-        SUB 2, 0, #7
-        BZ 2, skip
-        ADD 1, 1, #5
-        skip:
-        HALT
-        """
-        program = assemble(source)
+        program = assemble(_DATA_BRANCH)
         lowered = pd.COUNTERS.lowered_runs
         for payload in (0, 7):
             _run_both(
@@ -407,7 +440,7 @@ class TestFallbackEdges:
             tile.imem.corrupt_slot(4)  # the ADD inside the loop
             return mesh, tile
 
-        lowered = pd.COUNTERS.lowered_runs
+        lowered, fallbacks = pd.COUNTERS.lowered_runs, pd.COUNTERS.fallback_runs
         message, state = _run_both(
             build, lambda tile, engine: tile.run(engine=engine), FaultError
         )
@@ -415,6 +448,75 @@ class TestFallbackEdges:
         assert state[0][4] == 4  # stopped at the corrupted word
         assert state[0][1].neighbour_stores == 1
         assert pd.COUNTERS.lowered_runs == lowered
+        assert pd.COUNTERS.fallback_runs == fallbacks + 1
+
+    def test_mixed_phase_runs_whole_on_the_oracle(self):
+        """A proven tile beside a data-dependent one: neither runs its
+        trace, and the phase ends exactly where the reference leaves it."""
+        proven = assemble(_COUNT_LOOP)
+        branchy = assemble(_DATA_BRANCH)
+        meshes = []
+
+        def build():
+            mesh = Mesh(1, 2)
+            west, east = mesh.tile((0, 0)), mesh.tile((0, 1))
+            west.dmem.load_block(0, range(1, DATA + 1))
+            east.dmem.load_block(0, [7, 1])
+            west.load_program(proven)
+            east.load_program(branchy)
+            for tile in mesh:
+                tile.dmem.reset_counters()
+            meshes.append(mesh)
+            return mesh, west
+
+        lowered, fallbacks = pd.COUNTERS.lowered_runs, pd.COUNTERS.fallback_runs
+        _, state = _run_both(
+            build,
+            lambda tile, engine: run_concurrent(list(meshes[-1]), engine=engine),
+            None,
+        )
+        assert state[0][5] and state[1][5]  # both halted
+        assert pd.COUNTERS.lowered_runs == lowered
+        assert pd.COUNTERS.fallback_runs == fallbacks + 2
+
+    def test_refused_exchange_faults_on_the_oracle(self):
+        """A proven exchange one cycle short of its longer trace: no trace
+        runs, and the oracle raises with both tiles where it leaves them."""
+        west_program = assemble(_EXCHANGE.format(direction="E", count=4))
+        east_program = assemble(_EXCHANGE.format(direction="W", count=6))
+        meshes = []
+
+        def build():
+            mesh = Mesh(1, 2)
+            mesh.configure_link((0, 0), Direction.EAST)
+            mesh.configure_link((0, 1), Direction.WEST)
+            west, east = mesh.tile((0, 0)), mesh.tile((0, 1))
+            west.dmem.load_block(0, range(1, DATA + 1))
+            east.dmem.load_block(0, range(-DATA, 0))
+            west.load_program(west_program)
+            east.load_program(east_program)
+            for tile in mesh:
+                tile.dmem.reset_counters()
+            meshes.append(mesh)
+            return mesh, east
+
+        def run(budget):
+            return lambda tile, engine: run_concurrent(
+                list(meshes[-1]), max_cycles_per_tile=budget, engine=engine
+            )
+
+        lowered = pd.COUNTERS.lowered_runs
+        _, state = _run_both(build, run(10_000_000), None)
+        assert state[1][0][300:304] == [1, 2, 3, 4]  # both stores landed
+        assert state[0][0][300:306] == list(range(-DATA, -DATA + 6))
+        assert pd.COUNTERS.lowered_runs == lowered + 2  # the phase is proven
+        short = max(stats.cycles for _, stats, *_ in state) - 1
+        fallbacks = pd.COUNTERS.fallback_runs
+        message, state = _run_both(build, run(short), ExecutionError)
+        assert message == f"<tile> exceeded {short} cycles without halting"
+        assert state[1][1].cycles == short + 1  # its HALT crossed the budget
+        assert pd.COUNTERS.lowered_runs == lowered + 2
+        assert pd.COUNTERS.fallback_runs == fallbacks + 2
 
     def test_hand_installed_resolver_is_honoured(self):
         """A resolver without the mesh's port takes the slow path."""
@@ -434,25 +536,36 @@ class TestFallbackEdges:
 # ---------------------------------------------------------------------------
 
 
-def test_every_registered_kernel_serves_warm_jobs_lowered():
+def test_every_registered_kernel_serves_warm_jobs_lowered(monkeypatch):
+    """Cold and warm jobs of every kernel, and fresh sweep-sized FFT runs,
+    never fall back: the benchmarked paths need no engine but the traces."""
     from repro.compile.frontends import frontend_names, get_frontend
+    from repro.kernels.fft import FabricFFT, FFTPlan
     from repro.serve.jobs import spec_for
     from repro.serve.sessions import CancelToken, default_session_factory
 
+    monkeypatch.delenv(pd.REFERENCE_ENV, raising=False)
+    fallbacks = pd.COUNTERS.fallback_runs
     for kind in frontend_names():
         frontend = get_frontend(kind)
         params = frontend.canonicalize(None)
         rng = np.random.default_rng(3)
         session = default_session_factory(spec_for(kind))
-        session.rtms.engine = "fast"  # whatever REPRO_REFERENCE_SIM says
         session.run(frontend.example_payload(params, rng), CancelToken())
-        lowered, fallbacks = pd.COUNTERS.lowered_runs, pd.COUNTERS.fallback_runs
+        lowered = pd.COUNTERS.lowered_runs
         for _ in range(10):
             payload = frontend.example_payload(params, rng)
             stats = session.run(payload, CancelToken())
             frontend.check_output(params, payload, stats.output)
         assert pd.COUNTERS.lowered_runs > lowered, kind
         assert pd.COUNTERS.fallback_runs == fallbacks, kind
+    rng = np.random.default_rng(4)
+    for n, m, cols in ((64, 8, 2), (64, 8, 3), (1024, 64, 1)):
+        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.01
+        lowered = pd.COUNTERS.lowered_runs
+        FabricFFT(FFTPlan(n, m, cols), link_cost_ns=100.0).run(x)
+        assert pd.COUNTERS.lowered_runs > lowered, (n, m, cols)
+        assert pd.COUNTERS.fallback_runs == fallbacks, (n, m, cols)
 
 
 # ---------------------------------------------------------------------------
