@@ -22,9 +22,9 @@ Modules
 :mod:`repro.serve.durability.resume`
     Fabric checkpoint files + residency re-keying for epoch resume.
 :mod:`repro.serve.durability.engine`
-    A synchronous, deterministic durable serving engine (the chaos
-    harness's subject; shares all journal/recovery code with the
-    asyncio service).
+    The durable serving engine, the one owner of a job's lifecycle
+    (queue, recovery, dedup, journal edges): the chaos harness and
+    shards drive it sequentially, the asyncio service wraps it.
 """
 
 from repro.serve.durability.engine import DurableEngine, EngineReport

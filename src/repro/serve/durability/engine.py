@@ -1,35 +1,30 @@
-"""A synchronous, deterministic durable serving engine.
+"""The durable serving engine: the one owner of a job's lifecycle.
 
-The asyncio :class:`~repro.serve.service.FabricJobService` is the
-production wiring, but wall clocks, thread pools and event-loop
-scheduling make it a poor *subject* for crash testing: a kill lands at a
-nondeterministic instruction.  The chaos harness therefore drives this
-engine instead — same journal, same records, same recovery fold, same
-:class:`~repro.serve.pool.FabricWorker` execution path, but strictly
-sequential and entirely in simulated fabric time.  A
-:class:`~repro.chaos.crashpoints.SimulatedCrash` raised at any armed
-crash point unwinds straight out of :meth:`run`; the harness then builds
-a **new** engine over the same journal directory, which replays the
-journal exactly the way a restarted service process would.
+It owns the request queue, :attr:`results` and the outbox, recovery,
+submit dedup and every journal edge.  Two drivers run it: the
+sequential :meth:`step` (shards, the chaos harness, the benchmarks) and
+the asyncio :class:`~repro.serve.service.FabricJobService`, which adds
+only timeouts, backoff, admission and breakers around the same edges.
 
-One engine instance is one process incarnation:
-
-* construction **is** recovery — the journal is scanned and folded,
-  finished jobs become recorded results (served on resubmit, never
-  re-executed), unfinished jobs are requeued oldest-first, and FFT jobs
-  with a verified epoch checkpoint carry resume fields;
+* Construction **is** recovery: the journal is folded, finished jobs
+  become recorded results, unfinished jobs are requeued oldest-first
+  (FFT jobs with a verified epoch checkpoint carry resume fields).
 * :meth:`submit` acknowledges a job only after its SUBMITTED record is
-  framed into the journal (the write-ahead contract; an injected
-  ``OSError`` propagates to the caller, which therefore knows the job
-  was *not* acknowledged);
-* :meth:`run` drains the queue one job at a time with the same
-  dispatch/retry/done journaling the service performs;
-* every result finished here is *unacknowledged* until :meth:`ack`
-  (the outbox a shard transport drains: :meth:`unacked` re-sends until
-  the reader says it has them), and an acknowledged result decays to
-  exactly what a restart would rebuild from its DONE record — a shard
-  remembers after ack what it would remember after a crash.  An engine
-  nobody acks keeps every result whole.
+  framed into the journal (an injected ``OSError`` propagates, so the
+  caller knows the job was *not* acknowledged); a finished or queued
+  job id is answered without a journal append or a second run.
+* :meth:`mark_dispatched`, :meth:`mark_retry`, :meth:`progress_hook`,
+  :meth:`finish`, :meth:`finish_expired` and :meth:`mark_moved` are the
+  other edges.  What a failed attempt becomes is each driver's policy.
+* A finished result waits in the outbox until :meth:`ack` (a shard's
+  reader acks over the wire, the service as it resolves a future), then
+  decays to what a restart rebuilds from its DONE record.
+
+The chaos harness drives :meth:`run`, strictly sequential and in
+simulated fabric time: a :class:`~repro.chaos.crashpoints.SimulatedCrash`
+unwinds out of it, and a **new** engine over the same directory replays
+the journal the way a restarted service does.  One instance is one
+process incarnation; ``journal_dir=None`` means no journal, no recovery.
 """
 
 from __future__ import annotations
@@ -41,9 +36,9 @@ from typing import Callable
 
 from repro.chaos.crashpoints import crashpoint, register_crashpoint
 from repro.errors import JobCancelled, ServeError
-from repro.serve.durability.journal import FsyncPolicy, JobJournal
+from repro.serve.durability.journal import FsyncPolicy, JobJournal, ScanReport
 from repro.serve.durability.records import encode_request
-from repro.serve.durability.recovery import replay
+from repro.serve.durability.recovery import JobReplay, replay
 from repro.serve.durability.resume import checkpoint_dir, write_checkpoint
 from repro.serve.jobs import JobRequest, JobResult, JobStatus
 from repro.serve.pool import FabricPool
@@ -60,6 +55,26 @@ __all__ = ["DurableEngine", "EngineReport"]
 #: dispatched-but-unfinished — recovery must requeue exactly the
 #: unfinished ones (the batch crash-matrix case).
 BATCH_LANE_DONE = register_crashpoint("serve.batch.lane.done")
+
+
+def done_body(result: JobResult) -> dict:
+    """The DONE record of ``result``, the same from every driver: a
+    completed job records its placement and simulated cost, any other
+    terminal status its error."""
+    body = {
+        "status": result.status.value,
+        "worker": result.worker_id,
+        "attempts": result.attempts,
+    }
+    if result.status is JobStatus.DONE:
+        body.update(
+            warm=result.warm,
+            sim_ns=result.sim_ns,
+            reconfig_ns=result.reconfig_ns,
+        )
+    else:
+        body["error"] = result.error
+    return body
 
 
 @dataclass
@@ -97,7 +112,8 @@ class DurableEngine:
     ----------
     journal_dir:
         Journal directory (shared across incarnations; recovery reads
-        whatever the previous incarnation managed to get to disk).
+        whatever the previous incarnation managed to get to disk), or
+        ``None`` for no journal and no recovery.
     pool_size / session_factory:
         The fabric pool under the engine (defaults to one fabric — the
         chaos matrix wants minimal nondeterminism surface).
@@ -128,7 +144,7 @@ class DurableEngine:
 
     def __init__(
         self,
-        journal_dir: Path | str,
+        journal_dir: Path | str | None,
         *,
         pool_size: int = 1,
         session_factory: SessionFactory = default_session_factory,
@@ -143,13 +159,15 @@ class DurableEngine:
     ) -> None:
         if max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {max_batch}")
-        self.journal = JobJournal(
-            journal_dir,
-            segment_records=segment_records,
-            fsync=fsync,
-            lock=lock,
-            lock_timeout_s=lock_timeout_s,
-        )
+        self.journal: JobJournal | None = None
+        if journal_dir is not None:
+            self.journal = JobJournal(
+                journal_dir,
+                segment_records=segment_records,
+                fsync=fsync,
+                lock=lock,
+                lock_timeout_s=lock_timeout_s,
+            )
         self.pool = FabricPool(
             pool_size, session_factory, breaker_factory=breaker_factory
         )
@@ -165,6 +183,9 @@ class DurableEngine:
         self._outbox: dict[str, JobResult] = {}
         self.queue: list[JobRequest] = []
         # -- recovery: construction replays the previous incarnation ---
+        if self.journal is None:
+            self.scan_report = ScanReport()
+            return
         records, self.scan_report = self.journal.scan()
         self.report.corrupt_lines_dropped = self.scan_report.dropped
         state = replay(records)
@@ -195,8 +216,9 @@ class DurableEngine:
         if request.job_id in self.results:
             return self.results[request.job_id]
         if any(q.job_id == request.job_id for q in self.queue):
-            return None  # already requeued by recovery
-        self.journal.submitted(request.job_id, encode_request(request))
+            return None  # already queued (by recovery or a submit)
+        if self.journal is not None:
+            self.journal.submitted(request.job_id, encode_request(request))
         self.queue.append(request)
         return None
 
@@ -209,36 +231,88 @@ class DurableEngine:
         move — a dispatched job's fabric is already running it, and a
         finished job's result must stay servable here.
         """
+        index = self._queued_index(job_id, "mark_moved")
+        if self.journal is not None:
+            self.journal.moved(job_id, data)
+        return self.queue.pop(index)
+
+    def _queued_index(self, job_id: str, op: str) -> int:
         for i, request in enumerate(self.queue):
             if request.job_id == job_id:
-                self.journal.moved(job_id, data)
-                return self.queue.pop(i)
-        raise ServeError(f"mark_moved: job {job_id!r} is not queued here")
+                return i
+        raise ServeError(f"{op}: job {job_id!r} is not queued here")
+
+    # ------------------------------------------------------------------
+    # the attempt edges
+    # ------------------------------------------------------------------
+
+    def mark_dispatched(
+        self, job_id: str, worker_id: str, attempt: int, **extra
+    ) -> None:
+        """Journal one attempt's DISPATCHED record."""
+        if self.journal is not None:
+            self.journal.dispatched(
+                job_id, {"worker": worker_id, "attempt": attempt, **extra}
+            )
+
+    def mark_retry(
+        self, job_id: str, attempt: int, error: str, **extra
+    ) -> None:
+        """Journal a failed attempt that will run again (RETRY)."""
+        if self.journal is not None:
+            self.journal.retry(
+                job_id, {"attempt": attempt, "error": error, **extra}
+            )
+        self.report.retries += 1
+
+    def progress_hook(self, request: JobRequest):
+        """The per-slice checkpoint hook for one job, or ``None`` (no
+        journal, or epoch journaling disabled).
+
+        Every ``checkpoint_every_slices`` slices it writes a fabric
+        checkpoint sidecar and journals an EPOCH_PROGRESS record
+        pointing at it.  It may run on an executor thread; the journal
+        append is thread-safe.
+        """
+        if self.journal is None or self.checkpoint_every_slices <= 0:
+            return None
+        every = self.checkpoint_every_slices
+        directory = checkpoint_dir(self.journal.directory)
+        job_id = request.job_id
+        journal = self.journal
+
+        def hook(slice_index: int, rtms) -> None:
+            if slice_index % every != 0:
+                return
+            path, crc = write_checkpoint(directory, job_id, slice_index, rtms)
+            journal.epoch_progress(
+                job_id,
+                {"slice": slice_index, "checkpoint": path, "crc": crc},
+            )
+
+        return hook
 
     # ------------------------------------------------------------------
     # the terminal edge and the outbox
     # ------------------------------------------------------------------
 
-    def _finish(self, result: JobResult, **body) -> JobResult:
-        """Journal the DONE record, then publish ``result``: it joins
-        :attr:`results` and waits in the outbox for its :meth:`ack`."""
-        self.journal.done(
-            result.job_id, {"status": result.status.value, **body}
-        )
+    def finish(self, result: JobResult) -> JobResult:
+        """Journal ``result``'s DONE record (:func:`done_body`), then
+        publish it: it joins :attr:`results` and waits in the outbox for
+        its :meth:`ack`."""
+        if self.journal is not None:
+            self.journal.done(result.job_id, done_body(result))
         self.results[result.job_id] = result
         self._outbox[result.job_id] = result
+        report = self.report
+        if result.status is JobStatus.DONE:
+            report.completed += 1
+            report.resumed_slices += result.resumed_slices
+            report.sim_ns += result.sim_ns
+            report.reconfig_ns += result.reconfig_ns
+        else:
+            report.failed += 1
         return result
-
-    def _finish_done(self, result: JobResult) -> None:
-        self._finish(
-            result,
-            worker=result.worker_id,
-            attempts=result.attempts,
-            warm=result.warm,
-            sim_ns=result.sim_ns,
-            reconfig_ns=result.reconfig_ns,
-        )
-        self.report.completed += 1
 
     def unacked(self) -> list[JobResult]:
         """Every result finished here that no :meth:`ack` has covered,
@@ -258,24 +332,21 @@ class DurableEngine:
         for job_id in job_ids:
             result = self._outbox.pop(job_id, None)
             if result is not None:
-                self.results[job_id] = JobResult(
-                    job_id=job_id,
-                    status=result.status,
-                    error=result.error,
-                    worker_id=result.worker_id,
-                    attempts=result.attempts,
-                    warm=result.warm,
-                    sim_ns=float(result.sim_ns),
-                    reconfig_ns=float(result.reconfig_ns),
-                    recovered=True,
-                )
+                self.results[job_id] = JobReplay(
+                    job_id, done=done_body(result)
+                ).recorded_result()
 
     # ------------------------------------------------------------------
     # deadline expiry
     # ------------------------------------------------------------------
 
-    def _finish_expired(
-        self, request: JobRequest, *, where: str, attempts: int = 0
+    def finish_expired(
+        self,
+        request: JobRequest,
+        where: str,
+        *,
+        worker_id: str = "",
+        attempts: int = 0,
     ) -> JobResult:
         """Terminate ``request`` as TIMEOUT without (further) execution.
 
@@ -284,28 +355,23 @@ class DurableEngine:
         waiting long ago.
         """
         error = f"deadline expired {where}"
-        result = self._finish(
+        result = self.finish(
             JobResult(
                 job_id=request.job_id,
                 status=JobStatus.TIMEOUT,
                 error=error,
+                worker_id=worker_id,
                 attempts=attempts,
-            ),
-            error=error,
-            attempts=attempts,
+            )
         )
         self.report.expired += 1
-        self.report.failed += 1
         return result
 
     def expire(self, job_id: str, *, where: str = "in queue") -> JobResult:
         """Expire a *queued* job in place (the drain path's fast reject:
         a dead-on-arrival job is failed here, not migrated)."""
-        for i, request in enumerate(self.queue):
-            if request.job_id == job_id:
-                self.queue.pop(i)
-                return self._finish_expired(request, where=where)
-        raise ServeError(f"expire: job {job_id!r} is not queued here")
+        request = self.queue.pop(self._queued_index(job_id, "expire"))
+        return self.finish_expired(request, where)
 
     # ------------------------------------------------------------------
     # execution
@@ -326,25 +392,6 @@ class DurableEngine:
                 w.id,
             ),
         )
-
-    def _progress_hook(self, request: JobRequest):
-        if self.checkpoint_every_slices <= 0:
-            return None
-        every = self.checkpoint_every_slices
-        directory = checkpoint_dir(self.journal.directory)
-        job_id = request.job_id
-        journal = self.journal
-
-        def hook(slice_index: int, rtms) -> None:
-            if slice_index % every != 0:
-                return
-            path, crc = write_checkpoint(directory, job_id, slice_index, rtms)
-            journal.epoch_progress(
-                job_id,
-                {"slice": slice_index, "checkpoint": path, "crc": crc},
-            )
-
-        return hook
 
     def _coalesce_partners(self, head: JobRequest) -> list[JobRequest]:
         """Pop queued jobs batchable with ``head`` (same ``config_key``,
@@ -382,14 +429,8 @@ class DurableEngine:
         group = [head] + partners
         worker = self._select_worker(head)
         for lane, request in enumerate(group):
-            self.journal.dispatched(
-                request.job_id,
-                {
-                    "worker": worker.id,
-                    "attempt": 1,
-                    "batch": len(group),
-                    "lane": lane,
-                },
+            self.mark_dispatched(
+                request.job_id, worker.id, 1, batch=len(group), lane=lane
             )
         try:
             runs = worker.execute_batch(group, CancelToken())
@@ -399,10 +440,7 @@ class DurableEngine:
             error = f"batched attempt: {exc!r}"
             for request in group:
                 self._no_batch.add(request.job_id)
-                self.journal.retry(
-                    request.job_id, {"attempt": 1, "error": error}
-                )
-            self.report.retries += len(group)
+                self.mark_retry(request.job_id, 1, error)
             self.queue[:0] = partners
             return None
         head_result: JobResult | None = None
@@ -421,9 +459,7 @@ class DurableEngine:
                 reconfig_ns=run.stats.reconfig_ns,
                 reconfig_saved_ns=run.reconfig_saved_ns,
             )
-            self._finish_done(result)
-            self.report.sim_ns += run.stats.sim_ns
-            self.report.reconfig_ns += run.stats.reconfig_ns
+            self.finish(result)
             if head_result is None:
                 head_result = result
         return head_result
@@ -438,7 +474,7 @@ class DurableEngine:
             raise ServeError("step() on an empty queue")
         request = self.queue.pop(0)
         if request.expired(self.clock()):
-            return self._finish_expired(request, where="before dispatch")
+            return self.finish_expired(request, "before dispatch")
         partners = self._coalesce_partners(request)
         if partners:
             result = self._step_batch(request, partners)
@@ -446,14 +482,12 @@ class DurableEngine:
                 return result
             # fall through: batch degraded, head runs scalar below
         worker = self._select_worker(request)
-        progress = self._progress_hook(request)
+        progress = self.progress_hook(request)
         attempts = 0
         last_error = ""
         while True:
             attempts += 1
-            self.journal.dispatched(
-                request.job_id, {"worker": worker.id, "attempt": attempts}
-            )
+            self.mark_dispatched(request.job_id, worker.id, attempts)
             try:
                 run = worker.execute(request, CancelToken(), progress)
             except JobCancelled:
@@ -466,48 +500,38 @@ class DurableEngine:
                         worker = self._select_worker(request)
                         continue  # fabric failed, not the job: free retry
                 if attempts > request.max_retries:
-                    result = JobResult(
-                        job_id=request.job_id,
-                        status=JobStatus.FAILED,
-                        error=last_error,
+                    return self.finish(
+                        JobResult(
+                            job_id=request.job_id,
+                            status=JobStatus.FAILED,
+                            error=last_error,
+                            worker_id=worker.id,
+                            attempts=attempts,
+                        )
+                    )
+                if request.expired(self.clock()):
+                    return self.finish_expired(
+                        request,
+                        "between retries",
                         worker_id=worker.id,
                         attempts=attempts,
                     )
-                    self._finish(
-                        result,
-                        error=result.error,
-                        worker=worker.id,
-                        attempts=attempts,
-                    )
-                    self.report.failed += 1
-                    return result
-                if request.expired(self.clock()):
-                    return self._finish_expired(
-                        request, where="between retries", attempts=attempts
-                    )
-                self.report.retries += 1
-                self.journal.retry(
-                    request.job_id,
-                    {"attempt": attempts, "error": last_error},
-                )
+                self.mark_retry(request.job_id, attempts, last_error)
                 continue
-            result = JobResult(
-                job_id=request.job_id,
-                status=JobStatus.DONE,
-                output=run.stats.output,
-                worker_id=worker.id,
-                attempts=attempts,
-                warm=run.warm,
-                sim_ns=run.stats.sim_ns,
-                reconfig_ns=run.stats.reconfig_ns,
-                reconfig_saved_ns=run.reconfig_saved_ns,
-                resumed_slices=run.resumed_slices,
+            return self.finish(
+                JobResult(
+                    job_id=request.job_id,
+                    status=JobStatus.DONE,
+                    output=run.stats.output,
+                    worker_id=worker.id,
+                    attempts=attempts,
+                    warm=run.warm,
+                    sim_ns=run.stats.sim_ns,
+                    reconfig_ns=run.stats.reconfig_ns,
+                    reconfig_saved_ns=run.reconfig_saved_ns,
+                    resumed_slices=run.resumed_slices,
+                )
             )
-            self._finish_done(result)
-            self.report.resumed_slices += run.resumed_slices
-            self.report.sim_ns += run.stats.sim_ns
-            self.report.reconfig_ns += run.stats.reconfig_ns
-            return result
 
     def run(self) -> EngineReport:
         """Drain the queue (recovered jobs first, submit order after)."""
@@ -518,4 +542,5 @@ class DurableEngine:
     def close(self) -> None:
         """Clean shutdown of this incarnation (crashed ones never call
         this — that is the point)."""
-        self.journal.close()
+        if self.journal is not None:
+            self.journal.close()

@@ -182,6 +182,8 @@ class JobJournal:
         self._closed = False
         # -- counters (the service mirrors these into metrics) ---------
         self.appended = 0
+        #: Records appended, by :class:`RecordType` value.
+        self.appended_by_type: dict[str, int] = {}
         self.bytes_written = 0
         self.fsyncs = 0
         self.rotations = 0
@@ -251,6 +253,8 @@ class JobJournal:
             if self.fsync is FsyncPolicy.ALWAYS:
                 self._sync()
             self.appended += 1
+            kind = record.type.value
+            self.appended_by_type[kind] = self.appended_by_type.get(kind, 0) + 1
             self.bytes_written += len(frame)
             self._records_in_segment += 1
             return record
@@ -385,7 +389,7 @@ class JobJournal:
             return removed
 
     # ------------------------------------------------------------------
-    # record helpers (thin sugar the service/engine call)
+    # record helpers (thin sugar the engine's edges call)
     # ------------------------------------------------------------------
 
     def submitted(self, job_id: str, data: dict) -> JournalRecord:

@@ -1,13 +1,20 @@
-"""The asyncio fabric job service.
+"""The asyncio fabric job service: an asyncio shell over DurableEngine.
 
-Wiring: ``submit()`` performs admission control (bounded queue, drain
-state) and parks the request in a single shared queue; one asyncio
-worker loop per pool fabric pulls its next job through the scheduling
-policy and executes it on a thread-pool (the fabric simulator is
-synchronous CPU work), with per-attempt wall-clock timeouts, bounded
-exponential retry backoff, and cooperative cancellation at epoch
-boundaries.  ``drain()`` stops admission and waits for the backlog to
-empty; ``shutdown()`` drains (optionally) and tears the loops down.
+A job's lifecycle belongs to :class:`~repro.serve.durability.DurableEngine`
+(``self.engine``): its request queue, results and outbox, recovery at
+construction, submit dedup and every journal edge.  The service adds
+only asyncio and QoS work on top: ``submit()`` performs admission
+control (bounded queue, drain state, load shedding) and returns a
+future keyed by job id; one asyncio worker loop per pool fabric pulls
+its next job from the engine's queue through the scheduling policy and
+executes it on a thread-pool (the fabric simulator is synchronous CPU
+work), with per-attempt wall-clock timeouts, bounded exponential retry
+backoff, breaker-budget requeues and cooperative cancellation at epoch
+boundaries.  A resolved future acks its result, so the engine's outbox
+never keeps outputs for the life of the service.  ``drain()`` stops
+admission and waits for the backlog to empty; ``handoff()`` surrenders
+it through ``engine.mark_moved``; ``shutdown()`` drains (optionally),
+tears the loops down and closes the journal.
 
 Every lifecycle edge feeds the metrics registry::
 
@@ -41,14 +48,16 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
+from pathlib import Path
 from typing import Callable
 
 from repro.errors import JobCancelled, JobRejected, ServeError
 from repro.serve.breaker import CircuitBreaker
+from repro.serve.durability.engine import DurableEngine
+from repro.serve.durability.journal import FsyncPolicy
 from repro.serve.jobs import JobRequest, JobResult, JobStatus, RejectReason
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.pool import FabricPool, WorkerRun
+from repro.serve.pool import WorkerRun
 from repro.serve.scheduler import AffinityPolicy, SchedulingPolicy
 from repro.serve.sessions import CancelToken, SessionFactory, default_session_factory
 from repro.serve.shedding import LoadShedder, jittered_retry_after
@@ -56,9 +65,85 @@ from repro.serve.shedding import LoadShedder, jittered_retry_after
 __all__ = ["FabricJobService", "ServiceStats"]
 
 
+#: Every metric the service feeds: (attribute, kind, name, help).
+_METRICS = (
+    ("_m_submitted", "counter", "serve_jobs_submitted_total",
+     "Jobs accepted into the queue"),
+    ("_m_completed", "counter", "serve_jobs_completed_total",
+     "Jobs finished, by terminal status"),
+    ("_m_rejected", "counter", "serve_jobs_rejected_total",
+     "Jobs turned away by admission control"),
+    ("_m_retries", "counter", "serve_job_retries_total",
+     "Retry attempts scheduled"),
+    ("_m_expired", "counter", "serve_jobs_expired_total",
+     "Jobs failed because their end-to-end deadline lapsed"),
+    ("_m_queue_depth", "gauge", "serve_queue_depth",
+     "Jobs waiting for a fabric"),
+    ("_m_inflight", "gauge", "serve_jobs_inflight",
+     "Jobs currently executing"),
+    ("_m_wait", "histogram", "serve_queue_wait_seconds",
+     "Wall time from submit to dispatch"),
+    ("_m_serve", "histogram", "serve_job_serve_seconds",
+     "Wall time executing (final attempt)"),
+    ("_m_sim_ns", "counter", "serve_job_sim_ns_total",
+     "Simulated fabric time consumed"),
+    ("_m_reconfig_ns", "counter", "serve_reconfig_ns_total",
+     "Simulated reconfiguration time (Eq. 1 B)"),
+    ("_m_saved_ns", "counter", "serve_reconfig_saved_ns_total",
+     "Reconfiguration time avoided by warm placement vs cold baseline"),
+    ("_m_warm", "counter", "serve_warm_jobs_total",
+     "Jobs served on an already-warm fabric"),
+    ("_m_cold", "counter", "serve_cold_starts_total",
+     "Jobs that paid a cold configuration"),
+    ("_m_fabric_busy", "counter", "serve_fabric_busy_ns_total",
+     "Simulated busy time per fabric"),
+    ("_m_fabric_jobs", "counter", "serve_fabric_jobs_total",
+     "Jobs completed per fabric"),
+    ("_m_fabric_util", "gauge", "serve_fabric_utilization",
+     "Busy share of each fabric since service start (sim time)"),
+    ("_m_faults_detected", "counter", "serve_faults_detected_total",
+     "SEUs detected by scrubbing"),
+    ("_m_faults_corrected", "counter", "serve_faults_corrected_total",
+     "Detected faults repaired"),
+    ("_m_hard_faults", "counter", "serve_hard_faults_total",
+     "Tiles declared hard-failed (remapped)"),
+    ("_m_scrub_ns", "counter", "serve_scrub_ns_total",
+     "Simulated ICAP time spent on scrubbing"),
+    ("_m_mttr", "histogram", "serve_fault_mttr_ns",
+     "Detection-to-repair time of corrected faults (sim ns)"),
+    ("_m_quarantined", "counter", "serve_worker_quarantined_total",
+     "Worker eject (quarantine) events"),
+    ("_m_readmitted", "counter", "serve_worker_readmitted_total",
+     "Workers returned to rotation"),
+    ("_m_requeued", "counter", "serve_jobs_requeued_total",
+     "Jobs pushed back to the queue after their fabric was quarantined"),
+    ("_m_health", "gauge", "serve_worker_health",
+     "Per-fabric health (0 healthy / 1 degraded / 2 quarantined)"),
+    ("_m_journal_records", "counter", "serve_journal_records_total",
+     "Journal records appended, by type"),
+    ("_m_journal_bytes", "counter", "serve_journal_bytes_total",
+     "Framed journal bytes written"),
+    ("_m_journal_fsyncs", "counter", "serve_journal_fsyncs_total",
+     "Journal fsync calls issued"),
+    ("_m_recovered", "counter", "serve_recovered_jobs_total",
+     "Jobs reconstructed from the journal at start, by outcome"),
+    ("_m_queue_delay_ewma", "gauge", "serve_queue_delay_ewma_seconds",
+     "Smoothed submit-to-dispatch delay the shedder tracks"),
+    ("_m_shed_probability", "gauge", "serve_shed_probability",
+     "Current probability an admission attempt is shed"),
+    ("_m_breaker_state", "gauge", "serve_breaker_state",
+     "Per-fabric breaker state (0 closed / 1 half-open / 2 open)"),
+    ("_m_breaker_transitions", "counter", "serve_breaker_transitions_total",
+     "Breaker open+close transitions per fabric"),
+    ("_m_probes", "counter", "serve_probe_jobs_total",
+     "Half-open probe jobs per fabric"),
+)
+
+
 @dataclass
 class _Pending:
-    request: JobRequest
+    """A queued or running job's waiter (its request is in the engine)."""
+
     future: asyncio.Future
     enqueued_at: float = field(default_factory=time.monotonic)
 
@@ -87,17 +172,17 @@ class FabricJobService:
         Admission-control bound; a submit beyond it is rejected
         immediately (callers that prefer backpressure to rejection pass
         ``wait=True`` to :meth:`submit`).
-    default_timeout_s / default_max_retries:
-        Fallbacks for requests that leave the QoS fields at zero-ish.
     retry_backoff_s / retry_backoff_cap_s:
         First retry delay and its exponential cap.
     journal:
-        Optional write-ahead :class:`~repro.serve.durability.JobJournal`.
-        When present, every lifecycle edge is journaled *before* it is
-        acknowledged, and :meth:`start` replays the journal: finished
-        jobs are served from their recorded results (never re-executed),
-        unfinished jobs are requeued — FFT jobs with a verified epoch
-        checkpoint resume mid-transform.
+        Journal directory, or ``None`` (the default) for no durability.
+        The service's :class:`~repro.serve.durability.DurableEngine`
+        opens it (``fsync="rotate"``, ``flock``-held until
+        :meth:`shutdown`) and recovers from it at construction: every
+        lifecycle edge is journaled *before* it is acknowledged,
+        finished jobs are served from their recorded results (never
+        re-executed), unfinished jobs are requeued at :meth:`start` —
+        FFT jobs with a verified epoch checkpoint resume mid-transform.
     shedder:
         Optional :class:`~repro.serve.shedding.LoadShedder`; when
         present, ``submit`` sheds probabilistically once the queue-delay
@@ -128,7 +213,7 @@ class FabricJobService:
         metrics: MetricsRegistry | None = None,
         retry_backoff_s: float = 0.05,
         retry_backoff_cap_s: float = 1.0,
-        journal=None,
+        journal: Path | str | None = None,
         shedder: LoadShedder | None = None,
         breaker_factory: Callable[[], CircuitBreaker] | None = None,
         checkpoint_every_slices: int = 0,
@@ -143,17 +228,22 @@ class FabricJobService:
                 f"checkpoint_every_slices must be >= 0, "
                 f"got {checkpoint_every_slices}"
             )
-        self.pool = FabricPool(
-            pool_size, session_factory, breaker_factory=breaker_factory
+        self.engine = DurableEngine(
+            journal,
+            pool_size=pool_size,
+            session_factory=session_factory,
+            fsync=FsyncPolicy.ROTATE,
+            checkpoint_every_slices=checkpoint_every_slices,
+            lock=True,
+            breaker_factory=breaker_factory,
         )
+        self.pool = self.engine.pool
         self.policy = policy if policy is not None else AffinityPolicy()
         self.max_queue = max_queue
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.retry_backoff_s = retry_backoff_s
         self.retry_backoff_cap_s = retry_backoff_cap_s
-        self.journal = journal
         self.shedder = shedder
-        self.checkpoint_every_slices = checkpoint_every_slices
         self.breaker_poll_s = breaker_poll_s
         self.handoff_retry_after_s = handoff_retry_after_s
         if retry_jitter < 0:
@@ -162,12 +252,10 @@ class FabricJobService:
         # Separate RNG for back-off hints: clients rejected in the same
         # burst (handoff, breaker-open) must not herd back in lock-step.
         self._retry_rng = random.Random(0x5EED_1E77)
-        #: DONE results replayed from the journal at start (result dedup:
-        #: resubmitting a finished job id returns this, never re-executes).
-        self.recovered_results: dict[str, JobResult] = {}
         #: Futures of jobs the journal requeued at start (job_id -> future).
         self.recovered_futures: dict[str, "asyncio.Future[JobResult]"] = {}
-        self._queue: list[_Pending] = []
+        #: Unresolved futures of queued and running jobs, by job id.
+        self._pending: dict[str, _Pending] = {}
         self._queue_changed: asyncio.Condition | None = None
         self._loops: list[asyncio.Task] = []
         self._executor: ThreadPoolExecutor | None = None
@@ -183,127 +271,11 @@ class FabricJobService:
     # ------------------------------------------------------------------
 
     def _register_metrics(self) -> None:
-        m = self.metrics
-        self._m_submitted = m.counter(
-            "serve_jobs_submitted_total", "Jobs accepted into the queue"
-        )
-        self._m_completed = m.counter(
-            "serve_jobs_completed_total", "Jobs finished, by terminal status"
-        )
-        self._m_rejected = m.counter(
-            "serve_jobs_rejected_total", "Jobs turned away by admission control"
-        )
-        self._m_retries = m.counter(
-            "serve_job_retries_total", "Retry attempts scheduled"
-        )
-        self._m_expired = m.counter(
-            "serve_jobs_expired_total",
-            "Jobs failed because their end-to-end deadline lapsed",
-        )
-        self._m_queue_depth = m.gauge(
-            "serve_queue_depth", "Jobs waiting for a fabric"
-        )
-        self._m_inflight = m.gauge(
-            "serve_jobs_inflight", "Jobs currently executing"
-        )
-        self._m_wait = m.histogram(
-            "serve_queue_wait_seconds", "Wall time from submit to dispatch"
-        )
-        self._m_serve = m.histogram(
-            "serve_job_serve_seconds", "Wall time executing (final attempt)"
-        )
-        self._m_sim_ns = m.counter(
-            "serve_job_sim_ns_total", "Simulated fabric time consumed"
-        )
-        self._m_reconfig_ns = m.counter(
-            "serve_reconfig_ns_total", "Simulated reconfiguration time (Eq. 1 B)"
-        )
-        self._m_saved_ns = m.counter(
-            "serve_reconfig_saved_ns_total",
-            "Reconfiguration time avoided by warm placement vs cold baseline",
-        )
-        self._m_warm = m.counter(
-            "serve_warm_jobs_total", "Jobs served on an already-warm fabric"
-        )
-        self._m_cold = m.counter(
-            "serve_cold_starts_total", "Jobs that paid a cold configuration"
-        )
-        self._m_fabric_busy = m.counter(
-            "serve_fabric_busy_ns_total", "Simulated busy time per fabric"
-        )
-        self._m_fabric_jobs = m.counter(
-            "serve_fabric_jobs_total", "Jobs completed per fabric"
-        )
-        self._m_fabric_util = m.gauge(
-            "serve_fabric_utilization",
-            "Busy share of each fabric since service start (sim time)",
-        )
-        # -- fault tolerance -------------------------------------------
-        self._m_faults_detected = m.counter(
-            "serve_faults_detected_total", "SEUs detected by scrubbing"
-        )
-        self._m_faults_corrected = m.counter(
-            "serve_faults_corrected_total", "Detected faults repaired"
-        )
-        self._m_hard_faults = m.counter(
-            "serve_hard_faults_total", "Tiles declared hard-failed (remapped)"
-        )
-        self._m_scrub_ns = m.counter(
-            "serve_scrub_ns_total", "Simulated ICAP time spent on scrubbing"
-        )
-        self._m_mttr = m.histogram(
-            "serve_fault_mttr_ns",
-            "Detection-to-repair time of corrected faults (sim ns)",
-        )
-        self._m_quarantined = m.counter(
-            "serve_worker_quarantined_total", "Worker eject (quarantine) events"
-        )
-        self._m_readmitted = m.counter(
-            "serve_worker_readmitted_total", "Workers returned to rotation"
-        )
-        self._m_requeued = m.counter(
-            "serve_jobs_requeued_total",
-            "Jobs pushed back to the queue after their fabric was quarantined",
-        )
-        self._m_health = m.gauge(
-            "serve_worker_health",
-            "Per-fabric health (0 healthy / 1 degraded / 2 quarantined)",
-        )
-        # -- durability & overload resilience --------------------------
-        self._m_journal_records = m.counter(
-            "serve_journal_records_total", "Journal records appended, by type"
-        )
-        self._m_journal_bytes = m.counter(
-            "serve_journal_bytes_total", "Framed journal bytes written"
-        )
-        self._m_journal_fsyncs = m.counter(
-            "serve_journal_fsyncs_total", "Journal fsync calls issued"
-        )
-        self._m_recovered = m.counter(
-            "serve_recovered_jobs_total",
-            "Jobs reconstructed from the journal at start, by outcome",
-        )
-        self._m_queue_delay_ewma = m.gauge(
-            "serve_queue_delay_ewma_seconds",
-            "Smoothed submit-to-dispatch delay the shedder tracks",
-        )
-        self._m_shed_probability = m.gauge(
-            "serve_shed_probability",
-            "Current probability an admission attempt is shed",
-        )
-        self._m_breaker_state = m.gauge(
-            "serve_breaker_state",
-            "Per-fabric breaker state (0 closed / 1 half-open / 2 open)",
-        )
-        self._m_breaker_transitions = m.counter(
-            "serve_breaker_transitions_total",
-            "Breaker open+close transitions per fabric",
-        )
-        self._m_probes = m.counter(
-            "serve_probe_jobs_total", "Half-open probe jobs per fabric"
-        )
+        for attr, kind, name, help_text in _METRICS:
+            setattr(self, attr, getattr(self.metrics, kind)(name, help_text))
         self._seen_quarantines: dict[str, int] = {}
         self._seen_breaker: dict[str, tuple[int, int]] = {}
+        self._seen_records: dict[str, int] = {}
         self._seen_journal = (0, 0)  # (bytes_written, fsyncs)
 
     def _update_health_metrics(self) -> None:
@@ -332,18 +304,30 @@ class FabricJobService:
                     self._m_probes.inc(probes - seen_p, fabric=member.id)
                 self._seen_breaker[member.id] = (transitions, probes)
 
-    def _journal_append(self, record_type: str, append) -> None:
-        """Append one journal record and mirror the journal's counters."""
-        if self.journal is None:
+    def _update_journal_metrics(self) -> None:
+        """Sync the journal counters to the engine's journal."""
+        journal = self.engine.journal
+        if journal is None:
             return
-        append()
-        self._m_journal_records.inc(type=record_type)
+        for kind, count in list(journal.appended_by_type.items()):
+            seen = self._seen_records.get(kind, 0)
+            if count > seen:
+                self._m_journal_records.inc(count - seen, type=kind)
+                self._seen_records[kind] = count
         seen_bytes, seen_fsyncs = self._seen_journal
-        if self.journal.bytes_written > seen_bytes:
-            self._m_journal_bytes.inc(self.journal.bytes_written - seen_bytes)
-        if self.journal.fsyncs > seen_fsyncs:
-            self._m_journal_fsyncs.inc(self.journal.fsyncs - seen_fsyncs)
-        self._seen_journal = (self.journal.bytes_written, self.journal.fsyncs)
+        if journal.bytes_written > seen_bytes:
+            self._m_journal_bytes.inc(journal.bytes_written - seen_bytes)
+        if journal.fsyncs > seen_fsyncs:
+            self._m_journal_fsyncs.inc(journal.fsyncs - seen_fsyncs)
+        self._seen_journal = (journal.bytes_written, journal.fsyncs)
+
+    def _resolve(self, job_id: str, result: JobResult) -> None:
+        """Hand ``result`` to the job's waiter and ack it to the engine."""
+        self._update_journal_metrics()
+        pending = self._pending.pop(job_id, None)
+        if pending is not None and not pending.future.cancelled():
+            pending.future.set_result(result)
+        self.engine.ack((job_id,))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -362,15 +346,16 @@ class FabricJobService:
             submitted=int(self._m_submitted.total),
             completed=int(self._m_completed.total),
             rejected=int(self._m_rejected.total),
-            queue_depth=len(self._queue),
+            queue_depth=len(self.engine.queue),
             inflight=self._inflight,
         )
 
     async def start(self) -> None:
         """Spin up one worker loop per fabric.
 
-        With a journal: replays it first, so recovered jobs are already
-        queued (oldest first) before any fresh submit lands.
+        With a journal: the jobs the engine recovered at construction
+        get their futures first, so they run (oldest first) before any
+        fresh submit lands.
         """
         if self._running:
             raise ServeError("service already started")
@@ -380,48 +365,26 @@ class FabricJobService:
         )
         self._running = True
         self._draining = False
-        self._start_time = time.monotonic()
-        if self.journal is not None:
-            self._recover()
+        report = self.engine.report
+        for outcome, count in (
+            ("finished", report.recovered_finished),
+            ("requeued", report.recovered_requeued),
+            ("resumed", report.recovered_resumed),
+        ):
+            if count:
+                self._m_recovered.inc(count, outcome=outcome)
+        loop = asyncio.get_running_loop()
+        for request in self.engine.queue:
+            pending = self._pending[request.job_id] = _Pending(
+                loop.create_future()
+            )
+            self.recovered_futures[request.job_id] = pending.future
+            self._m_submitted.inc(kind=request.spec.kind.value)
+        self._m_queue_depth.set(len(self.engine.queue))
         self._loops = [
             asyncio.create_task(self._worker_loop(worker), name=worker.id)
             for worker in self.pool
         ]
-
-    def _recover(self) -> None:
-        """Replay the journal: dedup finished jobs, requeue the rest."""
-        from repro.serve.durability.recovery import replay
-
-        records, _report = self.journal.scan()
-        state = replay(records)
-        loop = asyncio.get_running_loop()
-        for job in state.finished_jobs():
-            done = job.done or {}
-            try:
-                status = JobStatus(done.get("status", "done"))
-            except ValueError:
-                status = JobStatus.FAILED
-            self.recovered_results[job.job_id] = JobResult(
-                job_id=job.job_id,
-                status=status,
-                error=str(done.get("error", "")),
-                worker_id=str(done.get("worker", "")),
-                attempts=int(done.get("attempts", 0)),
-                warm=bool(done.get("warm", False)),
-                sim_ns=float(done.get("sim_ns", 0.0)),
-                reconfig_ns=float(done.get("reconfig_ns", 0.0)),
-                recovered=True,
-            )
-            self._m_recovered.inc(outcome="finished")
-        for request in state.recovered_requests():
-            future: asyncio.Future = loop.create_future()
-            self._queue.append(_Pending(request, future))
-            self.recovered_futures[request.job_id] = future
-            self._m_recovered.inc(
-                outcome="resumed" if request.resume_slice else "requeued"
-            )
-            self._m_submitted.inc(kind=request.spec.kind.value)
-        self._m_queue_depth.set(len(self._queue))
 
     async def drain(self) -> None:
         """Stop admitting; wait until the queue and all fabrics are idle."""
@@ -429,7 +392,7 @@ class FabricJobService:
         assert self._queue_changed is not None
         async with self._queue_changed:
             await self._queue_changed.wait_for(
-                lambda: not self._queue and self._inflight == 0
+                lambda: not self.engine.queue and self._inflight == 0
             )
 
     async def handoff(self) -> list[JobRequest]:
@@ -439,11 +402,11 @@ class FabricJobService:
         Stops admission and job pickup, waits for in-flight work to
         finish (a running job is never interrupted — its fabric owns
         it), then returns every still-queued request for a successor
-        service/shard to adopt.  For each surrendered job, a MOVED
-        record is journaled first (so this journal's replay stops
-        requeueing it — the successor's SUBMITTED record owns it now)
-        and its local future resolves to a ``REJECTED(handoff)`` result
-        carrying the :attr:`handoff_retry_after_s` back-off hint,
+        service/shard to adopt.  Each surrendered job goes through
+        ``engine.mark_moved`` (its MOVED record stops this journal's
+        replay requeueing it — the successor's SUBMITTED record owns it
+        now), then its local future resolves to a ``REJECTED(handoff)``
+        result carrying the :attr:`handoff_retry_after_s` back-off hint,
         telling a co-located waiter when to follow the job to its new
         home.
 
@@ -457,34 +420,30 @@ class FabricJobService:
         assert self._queue_changed is not None
         async with self._queue_changed:
             await self._queue_changed.wait_for(lambda: self._inflight == 0)
-            surrendered: list[JobRequest] = []
-            for pending in self._queue:
-                self._journal_append(
-                    "MOVED",
-                    lambda: self.journal.moved(
-                        pending.request.job_id, {"reason": "handoff"}
+            surrendered = [
+                self.engine.mark_moved(request.job_id, {"reason": "handoff"})
+                for request in list(self.engine.queue)
+            ]
+            for request in surrendered:
+                self._resolve(
+                    request.job_id,
+                    self._rejection(
+                        request,
+                        RejectReason.HANDOFF,
+                        retry_after_s=jittered_retry_after(
+                            self.handoff_retry_after_s,
+                            self._retry_rng,
+                            self.retry_jitter,
+                        ),
                     ),
                 )
-                if not pending.future.done():
-                    pending.future.set_result(
-                        self._rejection(
-                            pending.request,
-                            RejectReason.HANDOFF,
-                            retry_after_s=jittered_retry_after(
-                                self.handoff_retry_after_s,
-                                self._retry_rng,
-                                self.retry_jitter,
-                            ),
-                        )
-                    )
-                surrendered.append(pending.request)
-            self._queue.clear()
             self._m_queue_depth.set(0)
             self._queue_changed.notify_all()
         return surrendered
 
     async def shutdown(self, *, drain: bool = True) -> None:
-        """Tear the service down (optionally draining first)."""
+        """Tear the service down (optionally draining first) and close
+        the journal."""
         if not self._running:
             return
         if drain:
@@ -497,16 +456,18 @@ class FabricJobService:
             task.cancel()
         await asyncio.gather(*self._loops, return_exceptions=True)
         self._loops = []
-        # fail whatever was still queued (non-drain shutdown)
-        for pending in self._queue:
-            if not pending.future.done():
-                pending.future.set_result(
-                    self._rejection(pending.request, RejectReason.SHUTDOWN)
-                )
-        self._queue.clear()
+        # Fail whatever was still queued (non-drain shutdown); the
+        # journal still holds these jobs, so a restart requeues them.
+        for request in self.engine.queue:
+            self._resolve(
+                request.job_id,
+                self._rejection(request, RejectReason.SHUTDOWN),
+            )
+        self.engine.queue.clear()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        self.engine.close()
 
     async def __aenter__(self) -> "FabricJobService":
         await self.start()
@@ -561,22 +522,19 @@ class FabricJobService:
 
         With a journal, the SUBMITTED record is on disk *before* the
         future is returned — that is the write-ahead acknowledgment
-        contract — and resubmitting the job id of an already-finished
-        journaled job returns its recorded (deduplicated) result
-        immediately, without re-execution.
+        contract.  A job id the service already knows is never run
+        again: a queued or running one returns its existing future, a
+        finished one (in this life or a journaled earlier one) its
+        recorded result, immediately and without a journal append.
         """
         if not self._running or self._draining:
             reason = (
                 RejectReason.DRAINING if self._draining else RejectReason.STOPPED
             )
             self._reject(reason, f"service is {reason.value}")
-        loop = asyncio.get_running_loop()
-        if request.job_id in self.recovered_results:
-            future: asyncio.Future = loop.create_future()
-            future.set_result(self.recovered_results[request.job_id])
-            return future
-        if request.job_id in self.recovered_futures:
-            return self.recovered_futures[request.job_id]
+        known = self._known(request.job_id)
+        if known is not None:
+            return known
         if request.expired(time.monotonic()):
             # Dead on arrival: admitting it would only spend queue space
             # and journal bytes on an answer nobody is waiting for.
@@ -585,7 +543,7 @@ class FabricJobService:
                 f"deadline {request.deadline_s:.3f} already lapsed at submit",
             )
         if self.shedder is not None:
-            decision = self.shedder.decide(len(self._queue))
+            decision = self.shedder.decide(len(self.engine.queue))
             self._m_shed_probability.set(decision.shed_probability)
             if not decision.admit:
                 reason = (
@@ -602,32 +560,42 @@ class FabricJobService:
                 )
         assert self._queue_changed is not None
         async with self._queue_changed:
-            if len(self._queue) >= self.max_queue:
+            queue = self.engine.queue
+            if len(queue) >= self.max_queue:
                 if not wait:
                     self._reject(
                         RejectReason.QUEUE_FULL,
                         f"queue full ({self.max_queue} jobs waiting)",
                     )
                 await self._queue_changed.wait_for(
-                    lambda: len(self._queue) < self.max_queue
-                    or self._draining
+                    lambda: len(queue) < self.max_queue or self._draining
                 )
                 if self._draining:
                     self._reject(RejectReason.DRAINING, "service is draining")
-            self._journal_append(
-                "SUBMITTED", lambda: self._journal_submitted(request)
+                known = self._known(request.job_id)
+                if known is not None:
+                    return known
+            self.engine.submit(request)
+            pending = self._pending[request.job_id] = _Pending(
+                asyncio.get_running_loop().create_future()
             )
-            future = loop.create_future()
-            self._queue.append(_Pending(request, future))
+            self._update_journal_metrics()
             self._m_submitted.inc(kind=request.spec.kind.value)
-            self._m_queue_depth.set(len(self._queue))
+            self._m_queue_depth.set(len(queue))
             self._queue_changed.notify_all()
+        return pending.future
+
+    def _known(self, job_id: str) -> "asyncio.Future[JobResult] | None":
+        """The future of a job id already queued, running or finished."""
+        pending = self._pending.get(job_id)
+        if pending is not None:
+            return pending.future
+        recorded = self.engine.results.get(job_id)
+        if recorded is None:
+            return None
+        future = asyncio.get_running_loop().create_future()
+        future.set_result(recorded)
         return future
-
-    def _journal_submitted(self, request: JobRequest) -> None:
-        from repro.serve.durability.records import encode_request
-
-        self.journal.submitted(request.job_id, encode_request(request))
 
     async def submit_and_wait(
         self, request: JobRequest, *, wait: bool = False
@@ -682,7 +650,9 @@ class FabricJobService:
     # worker loops
     # ------------------------------------------------------------------
 
-    async def _next_pending(self, worker) -> _Pending:
+    async def _next_job(self, worker) -> tuple[JobRequest, float]:
+        """Take ``worker``'s next job off the engine's queue; returns it
+        with its enqueue time."""
         assert self._queue_changed is not None
         async with self._queue_changed:
             # A quarantined worker idles here until readmit() notifies.
@@ -693,13 +663,13 @@ class FabricJobService:
             # is about to be surrendered, not executed.
             if worker.breaker is None:
                 await self._queue_changed.wait_for(
-                    lambda: bool(self._queue)
+                    lambda: bool(self.engine.queue)
                     and worker.available
                     and not self._handing_off
                 )
             else:
                 while self._handing_off or not (
-                    self._queue and worker.available
+                    self.engine.queue and worker.available
                 ):
                     try:
                         await asyncio.wait_for(
@@ -708,33 +678,29 @@ class FabricJobService:
                         )
                     except asyncio.TimeoutError:
                         pass
-            index = self.policy.select(
-                [p.request for p in self._queue], worker
-            )
-            pending = self._queue.pop(index)
-            self._m_queue_depth.set(len(self._queue))
+            queue = self.engine.queue
+            request = queue.pop(self.policy.select(queue, worker))
+            self._m_queue_depth.set(len(queue))
             self._inflight += 1
             self._m_inflight.set(self._inflight)
             self._queue_changed.notify_all()
-        return pending
+        return request, self._pending[request.job_id].enqueued_at
 
     async def _worker_loop(self, worker) -> None:
         try:
             while True:
-                pending = await self._next_pending(worker)
+                request, enqueued_at = await self._next_job(worker)
                 try:
-                    result = await self._run_job(worker, pending)
+                    result = await self._run_job(worker, request, enqueued_at)
                 except asyncio.CancelledError:
-                    if not pending.future.done():
-                        pending.future.set_result(
-                            self._rejection(
-                                pending.request, RejectReason.SHUTDOWN
-                            )
-                        )
+                    self._resolve(
+                        request.job_id,
+                        self._rejection(request, RejectReason.SHUTDOWN),
+                    )
                     raise
                 except Exception as exc:  # defensive: never kill the loop
                     result = JobResult(
-                        job_id=pending.request.job_id,
+                        job_id=request.job_id,
                         status=JobStatus.FAILED,
                         error=f"internal: {exc!r}",
                         worker_id=worker.id,
@@ -742,8 +708,8 @@ class FabricJobService:
                 # ``None`` means the job was requeued (this fabric was
                 # quarantined mid-attempt); its future resolves when a
                 # healthy fabric picks it up again.
-                if result is not None and not pending.future.done():
-                    pending.future.set_result(result)
+                if result is not None:
+                    self._resolve(request.job_id, result)
                 assert self._queue_changed is not None
                 async with self._queue_changed:
                     self._inflight -= 1
@@ -752,31 +718,31 @@ class FabricJobService:
         except asyncio.CancelledError:
             pass
 
-    async def _run_job(self, worker, pending: _Pending) -> JobResult | None:
-        """Run one job on ``worker``; returns its terminal JobResult.
+    async def _run_job(
+        self, worker, request: JobRequest, enqueued_at: float
+    ) -> JobResult | None:
+        """Run one job on ``worker``; returns its terminal JobResult,
+        already finished on the engine.
 
         Returns ``None`` when the worker was quarantined mid-job and the
         request was pushed back to the queue front for a healthy fabric
         (the caller must then *not* resolve the future).
         """
-        request = pending.request
         kind = request.spec.kind.value
         dispatch_time = time.monotonic()
-        queue_wait = dispatch_time - pending.enqueued_at
+        queue_wait = dispatch_time - enqueued_at
         if request.expired(dispatch_time):
             # The deadline lapsed while the job sat in the queue —
             # dispatching now would burn a fabric on a thrown-away
             # answer.  Journaled terminally so replay never revives it.
-            return self._finish_expired(
-                request, "in queue", queue_wait=queue_wait
-            )
+            return self._expire(request, "in queue", queue_wait=queue_wait)
         self._m_wait.observe(queue_wait)
         if self.shedder is not None:
             self.shedder.observe(queue_wait)
             self._m_queue_delay_ewma.set(self.shedder.ewma_s)
             self._m_shed_probability.set(self.shedder.shed_probability())
 
-        progress = self._progress_hook(request)
+        progress = self.engine.progress_hook(request)
         loop = asyncio.get_running_loop()
         assert self._executor is not None
         attempts = 0
@@ -785,13 +751,7 @@ class FabricJobService:
         timed_out = False
         while True:
             attempts += 1
-            self._journal_append(
-                "DISPATCHED",
-                lambda: self.journal.dispatched(
-                    request.job_id,
-                    {"worker": worker.id, "attempt": attempts},
-                ),
-            )
+            self.engine.mark_dispatched(request.job_id, worker.id, attempts)
             cancel = CancelToken()
             self._active_cancels.add(cancel)
             attempt_start = time.monotonic()
@@ -836,33 +796,21 @@ class FabricJobService:
                 self._m_serve.observe(serve_wall)
                 self._account_success(worker, request, run)
                 self._m_completed.inc(kind=kind, status=JobStatus.DONE.value)
-                self._journal_append(
-                    "DONE",
-                    lambda: self.journal.done(
-                        request.job_id,
-                        {
-                            "status": JobStatus.DONE.value,
-                            "worker": worker.id,
-                            "attempts": attempts,
-                            "warm": run.warm,
-                            "sim_ns": run.stats.sim_ns,
-                            "reconfig_ns": run.stats.reconfig_ns,
-                        },
-                    ),
-                )
-                return JobResult(
-                    job_id=request.job_id,
-                    status=JobStatus.DONE,
-                    output=run.stats.output,
-                    worker_id=worker.id,
-                    attempts=attempts,
-                    warm=run.warm,
-                    queue_wait_s=queue_wait,
-                    serve_s=serve_wall,
-                    sim_ns=run.stats.sim_ns,
-                    reconfig_ns=run.stats.reconfig_ns,
-                    reconfig_saved_ns=run.reconfig_saved_ns,
-                    resumed_slices=run.resumed_slices,
+                return self.engine.finish(
+                    JobResult(
+                        job_id=request.job_id,
+                        status=JobStatus.DONE,
+                        output=run.stats.output,
+                        worker_id=worker.id,
+                        attempts=attempts,
+                        warm=run.warm,
+                        queue_wait_s=queue_wait,
+                        serve_s=serve_wall,
+                        sim_ns=run.stats.sim_ns,
+                        reconfig_ns=run.stats.reconfig_ns,
+                        reconfig_saved_ns=run.reconfig_saved_ns,
+                        resumed_slices=run.resumed_slices,
+                    )
                 )
             if not worker.available:
                 # The fabric just took itself out of rotation: either it
@@ -877,7 +825,7 @@ class FabricJobService:
                 if request.expired(time.monotonic()):
                     # Requeueing an expired job just moves the waste to
                     # the next fabric; fail it terminally here.
-                    return self._finish_expired(
+                    return self._expire(
                         request,
                         "at breaker requeue",
                         worker_id=worker.id,
@@ -891,27 +839,23 @@ class FabricJobService:
                 ):
                     if breaker_only:
                         request.max_retries = budget_left
-                        self._journal_append(
-                            "RETRY",
-                            lambda: self.journal.retry(
-                                request.job_id,
-                                {
-                                    "attempt": attempts,
-                                    "error": last_error,
-                                    "breaker": worker.id,
-                                },
-                            ),
+                        self.engine.mark_retry(
+                            request.job_id,
+                            attempts,
+                            last_error,
+                            breaker=worker.id,
                         )
                     assert self._queue_changed is not None
                     async with self._queue_changed:
-                        self._queue.insert(0, pending)
+                        self.engine.queue.insert(0, request)
                         self._m_requeued.inc(kind=kind)
-                        self._m_queue_depth.set(len(self._queue))
+                        self._m_queue_depth.set(len(self.engine.queue))
                         self._queue_changed.notify_all()
                     return None
                 # Every fabric is out of rotation for good (or the
                 # breaker-requeue budget is spent): fail fast rather
                 # than strand the job (and deadlock drain()).
+                retry_hint = 0.0
                 if breaker_only:
                     status = (
                         JobStatus.TIMEOUT if timed_out else JobStatus.FAILED
@@ -920,28 +864,44 @@ class FabricJobService:
                         f"{last_error}; worker {worker.id} breaker open "
                         "and retry budget exhausted"
                     )
+                    # Breaker-open failures carry a jittered back-off
+                    # hint sized to the breaker's cooldown: every client
+                    # burned by the same open breaker would otherwise
+                    # retry in unison the moment it half-opens.
+                    if worker.breaker is not None:
+                        retry_hint = jittered_retry_after(
+                            worker.breaker.base_cooldown_s,
+                            self._retry_rng,
+                            self.retry_jitter,
+                        )
                 else:
                     status = JobStatus.FAILED
                     error = (
                         f"{last_error}; worker {worker.id} quarantined and "
                         "no healthy fabric remains"
                     )
-                self._m_completed.inc(kind=kind, status=status.value)
-                self._journal_done_failure(
-                    request, status, error, worker.id, attempts
-                )
-                # Breaker-open failures carry a jittered back-off hint
-                # sized to the breaker's cooldown: every client burned by
-                # the same open breaker would otherwise retry in unison
-                # the moment it half-opens.
-                retry_hint = 0.0
-                if breaker_only and worker.breaker is not None:
-                    retry_hint = jittered_retry_after(
-                        worker.breaker.base_cooldown_s,
-                        self._retry_rng,
-                        self.retry_jitter,
+            elif attempts <= request.max_retries:
+                if request.expired(time.monotonic()):
+                    # No point scheduling another attempt the caller will
+                    # never see; ``last_error`` keeps the real failure.
+                    return self._expire(
+                        request,
+                        f"between retries ({last_error})",
+                        worker_id=worker.id,
+                        attempts=attempts,
+                        queue_wait=queue_wait,
                     )
-                return JobResult(
+                self._m_retries.inc(kind=kind)
+                self.engine.mark_retry(request.job_id, attempts, last_error)
+                await asyncio.sleep(min(backoff, self.retry_backoff_cap_s))
+                backoff *= 2
+                continue
+            else:
+                status = JobStatus.TIMEOUT if timed_out else JobStatus.FAILED
+                error, retry_hint = last_error, 0.0
+            self._m_completed.inc(kind=kind, status=status.value)
+            return self.engine.finish(
+                JobResult(
                     job_id=request.job_id,
                     status=status,
                     error=error,
@@ -951,43 +911,9 @@ class FabricJobService:
                     serve_s=serve_wall,
                     retry_after_s=retry_hint,
                 )
-            if attempts > request.max_retries:
-                status = JobStatus.TIMEOUT if timed_out else JobStatus.FAILED
-                self._m_completed.inc(kind=kind, status=status.value)
-                self._journal_done_failure(
-                    request, status, last_error, worker.id, attempts
-                )
-                return JobResult(
-                    job_id=request.job_id,
-                    status=status,
-                    error=last_error,
-                    worker_id=worker.id,
-                    attempts=attempts,
-                    queue_wait_s=queue_wait,
-                    serve_s=serve_wall,
-                )
-            if request.expired(time.monotonic()):
-                # No point scheduling another attempt the caller will
-                # never see; ``last_error`` keeps the real failure.
-                return self._finish_expired(
-                    request,
-                    f"between retries ({last_error})",
-                    worker_id=worker.id,
-                    attempts=attempts,
-                    queue_wait=queue_wait,
-                )
-            self._m_retries.inc(kind=kind)
-            self._journal_append(
-                "RETRY",
-                lambda: self.journal.retry(
-                    request.job_id,
-                    {"attempt": attempts, "error": last_error},
-                ),
             )
-            await asyncio.sleep(min(backoff, self.retry_backoff_cap_s))
-            backoff *= 2
 
-    def _finish_expired(
+    def _expire(
         self,
         request: JobRequest,
         where: str,
@@ -996,82 +922,17 @@ class FabricJobService:
         attempts: int = 0,
         queue_wait: float = 0.0,
     ) -> JobResult:
-        """Terminally fail a job whose end-to-end deadline lapsed.
-
-        Journaled as ``DONE(timeout)`` so replay treats it exactly like
-        any other finished job — an expired job is never requeued,
-        re-dispatched or migrated.
-        """
-        error = f"deadline expired {where}"
+        """Count an expired job and terminate it on the engine (a
+        ``DONE(timeout)`` record: never requeued, re-dispatched or
+        migrated)."""
         kind = request.spec.kind.value
         self._m_expired.inc(kind=kind)
         self._m_completed.inc(kind=kind, status=JobStatus.TIMEOUT.value)
-        self._journal_done_failure(
-            request, JobStatus.TIMEOUT, error, worker_id, attempts
+        result = self.engine.finish_expired(
+            request, where, worker_id=worker_id, attempts=attempts
         )
-        return JobResult(
-            job_id=request.job_id,
-            status=JobStatus.TIMEOUT,
-            error=error,
-            worker_id=worker_id,
-            attempts=attempts,
-            queue_wait_s=queue_wait,
-        )
-
-    def _journal_done_failure(
-        self,
-        request: JobRequest,
-        status: JobStatus,
-        error: str,
-        worker_id: str,
-        attempts: int,
-    ) -> None:
-        self._journal_append(
-            "DONE",
-            lambda: self.journal.done(
-                request.job_id,
-                {
-                    "status": status.value,
-                    "error": error,
-                    "worker": worker_id,
-                    "attempts": attempts,
-                },
-            ),
-        )
-
-    def _progress_hook(self, request: JobRequest):
-        """Build the per-slice checkpoint/journal hook for one job.
-
-        Returns ``None`` (no hook, zero overhead) unless a journal is
-        configured and epoch journaling is enabled.  The hook runs on
-        the executor thread, between fabric epochs: every
-        ``checkpoint_every_slices`` slices it writes a fabric checkpoint
-        sidecar and journals an EPOCH_PROGRESS record pointing at it.
-        """
-        if self.journal is None or self.checkpoint_every_slices <= 0:
-            return None
-        from repro.serve.durability.resume import (
-            checkpoint_dir,
-            write_checkpoint,
-        )
-
-        every = self.checkpoint_every_slices
-        directory = checkpoint_dir(self.journal.directory)
-        job_id = request.job_id
-
-        def hook(slice_index: int, rtms) -> None:
-            if slice_index % every != 0:
-                return
-            path, crc = write_checkpoint(directory, job_id, slice_index, rtms)
-            self._journal_append(
-                "EPOCH_PROGRESS",
-                lambda: self.journal.epoch_progress(
-                    job_id,
-                    {"slice": slice_index, "checkpoint": path, "crc": crc},
-                ),
-            )
-
-        return hook
+        result.queue_wait_s = queue_wait
+        return result
 
     def _account_success(
         self, worker, request: JobRequest, run: WorkerRun

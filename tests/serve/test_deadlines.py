@@ -123,18 +123,50 @@ class TestEngineDeadlines:
             engine.expire("dl-missing")
         engine.close()
 
+    @pytest.mark.parametrize("driver", ["engine", "service"])
     def test_expired_terminal_record_is_not_requeued_on_replay(
-        self, tmp_path
+        self, tmp_path, driver
     ):
-        now = {"t": 100.0}
-        engine = self._engine(tmp_path, now)
-        engine.submit(_request("dl-0", deadline_s=50.0))
-        engine.step()
-        engine.close()
+        if driver == "engine":
+            now = {"t": 100.0}
+            engine = self._engine(tmp_path, now)
+            engine.submit(_request("dl-0", deadline_s=50.0))
+            engine.step()
+            engine.close()
+        else:
+            asyncio.run(_expire_while_queued(tmp_path, "dl-0"))
         revived = DurableEngine(tmp_path, fsync=FsyncPolicy.NEVER)
         assert not revived.queue
         assert revived.results["dl-0"].status is JobStatus.TIMEOUT
+        records, _ = revived.journal.scan()
         revived.close()
+        # Both drivers write the one expiry DONE body.
+        (done,) = [
+            r.data
+            for r in records
+            if r.job_id == "dl-0" and r.type is RecordType.DONE
+        ]
+        assert sorted(done) == ["attempts", "error", "status", "worker"]
+        assert done["status"] == JobStatus.TIMEOUT.value
+        assert done["error"].startswith("deadline expired")
+
+
+async def _expire_while_queued(journal_dir, job_id: str) -> None:
+    """A journaled one-fabric service whose ``job_id`` expires queued
+    behind a slow job; its outbox is empty once drained."""
+    service = FabricJobService(
+        pool_size=1,
+        session_factory=fake_factory(sleep_s=0.15),
+        journal=journal_dir,
+    )
+    async with service:
+        await service.submit(_request("dl-block"))
+        doomed = await service.submit(
+            _request(job_id, deadline_s=time.monotonic() + 0.02)
+        )
+        await service.drain()
+        assert (await doomed).status is JobStatus.TIMEOUT
+        assert service.engine.unacked() == []
 
 
 class TestServiceDeadlines:

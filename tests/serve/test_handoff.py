@@ -36,11 +36,10 @@ def _scenario(tmp_path, n_jobs=5, sleep_s=0.05):
     """
 
     async def run():
-        journal = JobJournal(tmp_path, fsync=FsyncPolicy.NEVER)
         service = FabricJobService(
             pool_size=1,
             session_factory=fake_factory(sleep_s=sleep_s),
-            journal=journal,
+            journal=tmp_path,
         )
         async with service:
             futures = [
@@ -51,7 +50,6 @@ def _scenario(tmp_path, n_jobs=5, sleep_s=0.05):
             await asyncio.sleep(sleep_s / 2)
             surrendered = await service.handoff()
             outcomes = await asyncio.gather(*futures)
-        journal.close()
         scan_journal = JobJournal(tmp_path, fsync=FsyncPolicy.NEVER)
         records, _ = scan_journal.scan()
         scan_journal.close()

@@ -22,7 +22,7 @@ from repro.serve.durability.recovery import replay
 from repro.serve.jobs import JobRequest, JobStatus, fft_spec, jpeg_spec
 from repro.serve.service import FabricJobService
 
-from tests.serve.fakes import fake_factory
+from tests.serve.fakes import fake_factory, flaky_factory
 
 
 def _fft_request(job_id="job-0", n=16, seed=0, **kwargs):
@@ -216,13 +216,11 @@ class TestEngineRecovery:
 class TestServiceRestart:
     def test_restarted_service_requeues_and_dedups(self, tmp_path):
         async def first_life():
-            journal = JobJournal(tmp_path, fsync=FsyncPolicy.NEVER)
             service = FabricJobService(
-                pool_size=1, session_factory=fake_factory(), journal=journal
+                pool_size=1, session_factory=fake_factory(), journal=tmp_path
             )
             async with service:
                 done = await (await service.submit(_request("finished-0")))
-            journal.close()
             return done
 
         def _request(job_id):
@@ -246,9 +244,8 @@ class TestServiceRestart:
         journal.close()
 
         async def second_life():
-            journal = JobJournal(tmp_path, fsync=FsyncPolicy.NEVER)
             service = FabricJobService(
-                pool_size=1, session_factory=fake_factory(), journal=journal
+                pool_size=1, session_factory=fake_factory(), journal=tmp_path
             )
             async with service:
                 # The requeued job finishes without any client resubmit.
@@ -256,7 +253,6 @@ class TestServiceRestart:
                 # Resubmitting the finished job returns the recorded
                 # result instead of re-executing it.
                 replayed = await (await service.submit(_request("finished-0")))
-            journal.close()
             return service, recovered, replayed
 
         service, recovered, replayed = asyncio.run(second_life())
@@ -266,3 +262,95 @@ class TestServiceRestart:
         outcomes = service.metrics["serve_recovered_jobs_total"]
         assert outcomes.value(outcome="finished") == 1
         assert outcomes.value(outcome="requeued") == 1
+
+
+def _journaled(request_id: str) -> JobRequest:
+    return JobRequest(spec=fft_spec(), payload=[0.5] * 16, job_id=request_id)
+
+
+def _journal_types(journal_dir, job_id: str) -> list[RecordType]:
+    journal = JobJournal(journal_dir, fsync=FsyncPolicy.NEVER, lock=False)
+    records, _ = journal.scan()
+    journal.close()
+    return [r.type for r in records if r.job_id == job_id]
+
+
+class TestServiceDedup:
+    """A journaled service never runs a job id it already knows."""
+
+    def test_a_repeated_finished_job_id_is_not_run_again(self, tmp_path):
+        async def run():
+            service = FabricJobService(
+                pool_size=1, session_factory=fake_factory(), journal=tmp_path
+            )
+            async with service:
+                first = await (await service.submit(_journaled("a")))
+                again = await (await service.submit(_journaled("a")))
+            return first, again
+
+        first, again = asyncio.run(run())
+        assert first.status is JobStatus.DONE and not first.recovered
+        # The recorded result comes back instead of a second run.
+        assert again.status is JobStatus.DONE
+        assert again.recovered
+        assert again.worker_id == first.worker_id
+        assert _journal_types(tmp_path, "a") == [
+            RecordType.SUBMITTED,
+            RecordType.DISPATCHED,
+            RecordType.DONE,
+        ]
+
+    def test_a_repeated_queued_job_id_returns_its_future(self, tmp_path):
+        async def run():
+            service = FabricJobService(
+                pool_size=1,
+                session_factory=fake_factory(sleep_s=0.05),
+                journal=tmp_path,
+            )
+            async with service:
+                blocker = await service.submit(_journaled("block"))
+                queued = await service.submit(_journaled("q"))
+                again = await service.submit(_journaled("q"))
+                same = again is queued
+                results = await asyncio.gather(blocker, queued)
+            return same, results
+
+        same, results = asyncio.run(run())
+        assert same
+        assert all(r.status is JobStatus.DONE for r in results)
+        assert _journal_types(tmp_path, "q") == [
+            RecordType.SUBMITTED,
+            RecordType.DISPATCHED,
+            RecordType.DONE,
+        ]
+
+
+class TestServiceJournalMetrics:
+    def test_metrics_mirror_the_journal(self, tmp_path):
+        async def run():
+            factory, _ = flaky_factory(1)  # one failed attempt, one retry
+            service = FabricJobService(
+                pool_size=1,
+                session_factory=factory,
+                journal=tmp_path,
+                retry_backoff_s=0.001,
+            )
+            async with service:
+                result = await (await service.submit(_journaled("m-0")))
+            return service, result
+
+        service, result = asyncio.run(run())
+        assert result.status is JobStatus.DONE
+        assert result.attempts == 2
+        types = [t.value for t in _journal_types(tmp_path, "m-0")]
+        counts = {kind: types.count(kind) for kind in set(types)}
+        assert counts == {
+            "SUBMITTED": 1, "DISPATCHED": 2, "RETRY": 1, "DONE": 1,
+        }
+        by_type = service.metrics["serve_journal_records_total"]
+        for kind in RecordType:
+            assert by_type.value(type=kind.value) == counts.get(kind.value, 0)
+        assert (
+            service.metrics["serve_journal_bytes_total"].total
+            == service.engine.journal.bytes_written
+        )
