@@ -64,7 +64,7 @@ SHED_HARD_CAP = 64
 
 def _trace_requests(n_jobs: int, seed: int, fft_fraction: float):
     """A mixed 64-pt-FFT / JPEG-frame trace (production-shaped jobs —
-    the chaos harness's 16-pt jobs are sized for crash coverage, not
+    the chaos runner's 16-pt jobs are sized for crash coverage, not
     for a representative compute/journal ratio)."""
     import numpy as np
 

@@ -1,10 +1,11 @@
 """``python -m repro chaos`` — the kill-and-restart walkthrough.
 
-Runs a small ladder of deterministic chaos scenarios against the durable
-serving engine and prints, for each, where the process "died", how many
-restarts recovery needed, how much work the epoch checkpoints saved, and
-whether every invariant of :mod:`repro.chaos.invariants` held (the same
-oracle the cluster runner applies to both shard transports).
+Runs a small ladder of deterministic chaos scenarios against one durable
+serving engine — a one-shard scenario of the chaos runner,
+:func:`repro.cluster.harness.run_cluster_scenario` — and prints, for
+each, where the process "died", how many restarts recovery needed, how
+much work the epoch checkpoints saved, and whether every invariant of
+:mod:`repro.chaos.invariants` held.
 Everything is seeded: run it twice, get the same bytes.
 """
 
@@ -14,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 from repro.chaos.crashpoints import FaultSpec
-from repro.chaos.harness import ChaosScenario, run_scenario
+from repro.cluster.harness import ClusterScenario, run_cluster_scenario
 
 __all__ = ["main"]
 
@@ -48,20 +49,21 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         for index, (name, faults) in enumerate(SCENARIOS.items()):
-            scenario = ChaosScenario(
+            scenario = ClusterScenario(
                 faults=faults,
                 seed=7,
                 n_jobs=4,
+                n_shards=1,
                 checkpoint_every_slices=2,
             )
-            report = run_scenario(scenario, Path(tmp) / f"s{index}")
+            report = run_cluster_scenario(scenario, Path(tmp) / f"s{index}")
             verdict = "OK " if report.ok else "FAIL"
             print(f"\n[{verdict}] {name}")
             print(
                 f"      restarts={report.restarts}"
                 f"  acked={report.jobs_acked}"
                 f"  completed={report.jobs_completed}"
-                f"  recovered_finished={report.jobs_recovered_finished}"
+                f"  journal_records={report.journal_records}"
             )
             print(
                 f"      resumed_jobs={report.jobs_resumed}"

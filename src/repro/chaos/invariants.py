@@ -1,10 +1,9 @@
 """The serving oracle, stated once for every chaos runner.
 
-A runner drives a fault plan against one serving shape — a single
-durable engine (:mod:`repro.chaos.harness`) or a sharded cluster over
-either shard transport (:mod:`repro.cluster.harness`) — and checks what
-its clients were told and what its journals hold against the rules
-here:
+The chaos runner (:mod:`repro.cluster.harness`) drives a fault plan
+against one serving shape — a single durable engine (one shard) or a
+sharded cluster over either shard transport — and checks what its
+clients were told and what its journals hold against the rules here:
 
 * **bit-identical outputs** — every executed DONE output equals the
   fault-free single-engine baseline of the same trace;

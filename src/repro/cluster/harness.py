@@ -1,6 +1,8 @@
 """Chaos scenarios over the sharded cluster, on either shard transport.
 
-One runner and one oracle (:mod:`repro.chaos.invariants`); the fault
+The one chaos runner, with one oracle (:mod:`repro.chaos.invariants`).
+A single durable engine is the one-shard case: ``n_shards=1`` rebuilds
+that engine from its journal directory after every crash.  The fault
 plan picks the transport:
 
 * **crash points** (:class:`~repro.chaos.crashpoints.FaultSpec`) run over
@@ -91,6 +93,9 @@ class ClusterScenario:
     drain_after: int = 2
     steal: bool = True
     pool_size: int = 1
+    #: Epoch-progress cadence of every shard's engine (slices between
+    #: checkpoints; 0 disables resume).
+    checkpoint_every_slices: int = 0
     max_restarts: int = 8
     fsync: FsyncPolicy = FsyncPolicy.NEVER
     #: Run a plan without process faults over shard subprocesses too.
@@ -120,10 +125,18 @@ class ClusterScenario:
                 f"cannot both kill and drain shard {self.kill_shard} "
                 f"in one scenario"
             )
-        if self.victim is not None and not 0 <= self.victim < self.n_shards:
+        for role in ("victim", "kill_shard", "drain_shard"):
+            index = getattr(self, role)
+            if index is not None and not 0 <= index < self.n_shards:
+                raise ChaosError(
+                    f"{role} index {index} out of range "
+                    f"for {self.n_shards} shards"
+                )
+        if self.n_shards < 2 and (
+            self.kill_shard is not None or self.drain_shard is not None
+        ):
             raise ChaosError(
-                f"victim index {self.victim} out of range "
-                f"for {self.n_shards} shards"
+                "a shard kill or drain needs at least 2 shards"
             )
         fault = self.proc_fault
         if fault is None:
@@ -232,6 +245,12 @@ class ClusterReport:
     jobs_completed: int = 0
     #: Typed errors on the ack path (each submit retried next round).
     submit_errors: int = 0
+    #: Executed deliveries that resumed from an epoch checkpoint, and
+    #: the slices those resumes skipped.
+    jobs_resumed: int = 0
+    resumed_slices: int = 0
+    #: Torn journal lines recovery dropped, summed over incarnations.
+    corrupt_lines_dropped: int = 0
     #: The ``epipe`` proof: a submit against a known-dead process raised
     #: the typed error instead of fabricating an ack.
     epipe_typed: bool = False
@@ -289,6 +308,12 @@ def run_cluster_scenario(
         baseline_outputs(scenario.requests(), workdir / "baseline"),
         report.violations,
     )
+
+    def deliver(result) -> None:
+        if deliveries.deliver(result) and result.resumed_slices:
+            report.jobs_resumed += 1
+            report.resumed_slices += result.resumed_slices
+
     names = scenario.shard_names()
 
     def pick(index: int | None) -> str | None:
@@ -303,7 +328,11 @@ def run_cluster_scenario(
     spawned: set[str] = set()
 
     def factory(name: str, journal_dir: Path) -> ProcShardWorker:
-        options = dict(pool_size=scenario.pool_size, fsync=scenario.fsync)
+        options = dict(
+            pool_size=scenario.pool_size,
+            fsync=scenario.fsync,
+            checkpoint_every_slices=scenario.checkpoint_every_slices,
+        )
         if not scenario.subprocess:
             return ProcShardWorker.loopback(name, journal_dir, **options)
         # Arm the write-path hook only on the victim's FIRST process —
@@ -398,7 +427,7 @@ def run_cluster_scenario(
                     continue
                 acked.add(request.job_id)
                 if pre is not None:
-                    deliveries.deliver(pre)
+                    deliver(pre)
             pending = still
             if router.pending:
                 if scenario.steal:
@@ -481,10 +510,13 @@ def run_cluster_scenario(
                         router.handoff(name, root / name)
                     # Recovered finished results are (re)deliveries.
                     for shard in router.live_shards():
+                        report.corrupt_lines_dropped += shard.hello.get(
+                            "corrupt_lines_dropped", 0
+                        )
                         ids = [j for j in shard.finished_ids() if j in acked]
                         for result in shard.finished_results(ids):
                             result = router._record(result) or result
-                            deliveries.deliver(result)
+                            deliver(result)
                     unacked = serve()
                     router.publish_metrics()
                 except SimulatedCrash:
@@ -497,7 +529,7 @@ def run_cluster_scenario(
         ]
         for job_id, result in router.results.items():
             if job_id in acked:
-                deliveries.deliver(result)
+                deliver(result)
         report.steals = router.steals
         report.handoffs = router.handoffs
         for shard in router.shards.values():

@@ -237,6 +237,6 @@ class LockTimeout(ReproError):
 
 
 class ChaosError(ReproError):
-    """Raised by the chaos harness on malformed fault plans or scenario
-    misuse (never by an injected fault itself — those surface as
+    """Raised by the chaos runner and fault controller on malformed
+    fault plans or scenario misuse (never by an injected fault itself — those surface as
     ``SimulatedCrash`` or ``OSError``)."""

@@ -251,10 +251,6 @@ class FabricFFT:
             brev[base:base + plan.m] = re + 1j * im
         return brev[bit_reverse_indices(plan.n)]
 
-    # Backwards-compatible private aliases (pre-serving-layer callers).
-    _transform_epochs = transform_epochs
-    _read_output = read_output
-
     # ------------------------------------------------------------------
     # simulator-measured profile (the Table 1 analogue)
     # ------------------------------------------------------------------

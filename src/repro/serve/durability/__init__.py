@@ -23,8 +23,9 @@ Modules
     Fabric checkpoint files + residency re-keying for epoch resume.
 :mod:`repro.serve.durability.engine`
     The durable serving engine, the one owner of a job's lifecycle
-    (queue, recovery, dedup, journal edges): the chaos harness and
-    shards drive it sequentially, the asyncio service wraps it.
+    (queue, recovery, dedup, journal edges): shards (and through them
+    the chaos runner) drive it sequentially, the asyncio service wraps
+    it.
 """
 
 from repro.serve.durability.engine import DurableEngine, EngineReport

@@ -2,7 +2,7 @@
 
 It owns the request queue, :attr:`results` and the outbox, recovery,
 submit dedup and every journal edge.  Two drivers run it: the
-sequential :meth:`step` (shards, the chaos harness, the benchmarks) and
+sequential :meth:`step` (shards, the chaos runner, the benchmarks) and
 the asyncio :class:`~repro.serve.service.FabricJobService`, which adds
 only timeouts, backoff, admission and breakers around the same edges.
 
@@ -20,10 +20,11 @@ only timeouts, backoff, admission and breakers around the same edges.
   reader acks over the wire, the service as it resolves a future), then
   decays to what a restart rebuilds from its DONE record.
 
-The chaos harness drives :meth:`run`, strictly sequential and in
-simulated fabric time: a :class:`~repro.chaos.crashpoints.SimulatedCrash`
-unwinds out of it, and a **new** engine over the same directory replays
-the journal the way a restarted service does.  One instance is one
+The chaos runner (:mod:`repro.cluster.harness`) drives it through a
+shard, strictly sequential and in simulated fabric time: a
+:class:`~repro.chaos.crashpoints.SimulatedCrash` unwinds out of it, and
+a **new** engine over the same directory replays the journal the way a
+restarted service does.  One instance is one
 process incarnation; ``journal_dir=None`` means no journal, no recovery.
 """
 

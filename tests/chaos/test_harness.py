@@ -1,10 +1,9 @@
-"""The kill-and-restart chaos matrix.
-
-The headline test sweeps **every registered crash point** with a
-crash-at-first-hit plan and asserts every recovery invariant holds; the
-rest of the module pins the specific behaviours the ISSUE names: torn
-appends, injected disk errors at the acknowledgment edge, epoch resume
-with bit-identical output, and compaction crash tolerance.
+"""The kill-and-restart chaos matrix, on the one runner (a single
+durable engine is a one-shard ``ClusterScenario``).  The headline test
+sweeps **every registered crash point** with a crash-at-first-hit plan
+(``tests/cluster`` sweeps them under a shard kill); the rest pins
+torn appends, disk errors at the acknowledgment edge, epoch resume with
+bit-identical output, and compaction crash tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ from repro.chaos.crashpoints import (
     armed,
     registered_crashpoints,
 )
-from repro.chaos.harness import ChaosScenario, run_scenario
+from repro.cluster.harness import ClusterScenario, run_cluster_scenario
+from repro.errors import ChaosError
 from repro.serve.durability.journal import FsyncPolicy, JobJournal
 from repro.serve.durability.recovery import replay
 
@@ -27,32 +27,32 @@ from repro.serve.durability.recovery import replay
 def _scenario(*faults, **kwargs):
     kwargs.setdefault("seed", 7)
     kwargs.setdefault("n_jobs", 3)
+    kwargs.setdefault("n_shards", 1)
     kwargs.setdefault("checkpoint_every_slices", 2)
-    return ChaosScenario(faults=tuple(faults), **kwargs)
+    return ClusterScenario(faults=tuple(faults), **kwargs)
+
 
 
 class TestMatrix:
     def test_clean_run_has_no_violations(self, tmp_path):
-        report = run_scenario(_scenario(), tmp_path)
+        report = run_cluster_scenario(_scenario(), tmp_path)
         assert report.ok, report.violations
         assert report.restarts == 0
         assert report.jobs_acked == report.jobs_completed == 3
 
     @pytest.mark.parametrize("point", registered_crashpoints())
     def test_crash_at_every_registered_point(self, point, tmp_path):
-        """Crash at the first visit of ``point``: whatever the journal
-        managed to keep, recovery must satisfy every invariant.  Points
-        the scenario never visits degenerate to a clean run — equally a
-        pass (the sweep stays exhaustive as new points are registered).
-        """
-        report = run_scenario(
-            _scenario(FaultSpec(point, action="crash", hit=1)), tmp_path
-        )
+        """Crash at the first visit of ``point``; a point the scenario
+        never visits degenerates to a crash-free run, equally a pass (so
+        the sweep stays exhaustive as new points are registered)."""
+        fault = FaultSpec(point, action="crash", hit=1)
+        report = run_cluster_scenario(_scenario(fault), tmp_path)
         assert report.ok, (point, report.violations)
+        assert report.jobs_completed == report.jobs_acked == 3
 
     @pytest.mark.parametrize("hit", [1, 2, 3, 5, 8])
     def test_crash_after_nth_append(self, hit, tmp_path):
-        report = run_scenario(
+        report = run_cluster_scenario(
             _scenario(FaultSpec("journal.append.after", hit=hit)), tmp_path
         )
         assert report.ok, (hit, report.violations)
@@ -60,7 +60,7 @@ class TestMatrix:
 
     @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.9])
     def test_torn_append_is_dropped_not_trusted(self, fraction, tmp_path):
-        report = run_scenario(
+        report = run_cluster_scenario(
             _scenario(
                 FaultSpec(
                     "journal.append",
@@ -78,7 +78,7 @@ class TestMatrix:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 13])
     def test_seed_sweep_with_a_mid_trace_crash(self, seed, tmp_path):
-        report = run_scenario(
+        report = run_cluster_scenario(
             _scenario(
                 FaultSpec("journal.append.after", hit=4), seed=seed, n_jobs=4
             ),
@@ -87,9 +87,19 @@ class TestMatrix:
         assert report.ok, (seed, report.violations)
 
 
+class TestScenarioValidation:
+    @pytest.mark.parametrize("n_shards, kill, drain", [
+        (3, 5, None), (3, None, 7), (3, -1, None), (1, 0, None), (1, None, 0)
+    ])
+    def test_shard_index_it_cannot_run_is_refused(self, n_shards, kill, drain):
+        with pytest.raises(ChaosError):
+            ClusterScenario(n_shards=n_shards, kill_shard=kill,
+                            drain_shard=drain)
+
+
 class TestAcknowledgmentEdge:
     def test_disk_error_at_submit_is_not_an_ack(self, tmp_path):
-        report = run_scenario(
+        report = run_cluster_scenario(
             _scenario(FaultSpec("journal.append", action="oserror", hit=1)),
             tmp_path,
         )
@@ -106,16 +116,12 @@ class TestEpochResume:
         job that resumed from its epoch checkpoint still produces the
         bit-identical fault-free output (checked by the harness's
         baseline invariant)."""
-        report = run_scenario(
-            ChaosScenario(
-                faults=(
-                    FaultSpec("journal.append", action="torn", hit=4,
-                              torn_fraction=0.25),
-                    FaultSpec("journal.append.after", action="crash", hit=9),
-                ),
-                seed=7,
+        report = run_cluster_scenario(
+            _scenario(
+                FaultSpec("journal.append", action="torn", hit=4,
+                          torn_fraction=0.25),
+                FaultSpec("journal.append.after", action="crash", hit=9),
                 n_jobs=4,
-                checkpoint_every_slices=2,
             ),
             tmp_path,
         )
@@ -125,14 +131,14 @@ class TestEpochResume:
         assert report.resumed_slices > 0
 
     def test_checkpoint_crash_downgrades_to_scratch(self, tmp_path):
-        report = run_scenario(
+        report = run_cluster_scenario(
             _scenario(FaultSpec("checkpoint.write", action="crash", hit=1)),
             tmp_path,
         )
         assert report.ok, report.violations
 
     def test_no_checkpointing_still_recovers_from_scratch(self, tmp_path):
-        report = run_scenario(
+        report = run_cluster_scenario(
             _scenario(
                 FaultSpec("journal.append.after", hit=5),
                 checkpoint_every_slices=0,
@@ -192,14 +198,14 @@ class TestDeterminism:
         scenario = _scenario(
             FaultSpec("journal.append", action="torn", hit=3),
         )
-        a = run_scenario(scenario, tmp_path / "a").as_dict()
-        b = run_scenario(scenario, tmp_path / "b").as_dict()
+        a = run_cluster_scenario(scenario, tmp_path / "a").as_dict()
+        b = run_cluster_scenario(scenario, tmp_path / "b").as_dict()
         assert a == b
 
     def test_payload_round_trip_is_exact_for_resumed_jobs(self, tmp_path):
-        # The baseline comparison inside run_scenario is the real check;
+        # The baseline comparison inside the runner is the real check;
         # this pins that FFT outputs are complex arrays compared exactly.
-        report = run_scenario(
+        report = run_cluster_scenario(
             _scenario(FaultSpec("journal.append.after", hit=3)), tmp_path
         )
         assert report.ok

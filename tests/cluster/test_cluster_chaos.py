@@ -1,13 +1,9 @@
-"""The cluster kill-and-restart chaos matrix.
-
-The single-node matrix (``tests/chaos/test_harness.py``) sweeps every
-registered crash point over one engine; this module sweeps the same
-points over a three-shard cluster **with a shard kill layered on**, so
-every crash interleaves with stealing and handoff.  The Hypothesis
-section then drives randomized Zipf-skewed traces through steal +
-shard-kill + replay and holds the two cluster invariants the ISSUE
-names: no acknowledged job is ever lost, and no job is ever delivered
-twice with conflicting results.
+"""The cluster kill-and-restart chaos matrix: every registered crash
+point over a three-shard cluster with a shard kill, and crashes inside
+the steal, handoff and drain windows.  The Hypothesis section
+drives randomized Zipf-skewed traces through steal + shard-kill + replay
+and holds the two cluster invariants: no acknowledged job is ever lost,
+and no job is ever delivered twice with conflicting results.
 """
 
 from __future__ import annotations
@@ -55,9 +51,7 @@ class TestMatrix:
         self, point, tmp_path
     ):
         """Crash at the first visit of ``point`` while shard-1 dies
-        mid-run.  Points this scenario never visits degenerate to the
-        plain shard-kill run — equally a pass, which keeps the sweep
-        exhaustive as new points are registered."""
+        mid-run; an unvisited point is the plain shard-kill run."""
         report = run_cluster_scenario(
             _scenario(FaultSpec(point, action="crash", hit=1)), tmp_path
         )

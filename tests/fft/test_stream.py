@@ -96,10 +96,10 @@ class TestCoResidency:
         mesh = Mesh(plan.rows, plan.cols)
         rtms = RuntimeManager(mesh, IcapPort(), dataflow=True)
         xs = batch(16, 2, rng)
-        rtms.execute(runner._transform_epochs(xs[0], tag="a_"))
+        rtms.execute(runner.transform_epochs(xs[0], tag="a_"))
         bytes_cold = sum(t.nbytes for t in rtms.icap.transfers)
         rtms.icap.transfers.clear()
-        rtms.execute(runner._transform_epochs(xs[1], tag="b_"))
+        rtms.execute(runner.transform_epochs(xs[1], tag="b_"))
         bytes_warm = sum(t.nbytes for t in rtms.icap.transfers)
         assert bytes_warm < bytes_cold / 3
         # several programs co-resident per tile
