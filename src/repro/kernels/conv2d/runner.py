@@ -1,54 +1,36 @@
 """The 3x3 stencil executed on the fabric.
 
-:class:`FabricConv2D` drives one tile through the compiled stencil
-artifact: the tap preset loads through the ICAP once (the artifact's
-setup prologue), each frame arrives as free host pokes through the
-input port, and the looped convolution program fires once per frame.
-Output is read straight from the result region — ``dump_block`` returns
-signed words, so negative edge responses come back as-is — and must be
-bit-identical to the numpy reference oracle.
-
-``run_batch`` goes through the vector-batched tier with the same
-cold-pilot-first discipline as the JPEG pipeline: a cold fabric runs the
-first frame on the scalar path (paying program pinning there), so the
-batch pilot is warm and replicated lane timings stay honest.
+:class:`FabricConv2D` is a :class:`~repro.kernels.tile_runner.TileRunner`
+over the compiled stencil artifact: the tap preset loads through the
+ICAP once (the artifact's setup prologue), each frame arrives as free
+host pokes through the input port, and the looped convolution program
+fires once per frame.  Output is read straight from the result region —
+``dump_block`` returns signed words, so negative edge responses come
+back as-is — and must be bit-identical to the numpy reference oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compile import CompiledArtifact, compile_kernel
-from repro.fabric.icap import IcapPort
-from repro.fabric.mesh import Mesh
-from repro.fabric.rtms import RuntimeManager
 from repro.kernels.conv2d.programs import Conv2DLayout
+from repro.kernels.tile_runner import TileRunner
 
 __all__ = ["FabricConv2D"]
 
 
-class FabricConv2D:
-    """One tile running the stencil under the RTMS."""
+class FabricConv2D(TileRunner):
+    """One tile running the stencil under the RTMS.
+
+    ``run(frame)`` convolves one ``(size, size)`` frame and returns the
+    valid result; ``run_batch`` takes a ``(K, size, size)`` stack.
+    """
 
     def __init__(self, size: int = 16, kernel: str = "sharpen") -> None:
         self.size = size
         self.kernel = kernel
         self.layout = Conv2DLayout(size)
-        self.mesh = Mesh(1, 1)
-        self.rtms = RuntimeManager(self.mesh, IcapPort())
-        self.artifact: CompiledArtifact = compile_kernel(
-            "conv2d", {"size": size, "kernel": kernel}
-        )
-        self._programs = tuple(
-            program
-            for spec in self.artifact.plan.body
-            for program in spec.programs.values()
-        )
-        self._preloaded = False
-
-    def _preload(self) -> None:
-        self.rtms.run_setup(self.artifact)
-        self._preloaded = True
+        super().__init__("conv2d", {"size": size, "kernel": kernel})
 
     def read_output_words(self, words) -> np.ndarray:
         lay = self.layout
@@ -57,36 +39,3 @@ class FabricConv2D:
             dtype=np.int64,
         )
         return out.reshape(lay.out_dim, lay.out_dim)
-
-    def run(self, frame: np.ndarray) -> np.ndarray:
-        """Convolve one frame on the tile; returns the valid result."""
-        if not self._preloaded:
-            self._preload()
-        self.rtms.execute_artifact(self.artifact, frame)
-        tile = self.mesh.tile((0, 0))
-        return self.read_output_words(
-            lambda coord, base, count: tile.dmem.dump_block(base, count)
-        )
-
-    def run_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Convolve a ``(K, size, size)`` stack through the batched tier.
-
-        Bit-identical to K sequential :meth:`run` calls.
-        """
-        frames = np.asarray(frames)
-        lay = self.layout
-        out = np.empty((len(frames), lay.out_dim, lay.out_dim), dtype=np.int64)
-        tile = self.mesh.tile((0, 0))
-        first = 0
-        if not self._preloaded or any(
-            tile.resident_base(p) is None for p in self._programs
-        ):
-            out[0] = self.run(frames[0])
-            first = 1
-        if first < len(frames):
-            result = self.rtms.execute_artifact_batch(
-                self.artifact, list(frames[first:])
-            )
-            for lane in result.lanes:
-                out[first + lane.index] = self.read_output_words(lane.words)
-        return out

@@ -1,54 +1,40 @@
 """The streaming DSP chain executed on the fabric.
 
-:class:`FabricDSP` drives one tile through the compiled chain: taps and
-zero history load through the ICAP once, each oversampled frame arrives
-as free host pokes, and the FIR/decimate/butterfly programs fire in
-chain order.  The natural-order spectrum is decoded from the RE/IM
-regions exactly like the FFT runner does it (Q30 decode + bit-reversal
-unscramble) and must match the word-level reference oracle bit for bit.
-
-``run_batch`` goes through the vector-batched tier with the same
-cold-pilot-first discipline as the other kernels.
+:class:`FabricDSP` is a :class:`~repro.kernels.tile_runner.TileRunner`
+over the compiled chain: taps and zero history load through the ICAP
+once, each oversampled frame arrives as free host pokes, and the
+FIR/decimate/butterfly programs fire in chain order.  The natural-order
+spectrum is decoded from the RE/IM regions exactly like the FFT runner
+does it (Q30 decode + bit-reversal unscramble) and must match the
+word-level reference oracle bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compile import CompiledArtifact, compile_kernel
-from repro.fabric.icap import IcapPort
-from repro.fabric.mesh import Mesh
-from repro.fabric.rtms import RuntimeManager
 from repro.kernels.dsp.programs import DSPLayout
 from repro.kernels.fft.programs import QFORMAT
 from repro.kernels.fft.reference import bit_reverse_indices
+from repro.kernels.tile_runner import TileRunner
 
 __all__ = ["FabricDSP"]
 
 
-class FabricDSP:
-    """One tile running the FIR → decimate → FFT chain under the RTMS."""
+class FabricDSP(TileRunner):
+    """One tile running the FIR → decimate → FFT chain under the RTMS.
+
+    ``run(x)`` processes one oversampled frame and returns the
+    natural-order complex spectrum; ``run_batch`` takes a
+    ``(K, n * decim)`` stack.
+    """
 
     def __init__(self, n: int = 16, taps: int = 8, decim: int = 2) -> None:
         self.n = n
         self.taps = taps
         self.decim = decim
         self.layout = DSPLayout(n, taps, decim)
-        self.mesh = Mesh(1, 1)
-        self.rtms = RuntimeManager(self.mesh, IcapPort())
-        self.artifact: CompiledArtifact = compile_kernel(
-            "dsp", {"n": n, "taps": taps, "decim": decim}
-        )
-        self._programs = tuple(
-            program
-            for spec in self.artifact.plan.body
-            for program in spec.programs.values()
-        )
-        self._preloaded = False
-
-    def _preload(self) -> None:
-        self.rtms.run_setup(self.artifact)
-        self._preloaded = True
+        super().__init__("dsp", {"n": n, "taps": taps, "decim": decim})
 
     def read_output_words(self, words) -> np.ndarray:
         fft_lay, n = self.layout.fft, self.n
@@ -56,36 +42,3 @@ class FabricDSP:
         im = QFORMAT.decode_words(words((0, 0), fft_lay.im, n))
         brev = re + 1j * im
         return brev[bit_reverse_indices(n)]
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """Process one oversampled frame; returns the natural-order
-        complex spectrum."""
-        if not self._preloaded:
-            self._preload()
-        self.rtms.execute_artifact(self.artifact, x)
-        tile = self.mesh.tile((0, 0))
-        return self.read_output_words(
-            lambda coord, base, count: tile.dmem.dump_block(base, count)
-        )
-
-    def run_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Process a ``(K, n * decim)`` stack through the batched tier.
-
-        Bit-identical to K sequential :meth:`run` calls.
-        """
-        frames = np.asarray(frames)
-        out = np.empty((len(frames), self.n), dtype=np.complex128)
-        tile = self.mesh.tile((0, 0))
-        first = 0
-        if not self._preloaded or any(
-            tile.resident_base(p) is None for p in self._programs
-        ):
-            out[0] = self.run(frames[0])
-            first = 1
-        if first < len(frames):
-            result = self.rtms.execute_artifact_batch(
-                self.artifact, list(frames[first:])
-            )
-            for lane in result.lanes:
-                out[first + lane.index] = self.read_output_words(lane.words)
-        return out

@@ -1,50 +1,35 @@
 """The blocked GEMM executed on the fabric.
 
-:class:`FabricGEMM` drives one tile through the compiled panel
-schedule: operands (and the zeroed accumulator) arrive as free host
-pokes through the input port, the ``(n/block)^3`` panel programs fire in
-chain order, and the product is read back from the C region — signed
-words, bit-identical to the int64 reference oracle.
-
-``run_batch`` goes through the vector-batched tier with the same
-cold-pilot-first discipline as the other kernels.
+:class:`FabricGEMM` is a :class:`~repro.kernels.tile_runner.TileRunner`
+over the compiled panel schedule: operands (and the zeroed accumulator)
+arrive as free host pokes through the input port, the ``(n/block)^3``
+panel programs fire in chain order, and the product is read back from
+the C region — signed words, bit-identical to the int64 reference
+oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compile import CompiledArtifact, compile_kernel
-from repro.fabric.icap import IcapPort
-from repro.fabric.mesh import Mesh
-from repro.fabric.rtms import RuntimeManager
 from repro.kernels.gemm.programs import GEMMLayout
+from repro.kernels.tile_runner import TileRunner
 
 __all__ = ["FabricGEMM"]
 
 
-class FabricGEMM:
-    """One tile running the blocked GEMM under the RTMS."""
+class FabricGEMM(TileRunner):
+    """One tile running the blocked GEMM under the RTMS.
+
+    ``run(operands)`` multiplies one ``(2, n, n)`` operand pair and
+    returns ``A @ B``; ``run_batch`` takes a ``(K, 2, n, n)`` stack.
+    """
 
     def __init__(self, n: int = 8, block: int = 4) -> None:
         self.n = n
         self.block = block
         self.layout = GEMMLayout(n, block)
-        self.mesh = Mesh(1, 1)
-        self.rtms = RuntimeManager(self.mesh, IcapPort())
-        self.artifact: CompiledArtifact = compile_kernel(
-            "gemm", {"n": n, "block": block}
-        )
-        self._programs = tuple(
-            program
-            for spec in self.artifact.plan.body
-            for program in spec.programs.values()
-        )
-        self._preloaded = False
-
-    def _preload(self) -> None:
-        self.rtms.run_setup(self.artifact)
-        self._preloaded = True
+        super().__init__("gemm", {"n": n, "block": block})
 
     def read_output_words(self, words) -> np.ndarray:
         lay = self.layout
@@ -52,36 +37,3 @@ class FabricGEMM:
             words((0, 0), lay.c_base, lay.n * lay.n), dtype=np.int64
         )
         return out.reshape(lay.n, lay.n)
-
-    def run(self, operands: np.ndarray) -> np.ndarray:
-        """Multiply one ``(2, n, n)`` operand pair; returns ``A @ B``."""
-        if not self._preloaded:
-            self._preload()
-        self.rtms.execute_artifact(self.artifact, operands)
-        tile = self.mesh.tile((0, 0))
-        return self.read_output_words(
-            lambda coord, base, count: tile.dmem.dump_block(base, count)
-        )
-
-    def run_batch(self, pairs: np.ndarray) -> np.ndarray:
-        """Multiply a ``(K, 2, n, n)`` stack through the batched tier.
-
-        Bit-identical to K sequential :meth:`run` calls.
-        """
-        pairs = np.asarray(pairs)
-        lay = self.layout
-        out = np.empty((len(pairs), lay.n, lay.n), dtype=np.int64)
-        tile = self.mesh.tile((0, 0))
-        first = 0
-        if not self._preloaded or any(
-            tile.resident_base(p) is None for p in self._programs
-        ):
-            out[0] = self.run(pairs[0])
-            first = 1
-        if first < len(pairs):
-            result = self.rtms.execute_artifact_batch(
-                self.artifact, list(pairs[first:])
-            )
-            for lane in result.lanes:
-                out[first + lane.index] = self.read_output_words(lane.words)
-        return out

@@ -35,12 +35,29 @@ from repro.kernels.jpeg.quant import (
 )
 from repro.kernels.jpeg.zigzag import ZIGZAG_ORDER, zigzag, zigzag_batch
 
-__all__ = ["JPEGEncoder", "encode_image", "blocks_of", "level_shift"]
+__all__ = ["JPEGEncoder", "encode_image", "as_frame", "blocks_of", "level_shift"]
 
 
 def level_shift(block: np.ndarray) -> np.ndarray:
     """p0 (shift): centre 8-bit samples around zero."""
     return np.asarray(block, dtype=np.int64) - 128
+
+
+def as_frame(image) -> np.ndarray:
+    """The int64 greyscale frame every JPEG encode path accepts.
+
+    Floats are rounded and clipped to 0..255; anything that is not then
+    a 2-D frame of 8-bit samples raises :class:`KernelError`.
+    """
+    img = np.asarray(image)
+    if img.dtype.kind == "f":
+        img = np.clip(np.rint(img), 0, 255)
+    img = img.astype(np.int64)
+    if img.ndim != 2:
+        raise KernelError(f"expected a 2-D greyscale image, got shape {img.shape}")
+    if img.size and (img.min() < 0 or img.max() > 255):
+        raise KernelError("image samples must be 8-bit (0..255)")
+    return img
 
 
 def blocks_of(image: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -121,12 +138,7 @@ class JPEGEncoder:
 
     def encode(self, image: np.ndarray) -> bytes:
         """Encode a greyscale image into a JFIF byte stream."""
-        img = np.asarray(image)
-        if img.dtype.kind == "f":
-            img = np.clip(np.rint(img), 0, 255)
-        img = img.astype(np.int64)
-        if img.min() < 0 or img.max() > 255:
-            raise KernelError("image samples must be 8-bit (0..255)")
+        img = as_frame(image)
         h, w = img.shape
         blocks, rows, cols = blocks_of(img)
 

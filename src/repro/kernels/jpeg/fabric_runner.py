@@ -35,8 +35,8 @@ from repro.compile import CompiledArtifact, compile_jpeg
 from repro.errors import KernelError
 from repro.fabric.icap import IcapPort
 from repro.fabric.mesh import Mesh
-from repro.fabric.rtms import EpochSpec, RuntimeManager
-from repro.kernels.jpeg.encoder import JPEGEncoder, blocks_of
+from repro.fabric.rtms import RuntimeManager
+from repro.kernels.jpeg.encoder import JPEGEncoder, as_frame, blocks_of
 from repro.kernels.jpeg.huffman import BitWriter, encode_block_coefficients
 from repro.kernels.jpeg.lowering import REGION_ZZ
 from repro.kernels.jpeg.quant import LUMINANCE_QTABLE, alpha_scale_table, scale_qtable
@@ -94,38 +94,10 @@ class FabricBlockPipeline:
 
     # ------------------------------------------------------------------
 
-    @property
-    def stage_programs(self) -> tuple:
-        """The five co-resident per-block stage programs (public so the
-        serving layer can probe their pinning cost)."""
-        return self._programs
-
-    def data1_image(self) -> dict[int, int]:
-        """The fixed ``data1`` image (DCT coefficients + quantizer
-        reciprocals), exactly as :meth:`_preload` charges it."""
-        [setup] = self.artifact.plan.setup
-        return dict(setup.data_images[(0, 0)])
-
-    def preload_epochs(self) -> list[EpochSpec]:
-        """The one-time ``data1`` load epoch (public building block)."""
-        return self.artifact.setup_epochs()
-
     def _preload(self) -> None:
         """Load the fixed data (data1) through the ICAP, once."""
         self.rtms.run_setup(self.artifact)
         self._preloaded = True
-
-    def block_epochs(self, block: np.ndarray, tag: str = "") -> list[EpochSpec]:
-        """The epoch schedule of one 8x8 block (public building block).
-
-        Pixels arrive as a free host poke, then the five co-resident
-        stage programs fire in order — exactly what :meth:`encode_block`
-        executes.  Exposed so external drivers (the fault campaign, a
-        serving session) can run blocks through their *own* runtime
-        manager / recovery loop and read the result back with
-        :meth:`read_zigzag`.
-        """
-        return self.artifact.bind(block, tag)
 
     def read_zigzag(self, mesh: Mesh | None = None) -> np.ndarray:
         """Read the 64 zig-zag coefficients back off a mesh (default: own)."""
@@ -219,12 +191,7 @@ class FabricBlockPipeline:
 
     def encode_image(self, image: np.ndarray) -> FabricEncodeResult:
         """Encode a greyscale frame, every block computed on the tile."""
-        img = np.asarray(image)
-        if img.dtype.kind == "f":
-            img = np.clip(np.rint(img), 0, 255)
-        img = img.astype(np.int64)
-        if img.min() < 0 or img.max() > 255:
-            raise KernelError("image samples must be 8-bit (0..255)")
+        img = as_frame(image)
         height, width = img.shape
         blocks, rows, cols = blocks_of(img)
 

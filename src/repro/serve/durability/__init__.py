@@ -7,8 +7,8 @@ journal before the client sees an acknowledgement, every lifecycle edge
 happens, and a restarted service replays the journal to reconstruct
 exactly the state the crash destroyed: finished jobs keep their recorded
 results (no duplicate execution, no duplicate client answer), unfinished
-jobs are requeued, and epoch-resumable FFT jobs continue from their last
-journaled fabric checkpoint instead of from scratch.
+jobs are requeued, and epoch-resumable artifact jobs continue from their
+last journaled fabric checkpoint instead of from scratch.
 
 Modules
 -------

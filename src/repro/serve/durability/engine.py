@@ -8,7 +8,7 @@ only timeouts, backoff, admission and breakers around the same edges.
 
 * Construction **is** recovery: the journal is folded, finished jobs
   become recorded results, unfinished jobs are requeued oldest-first
-  (FFT jobs with a verified epoch checkpoint carry resume fields).
+  (jobs with a verified epoch checkpoint carry resume fields).
 * :meth:`submit` acknowledges a job only after its SUBMITTED record is
   framed into the journal (an injected ``OSError`` propagates, so the
   caller knows the job was *not* acknowledged); a finished or queued
@@ -123,8 +123,8 @@ class DurableEngine:
         the *torn-write* model, not the page-cache model, is what the
         harness exercises.
     checkpoint_every_slices:
-        Epoch-progress journaling cadence (0 disables; FFT jobs then
-        always restart from scratch after a crash).
+        Epoch-progress journaling cadence (0 disables; every job then
+        restarts from scratch after a crash).
     max_batch:
         When > 1, :meth:`step` coalesces up to this many queued jobs
         with the head's ``config_key`` into one vector-batched dispatch

@@ -141,7 +141,7 @@ class RecoveryState:
     def recovered_requests(self) -> list[JobRequest]:
         """Requeue-ready :class:`JobRequest` s for every unfinished job.
 
-        FFT jobs with a *verified* checkpoint (file present, CRC32 of
+        Jobs with a *verified* checkpoint (file present, CRC32 of
         its bytes matches the journaled value) carry resume fields; any
         doubt — missing file, corrupt bytes — silently downgrades to a
         from-scratch run, which is correct (just slower).

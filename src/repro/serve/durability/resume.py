@@ -1,8 +1,9 @@
 """Fabric checkpoint files + residency re-keying for epoch resume.
 
-An FFT job is a sequence of epoch boundaries (the paper's Eq. 1 model),
-and :class:`~repro.fabric.rtms.RuntimeManager` already knows how to
-snapshot all architecturally visible mesh state at one
+An artifact job (FFT, conv2d, gemm, dsp) is a sequence of epoch
+boundaries (the paper's Eq. 1 model), and
+:class:`~repro.fabric.rtms.RuntimeManager` already knows how to snapshot
+all architecturally visible mesh state at one
 (:meth:`~repro.fabric.rtms.RuntimeManager.checkpoint`).  This module
 persists such a snapshot to disk (pickle + CRC32, atomic publish) so a
 *restarted process* can restore it into a freshly built session and

@@ -182,7 +182,7 @@ class FabricJobService:
         lifecycle edge is journaled *before* it is acknowledged,
         finished jobs are served from their recorded results (never
         re-executed), unfinished jobs are requeued at :meth:`start` —
-        FFT jobs with a verified epoch checkpoint resume mid-transform.
+        artifact jobs with a verified epoch checkpoint resume mid-job.
     shedder:
         Optional :class:`~repro.serve.shedding.LoadShedder`; when
         present, ``submit`` sheds probabilistically once the queue-delay

@@ -9,10 +9,16 @@ first job on a session is *cold* (programs + static data stream through
 the ICAP); subsequent same-spec jobs are *warm* and only pay the
 per-job data movement (yellow twiddles, link replays).
 
-Sessions also own cooperative cancellation: between fabric epochs (FFT)
-or blocks (JPEG) they poll a :class:`CancelToken`, so a service timeout
-aborts a job at the next boundary instead of blocking a worker thread
-forever — the same slicing discipline
+Every artifact kernel (FFT, conv2d, gemm, dsp) serves through one
+:class:`ArtifactSession`, which owns its fabric and needs from the
+kernel's runner only the compiled artifact and an output reader.  A
+JPEG job is a frame of blocks plus host entropy coding, so
+:class:`JPEGSession` stays its own class.
+
+Sessions also own cooperative cancellation: between fabric epochs
+(artifact kernels) or blocks (JPEG) they poll a :class:`CancelToken`,
+so a service timeout aborts a job at the next boundary instead of
+blocking a worker thread forever — the same slicing discipline
 :meth:`repro.pn.executor.NetworkExecutor.run_bounded` gives process
 networks.
 """
@@ -114,7 +120,7 @@ class KernelSession(Protocol):
 
 
 class _BaseSession:
-    """Shared accounting: run a list of epochs slice-by-slice."""
+    """What every session shares: job accounting and the cold-start probes."""
 
     def __init__(self, spec: KernelSpec, link_cost_ns: float) -> None:
         self.spec = spec
@@ -141,102 +147,42 @@ class _BaseSession:
         self.jobs_run += count
         self.rtms.icap.transfers.clear()
 
-    def _execute_sliced(
-        self,
-        rtms: RuntimeManager,
-        epochs: list[EpochSpec],
-        cancel: CancelToken,
-        stats: SessionStats,
-        *,
-        start_slice: int = 0,
-    ) -> None:
-        for offset, epoch in enumerate(epochs):
-            cancel.check()
-            rtms.execute([epoch])
-            stats.slices += 1
-            if self.progress is not None:
-                self.progress(start_slice + offset + 1, rtms)
+    def pin_epochs(self) -> list[EpochSpec]:
+        """The artifact's program loads, stripped of data/links/run."""
+        return self.artifact.pin_epochs()
+
+    def cold_setup_epochs(self) -> list[EpochSpec]:
+        """Programs plus any charged setup images (the artifact's cold
+        prologue; empty prologues — FFT, gemm — contribute nothing)."""
+        return [*self.artifact.setup_epochs(), *self.pin_epochs()]
 
 
-class FFTSession(_BaseSession):
-    """A persistent ``rows x cols`` mesh running ``n``-point transforms.
+class ArtifactSession(_BaseSession):
+    """The resident-fabric session of every artifact kernel.
 
-    Thin serving wrapper over the FFT's compiled artifact (the same
-    :class:`~repro.compile.ir.CompiledArtifact` ``FabricFFT`` executes):
-    every job binds one work item off the shared artifact and runs it
-    slice-by-slice with cancellation polls, on a runtime manager whose
-    residency (lru-cached stage programs) survives between jobs.
+    The session owns its fabric: a mesh of the artifact's shape and a
+    :class:`~repro.fabric.rtms.RuntimeManager` whose residency survives
+    between jobs.  The runner only supplies the compiled ``artifact``
+    and a ``read_output_words(words)`` reader; this class adds the
+    serving concerns — setup-once preload, slice-by-slice execution
+    with cancellation polls and ``progress`` hooks, resume from an
+    epoch checkpoint, per-job fabric accounting, and the vector-batched
+    group path with the cold-pilot-first discipline.  The kinds serve
+    through subclasses that only construct their runner.
     """
 
-    def __init__(self, spec: KernelSpec, link_cost_ns: float = 100.0) -> None:
-        from repro.kernels.fft.decompose import FFTPlan
-        from repro.kernels.fft.runner import FabricFFT
-
+    def __init__(self, spec: KernelSpec, link_cost_ns: float, runner) -> None:
         super().__init__(spec, link_cost_ns)
-        n, m, cols = spec.params
-        self.fft = FabricFFT(FFTPlan(int(n), int(m), int(cols)), link_cost_ns)
-        self.artifact = self.fft.artifact
-        self.mesh = Mesh(self.fft.plan.rows, self.fft.plan.cols)
+        self.runner = runner
+        self.artifact = runner.artifact
+        self.mesh = Mesh(self.artifact.rows, self.artifact.cols)
         self.rtms = RuntimeManager(
             self.mesh, IcapPort(), link_cost_ns=link_cost_ns
         )
+        self._preloaded = False
 
     def run(self, payload: Any, cancel: CancelToken) -> SessionStats:
-        x = np.asarray(payload, dtype=np.complex128)
-        stats = SessionStats()
-        start_ns = self.rtms.now_ns
-        busy_before = self.rtms.icap.total_busy_ns
-        epochs = self.artifact.bind(x, tag=f"j{self.jobs_run}_")
-        self._execute_sliced(self.rtms, epochs, cancel, stats)
-        stats.output = self.fft.read_output(self.mesh)
-        stats.sim_ns = self.rtms.now_ns - start_ns
-        stats.reconfig_ns = self.rtms.icap.total_busy_ns - busy_before
-        self._jobs_done()
-        return stats
-
-    def run_batch(
-        self, payloads: list, cancel: CancelToken
-    ) -> list[SessionStats]:
-        """Execute K same-plan transforms vector-batched across lanes.
-
-        Bit-identical to K sequential :meth:`run` calls (the batched
-        tier's contract) with sequential-equivalent timing.  A cold
-        session runs its first job on the scalar path so the batch pilot
-        is warm; cancellation is polled at every pilot epoch boundary.
-        Per-slice ``progress`` journaling is scalar-path-only — batched
-        lanes are journaled per lane by the durable engine instead.
-        """
-        xs = [np.asarray(p, dtype=np.complex128) for p in payloads]
-        if not xs:
-            raise ServeError("run_batch needs at least one payload")
-        results: list[SessionStats] = []
-        if self.jobs_run == 0:
-            results.append(self.run(xs[0], cancel))
-            xs = xs[1:]
-        if not xs:
-            return results
-        if len(xs) == 1:
-            results.append(self.run(xs[0], cancel))
-            return results
-        port = self.artifact.plan.input_port
-        n_slices = len(self.artifact.plan.body) + (1 if port else 0)
-        batch = self.rtms.execute_artifact_batch(
-            self.artifact,
-            xs,
-            tag=f"j{self.jobs_run}_",
-            on_slice=lambda index: cancel.check(),
-        )
-        for lane in batch.lanes:
-            results.append(
-                SessionStats(
-                    output=self.fft.read_output_words(lane.words),
-                    sim_ns=lane.sim_ns,
-                    reconfig_ns=lane.reconfig_ns,
-                    slices=n_slices,
-                )
-            )
-        self._jobs_done(len(xs))
-        return results
+        return self._run(payload, cancel, 0)
 
     def run_resumed(
         self,
@@ -245,7 +191,7 @@ class FFTSession(_BaseSession):
         from_slice: int,
         checkpoint,
     ) -> SessionStats:
-        """Resume a transform from a journaled epoch checkpoint.
+        """Resume a job from a journaled epoch checkpoint.
 
         Restores ``checkpoint`` (a
         :class:`~repro.fabric.rtms.FabricCheckpoint`, typically
@@ -260,209 +206,40 @@ class FFTSession(_BaseSession):
         """
         from repro.serve.durability.resume import rekey_residency
 
-        x = np.asarray(payload, dtype=np.complex128)
-        stats = SessionStats()
         self.rtms.restore(checkpoint)
         rekey_residency(self.mesh, self.artifact.programs)
+        # The checkpoint was taken after the setup prologue ran.
+        self._preloaded = True
+        return self._run(payload, cancel, from_slice)
+
+    def _run(
+        self, payload: Any, cancel: CancelToken, from_slice: int
+    ) -> SessionStats:
+        stats = SessionStats()
         start_ns = self.rtms.now_ns
         busy_before = self.rtms.icap.total_busy_ns
-        epochs = self.artifact.bind(x, tag=f"j{self.jobs_run}_")
+        if not self._preloaded:
+            # The cold prologue bills to the first job, exactly like the
+            # scalar runners do it.
+            self.rtms.run_setup(self.artifact)
+            self._preloaded = True
+        epochs = self.artifact.bind(payload, tag=f"j{self.jobs_run}_")
         if not 0 <= from_slice <= len(epochs):
             raise ServeError(
                 f"resume slice {from_slice} outside 0..{len(epochs)}"
             )
-        self._execute_sliced(
-            self.rtms,
-            epochs[from_slice:],
-            cancel,
-            stats,
-            start_slice=from_slice,
-        )
-        stats.output = self.fft.read_output(self.mesh)
-        stats.sim_ns = self.rtms.now_ns - start_ns
-        stats.reconfig_ns = self.rtms.icap.total_busy_ns - busy_before
-        self._jobs_done()
-        return stats
-
-    def pin_epochs(self) -> list[EpochSpec]:
-        """The transform's program loads, stripped of data/links/run."""
-        return self.artifact.pin_epochs()
-
-    def cold_setup_epochs(self) -> list[EpochSpec]:
-        """FFT static state is all instruction images (twiddles are
-        per-job yellow data, charged warm and cold alike)."""
-        return self.pin_epochs()
-
-
-class JPEGSession(_BaseSession):
-    """A persistent single-tile JPEG block pipeline.
-
-    Wraps :class:`~repro.kernels.jpeg.fabric_runner.FabricBlockPipeline`
-    (whose five stage programs are co-resident and whose DCT/quantizer
-    tables load through the ICAP exactly once) and entropy-codes the
-    fabric's zig-zag output into a decodable JFIF stream per job.
-    """
-
-    def __init__(self, spec: KernelSpec, link_cost_ns: float = 100.0) -> None:
-        from repro.kernels.jpeg.fabric_runner import FabricBlockPipeline
-
-        super().__init__(spec, link_cost_ns)
-        quality, chroma = spec.params
-        self.pipeline = FabricBlockPipeline(
-            quality=int(quality), chroma=bool(chroma)
-        )
-        self.artifact = self.pipeline.artifact
-        self.rtms = self.pipeline.rtms
-
-    def run(self, payload: Any, cancel: CancelToken) -> SessionStats:
-        from repro.kernels.jpeg.encoder import JPEGEncoder, blocks_of
-        from repro.kernels.jpeg.huffman import (
-            BitWriter,
-            encode_block_coefficients,
-        )
-
-        img = np.asarray(payload)
-        if img.dtype.kind == "f":
-            img = np.clip(np.rint(img), 0, 255)
-        img = img.astype(np.int64)
-        if img.ndim != 2:
-            raise ServeError(f"JPEG payload must be a 2-D frame, got {img.shape}")
-        stats = SessionStats()
-        start_ns = self.rtms.now_ns
-        busy_before = self.rtms.icap.total_busy_ns
-        height, width = img.shape
-        blocks, rows, cols = blocks_of(img)
-        writer = BitWriter()
-        prev_dc = 0
-        for r in range(rows):
-            for c in range(cols):
-                cancel.check()
-                zz = self.pipeline.encode_block(blocks[r, c])
-                prev_dc = encode_block_coefficients(zz, prev_dc, writer)
-                stats.slices += 1
-        host = JPEGEncoder(quality=self.pipeline.quality)
-        stats.output = host.wrap_stream(writer.flush(), height, width)
-        stats.sim_ns = self.rtms.now_ns - start_ns
-        stats.reconfig_ns = self.rtms.icap.total_busy_ns - busy_before
-        self._jobs_done()
-        return stats
-
-    def run_batch(
-        self, payloads: list, cancel: CancelToken
-    ) -> list[SessionStats]:
-        """Encode K frames with all their blocks in one vector dispatch.
-
-        JPEG's natural lane axis is the *block*: the blocks of every
-        frame in the group are concatenated into one stack and run
-        through the five stage programs at once (bit-identical to the
-        per-block scalar loop), which is what lets a group of small
-        frames amortise the dispatch the way one big frame would.  The
-        host Huffman stage then consumes each frame's zig-zag rows
-        sequentially, and each frame's stats sum exactly its own lanes'
-        fabric time — per-job lifecycle records stay separate.  Frames
-        of different shapes group fine (lanes are always 8x8 blocks).
-        """
-        from repro.kernels.jpeg.encoder import JPEGEncoder, blocks_of
-        from repro.kernels.jpeg.huffman import (
-            BitWriter,
-            encode_block_coefficients,
-        )
-
-        if not payloads:
-            raise ServeError("run_batch needs at least one payload")
-        frames = []  # (height, width, block_count) per payload
-        stacks = []
-        for payload in payloads:
-            img = np.asarray(payload)
-            if img.dtype.kind == "f":
-                img = np.clip(np.rint(img), 0, 255)
-            img = img.astype(np.int64)
-            if img.ndim != 2:
-                raise ServeError(
-                    f"JPEG payload must be a 2-D frame, got {img.shape}"
-                )
-            height, width = img.shape
-            blocks, rows, cols = blocks_of(img)
-            frames.append((height, width, rows * cols))
-            stacks.append(blocks.reshape(-1, 8, 8))
-        cancel.check()
-        zz_all, sims, reconfigs = self.pipeline.encode_block_stack(
-            np.concatenate(stacks),
-            on_slice=lambda index: cancel.check(),
-        )
-        results: list[SessionStats] = []
-        offset = 0
-        for height, width, count in frames:
-            stats = SessionStats(slices=count)
-            writer = BitWriter()
-            prev_dc = 0
-            for zz in zz_all[offset:offset + count]:
-                prev_dc = encode_block_coefficients(zz, prev_dc, writer)
-            host = JPEGEncoder(quality=self.pipeline.quality)
-            stats.output = host.wrap_stream(writer.flush(), height, width)
-            stats.sim_ns = float(sims[offset:offset + count].sum())
-            stats.reconfig_ns = float(
-                reconfigs[offset:offset + count].sum()
-            )
-            offset += count
-            results.append(stats)
-        self._jobs_done(len(frames))
-        return results
-
-    def pin_epochs(self) -> list[EpochSpec]:
-        """The five co-resident stage programs."""
-        return self.artifact.pin_epochs()
-
-    def cold_setup_epochs(self) -> list[EpochSpec]:
-        """Stage programs plus the charged ``data1`` preload image (the
-        artifact's setup prologue)."""
-        return [*self.artifact.setup_epochs(), *self.pin_epochs()]
-
-
-class ArtifactSession(_BaseSession):
-    """Generic session over any process-network kernel runner.
-
-    The dataflow frontend makes kernels uniform enough that one serving
-    wrapper covers them all: the runner supplies the compiled artifact,
-    the mesh/runtime pair whose residency survives between jobs, and a
-    ``read_output_words(words)`` reader; this class adds the serving
-    concerns — setup-once preload, slice-by-slice execution with
-    cancellation polls, per-job fabric accounting, and the vector-batched
-    group path with the cold-pilot-first discipline.  The three
-    process-network kernels (conv2d, gemm, dsp) serve through subclasses
-    that only construct their runner.
-    """
-
-    def __init__(self, spec: KernelSpec, link_cost_ns: float, runner) -> None:
-        super().__init__(spec, link_cost_ns)
-        self.runner = runner
-        self.artifact = runner.artifact
-        self.mesh = runner.mesh
-        self.rtms = runner.rtms
-        self._preloaded = False
-
-    def _ensure_setup(self) -> None:
-        """Run the artifact's cold prologue once (billed to the first
-        job, exactly like the scalar runners do it)."""
-        if not self._preloaded:
-            self.rtms.run_setup(self.artifact)
-            self._preloaded = True
-
-    def _read(self) -> Any:
-        return self.runner.read_output_words(
-            lambda coord, base, count: (
-                self.mesh.tile(coord).dmem.dump_block(base, count)
+        for index in range(from_slice, len(epochs)):
+            cancel.check()
+            self.rtms.execute([epochs[index]])
+            stats.slices += 1
+            if self.progress is not None:
+                self.progress(index + 1, self.rtms)
+        mesh = self.mesh
+        stats.output = self.runner.read_output_words(
+            lambda coord, base, count: mesh.tile(coord).dmem.dump_block(
+                base, count
             )
         )
-
-    def run(self, payload: Any, cancel: CancelToken) -> SessionStats:
-        stats = SessionStats()
-        start_ns = self.rtms.now_ns
-        busy_before = self.rtms.icap.total_busy_ns
-        self._ensure_setup()
-        epochs = self.artifact.bind(payload, tag=f"j{self.jobs_run}_")
-        self._execute_sliced(self.rtms, epochs, cancel, stats)
-        stats.output = self._read()
         stats.sim_ns = self.rtms.now_ns - start_ns
         stats.reconfig_ns = self.rtms.icap.total_busy_ns - busy_before
         self._jobs_done()
@@ -473,8 +250,12 @@ class ArtifactSession(_BaseSession):
     ) -> list[SessionStats]:
         """Execute K same-spec jobs vector-batched across lanes.
 
-        Bit-identical to K sequential :meth:`run` calls; a cold session
-        runs its first job on the scalar path so the batch pilot is warm.
+        Bit-identical to K sequential :meth:`run` calls with
+        sequential-equivalent timing.  A cold session runs its first job
+        on the scalar path so the batch pilot is warm; cancellation is
+        polled at every pilot epoch boundary.  Per-slice ``progress``
+        journaling is scalar-path-only — batched lanes are journaled per
+        lane by the durable engine instead.
         """
         payloads = list(payloads)
         if not payloads:
@@ -508,13 +289,23 @@ class ArtifactSession(_BaseSession):
         self._jobs_done(len(payloads))
         return results
 
-    def pin_epochs(self) -> list[EpochSpec]:
-        return self.artifact.pin_epochs()
 
-    def cold_setup_epochs(self) -> list[EpochSpec]:
-        """Programs plus any charged setup images (the artifact's cold
-        prologue; empty prologues — e.g. gemm — contribute nothing)."""
-        return [*self.artifact.setup_epochs(), *self.pin_epochs()]
+class FFTSession(ArtifactSession):
+    """A persistent ``rows x cols`` mesh running ``n``-point transforms."""
+
+    def __init__(self, spec: KernelSpec, link_cost_ns: float = 100.0) -> None:
+        from repro.kernels.fft.decompose import FFTPlan
+        from repro.kernels.fft.runner import FabricFFT
+
+        n, m, cols = spec.params
+        super().__init__(
+            spec,
+            link_cost_ns,
+            FabricFFT(FFTPlan(int(n), int(m), int(cols)), link_cost_ns),
+        )
+        # Kept only for benchmarks/spine/ladder.py, which reads
+        # ``session.fft.read_output(session.mesh)``.
+        self.fft = self.runner
 
 
 class Conv2DSession(ArtifactSession):
@@ -553,6 +344,106 @@ class DSPSession(ArtifactSession):
             link_cost_ns,
             FabricDSP(n=int(n), taps=int(taps), decim=int(decim)),
         )
+
+
+class JPEGSession(_BaseSession):
+    """A persistent single-tile JPEG block pipeline.
+
+    A JPEG job is a frame, not one bound work item: its blocks each fire
+    the five stage programs and the host entropy-codes the zig-zag
+    output into a JFIF stream, so it keeps its own class rather than
+    make :class:`ArtifactSession` branch on the kind.  It wraps
+    :class:`~repro.kernels.jpeg.fabric_runner.FabricBlockPipeline`
+    (whose stage programs are co-resident and whose DCT/quantizer tables
+    load through the ICAP exactly once) and runs on its fabric.
+    """
+
+    def __init__(self, spec: KernelSpec, link_cost_ns: float = 100.0) -> None:
+        from repro.kernels.jpeg.fabric_runner import FabricBlockPipeline
+
+        super().__init__(spec, link_cost_ns)
+        quality, chroma = spec.params
+        self.pipeline = FabricBlockPipeline(
+            quality=int(quality), chroma=bool(chroma)
+        )
+        self.artifact = self.pipeline.artifact
+        self.rtms = self.pipeline.rtms
+
+    def _stream(self, zigzags, height: int, width: int) -> bytes:
+        """Entropy-code a frame's zig-zag rows into a JFIF stream."""
+        from repro.kernels.jpeg.encoder import JPEGEncoder
+        from repro.kernels.jpeg.huffman import (
+            BitWriter,
+            encode_block_coefficients,
+        )
+
+        writer = BitWriter()
+        prev_dc = 0
+        for zz in zigzags:
+            prev_dc = encode_block_coefficients(zz, prev_dc, writer)
+        host = JPEGEncoder(quality=self.pipeline.quality)
+        return host.wrap_stream(writer.flush(), height, width)
+
+    def run(self, payload: Any, cancel: CancelToken) -> SessionStats:
+        from repro.kernels.jpeg.encoder import as_frame, blocks_of
+
+        img = as_frame(payload)
+        start_ns = self.rtms.now_ns
+        busy_before = self.rtms.icap.total_busy_ns
+        zigzags = []
+        for block in blocks_of(img)[0].reshape(-1, 8, 8):
+            cancel.check()
+            zigzags.append(self.pipeline.encode_block(block))
+        stats = SessionStats(
+            output=self._stream(zigzags, *img.shape),
+            sim_ns=self.rtms.now_ns - start_ns,
+            reconfig_ns=self.rtms.icap.total_busy_ns - busy_before,
+            slices=len(zigzags),
+        )
+        self._jobs_done()
+        return stats
+
+    def run_batch(
+        self, payloads: list, cancel: CancelToken
+    ) -> list[SessionStats]:
+        """Encode K frames with all their blocks in one vector dispatch.
+
+        JPEG's natural lane axis is the *block*: the blocks of every
+        frame in the group are concatenated into one stack and run
+        through the five stage programs at once (bit-identical to the
+        per-block scalar loop), which is what lets a group of small
+        frames amortise the dispatch the way one big frame would.  The
+        host Huffman stage then consumes each frame's zig-zag rows
+        sequentially, and each frame's stats sum exactly its own lanes'
+        fabric time — per-job lifecycle records stay separate.  Frames
+        of different shapes group fine (lanes are always 8x8 blocks).
+        """
+        from repro.kernels.jpeg.encoder import as_frame, blocks_of
+
+        if not payloads:
+            raise ServeError("run_batch needs at least one payload")
+        frames = [as_frame(payload) for payload in payloads]
+        stacks = [blocks_of(img)[0].reshape(-1, 8, 8) for img in frames]
+        cancel.check()
+        zz_all, sims, reconfigs = self.pipeline.encode_block_stack(
+            np.concatenate(stacks),
+            on_slice=lambda index: cancel.check(),
+        )
+        results: list[SessionStats] = []
+        offset = 0
+        for img, stack in zip(frames, stacks):
+            lanes = slice(offset, offset + len(stack))
+            results.append(
+                SessionStats(
+                    output=self._stream(zz_all[lanes], *img.shape),
+                    sim_ns=float(sims[lanes].sum()),
+                    reconfig_ns=float(reconfigs[lanes].sum()),
+                    slices=len(stack),
+                )
+            )
+            offset += len(stack)
+        self._jobs_done(len(frames))
+        return results
 
 
 _SESSION_TYPES: dict[JobKind, type] = {

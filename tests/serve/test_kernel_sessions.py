@@ -11,12 +11,15 @@ kernel's registered oracle.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compile.frontends import compile_kernel, frontend_names, get_frontend
+from repro.errors import KernelError
 from repro.serve.durability.engine import DurableEngine
 from repro.serve.durability.journal import FsyncPolicy, JobJournal
 from repro.serve.durability.records import (
@@ -35,6 +38,7 @@ from repro.serve.sessions import (
 )
 
 ALL_KINDS = ("conv2d", "dsp", "fft", "gemm", "jpeg")
+ARTIFACT_KINDS = ("conv2d", "gemm", "dsp", "fft")
 
 
 def _payload(kind: str, seed: int):
@@ -58,14 +62,14 @@ class TestSessionFactory:
                           GEMMSession)
         assert isinstance(default_session_factory(spec_for("dsp")),
                           DSPSession)
-        for kind in ("conv2d", "gemm", "dsp"):
+        for kind in ARTIFACT_KINDS:
             assert isinstance(
                 default_session_factory(spec_for(kind)), ArtifactSession
             )
 
 
 class TestSessionExecution:
-    @pytest.mark.parametrize("kind", ("conv2d", "gemm", "dsp"))
+    @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
     def test_run_output_passes_the_oracle(self, kind):
         params, payload = _payload(kind, seed=1)
         session = default_session_factory(spec_for(kind))
@@ -74,7 +78,7 @@ class TestSessionExecution:
         assert stats.sim_ns > 0
         assert stats.slices > 0
 
-    @pytest.mark.parametrize("kind", ("conv2d", "gemm", "dsp"))
+    @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
     def test_batch_outputs_are_bit_identical_to_scalar(self, kind):
         payloads = [_payload(kind, seed=s)[1] for s in range(4)]
         batch = default_session_factory(spec_for(kind))
@@ -84,14 +88,83 @@ class TestSessionExecution:
             want = scalar.run(payload, CancelToken()).output
             assert np.array_equal(stats.output, want)
 
-    @pytest.mark.parametrize("kind", ("conv2d", "gemm", "dsp"))
+    @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
     def test_second_job_is_warm(self, kind):
         _, payload = _payload(kind, seed=2)
         session = default_session_factory(spec_for(kind))
         cold = session.run(payload, CancelToken())
         warm = session.run(payload, CancelToken())
         assert cold.reconfig_ns > 0
-        assert warm.reconfig_ns == 0
+        if kind == "fft":
+            # Pinned programs are free; yellow twiddle reloads and link
+            # switches are per-job data movement (Sec. 3.1), paid by
+            # every warm job alike.
+            again = session.run(payload, CancelToken())
+            assert 0 < warm.reconfig_ns == again.reconfig_ns < cold.reconfig_ns
+        else:
+            assert warm.reconfig_ns == 0
+
+
+    @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
+    def test_resume_from_every_checkpoint_is_bit_identical(self, kind):
+        """A job restored into a fresh session from the checkpoint after
+        any slice finishes with the uninterrupted run's exact output —
+        on the session's cold first job (setup prologue included in the
+        checkpoint) and on a warm one."""
+        spec = spec_for(kind)
+        session = default_session_factory(spec)
+        for seed in (3, 4):
+            _, payload = _payload(kind, seed)
+            checkpoints = []
+            session.progress = lambda done, rtms: checkpoints.append(
+                (done, rtms.icap.total_busy_ns, pickle.dumps(rtms.checkpoint()))
+            )
+            busy_before = session.rtms.icap.total_busy_ns
+            want = session.run(payload, CancelToken())
+            assert [done for done, _, _ in checkpoints] == list(
+                range(1, want.slices + 1)
+            )
+            for done, busy, blob in checkpoints:
+                fresh = default_session_factory(spec)
+                got = fresh.run_resumed(
+                    payload, CancelToken(), done, pickle.loads(blob)
+                )
+                assert np.asarray(got.output).tobytes() == (
+                    np.asarray(want.output).tobytes()
+                )
+                assert got.slices == want.slices - done
+                # the resumed job pays only the remaining slices' ICAP
+                # traffic: the checkpoint already holds the setup prologue
+                assert got.reconfig_ns == pytest.approx(
+                    want.reconfig_ns - (busy - busy_before), abs=1e-6
+                )
+
+
+class TestJPEGFrameCheck:
+    """The serving path checks a frame exactly as the encoders do."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("value", [300, -5])
+    def test_session_refuses_samples_outside_8_bits(self, value, batched):
+        frame = np.full((8, 8), 100, dtype=np.int64)
+        frame[3, 4] = value
+        session = default_session_factory(spec_for("jpeg"))
+        with pytest.raises(KernelError, match="8-bit"):
+            if batched:
+                session.run_batch([frame, frame], CancelToken())
+            else:
+                session.run(frame, CancelToken())
+
+    def test_float_frames_are_rounded_and_clipped(self):
+        frame = np.linspace(-20.0, 290.0, 64).reshape(8, 8)
+        got = default_session_factory(spec_for("jpeg")).run(
+            frame, CancelToken()
+        )
+        clipped = np.clip(np.rint(frame), 0, 255).astype(np.int64)
+        want = default_session_factory(spec_for("jpeg")).run(
+            clipped, CancelToken()
+        )
+        assert got.output == want.output
 
 
 class _KeepsEverything(list):
