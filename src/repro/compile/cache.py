@@ -49,6 +49,7 @@ from repro.locks import FileLock
 from repro.compile.ir import CompiledArtifact
 from repro.compile.passes import (
     CompileUnit,
+    cold_deltas_pass,
     predecode_pass,
     switch_table_pass,
 )
@@ -284,14 +285,16 @@ class ArtifactCache:
                 f"disk store entry {path.name} hashes to "
                 f"{artifact.artifact_hash[:12]}… (corrupt or renamed)"
             )
-        # Decoded tables (and the traces they cache) and switch pieces are
-        # stripped before pickling; revive them.
+        # Decoded tables (and the traces they cache), switch pieces and the
+        # epoch plan are stripped before pickling; revive them.
         unit = CompileUnit(graph=artifact.graph, plan=artifact.plan)
         predecode_pass(unit)
         switch_table_pass(unit)
+        cold_deltas_pass(unit)
         artifact.programs = tuple(unit.programs)
         artifact.decoded = tuple(unit.decoded)
         artifact.switch_pieces = unit.switch_pieces
+        artifact.epoch_plan = unit.epoch_plan
         return artifact
 
     def _disk_save(self, artifact: CompiledArtifact) -> None:

@@ -33,10 +33,14 @@ any number of concurrent consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from repro.errors import CompileError
+from repro.fabric.bitstream import ReconfigKind
 from repro.fabric.links import Direction
+from repro.fabric.predecode import predecode
+from repro.fabric.reconfig import FabricShadow, ReconfigTransaction, plan_delta
 from repro.fabric.rtms import BoundEpoch, EpochSpec
 
 __all__ = [
@@ -49,6 +53,8 @@ __all__ = [
     "EpochPlan",
     "PassTiming",
     "SwitchPieces",
+    "DerivedEpoch",
+    "DerivedPlan",
     "CompiledArtifact",
     "IRBuilder",
     "register_port_encoder",
@@ -299,6 +305,107 @@ SwitchPieces = tuple[
 ]
 
 
+@dataclass(slots=True)
+class DerivedEpoch(ReconfigTransaction):
+    """One bound epoch of a :class:`DerivedPlan`: the transaction the
+    planner would emit, and each run tile's ``(program, decoded, base)``
+    (``None``: no program selected)."""
+
+    runs: tuple = ()
+
+
+class _Walk:
+    """Epochs walked over a :class:`~repro.fabric.reconfig.FabricShadow`,
+    with each tile's selected program and the run facts made so far (one
+    tuple per program and base, shared by every epoch that runs it)."""
+
+    def __init__(self) -> None:
+        self.shadow = FabricShadow()
+        self.selected: dict[Coord, Any] = {}
+        self.facts: dict[tuple, tuple] = {}
+
+    def epoch(self, spec: EpochSpec) -> DerivedEpoch:
+        shadow, selected, facts = self.shadow, self.selected, self.facts
+        ops = plan_delta(shadow, spec.programs, spec.data_images, spec.links)
+        shadow.apply(ops)
+        for kind, coord, _, _, target in ops:
+            if kind is ReconfigKind.IMEM:
+                selected[coord] = target  # a fresh install selects its program
+        runs = []
+        for coord in spec.run:
+            program = spec.programs.get(coord)
+            if program is None:
+                program = selected.get(coord)
+            else:
+                selected[coord] = program  # the epoch starts it
+            entry = shadow.resident.get(coord, {}).get(id(program))
+            if entry is None:
+                runs.append(None)
+                continue
+            key = (id(program), entry[1])
+            fact = facts.get(key)
+            if fact is None:
+                fact = facts[key] = (program, predecode(program), entry[1])
+            runs.append(fact)
+        return DerivedEpoch(ops, tuple(runs))
+
+
+@dataclass(eq=False)
+class DerivedPlan:
+    """What each job of an artifact does to a fabric, derived from its
+    :class:`EpochPlan` alone (DESIGN §16 "Lowered plans").
+
+    :meth:`of` walks setup + body over a
+    :class:`~repro.fabric.reconfig.FabricShadow` of a fresh fabric,
+    taking each epoch's delta with
+    :func:`~repro.fabric.reconfig.plan_delta` — so each transaction is the
+    one ``ReconfigPlanner.plan`` emits on a live mesh, capacity eviction
+    included.  ``specs`` are a job's epoch templates by bound index (the
+    input port's as an epoch without pokes); ``coords`` the tiles whose
+    programs or links the plan sets.  ``cold`` starts where the setup
+    prologue leaves the fabric, ``resident`` where one job leaves it
+    (``end``), derived at first use and ``None`` unless a second job ends
+    there too.  Each is ``(state, epochs)``: the guard,
+    ``FabricShadow.state(coords)``, and a :class:`DerivedEpoch` per bound
+    epoch.  ``code`` caches the epoch functions ``RuntimeManager`` generates from
+    ``resident``.
+    """
+
+    plan: "EpochPlan"
+    specs: tuple
+    coords: tuple
+    cold: tuple
+    end: tuple
+    code: list | None = None
+
+    @classmethod
+    def of(cls, plan: "EpochPlan") -> tuple["DerivedPlan", list]:
+        """The derived plan and the transactions of setup + one job's
+        body on a fresh fabric (the artifact's cold deltas)."""
+        specs = plan.body
+        port = plan.input_port
+        if port is not None:
+            specs = (EpochSpec(port.name, depends_on=list(port.depends_on)), *specs)
+        coords = tuple(sorted(
+            {c for spec in plan.epochs for c in (*spec.programs, *spec.links)}
+        ))
+        walk = _Walk()
+        txns = [walk.epoch(spec) for spec in plan.setup]
+        cold = (walk.shadow.state(coords), tuple(map(walk.epoch, specs)))
+        txns += cold[1][len(specs) - len(plan.body):]
+        return cls(plan, specs, coords, cold, walk.shadow.state(coords)), txns
+
+    @cached_property
+    def resident(self) -> tuple | None:
+        walk = _Walk()
+        for spec in (*self.plan.setup, *self.specs):
+            walk.epoch(spec)
+        epochs = tuple(map(walk.epoch, self.specs))
+        if walk.shadow.state(self.coords) != self.end:
+            return None
+        return self.end, epochs
+
+
 @dataclass
 class CompiledArtifact:
     """The executable product of one compile.
@@ -310,8 +417,9 @@ class CompiledArtifact:
     epoch transfers (see :func:`repro.compile.passes.switch_table_pass`);
     :meth:`switch_cost_ns` prices one pair of the reconfiguration-cost
     oracle from them.  ``cold_bytes``/``cold_link_changes`` are the
-    per-epoch bitstream deltas a cold fabric streams.  ``artifact_hash``
-    is the content address.
+    per-epoch bitstream deltas a cold fabric streams; ``epoch_plan``
+    is the :class:`DerivedPlan` a runtime manager runs jobs from.
+    ``artifact_hash`` is the content address.
     """
 
     plan: EpochPlan
@@ -324,6 +432,7 @@ class CompiledArtifact:
     cold_link_changes: tuple[int, ...] = ()
     artifact_hash: str = ""
     pass_timings: tuple[PassTiming, ...] = ()
+    epoch_plan: DerivedPlan | None = field(default=None, repr=False, compare=False)
 
     # -- execution-facing API -------------------------------------------
 
@@ -352,7 +461,7 @@ class CompiledArtifact:
         name — the per-job/per-transform labelling the streaming and
         serving layers use.  The epochs are :class:`BoundEpoch` s: they
         share every dict and list with the plan's templates, and carry
-        the job identity a runtime manager replays its lowered plan by.
+        the job identity a runtime manager runs the derived plan by.
         """
         port = self.plan.input_port
         body = self.plan.body
@@ -443,12 +552,15 @@ class CompiledArtifact:
 
     def __getstate__(self) -> dict:
         """Drop the decoded tables (they cache compiled trace functions,
-        which do not pickle) and the derived switch pieces; the disk
-        loader re-runs the predecode and switch-table passes (see
+        which do not pickle), the derived switch pieces and the derived
+        epoch plan (its key too, so the bytes are those of an artifact
+        without one); the disk loader re-runs the predecode,
+        switch-table and cold-deltas passes (see
         ``ArtifactCache._disk_load``)."""
         state = dict(self.__dict__)
         state["decoded"] = ()
         state["switch_pieces"] = ()
+        state.pop("epoch_plan", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

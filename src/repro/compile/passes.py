@@ -44,6 +44,7 @@ from repro.compile.hashing import plan_hash
 from repro.compile.ir import (
     CompiledArtifact,
     Coord,
+    DerivedPlan,
     EpochPlan,
     KernelGraph,
     PassTiming,
@@ -77,6 +78,7 @@ class CompileUnit:
     switch_pieces: tuple[SwitchPieces, ...] = ()
     cold_bytes: tuple[int, ...] = ()
     cold_link_changes: tuple[int, ...] = ()
+    epoch_plan: DerivedPlan | None = None
     artifact_hash: str = ""
     timings: list[PassTiming] = field(default_factory=list)
 
@@ -289,38 +291,17 @@ def switch_table_pass(unit: CompileUnit) -> None:
 
 
 def cold_deltas_pass(unit: CompileUnit) -> None:
-    """Per-epoch bitstream deltas of one cold sequential execution.
+    """Derive the artifact's epoch plan
+    (:meth:`DerivedPlan.of <repro.compile.ir.DerivedPlan.of>`).
 
-    Walks setup + body accumulating residency and link state the way a
-    cold fabric would, recording per epoch the ICAP payload bytes and
-    billable link changes — byte-for-byte what
+    ``cold_bytes``/``cold_link_changes`` are the totals, per epoch, of its
+    walk of setup + body on a fresh fabric: byte-for-byte what
     :class:`~repro.fabric.reconfig.ReconfigPlanner` emits on a fresh
-    mesh (instruction words 9 B, data words 6 B; capacity eviction not
-    modeled, same caveat as ``switch_cost``).
+    mesh, capacity eviction included.
     """
-    resident: dict[Coord, set[int]] = {}
-    links: dict[Coord, Direction | None] = {}
-    cold_bytes: list[int] = []
-    cold_links: list[int] = []
-    for spec in unit.plan.epochs:
-        nbytes = 0
-        changed = 0
-        for coord, program in sorted(spec.programs.items()):
-            if id(program) in resident.get(coord, ()):
-                continue
-            nbytes += program_icap_bytes(program)
-            resident.setdefault(coord, set()).add(id(program))
-        for _, image in sorted(spec.data_images.items()):
-            nbytes += len(image) * DMEM_BYTES_PER_WORD
-        for coord, direction in sorted(spec.links.items()):
-            if links.get(coord) == direction:
-                continue
-            changed += 1
-            links[coord] = direction
-        cold_bytes.append(nbytes)
-        cold_links.append(changed)
-    unit.cold_bytes = tuple(cold_bytes)
-    unit.cold_link_changes = tuple(cold_links)
+    unit.epoch_plan, walk = DerivedPlan.of(unit.plan)
+    unit.cold_bytes = tuple(txn.total_bytes for txn in walk)
+    unit.cold_link_changes = tuple(txn.link_changes for txn in walk)
 
 
 def hash_pass(unit: CompileUnit) -> None:
@@ -360,6 +341,7 @@ def finish(unit: CompileUnit) -> CompiledArtifact:
         switch_pieces=unit.switch_pieces,
         cold_bytes=unit.cold_bytes,
         cold_link_changes=unit.cold_link_changes,
+        epoch_plan=unit.epoch_plan,
         artifact_hash=unit.artifact_hash,
         pass_timings=tuple(unit.timings),
     )

@@ -225,8 +225,7 @@ class InstructionMemory:
                 f"program of {len(instructions)} words at base {base} "
                 f"exceeds instruction memory of {self.size} words"
             )
-        for offset, instr in enumerate(instructions):
-            self._slots[base + offset] = instr
+        self._slots[base:base + len(instructions)] = instructions
         if reconfig:
             self.reconfig_writes += len(instructions)
         return len(instructions)

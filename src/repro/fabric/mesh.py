@@ -104,6 +104,10 @@ class Mesh:
         """Direction the tile currently writes toward (None = detached)."""
         return self.links.get(coord)
 
+    def resident_base(self, coord: Coord, program) -> int | None:
+        """Instruction-memory base of ``program`` on the tile at ``coord``."""
+        return self.tile(coord).resident_base(program)
+
     def _make_resolver(self, coord: Coord):
         # Bind the underlying map's ``get`` — one dict probe per store
         # instead of a bound-method hop (SNB stores are the hottest

@@ -139,8 +139,8 @@ class EngineCounters:
     fallback_runs: int = 0
     #: Cumulative seconds in the proof/lowering walk and ``compile()``.
     lowering_s: float = 0.0
-    #: Artifact jobs that replayed their lowered plan, and jobs whose
-    #: recorded plan failed its guard (``RuntimeManager._begin_job``).
+    #: Artifact jobs that ran their derived epoch plan, and jobs in
+    #: neither of its start states (``RuntimeManager._begin_job``).
     plan_runs: int = 0
     plan_fallbacks: int = 0
 

@@ -9,7 +9,8 @@ move the fabric from its current state to a target state:
 
 The planner only emits *deltas* — a tile whose program is already resident
 ("pinned" processes, label ``(f)`` in Table 4) is skipped, which is where
-partial reconfiguration earns its keep.
+partial reconfiguration earns its keep.  :func:`plan_delta` states that
+rule once, against a live mesh or a :class:`FabricShadow` of one.
 
 Applying a transaction does two things: it mutates the mesh (loads
 programs/data, flips links) and schedules every payload on the
@@ -20,50 +21,67 @@ times so reconfiguration of an idle tile overlaps computation elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.errors import ReconfigError
 from repro.fabric.assembler import Program
-from repro.fabric.bitstream import PartialBitstream, ReconfigKind
+from repro.fabric.bitstream import (
+    DMEM_BYTES_PER_WORD,
+    IMEM_BYTES_PER_WORD,
+    PartialBitstream,
+    ReconfigKind,
+)
 from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.mesh import Mesh
+from repro.units import INSTR_MEM_WORDS
 
-__all__ = ["ReconfigPlanner", "ReconfigTransaction", "AppliedReconfig"]
+__all__ = [
+    "AppliedReconfig",
+    "FabricShadow",
+    "ReconfigPlanner",
+    "ReconfigTransaction",
+    "plan_delta",
+]
 
 Coord = tuple[int, int]
 
+_IMEM, _DMEM, _LINK = ReconfigKind.IMEM, ReconfigKind.DMEM, ReconfigKind.LINK
 
-@dataclass
+
+@dataclass(slots=True)
 class ReconfigTransaction:
-    """An ordered list of partial bitstreams plus the payloads behind them.
+    """An ordered list of reconfiguration payloads.
 
-    ``ops`` holds, per bitstream, ``(kind, coord, nbytes, label, target)``
+    ``ops`` holds, per payload, ``(kind, coord, nbytes, label, target)``
     where ``target`` is what applying it writes: the decoded
     :class:`~repro.fabric.assembler.Program` (IMEM; the simulator runs
     decoded instructions, the bitstream only carries the cost), the
-    ``{addr: word}`` image (DMEM) or the direction (LINK): a recorded
-    transaction re-applies without decoding words.  Totals are cached.
+    ``{addr: word}`` image (DMEM) or the direction (LINK).
     """
 
-    bitstreams: list[PartialBitstream] = field(default_factory=list)
     ops: list[tuple] = field(default_factory=list)
+    #: Total ICAP payload in bytes (links excluded; they cost time L).
+    total_bytes: int = field(init=False)
+    #: Number of link settings changed (the ``l_ij`` of Eq. 1).
+    link_changes: int = field(init=False)
 
-    def add(self, bitstream: PartialBitstream, target) -> None:
-        """Append one bitstream and the payload applying it writes."""
-        self.bitstreams.append(bitstream)
-        b = bitstream
-        self.ops.append((b.kind, b.coord, b.nbytes, b.label, target))
+    def __post_init__(self) -> None:
+        self.total_bytes = sum(op[2] for op in self.ops)
+        self.link_changes = sum(op[0] is _LINK for op in self.ops)
 
-    @cached_property
-    def total_bytes(self) -> int:
-        """Total ICAP payload in bytes (links excluded; they cost time L)."""
-        return sum(b.nbytes for b in self.bitstreams)
-
-    @cached_property
-    def link_changes(self) -> int:
-        """Number of link settings changed (the ``l_ij`` of Eq. 1)."""
-        return sum(1 for b in self.bitstreams if b.kind is ReconfigKind.LINK)
+    @property
+    def bitstreams(self) -> list[PartialBitstream]:
+        """The partial bitstream of every payload, in order."""
+        out = []
+        for kind, coord, _, label, target in self.ops:
+            if kind is _LINK:
+                aux = -1 if target is None else target.code
+                out.append(PartialBitstream(kind, coord, aux=aux, label=label))
+            else:
+                words = (tuple(target.encoded()) if kind is _IMEM else
+                         tuple(w for pair in sorted(target.items()) for w in pair))
+                out.append(PartialBitstream(kind, coord, words, label=label))
+        return out
 
     @property
     def memory_words(self) -> int:
@@ -74,6 +92,121 @@ class ReconfigTransaction:
         """Back-to-back duration if nothing overlaps (upper bound)."""
         return (
             icap.transfer_ns(self.total_bytes) + self.link_changes * link_cost_ns
+        )
+
+
+#: The payloads setting ``target`` (a program to load, or a link
+#: direction) on one tile, by ``(coord, id(target))``; the values pin the
+#: targets.  Every epoch and artifact setting it shares them.
+_PAYLOADS: dict[tuple, tuple] = {}
+
+
+def _payloads(kind: ReconfigKind, coord: Coord, target) -> tuple:
+    ops = _PAYLOADS.get((coord, id(target)))
+    if ops is None:
+        if kind is _IMEM:
+            name, image = target.name, target.data_image
+            ops = ((_IMEM, coord, target.imem_words * IMEM_BYTES_PER_WORD,
+                    f"imem:{name}@{coord}", target),)
+            if image:
+                ops += ((_DMEM, coord, len(image) * DMEM_BYTES_PER_WORD,
+                         f"dmem:{name}@{coord}", image),)
+        else:
+            ops = ((_LINK, coord, 0, f"link@{coord}", target),)
+        if len(_PAYLOADS) >= 4096:
+            _PAYLOADS.clear()
+        _PAYLOADS[coord, id(target)] = ops
+    return ops
+
+
+def plan_delta(
+    state,
+    programs: dict[Coord, Program],
+    data_images: dict[Coord, dict[int, int]],
+    links: dict[Coord, Direction | None],
+    force_program_reload: bool = False,
+) -> list[tuple]:
+    """The ``ops`` of the delta taking ``state`` (a mesh or a
+    :class:`FabricShadow`) to one epoch's target: program loads in
+    coordinate order, each with its ``.var`` image, skipped when the same
+    :class:`Program` object is resident (pinning) unless
+    ``force_program_reload``; every non-empty data image (always charged:
+    their values change each epoch); every link not already set so."""
+    ops = []
+    resident_base = state.resident_base
+    for coord, program in sorted(programs.items()):
+        if resident_base(coord, program) is not None and not force_program_reload:
+            continue
+        ops += _payloads(_IMEM, coord, program)
+    for coord, image in sorted(data_images.items()):
+        if image:
+            ops.append((_DMEM, coord, len(image) * DMEM_BYTES_PER_WORD,
+                        f"dmem:data@{coord}", image))
+    for coord, direction in sorted(links.items()):
+        if state.active_link(coord) != direction:
+            ops += _payloads(_LINK, coord, direction)
+    return ops
+
+
+class FabricShadow:
+    """What :func:`plan_delta` reads of a mesh, without memories: per
+    tile the resident programs in install order with their bases and the
+    bump pointer, advanced as :meth:`Tile.install_program
+    <repro.fabric.tile.Tile.install_program>` does (bump allocation,
+    wholesale eviction), and the write link."""
+
+    def __init__(self, mesh: Mesh | None = None) -> None:
+        self.mesh = mesh  # copied from tile by tile (None: a fresh fabric)
+        self._tiles = {} if mesh is None else mesh._tiles
+        #: coord -> {id(program): (program, base)}, in install order.
+        self.resident: dict[Coord, dict[int, tuple[Program, int]]] = {}
+        self.next_free: dict[Coord, int] = {}
+        self.links: dict[Coord, Direction | None] = {}
+
+    def resident_base(self, coord: Coord, program: Program) -> int | None:
+        resident = self.resident.get(coord)
+        if resident is None:  # untouched: as the mesh has it
+            tile = self._tiles.get(coord)
+            if tile is None:  # a fresh fabric, or off the mesh
+                return None
+            resident = tile._resident
+        entry = resident.get(id(program))
+        return None if entry is None else entry[1]
+
+    def active_link(self, coord: Coord) -> Direction | None:
+        if coord in self.links or self.mesh is None:
+            return self.links.get(coord)
+        return self.mesh.active_link(coord)
+
+    def apply(self, ops: list[tuple]) -> None:
+        """Advance past ``ops`` as ``ReconfigPlanner.apply`` does."""
+        for kind, coord, _, _, target in ops:
+            if kind is _LINK:
+                self.links[coord] = target
+            elif kind is _IMEM:
+                resident = self.resident.get(coord)
+                if resident is None:  # first install here: copy the tile's
+                    tile = self._tiles.get(coord)
+                    resident = dict(getattr(tile, "_resident", {}))
+                    self.resident[coord] = resident
+                    self.next_free[coord] = getattr(tile, "_next_free", 0)
+                if id(target) in resident:
+                    continue  # a forced refresh keeps its base
+                base = self.next_free.get(coord, 0)
+                words = target.imem_words
+                if base + words > INSTR_MEM_WORDS:
+                    resident.clear()
+                    base = 0
+                resident[id(target)] = (target, base)
+                self.next_free[coord] = base + words
+
+    def state(self, coords) -> tuple:
+        """Per tile of ``coords``: resident program ids in install order,
+        bump pointer, write link (``RuntimeManager``'s plan guard)."""
+        return tuple(
+            (tuple(self.resident.get(c, ())), self.next_free.get(c, 0),
+             self.links.get(c))
+            for c in coords
         )
 
 
@@ -116,67 +249,24 @@ class ReconfigPlanner:
         links: dict[Coord, Direction | None] | None = None,
         force_program_reload: bool = False,
     ) -> ReconfigTransaction:
-        """Compute the delta transaction for the requested target state.
+        """Compute the delta transaction for the requested target state
+        (:func:`plan_delta` against the live mesh), after checking every
+        coordinate and link target lies on the mesh."""
+        programs, data_images, links = programs or {}, data_images or {}, links or {}
+        self.validate(programs, data_images, links)
+        return ReconfigTransaction(plan_delta(
+            self.mesh, programs, data_images, links, force_program_reload
+        ))
 
-        A program load is skipped when the same :class:`Program` object is
-        already resident on the tile (pinning), unless
-        ``force_program_reload`` is set.  Link changes are skipped when the
-        link already points the right way.  Data images are always loaded
-        (they exist precisely because their values change each epoch).
-        """
-        txn = ReconfigTransaction()
-        for coord, program in sorted((programs or {}).items()):
-            tile = self.mesh.tile(coord)
-            if not force_program_reload and tile.resident_base(program) is not None:
-                continue  # pinned: already resident (possibly co-resident)
-            txn.add(
-                PartialBitstream(
-                    ReconfigKind.IMEM,
-                    coord,
-                    tuple(program.encoded()),
-                    label=f"imem:{program.name}@{coord}",
-                ),
-                program,
-            )
-            if program.data_image:
-                self._add_image(
-                    txn, coord, program.data_image, f"dmem:{program.name}@{coord}"
-                )
-        for coord, image in sorted((data_images or {}).items()):
-            if not image:
-                continue
+    def validate(self, programs: dict, data_images: dict, links: dict) -> None:
+        """Raise :class:`~repro.errors.LinkError` for an off-mesh
+        coordinate or link target, so :meth:`apply` need not."""
+        images = (coord for coord, image in data_images.items() if image)
+        for coord in (*programs, *images, *links):
             self.mesh.tile(coord)
-            self._add_image(txn, coord, image, f"dmem:data@{coord}")
-        for coord, direction in sorted(
-            (links or {}).items(), key=lambda kv: kv[0]
-        ):
-            if self.mesh.active_link(coord) == direction:
-                continue
-            self.mesh.tile(coord)  # validated here, so apply need not
+        for coord, direction in links.items():
             if direction is not None:
-                self.mesh.neighbour_coord(coord, direction)  # stays on-mesh
-            txn.add(
-                PartialBitstream(
-                    ReconfigKind.LINK,
-                    coord,
-                    aux=-1 if direction is None else direction.code,
-                    label=f"link@{coord}",
-                ),
-                direction,
-            )
-        return txn
-
-    @staticmethod
-    def _add_image(
-        txn: ReconfigTransaction, coord: Coord, image: dict[int, int], label: str
-    ) -> None:
-        flat: list[int] = []
-        for addr, value in sorted(image.items()):
-            flat.extend((addr, value))
-        txn.add(
-            PartialBitstream(ReconfigKind.DMEM, coord, tuple(flat), label=label),
-            image,
-        )
+                self.mesh.neighbour_coord(coord, direction)
 
     # ------------------------------------------------------------------
     # application

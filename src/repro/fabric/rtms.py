@@ -30,21 +30,20 @@ from dataclasses import dataclass, field
 from repro.errors import ReconfigError
 from repro.fabric import predecode as _pd
 from repro.fabric.assembler import Program
-from repro.fabric.bitstream import ReconfigKind
+from repro.fabric.bitstream import ReconfigKind, program_icap_bytes
 from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.mesh import Mesh
-from repro.fabric.reconfig import ReconfigPlanner, ReconfigTransaction
-from repro.fabric.simulator import FastPhase, run_concurrent
+from repro.fabric.reconfig import FabricShadow, ReconfigPlanner, plan_delta
+from repro.fabric.simulator import FastPhase, _proven, run_concurrent
 from repro.fabric.tile import Tile
-from repro.units import CYCLE_NS
+from repro.units import CYCLE_NS, DATA_MEM_WORDS, INSTR_MEM_WORDS
 
 __all__ = [
     "BoundEpoch",
     "EpochSpec",
     "EpochReport",
     "FabricCheckpoint",
-    "LoweredPlan",
     "RunReport",
     "RuntimeManager",
 ]
@@ -111,50 +110,16 @@ class BoundEpoch(EpochSpec):
         return epoch
 
 
-@dataclass(eq=False)
-class PlanStep:
-    """One recorded epoch: its spec, involved tiles, reconfiguration
-    delta, run tiles with the program each selects, and fast-engine
-    phase (what :func:`_epoch_source` generates its function from)."""
-
-    spec: EpochSpec
-    involved: set
-    txn: ReconfigTransaction
-    starts: tuple[tuple[Tile, Program | None], ...]
-    phase: FastPhase | None
-
-
-@dataclass(eq=False)
-class LoweredPlan:
-    """A recorded job of one artifact on one runtime manager.
-
-    ``state`` is the :meth:`RuntimeManager._tile_state` of every tile in
-    ``tiles`` (those the job touches) at job start, and at job end: only
-    a job that leaves them as it found them becomes a plan.  ``None``
-    marks a plan made stale by ``reset``/``restore``.  ``keep`` holds the
-    artifact and programs the plan is keyed and guarded by ``id`` of.
-    ``epochs`` are the generated functions replaying ``steps``, one each.
-    """
-
-    tiles: tuple[Tile, ...]
-    state: tuple | None
-    dataflow: bool
-    steps: list[PlanStep]
-    keep: tuple
-    epochs: tuple = ()
-
-
 @dataclass(eq=False, slots=True)
 class _JobRun:
-    """The job in progress: replaying ``plan``, or recording ``steps``
-    and each tile's state at first touch (``plan is None``)."""
+    """The job in progress: per epoch its ``DerivedEpoch`` (a derived
+    transaction with run facts) or generated function, the link counter
+    after the last epoch, and the next index."""
 
     job: tuple
-    plan: LoweredPlan | None
+    steps: tuple
     links: int
     index: int = 0
-    steps: list[PlanStep] = field(default_factory=list)
-    start: dict[Coord, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -301,8 +266,8 @@ class RuntimeManager:
         #: the batched execution tier (``repro.fabric.batch``) installs
         #: its lane driver here.  Hooks must not raise.
         self.phase_hook = None
-        #: Lowered plans by ``id`` of their artifact (``None``: one job ran).
-        self._plans: dict[int, LoweredPlan | None] = {}
+        #: id(artifact) -> [artifact, jobs begun, its epoch functions here]
+        self._jobs: dict[int, list] = {}
         self._job_run: _JobRun | None = None
 
     @property
@@ -320,14 +285,7 @@ class RuntimeManager:
         self.icap.reset()
         self.tile_ready_ns.clear()
         self.now_ns = 0.0
-        self._forget_plans()
-
-    def _forget_plans(self) -> None:
-        """Make every lowered plan stale: its next job re-records."""
         self._job_run = None
-        for plan in self._plans.values():
-            if plan is not None:
-                plan.state = None
 
     # ------------------------------------------------------------------
     # checkpointing (epoch-boundary recovery)
@@ -351,7 +309,7 @@ class RuntimeManager:
         measure.  The ICAP transfer time of the rewrite itself is charged
         by the caller (partial diff vs. full reload policies differ).
         """
-        self._forget_plans()
+        self._job_run = None
         for coord, state in cp.tiles.items():
             self.mesh.tile(coord).restore(state)
         for coord, direction in cp.links.items():
@@ -371,57 +329,35 @@ class RuntimeManager:
         executed or mutated: this is the query a scheduler needs to score
         "how expensive is it to switch this fabric to that workload".
 
-        The estimate follows exactly the planner's delta rules:
-
-        * programs already resident (pinned) cost nothing;
-        * data images are always charged (their values change per epoch);
-        * link settings are only charged when they actually change.
-
-        For a sequence, residency and link state established by earlier
-        specs are tracked hypothetically so later specs see the state the
-        sequence would leave behind.  Because the ICAP transfer time is
-        linear in bytes, the figure agrees with the summed
-        ``reconfig_ns`` of the corresponding executed
-        :class:`EpochReport` s (pinned to that in the test suite) — with
-        one caveat: instruction-memory eviction under capacity pressure
-        is not modeled, so a sequence that overflows a tile's IMEM may
-        cost more when executed.
+        It walks a :class:`~repro.fabric.reconfig.FabricShadow` of the
+        mesh through the planner's own delta rule
+        (:func:`~repro.fabric.reconfig.plan_delta`: pinned programs are
+        free, a load that does not fit evicts), pricing each load at
+        :func:`~repro.fabric.bitstream.program_icap_bytes`, so the figure
+        agrees with the summed ``reconfig_ns`` of the executed
+        :class:`EpochReport` s (pinned in the test suite).
         """
         specs = [spec] if isinstance(spec, EpochSpec) else list(spec)
-        #: hypothetical residency: coord -> set of id(program) loaded by
-        #: an earlier spec in this sequence.
-        loaded: dict[Coord, set[int]] = {}
-        #: hypothetical link state for links an earlier spec changed.
-        link_state: dict[Coord, Direction | None] = {}
+        shadow = FabricShadow(self.mesh)
+        transfer_ns = self.icap.transfer_ns
         total_ns = 0.0
         for s in specs:
-            for coord, program in sorted(s.programs.items()):
-                tile = self.mesh.tile(coord)
-                if (
-                    tile.resident_base(program) is not None
-                    or id(program) in loaded.get(coord, ())
-                ):
-                    continue  # pinned: free
-                nbytes = len(program.encoded()) * 9
-                if program.data_image:
-                    nbytes += len(program.data_image) * 6
-                total_ns += self.icap.transfer_ns(nbytes)
-                loaded.setdefault(coord, set()).add(id(program))
-            for coord, image in sorted(s.data_images.items()):
-                if not image:
-                    continue
-                self.mesh.tile(coord)  # validates the coordinate
-                total_ns += self.icap.transfer_ns(len(image) * 6)
-            for coord, direction in sorted(s.links.items()):
-                current = (
-                    link_state[coord]
-                    if coord in link_state
-                    else self.mesh.active_link(coord)
-                )
-                if current == direction:
-                    continue
-                total_ns += self.planner.link_cost_ns
-                link_state[coord] = direction
+            ops = plan_delta(shadow, s.programs, s.data_images, s.links)
+            if not ops:
+                continue
+            self.planner.validate(s.programs, s.data_images, {})
+            shadow.apply(ops)
+            image = None  # the .var image of the last load: priced with it
+            for kind, _, nbytes, _, target in ops:
+                if kind is ReconfigKind.LINK:
+                    total_ns += self.planner.link_cost_ns
+                elif kind is ReconfigKind.IMEM:
+                    image = target.data_image
+                    total_ns += transfer_ns(program_icap_bytes(target))
+                elif target is image:
+                    image = None
+                else:
+                    total_ns += transfer_ns(nbytes)
         return total_ns
 
     # ------------------------------------------------------------------
@@ -430,9 +366,9 @@ class RuntimeManager:
         """Run the epoch list; returns a :class:`RunReport`.
 
         The :class:`BoundEpoch` s of one work item, run in order in one
-        call or several, form a job.  An artifact's second job here
-        records a :class:`LoweredPlan`; later jobs replay it when its
-        guard holds (:meth:`_begin_job`).  DESIGN §16 "Lowered plans".
+        call or several, form a job, which runs its artifact's derived
+        plan when the guard holds (:meth:`_begin_job`).  DESIGN §16
+        "Lowered plans".
         """
         report = RunReport()
         for spec in epochs:  # each epoch advances ``now_ns`` past its end
@@ -452,60 +388,56 @@ class RuntimeManager:
             run = None
         if run is None:
             return self._execute_epoch(spec)
-        plan = run.plan
-        if plan is None:
-            report = self._execute_epoch(spec, run)
-        else:
-            report = plan.epochs[run.index](spec)
+        step = run.steps[run.index]
+        report = step(spec) if callable(step) else self._execute_epoch(spec, step)
         run.index += 1
         if run.index < job[1]:
             run.links = links.reconfig_count
             self._job_run = run
-        elif plan is None:
-            self._keep_plan(run)
         return report
 
-    def _tile_state(self, tile: Tile) -> tuple:
-        """A tile's configuration plus its write link (a plan's guard)."""
-        return tile.configuration(), self.mesh.links.get(tile.coord)
+    def _residency(self, coords: tuple) -> tuple | None:
+        """``FabricShadow.state`` of the live mesh (``None``: a memory of
+        non-standard size)."""
+        tiles, links = [self.mesh.tile(c) for c in coords], self.mesh.links
+        if any(t.dmem.size != DATA_MEM_WORDS or t.imem.size != INSTR_MEM_WORDS
+               for t in tiles):
+            return None
+        return tuple(
+            (tuple(t._resident), t._next_free, links.get(t.coord)) for t in tiles
+        )
 
     def _begin_job(self, job: tuple) -> _JobRun | None:
-        """The guard, once per job: replay when there is no
-        ``phase_hook``, the fast engine runs in the plan's ``dataflow``
-        mode and every tile of the plan is in the state it recorded."""
-        key = id(job[0])
-        if key not in self._plans:
-            self._plans[key] = None  # a plan run once records nothing
-            return None
-        plan = self._plans[key]
-        eligible = (
-            self.phase_hook is None and _pd.resolve_engine(self.engine) == "fast"
-        )
-        links = self.mesh.links.reconfig_count
+        """The guard, once per job (no ``phase_hook``, fast engine): a job
+        whose tiles hold one derived start state runs its plan, from the
+        artifact's third job here a resident one as epoch functions."""
+        artifact = job[0]
+        seen = self._jobs.get(id(artifact))
+        if seen is None or seen[0] is not artifact:
+            seen = self._jobs[id(artifact)] = [artifact, 0, None]
+        seen[1] += 1
+        plan = getattr(artifact, "epoch_plan", None)
         if (
-            plan is not None
-            and eligible
-            and plan.dataflow == self.dataflow
-            and plan.state == tuple(map(self._tile_state, plan.tiles))
+            plan is None
+            or self.phase_hook is not None
+            or _pd.resolve_engine(self.engine) != "fast"
         ):
-            _pd.COUNTERS.plan_runs += 1
-            if not plan.epochs:  # at the first replay: churn never pays it
-                plan.epochs = _epoch_functions(plan, self)
-            return _JobRun(job, plan, links)
-        if plan is not None:
+            return None
+        state = self._residency(plan.coords)
+        links = self.mesh.links.reconfig_count
+        if state == plan.end and plan.resident is not None:
+            steps = plan.resident[1]
+            if seen[1] >= 3:
+                if seen[2] is None:
+                    seen[2] = _epoch_functions(plan, self)
+                steps = seen[2]
+        elif state == plan.cold[0]:
+            steps = plan.cold[1]
+        else:
             _pd.COUNTERS.plan_fallbacks += 1
-        return _JobRun(job, None, links) if eligible else None
-
-    def _keep_plan(self, run: _JobRun) -> None:
-        """Keep a recorded job as its artifact's plan if it ended where it
-        started (warm jobs do; a cold one leaves programs behind)."""
-        tiles = tuple(self.mesh.tile(coord) for coord in run.start)
-        state = tuple(map(self._tile_state, tiles))
-        if state == tuple(run.start.values()):
-            self._plans[id(run.job[0])] = LoweredPlan(
-                tiles, state, self.dataflow, run.steps,
-                keep=(run.job[0], *map(Tile.resident_programs, tiles)),
-            )
+            return None
+        _pd.COUNTERS.plan_runs += 1
+        return _JobRun(job, steps, links)
 
     # ------------------------------------------------------------------
     # compiled-artifact entry points (duck-typed: any object exposing
@@ -569,19 +501,32 @@ class RuntimeManager:
             min_vector_lanes=min_vector_lanes,
         )
 
-    def _involved_tiles(self, spec: EpochSpec) -> set[Coord]:
+    def _epoch_start(self, spec: EpochSpec) -> float:
+        """The previous epoch's end, or in dataflow mode when the tiles
+        the epoch involves are ready."""
+        if not self.dataflow:
+            return self.now_ns
         involved: set[Coord] = set(spec.run) | set(spec.depends_on)
         involved |= set(spec.programs) | set(spec.data_images)
         involved |= set(spec.links) | set(spec.pokes)
-        return involved
+        ready = self.tile_ready_ns
+        return max((ready.get(c, 0.0) for c in involved), default=0.0)
 
-    def _compute(self, tiles: list[Tile], gate: float, epoch_start: float):
-        """Run ``tiles`` from ``gate``; each one's ready time moves to the
-        end of its own work (a tile finishing early is free for the next
-        epoch's reconfiguration even while slower tiles still run)."""
-        result = run_concurrent(
-            tiles, self.max_cycles_per_tile, start_ns=gate, engine=self.engine
-        )
+    def _compute(
+        self, tiles: list[Tile], gate: float, epoch_start: float, decoded=None
+    ):
+        """Run ``tiles`` from ``gate`` (``decoded``: a derived plan's, checked
+        live); each one's ready time moves to the end of its own work (a
+        tile finishing early is free for the next epoch's reconfiguration
+        even while slower tiles still run)."""
+        if decoded is None:
+            result = run_concurrent(
+                tiles, self.max_cycles_per_tile, start_ns=gate, engine=self.engine
+            )
+        else:
+            result = FastPhase.analyse(tiles, decoded).run(
+                self.max_cycles_per_tile, gate
+            )
         ready = self.tile_ready_ns
         for coord, tile_busy in result.busy_ns.items():
             at = ready.get(coord, epoch_start)
@@ -589,42 +534,26 @@ class RuntimeManager:
             ready[coord] = end if end > at else at
         return result
 
-    def _execute_epoch(
-        self, spec: EpochSpec, record: _JobRun | None = None
-    ) -> EpochReport:
-        """Execute one epoch, appending it to ``record`` when recording.
-
-        A replayed epoch runs its generated function instead
-        (:func:`_epoch_source`), which does what this does in the order
-        this does it, with the planning and phase analysis folded away.
-        """
+    def _execute_epoch(self, spec: EpochSpec, derived=None) -> EpochReport:
+        """Execute one epoch; ``derived``, its ``DerivedEpoch`` in the job's
+        derived plan, stands in for planning and decoding.  A
+        generated epoch function (:func:`_epoch_source`) does what this
+        does in this order, with the phase analysis folded away."""
         mesh = self.mesh
         ready = self.tile_ready_ns
-        if self.dataflow or record is not None:
-            involved = self._involved_tiles(spec)
-            if record is not None:
-                for coord in involved:
-                    if coord not in record.start:
-                        record.start[coord] = self._tile_state(mesh.tile(coord))
-        if self.dataflow:
-            epoch_start = max(
-                (ready.get(c, 0.0) for c in involved),
-                default=0.0,
-            )
-        else:
-            epoch_start = self.now_ns
+        epoch_start = self._epoch_start(spec)
 
         # -- free host writes (preprocessing / on-tile generation) -----
         for coord, image in spec.pokes.items():
             mesh.tile(coord).dmem.load_image(image)
 
         # -- reconfiguration ------------------------------------------
-        txn = self.planner.plan(
+        txn = derived if derived is not None else self.planner.plan(
             programs=spec.programs, data_images=spec.data_images, links=spec.links
         )
         reconfig_ns = 0.0
         reconfig_end = epoch_start
-        if txn.bitstreams:
+        if txn.ops:
             busy_before = self.icap.total_busy_ns
             applied = self.planner.apply(txn, ready, now_ns=epoch_start)
             # Term B of Eq. 1: actual configuration-port busy time, not the
@@ -639,35 +568,30 @@ class RuntimeManager:
         compute_ns = 0.0
         busy: dict[Coord, float] = {}
         compute_end = epoch_start
-        phase = None
-        starts = ()
         if spec.run:
-            starts = tuple(
-                (mesh.tile(coord), spec.programs.get(coord)) for coord in spec.run
-            )
             tiles = []
             gate = epoch_start
-            for tile, program in starts:
+            for coord in spec.run:
+                tile = mesh.tile(coord)
+                program = spec.programs.get(coord)
                 if program is not None:
                     tile.start(program)  # resident: select this entry point
                 elif spec.restart and tile.halted:
                     tile.restart()
                 tiles.append(tile)
                 # ``b if b > a else a`` is ``max(a, b)``, without the call
-                at = ready.get(tile.coord, epoch_start)
+                at = ready.get(coord, epoch_start)
                 gate = at if at > gate else gate
             for coord in spec.depends_on:
                 at = ready.get(coord, epoch_start)
                 gate = at if at > gate else gate
             if self.phase_hook is not None:
                 self.phase_hook(spec, tiles)
-            result = self._compute(tiles, gate, epoch_start)
-            phase = result.phase
+            decoded = None if derived is None else _derived_decoded(tiles, derived.runs)
+            result = self._compute(tiles, gate, epoch_start, decoded)
             compute_ns = result.makespan_ns
             compute_end = gate + result.makespan_ns
             busy = result.busy_ns
-        if record is not None:
-            record.steps.append(PlanStep(spec, involved, txn, starts, phase))
         epoch_end = max(compute_end, reconfig_end, epoch_start)
 
         # Reconfiguration time is "overlapped" (hidden) to the extent the
@@ -694,57 +618,66 @@ class RuntimeManager:
 # ----------------------------------------------------------------------
 
 #: Compiled epoch-function factories by source text, process-wide.  The
-#: source holds no constant of the recording (those are bound when a
-#: factory is called), so epochs of one shape share one compile.
+#: source holds no constant of the plan (those are bound when a factory
+#: is called), so epochs of one shape share one compile.
 _EPOCH_CODE: dict[str, Callable] = {}
-#: ``(factory, constants)`` per step by plan key (``LoweredPlan.keep``
-#: pins the ids): a re-created session re-records but generates nothing.
-_PLAN_CODE: dict[tuple, tuple] = {}
 _CODE_MAX = 4096
 _EPOCH_GLOBALS = {"EpochReport": EpochReport, "_COUNTERS": _pd.COUNTERS,
                   "_install": ReconfigPlanner.install}
 
 
-def _epoch_functions(plan: LoweredPlan, rtms: "RuntimeManager") -> tuple:
-    """One generated function per step of ``plan``, bound to ``rtms``."""
-    key = (
-        id(plan.keep[0]), plan.dataflow,
-        tuple(tile.coord for tile in plan.tiles), plan.state,
-    )
-    hit = _PLAN_CODE.get(key)
-    if hit is None:
+def _derived_decoded(tiles: list[Tile], runs: tuple) -> list | None:
+    """Each run tile's derived ``(decoded program, base)`` while every tile
+    still runs that program, uncorrupted, from a pc inside it (``None``:
+    the phase decodes live, as ``run_concurrent`` does)."""
+    for tile, run in zip(tiles, runs):
+        if (
+            run is None or tile.program is not run[0] or tile.halted
+            or tile.imem._corrupted or not 0 <= tile.pc - run[2] < run[1].n
+        ):
+            return None
+    return [(dec, base) for _, dec, base in runs]
+
+
+def _epoch_functions(plan, rtms: "RuntimeManager") -> tuple:
+    """One generated function per epoch of ``plan``'s resident start
+    (generated once per plan, into ``plan.code``), bound to ``rtms``."""
+    if plan.code is None:
         started = time.perf_counter()
-        links = {t.coord: state[1] for t, state in zip(plan.tiles, plan.state)}
-        steps = []
-        for step in plan.steps:
+        state, epochs = plan.resident
+        links = {coord: tile[2] for coord, tile in zip(plan.coords, state)}
+        code = []
+        for spec, epoch in zip(plan.specs, epochs):
             consts: list = []
-            lines = _epoch_source(step, links, plan.dataflow, consts)
+            lines = _epoch_source(rtms.mesh, spec, epoch, links, consts)
             source = "def _make(rt, mesh, K):\n    " + "\n    ".join(lines)
             make = _EPOCH_CODE.get(source)
             if make is None:
+                if len(_EPOCH_CODE) >= _CODE_MAX:
+                    _EPOCH_CODE.clear()
                 namespace: dict[str, object] = {}
                 exec(compile(source, "<epoch>", "exec"), _EPOCH_GLOBALS, namespace)
                 make = _EPOCH_CODE[source] = namespace["_make"]
                 _pd.COUNTERS.statements += len(lines)
-            steps.append((make, consts))
-        for cache in (_EPOCH_CODE, _PLAN_CODE):
-            if len(cache) >= _CODE_MAX:
-                cache.clear()
-        hit = _PLAN_CODE[key] = (plan.keep, steps)
+            code.append((make, consts))
+        plan.code = code
         _pd.COUNTERS.lowering_s += time.perf_counter() - started
-    return tuple(make(rtms, rtms.mesh, consts) for make, consts in hit[1])
+    return tuple(make(rtms, rtms.mesh, consts) for make, consts in plan.code)
 
 
-def _lowered_runs(phase: FastPhase | None, links: dict) -> list | None:
-    """``(tile, footprint, base, entry pc, neighbour coord)`` per tile of a
-    phase whose every tile runs its lowered trace (``None``: the phase
-    must run through the engine)."""
-    if phase is None or not phase.proven:
+def _lowered_runs(mesh: Mesh, spec: EpochSpec, runs: tuple, links: dict) -> list | None:
+    """``(tile, footprint, base, program, neighbour coord)`` per run tile of
+    a derived epoch proven on the footprints profiled so far from each
+    program's start (``None``: the phase runs through the engine)."""
+    if not runs or None in runs:
         return None
-    runs = []
-    for tile, (dec, base), fp, pc in zip(
-        phase.tiles, phase.decoded, phase.footprints, phase.pcs
-    ):
+    tiles = [mesh.tile(coord) for coord in spec.run]
+    decoded = [(dec, base) for _, dec, base in runs]
+    footprints = [dec.__dict__.get("_footprints", {}).get(0) for dec, _ in decoded]
+    if not _proven(tiles, decoded, footprints):
+        return None
+    out = []
+    for tile, (program, dec, base), fp in zip(tiles, runs, footprints):
         neighbour = None
         if fp.remote:
             direction = fp.direction
@@ -754,21 +687,20 @@ def _lowered_runs(phase: FastPhase | None, links: dict) -> list | None:
             neighbour = (tile.coord[0] + dr, tile.coord[1] + dc)
         if fp.chunks is None:
             _pd._compile_trace(fp, dec.name)
-        runs.append((tile, fp, base, pc, neighbour))
-    return runs
+        out.append((tile, fp, base, program, neighbour))
+    return out
 
 
 def _epoch_source(
-    step: PlanStep, links: dict, dataflow: bool, consts: list
+    mesh: Mesh, spec: EpochSpec, txn, links: dict, consts: list
 ) -> list[str]:
-    """Source of the factory of one recorded epoch's function: what
-    :meth:`RuntimeManager._execute_epoch` did for it, in the same order
+    """Source of the factory of derived epoch ``txn``'s function: what
+    :meth:`RuntimeManager._execute_epoch` does for it, in the same order
     with the same float operations — pokes, the delta's ICAP schedule,
     tile starts, per-run checks guarding the trace chunks and statistics
     (a failed one runs the phase through the engine), the report.  What
-    the recording fixed goes to ``consts`` (``k<i>`` in the source);
-    ``links`` (coord -> direction) is advanced past the epoch."""
-    spec, txn = step.spec, step.txn
+    the plan fixes goes to ``consts`` (``k<i>`` in the source); ``links``
+    (coord -> direction) is advanced past the epoch."""
     bound: dict[Coord, int] = {}  # coord -> suffix of its tile's names
 
     def tile(coord: Coord) -> int:
@@ -778,19 +710,12 @@ def _epoch_source(
         consts.append(value)
         return f"k{len(consts) - 1}"
 
-    body: list[str] = []
+    body: list[str] = ["s = rt._epoch_start(spec)"]
     emit = body.append
-    if not dataflow:
-        emit("s = rt.now_ns")
-    else:  # max((R.get(c, 0.0) for c in involved), default=0.0)
-        emit("s = 0.0")
-        for index, coord in enumerate(step.involved):
-            emit(f"a = R.get({k(coord)}, 0.0)")
-            emit("s = a" if index == 0 else "s = a if a > s else s")
     emit("for c, image in spec.pokes.items():")
     emit("    DM[c].load_image(image)")
 
-    if txn.bitstreams:  # ReconfigPlanner.apply, unrolled
+    if txn.ops:  # ReconfigPlanner.apply, unrolled
         emit("b = icap._busy_total_ns")
         touched: list[Coord] = []
         for kind, coord, nbytes, label, target in txn.ops:
@@ -818,35 +743,35 @@ def _epoch_source(
         emit("rn = 0.0")
         emit("re = s")
 
-    if step.starts:
-        for t, program in step.starts:
-            i = tile(t.coord)
+    if spec.run:
+        for coord in spec.run:
+            i = tile(coord)
+            program = spec.programs.get(coord)
             if program is not None:
                 emit(f"t{i}.start({k(program)})")
             elif spec.restart:
                 emit(f"if t{i}.halted:")
                 emit(f"    t{i}.restart()")
         emit("g = s")
-        for coord in [t.coord for t, _ in step.starts] + list(spec.depends_on):
+        for coord in list(spec.run) + list(spec.depends_on):
             emit(f"a = R.get(c{tile(coord)}, s)")
             emit("g = a if a > g else g")
-        run_tiles = ", ".join(f"t{tile(t.coord)}" for t, _ in step.starts)
+        run_tiles = ", ".join(f"t{tile(coord)}" for coord in spec.run)
         generic = [
             f"r = rt._compute([{run_tiles}], g, s)",
             "cn = r.makespan_ns",
             "busy = r.busy_ns",
         ]
-        runs = _lowered_runs(step.phase, links)
-        if runs is None:
+        lowered = _lowered_runs(mesh, spec, txn.runs, links)
+        if lowered is None:
             body.extend(generic)
         else:
-            body.extend(_lowered_source(runs, generic, tile, k))
+            body.extend(_lowered_source(lowered, generic, tile, k))
         emit("ce = g + cn")
     else:
         emit("cn = 0.0")
         emit("ce = s")
         emit("busy = {}")
-
     body += [  # max(ce, re, s); max(0.0, rn - max(0.0, re - ce)); report
         "ee = ce",
         "ee = re if re > ee else ee",
@@ -888,9 +813,12 @@ def _lowered_source(runs: list, generic: list[str], tile, k) -> list[str]:
     lines = [f"w{tile(t.coord)} = d{tile(t.coord)}._words" for t, *_ in runs]
     longest = max(fp.cycles for _, fp, *_ in runs)
     checks = [f"rt.max_cycles_per_tile < {k(longest)}"]
-    for t, fp, _base, pc, _ in runs:
+    for t, fp, base, program, _ in runs:
         i = tile(t.coord)
-        checks += [f"t{i}.pc != {k(pc)}", f"C{i}"]
+        checks += [
+            f"t{i}.program is not {k(program)}", f"t{i}.halted",
+            f"t{i}.pc != {k(base)}", f"C{i}",
+        ]
         checks += [
             f"w{i}[{k(addr)}] != {k(value)}" for addr, value in fp.fingerprint
         ]
@@ -899,7 +827,7 @@ def _lowered_source(runs: list, generic: list[str], tile, k) -> list[str]:
     lines.append("else:")
     fast = []
     # the event loop pops the phase's elapsed-0 events in coordinate order
-    for t, fp, base, _pc, neighbour in sorted(runs, key=lambda r: r[0].coord):
+    for t, fp, base, _program, neighbour in sorted(runs, key=lambda r: r[0].coord):
         i = tile(t.coord)
         words = "None"
         if neighbour is not None:

@@ -47,8 +47,6 @@ class ConcurrentRun:
     busy_ns: dict[tuple[int, int], float] = field(default_factory=dict)
     #: Per-tile instruction counts for this run.
     instructions: dict[tuple[int, int], int] = field(default_factory=dict)
-    #: The :class:`FastPhase` run as lowered traces (None: the oracle ran).
-    phase: "FastPhase | None" = field(default=None, repr=False, compare=False)
 
     @property
     def utilization(self) -> float:
@@ -79,9 +77,7 @@ def run_concurrent(
 
     ``engine`` selects ``"fast"`` / ``"reference"`` / ``None`` (auto —
     fast unless ``REPRO_REFERENCE_SIM`` is set); both tiers produce
-    bit-identical results.  A phase that ran as lowered traces returns
-    its :class:`FastPhase` as ``ConcurrentRun.phase`` (what a lowered
-    plan records).
+    bit-identical results.
     """
     if not tiles:
         return ConcurrentRun(makespan_ns=0.0)
@@ -161,22 +157,22 @@ _ANALYSIS_MEMO_MAX = 4096
 class FastPhase:
     """One phase's fast-engine state: each tile's ``(decoded program,
     base)`` and validated footprint, and whether the phase is proven
-    conflict-free (a lowered plan generates its epoch functions from it)."""
+    conflict-free."""
 
     tiles: list[Tile]
     decoded: list[tuple[_pd.DecodedProgram, int]]
     footprints: list[_pd.Footprint | None]
     proven: bool
 
-    def __post_init__(self) -> None:
-        self.pcs = tuple(tile.pc for tile in self.tiles)
-
     @classmethod
-    def analyse(cls, tiles: list[Tile]) -> "FastPhase | None":
-        """Decode and analyse a phase (``None``: a tile is ineligible)."""
-        decoded = [_pd.decode_for_tile(tile) for tile in tiles]
-        if any(entry is None for entry in decoded):
-            return None
+    def analyse(cls, tiles: list[Tile], decoded=None) -> "FastPhase | None":
+        """Decode and analyse a phase (``None``: a tile is ineligible);
+        ``decoded``, each tile's ``(decoded program, base)`` checked
+        against it, skips the decoding."""
+        if decoded is None:
+            decoded = [_pd.decode_for_tile(tile) for tile in tiles]
+            if any(entry is None for entry in decoded):
+                return None
         footprints = [
             _pd.footprint_for(tile, dec, base)
             for tile, (dec, base) in zip(tiles, decoded)
@@ -237,7 +233,6 @@ class FastPhase:
                     instructions={
                         t.coord: fp.instructions for t, fp in zip(tiles, footprints)
                     },
-                    phase=self,
                 )
         _pd.COUNTERS.fallback_runs += len(tiles)
         return _run_reference(tiles, max_cycles_per_tile, start_ns)

@@ -109,22 +109,6 @@ class Tile:
         """The co-resident programs, in install order."""
         return tuple(program for program, _base in self._resident.values())
 
-    def configuration(self) -> tuple:
-        """Selection, residency and memory shape as comparable values:
-        what a reconfiguration delta and the fast engine's eligibility
-        depend on besides links and memory contents.  Programs appear by
-        ``id``; a holder keeps :meth:`resident_programs` alive."""
-        return (
-            id(self.program),
-            self.pc,
-            self.halted,
-            tuple(self._resident),
-            self._next_free,
-            self.imem.has_corruption,
-            self.dmem.size,
-            self.imem.size,
-        )
-
     @property
     def imem_free_words(self) -> int:
         return self.imem.size - self._next_free

@@ -27,6 +27,7 @@ analogue (per-stage butterfly and copy runtimes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,12 +134,17 @@ class FabricFFT:
         self.plan = plan
         self.layout = FFTLayout(plan.m)  # validates the memory budget
         self.link_cost_ns = link_cost_ns
-        self.schedule = classify_twiddles(plan)
         #: The compiled configuration this runner executes.  Compiling is
         #: cached process-wide, so building many runners over the same
         #: decomposition (a DSE sweep, a fault campaign's rebuilds) pays
         #: for lowering + validation exactly once.
         self.artifact: CompiledArtifact = compile_fft(plan, link_cost_ns)
+
+    @cached_property
+    def schedule(self):
+        """The twiddle classification of the plan (classified on first
+        read; the lowering classifies for itself)."""
+        return classify_twiddles(self.plan)
 
     # ------------------------------------------------------------------
     # public API

@@ -135,7 +135,7 @@ class TestDiskTier:
         def old_layout(self):
             state = dict(self.__dict__)
             state["decoded"] = ()
-            del state["switch_pieces"]
+            del state["switch_pieces"], state["epoch_plan"]
             state["switch_table"] = table
             return state
 

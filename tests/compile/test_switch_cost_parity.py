@@ -153,3 +153,44 @@ class TestColdDeltasParity:
         executed.extend(body)
         assert tuple(executed) == artifact.cold_bytes
         assert sum(executed) == artifact.total_cold_bytes
+
+
+class TestEvictionExactPricing:
+    """A load that does not fit evicts every resident of the tile, so a
+    program loaded before the eviction costs again after it: both the
+    ``switch_cost`` estimate and the compiled ``cold_bytes`` charge it."""
+
+    def _sequence(self):
+        from repro.fabric.assembler import assemble
+        from repro.fabric.rtms import EpochSpec
+
+        filler = assemble("\n".join(["NOP"] * 479 + ["HALT"]), name="filler")
+        small = assemble("\n".join(["NOP"] * 39 + ["HALT"]), name="small")
+        assert (filler.imem_words, small.imem_words) == (480, 40)
+        return [
+            EpochSpec(f"e{index}", programs={(0, 0): program}, run=[(0, 0)])
+            for index, program in enumerate((filler, small, filler))
+        ]
+
+    def test_switch_cost_charges_the_reload(self):
+        specs = self._sequence()
+        rtms = RuntimeManager(Mesh(1, 1), IcapPort())
+        estimate = rtms.switch_cost(specs)
+        executed = rtms.execute(specs).reconfig_ns
+        assert executed == pytest.approx(50_000.0)
+        assert estimate == pytest.approx(executed, rel=1e-12, abs=1e-9)
+
+    def test_cold_bytes_charge_the_reload(self):
+        from repro.compile.frontends import compile_plan
+        from repro.compile.ir import IRBuilder
+
+        specs = self._sequence()
+        builder = IRBuilder("evict", {}, 1, 1, 0.0)
+        for spec in specs:
+            builder.emit(spec)
+        artifact = compile_plan(builder.graph(), builder.plan())
+        rtms = RuntimeManager(Mesh(1, 1), IcapPort())
+        executed = [epoch.reconfig_bytes for epoch in rtms.execute(specs).epochs]
+        assert executed == [480 * IMEM_BYTES_PER_WORD, 40 * IMEM_BYTES_PER_WORD,
+                            480 * IMEM_BYTES_PER_WORD]
+        assert artifact.cold_bytes == tuple(executed)

@@ -1,15 +1,20 @@
-"""Lowered plans: a warm job replays its artifact's recorded epoch schedule.
+"""Lowered plans: a job runs its artifact's derived epoch plan.
 
-The second job of an artifact on a runtime manager records a
-``LoweredPlan``; every later job whose fabric configuration at job start
-equals the plan's replays it.  Replay must be invisible: these tests
-hold it, with exact equality and no clock, to the same jobs run with
-lowering impossible (the fast engine behind a no-op ``phase_hook``,
-which the plan guard refuses) and to the reference interpreter.
+The ``cold-deltas`` pass derives, per artifact, every bound epoch's
+reconfiguration delta and run-tile facts from two start states (cold:
+after the setup prologue; resident: where a job leaves the fabric).  A
+job whose tiles hold one of those states at job start runs that plan
+(``plan_runs`` + 1); from an artifact's third job on a runtime manager a
+resident job calls generated epoch functions.  It must be invisible:
+these tests hold it, with exact equality and no clock, to the same jobs
+run with lowering impossible (the fast engine behind a no-op
+``phase_hook``, which the plan guard refuses) and to the reference
+interpreter.
 
-* every registered kernel, five warm jobs;
-* the invalidation matrix: each event makes the next job fall back once
-  (``plan_fallbacks`` + 1), after which jobs replay again, equal throughout;
+* every registered kernel, five jobs, each one running a derived plan;
+* the invalidation matrix: an event that moves residency or links makes
+  the next job fall back once (``plan_fallbacks`` + 1); one that leaves
+  them alone lets it run the plan; equal throughout;
 * a hypothesis leg over job orders of two artifacts sharing one mesh.
 """
 
@@ -155,8 +160,8 @@ def test_warm_jobs_replay_bit_equal(kind):
         deltas = _same_job(fabrics, artifact, payload, f"j{index}_")
         lowered_deltas.append(deltas[0])
         assert deltas[1] == deltas[2] == (0, 0)  # never replayed, never guarded
-    # the first job records nothing, the second records, the rest replay
-    assert lowered_deltas == [(0, 0), (0, 0), (1, 0), (1, 0), (1, 0)]
+    # cold, then resident: every job runs its derived plan
+    assert lowered_deltas == [(1, 0)] * 5
 
 
 def test_bound_epochs_executed_one_call_each_replay_too():
@@ -174,7 +179,7 @@ def test_bound_epochs_executed_one_call_each_replay_too():
             runs.append((epochs, pd.COUNTERS.plan_runs - before))
         assert runs[0][0] == runs[1][0]
         assert lowered.state() == unlowered.state()
-        assert runs[0][1] == (1 if index >= 2 else 0)
+        assert runs[0][1] == 1
 
 
 # ----------------------------------------------------------------------
@@ -194,9 +199,11 @@ def _warm_pair(kind: str = "fft"):
     return artifact, fabrics, payloads[3:]
 
 
-def _falls_back_once_then_replays(artifact, fabrics, payloads) -> None:
+def _falls_back_once_then_replays(
+    artifact, fabrics, payloads, first: tuple = (0, 1)
+) -> None:
     deltas = _same_job(fabrics, artifact, payloads[0], "after_")
-    assert deltas[0] == (0, 1)
+    assert deltas[0] == first
     replays = 0
     for index, payload in enumerate(payloads[1:4]):
         deltas = _same_job(fabrics, artifact, payload, f"then{index}_")
@@ -221,12 +228,19 @@ def _checkpoint_restore(fabric: Fabric, artifact, payload) -> None:
     fabric.rtms.restore(checkpoint)
 
 
+#: Each event, and the plan counters of the job after it: a flipped link
+#: is in neither start state, so that job falls back; a restore brings
+#: back the resident state, and reset and dataflow leave residency and
+#: links alone, so the guard rightly lets those jobs run the plan.
 EVENTS = {
-    "link-flipped": lambda fabric, artifact, payload: _flip_a_link(fabric),
-    "checkpoint-restore": _checkpoint_restore,
-    "reset": lambda fabric, artifact, payload: fabric.rtms.reset(),
-    "dataflow-toggled": lambda fabric, artifact, payload: setattr(
-        fabric.rtms, "dataflow", not fabric.rtms.dataflow
+    "link-flipped": (lambda fabric, artifact, payload: _flip_a_link(fabric), (0, 1)),
+    "checkpoint-restore": (_checkpoint_restore, (1, 0)),
+    "reset": (lambda fabric, artifact, payload: fabric.rtms.reset(), (1, 0)),
+    "dataflow-toggled": (
+        lambda fabric, artifact, payload: setattr(
+            fabric.rtms, "dataflow", not fabric.rtms.dataflow
+        ),
+        (1, 0),
     ),
 }
 
@@ -234,10 +248,11 @@ EVENTS = {
 @pytest.mark.parametrize("event", sorted(EVENTS))
 def test_event_makes_the_next_job_fall_back_once(event):
     artifact, fabrics, payloads = _warm_pair()
+    happen, first = EVENTS[event]
     for fabric in fabrics:
-        EVENTS[event](fabric, artifact, payloads[0])
+        happen(fabric, artifact, payloads[0])
     assert fabrics[0].state() == fabrics[1].state()
-    _falls_back_once_then_replays(artifact, fabrics, payloads[1:])
+    _falls_back_once_then_replays(artifact, fabrics, payloads[1:], first)
 
 
 def _filler_artifact():
@@ -257,22 +272,33 @@ def test_eviction_by_another_artifact_on_the_mesh():
     _falls_back_once_then_replays(artifact, fabrics, payloads)
 
 
+def _first_run(plan, after: int = -1) -> tuple[int, tuple, object]:
+    """``(index, coord, program)`` of the first run tile of the resident
+    plan past epoch ``after``."""
+    epochs = plan.resident[1]
+    index = next(i for i, epoch in enumerate(epochs) if i > after and epoch.runs)
+    return index, plan.specs[index].run[0], epochs[index].runs[0][0]
+
+
 def test_seu_between_jobs_faults_at_the_word():
+    """Residency and links are as the plan left them, so the guard lets
+    the job run the plan; the per-run corruption check sends the phase
+    that reaches the word to the oracle, which faults there."""
     artifact, fabrics, payloads = _warm_pair()
-    plan = next(p for p in fabrics[0].rtms._plans.values() if p is not None)
-    step = next(step for step in plan.steps if step.starts)
-    tile, program = step.starts[0]
-    coord = tile.coord
+    _, coord, program = _first_run(artifact.epoch_plan)
     for fabric in fabrics:
         corrupted = fabric.mesh.tile(coord)
         corrupted.imem.corrupt_slot(corrupted.resident_base(program))
     outcomes = []
     for fabric in fabrics:
-        before = pd.COUNTERS.plan_fallbacks
+        before = (pd.COUNTERS.plan_runs, pd.COUNTERS.plan_fallbacks)
         with pytest.raises(FaultError, match="SEU-corrupted instruction word"):
             fabric.rtms.execute_artifact(artifact, payloads[0], "seu_")
-        outcomes.append(pd.COUNTERS.plan_fallbacks - before)
-    assert outcomes == [1, 0]
+        outcomes.append((
+            pd.COUNTERS.plan_runs - before[0],
+            pd.COUNTERS.plan_fallbacks - before[1],
+        ))
+    assert outcomes == [(1, 0), (0, 0)]
     assert fabrics[0].state() == fabrics[1].state()
     for fabric in fabrics:
         fabric.mesh.tile(coord).imem.repair_slot(
@@ -286,10 +312,7 @@ def test_seu_mid_job_faults_at_the_word():
     """The per-run corruption check: an SEU between two epochs of a
     replaying job stops the replay at the very run that reaches it."""
     artifact, fabrics, payloads = _warm_pair()
-    plan = next(p for p in fabrics[0].rtms._plans.values() if p is not None)
-    at = next(i for i, step in enumerate(plan.steps) if i > 3 and step.starts)
-    tile, program = plan.steps[at].starts[0]
-    coord = tile.coord
+    at, coord, program = _first_run(artifact.epoch_plan, after=3)
     raised = []
     for fabric in fabrics:
         epochs = artifact.bind(payloads[0], "mid_")
@@ -308,11 +331,11 @@ def test_link_flipped_mid_job_ends_the_replay():
     """A link set between two epochs of a replaying job changes what the
     next epoch must reconfigure: the job finishes through the planner."""
     artifact, fabrics, payloads = _warm_pair()
-    plan = next(p for p in fabrics[0].rtms._plans.values() if p is not None)
+    derived = artifact.epoch_plan.resident[1]
     at, (_, coord, _, _, direction) = next(
         (i, op)
-        for i, step in enumerate(plan.steps)
-        for op in step.txn.ops
+        for i, txn in enumerate(derived)
+        for op in txn.ops
         if i > 0 and op[0].name == "LINK"
     )
     reports = []
@@ -323,7 +346,7 @@ def test_link_flipped_mid_job_ends_the_replay():
         fabric.mesh.configure_link(coord, direction)  # already where it goes
         reports.append(fabric.rtms.execute(epochs[at:]).epochs)
     assert reports[0] == reports[1]
-    assert reports[0][0].link_changes == plan.steps[at].txn.link_changes - 1
+    assert reports[0][0].link_changes == derived[at].link_changes - 1
     assert fabrics[0].state() == fabrics[1].state()
 
 
@@ -387,8 +410,9 @@ def test_cancel_mid_job_then_resume_from_the_checkpoint():
             payloads[3], CancelToken(), 20, checkpoints[sessions.index(s)]
         )
     )
+    # the resumed job ended in the resident state: the next job runs it
     deltas = same_run(lambda s: s.run(payloads[4], CancelToken()))
-    assert deltas[0] == (0, 1)
+    assert deltas[0] == (1, 0)
     for payload in payloads[5:]:
         deltas = same_run(lambda s: s.run(payload, CancelToken()))
         assert deltas[0] == (1, 0)
@@ -445,8 +469,8 @@ def test_changed_control_word_reanalyses_only_its_epoch(monkeypatch):
 
 
 def test_a_second_manager_replays_without_compiling():
-    """Compiled epoch functions are cached process-wide: a re-created
-    session records its plan again but compiles nothing."""
+    """Epoch functions are generated once per derived plan: a re-created
+    session binds them at its third job and compiles nothing."""
     artifact = _artifact("fft")
     payloads = _payloads("fft", 3, seed=4)
     first = Fabric(artifact.rows, artifact.cols)
@@ -459,7 +483,7 @@ def test_a_second_manager_replays_without_compiling():
         _same_job(second, artifact, payload, f"j{index}_")[0]
         for index, payload in enumerate(payloads)
     ]
-    assert deltas == [(0, 0), (0, 0), (1, 0)]
+    assert deltas == [(1, 0)] * 3
     assert pd.COUNTERS.statements == compiled
 
 
