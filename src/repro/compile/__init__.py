@@ -1,15 +1,9 @@
-"""``repro.compile`` — the configuration-compilation pipeline.
-
-The fabric's ``torch.compile``: a typed IR
-(:class:`~repro.compile.ir.KernelGraph` →
-:class:`~repro.compile.ir.EpochPlan` →
-:class:`~repro.compile.ir.CompiledArtifact`), a pass manager with
-individually-testable validation/analysis passes
+"""``repro.compile`` — the configuration-compilation pipeline: a typed
+IR (:mod:`repro.compile.ir`), eight passes sharing one shadow walk
 (:mod:`repro.compile.passes`), stable content addressing
-(:mod:`repro.compile.hashing`) and a content-addressed artifact cache
-(:mod:`repro.compile.cache`).  Kernel frontends live in
-:mod:`repro.compile.frontends`; ``python -m repro compile`` demos the
-whole flow.
+(:mod:`repro.compile.hashing`), a content-addressed artifact cache
+(:mod:`repro.compile.cache`) and kernel frontends
+(:mod:`repro.compile.frontends`); ``python -m repro compile`` demos it.
 """
 
 from repro.compile.cache import (

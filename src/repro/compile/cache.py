@@ -13,16 +13,13 @@ Two-level keying, deliberately split:
 
 The optional on-disk store persists artifacts as pickles named by their
 content hash, plus an ``index.json`` mapping request keys to hashes so a
-fresh process reaches the disk tier without lowering first.  Decoded
-program tables cache compiled trace functions, which do not pickle, and
-the switch pieces are derived state
-(:meth:`CompiledArtifact.__getstate__` drops both), and input-port
-encoders pickle as their static signature
-(:func:`repro.compile.ir.register_port_encoder` rebuilds them), so a
-disk load re-runs the predecode and switch-table passes before the
-artifact is handed out;
-loaded artifacts are re-verified against the hash embedded in the file
-name.
+fresh process reaches the disk tier without lowering first.  The pickle
+drops derived state (:meth:`CompiledArtifact.__getstate__`) and keeps
+input-port encoders as their signature
+(:func:`repro.compile.ir.register_port_encoder`), so a disk load re-runs
+the predecode, switch-table and cold-deltas shares of one
+:class:`~repro.compile.passes.ShadowWalk` and re-verifies the hash in
+the file name before handing the artifact out.
 Note that disk-loaded artifacts carry *fresh* ``Program`` objects —
 internally consistent (plan and artifact share them) but distinct from
 the in-process ``lru_cache``d factories, so mixing disk-loaded and
@@ -38,7 +35,7 @@ import json
 import os
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -47,12 +44,7 @@ from repro.errors import CompileError
 from repro.locks import FileLock
 
 from repro.compile.ir import CompiledArtifact
-from repro.compile.passes import (
-    CompileUnit,
-    cold_deltas_pass,
-    predecode_pass,
-    switch_table_pass,
-)
+from repro.compile.passes import CompileUnit, ShadowWalk
 
 __all__ = ["CacheStats", "ArtifactCache", "get_cache", "cache_stats",
            "clear_cache"]
@@ -86,34 +78,16 @@ class CacheStats:
         return (self.hits + self.disk_hits) / total if total else 0.0
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "lowers": self.lowers,
-            "evictions": self.evictions,
-            "corrupt_quarantined": self.corrupt_quarantined,
-            "requests": self.requests,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "requests": self.requests,
+                "hit_rate": self.hit_rate}
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.disk_hits,
-                          self.lowers, self.evictions,
-                          self.corrupt_quarantined)
+        return replace(self)
 
     def delta(self, before: "CacheStats") -> "CacheStats":
         """Counters accumulated since ``before`` (a prior snapshot)."""
-        return CacheStats(
-            hits=self.hits - before.hits,
-            misses=self.misses - before.misses,
-            disk_hits=self.disk_hits - before.disk_hits,
-            lowers=self.lowers - before.lowers,
-            evictions=self.evictions - before.evictions,
-            corrupt_quarantined=(
-                self.corrupt_quarantined - before.corrupt_quarantined
-            ),
-        )
+        return CacheStats(*(getattr(self, f.name) - getattr(before, f.name)
+                            for f in fields(self)))
 
 
 @dataclass
@@ -121,14 +95,11 @@ class ArtifactCache:
     """In-memory LRU of compiled artifacts with an optional disk tier.
 
     ``fsync=True`` pushes every atomic publish (payload + index) to
-    stable storage before the rename — power-loss durability at the cost
-    of one fsync per new artifact.  Index rewrites are serialized across
-    processes through a ``flock`` on ``index.lock`` (best-effort no-op
-    on platforms without ``fcntl``), so two processes sharing one disk
-    cache cannot interleave a rewrite.  Disk entries that fail to load
-    (truncated pickle, wrong type, hash mismatch) are *quarantined* —
-    moved into ``corrupt/`` and counted — and the request falls back to
-    a fresh compile instead of failing.
+    stable storage before the rename.  Index rewrites are serialized
+    across processes through a ``flock`` on ``index.lock`` (a no-op
+    without ``fcntl``).  Disk entries that fail to load (truncated
+    pickle, wrong type, hash mismatch) are *quarantined* into
+    ``corrupt/`` and counted, and the request compiles afresh.
     """
 
     capacity: int = 64
@@ -286,11 +257,9 @@ class ArtifactCache:
                 f"{artifact.artifact_hash[:12]}… (corrupt or renamed)"
             )
         # Decoded tables (and the traces they cache), switch pieces and the
-        # epoch plan are stripped before pickling; revive them.
+        # epoch plan are stripped before pickling; revive them in one walk.
         unit = CompileUnit(graph=artifact.graph, plan=artifact.plan)
-        predecode_pass(unit)
-        switch_table_pass(unit)
-        cold_deltas_pass(unit)
+        ShadowWalk(unit).run(("predecode", "switch-table", "cold-deltas"))
         artifact.programs = tuple(unit.programs)
         artifact.decoded = tuple(unit.decoded)
         artifact.switch_pieces = unit.switch_pieces

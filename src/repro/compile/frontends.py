@@ -1,25 +1,17 @@
 """Kernel frontends: parameters in, cached :class:`CompiledArtifact` out.
 
-The frontend layer is a *registry*: every kernel the system can compile
-registers one :class:`KernelFrontend` describing how to canonicalize its
-parameters, how to lower them (almost always through
-:class:`repro.compile.graph.DataflowGraph`), how to fabricate a sample
-payload, and how to verify fabric output against its reference oracle.
-:func:`compile_kernel` is the single entry point every consumer
-(runners, serving sessions, cluster routing, DSE sweeps, fault
-campaigns, the CLI demo, the bench harness) goes through; it routes the
-registered lowering through the default pass pipeline and the
-process-wide artifact cache — a repeated request for the same
-parameters never lowers or re-runs the passes again.
+Every kernel registers one :class:`KernelFrontend`: how to canonicalize
+its parameters, lower them (almost always through
+:class:`repro.compile.graph.DataflowGraph`), fabricate a sample payload
+and verify fabric output against its reference oracle.
+:func:`compile_kernel` is the single entry point every consumer goes
+through; it runs the lowering and the default pass pipeline under the
+process-wide artifact cache, so a repeated request never lowers again.
+``compile_fft`` / ``compile_jpeg`` are typed conveniences building the
+same cache request keys.
 
-``compile_fft`` / ``compile_jpeg`` remain as typed conveniences over
-:func:`compile_kernel`; they build the *identical* cache request keys
-they always did, so warm :class:`~repro.compile.cache.ArtifactCache`
-entries (memory and disk tier alike) stay valid across the refactor.
-
-The kernel lowerings are imported lazily (first use of their kind): the
-kernels import :mod:`repro.compile.ir`, so importing them at module
-scope here would be a cycle.
+Kernel lowerings are imported on first use of their kind: they import
+:mod:`repro.compile.ir`, so importing them here would be a cycle.
 """
 
 from __future__ import annotations
@@ -68,22 +60,17 @@ class KernelFrontend:
     """Everything the toolchain needs to treat one kernel generically.
 
     ``param_names`` is the positional order of
-    :class:`~repro.serve.jobs.KernelSpec` params (the serving layer's
-    compact tuple form); ``defaults`` the full canonical parameter set —
-    its value types drive coercion, so a JSON round trip (journal
-    replay, CLI args) canonicalizes back to the same cache key.
-    ``lower`` maps one canonical parameter dict to the typed
-    ``(KernelGraph, EpochPlan)`` pair the 8-pass pipeline compiles.
+    :class:`~repro.serve.jobs.KernelSpec` params; ``defaults`` the full
+    canonical parameter set, whose value types drive coercion (a JSON
+    round trip canonicalizes back to the same cache key).  ``lower`` maps
+    canonical parameters to the ``(KernelGraph, EpochPlan)`` pair.
 
-    The oracle-equivalence contract: ``example_payload(params, rng)``
-    fabricates a valid payload, ``reference(params, payload)`` computes
-    the kernel's fabric-independent reference output, and
+    ``example_payload(params, rng)`` fabricates a valid payload,
+    ``reference(params, payload)`` the fabric-independent output, and
     ``verify(params, payload, output)`` raises
     :class:`~repro.errors.KernelError` unless the fabric output matches
-    the oracle — bit-identically when ``verify`` is left as the default
-    (the contract the three process-network kernels ship under), or by
-    the kernel's own tolerance rule (FFT's float-reference ``atol``,
-    JPEG's decodability-plus-quantization bound).
+    it — bit-identically by default, or by the kernel's own tolerance
+    (FFT's ``atol``, JPEG's quantization bound).
     """
 
     kind: str

@@ -1,35 +1,23 @@
 """The user-facing dataflow frontend: kernels as process networks.
 
-Before this module existed every kernel was a bespoke ``lowering.py``
-driving :class:`~repro.compile.ir.IRBuilder` by hand.  The structure the
-two shipped lowerings shared — *name some processes, give each a tile
-payload, order them, declare a late-bound input, split setup from body* —
-is exactly a Kahn-style process network, so that structure is now the
-API: a :class:`DataflowGraph` holds :class:`Process` nodes (each one
-epoch's worth of tile programs / link plan / memory images, annotated
-with a cycle cost and a memory footprint) and explicit edges, and
-:meth:`DataflowGraph.lower` replays them through the same
-:class:`IRBuilder` into the typed ``(KernelGraph, EpochPlan)`` pair the
-8-pass pipeline already compiles.
-
-Two properties make the refactor safe:
+A :class:`DataflowGraph` holds :class:`Process` nodes (each one epoch's
+worth of tile programs / link plan / memory images, annotated with a
+cycle cost and a memory footprint) and explicit edges, and
+:meth:`DataflowGraph.lower` replays them through
+:class:`~repro.compile.ir.IRBuilder` into the ``(KernelGraph,
+EpochPlan)`` pair the 8-pass pipeline compiles.
 
 * **Byte stability.**  A process' :class:`~repro.fabric.rtms.EpochSpec`
-  flows into the plan untouched, in process-insertion order.  A kernel
-  re-expressed here emits the identical epoch sequence its hand lowering
-  emitted, so its :func:`~repro.compile.hashing.plan_hash` — and with it
-  every warm :class:`~repro.compile.cache.ArtifactCache` entry — is
-  unchanged.  The pinned-hash tests enforce this.
-* **Validated order.**  Edges must agree with the firing order: an edge
-  whose head fires before its tail is a schedule bug and raises
-  :class:`~repro.errors.CompileError` at :meth:`lower` time (pass name
-  ``"frontend"``), not a silent wrong answer at run time.
+  flows into the plan untouched, in insertion order, so a kernel
+  re-expressed here keeps its :func:`~repro.compile.hashing.plan_hash`
+  (the pinned-hash tests enforce this).
+* **Validated order.**  An edge whose head fires before its tail is a
+  schedule bug and raises :class:`~repro.errors.CompileError` at
+  :meth:`lower` time (pass name ``"frontend"``).
 
-Edges also feed the static cost model: :meth:`DataflowGraph.critical_
-path_cycles` is the longest cycle-weighted path through the network, and
-:meth:`DataflowGraph.memory_words` folds each process' charged images,
-pokes and program ``.var`` footprints — the numbers a user consults
-*before* paying for a compile (the budget passes re-check them after).
+Edges also feed the static cost model
+(:meth:`DataflowGraph.critical_path_cycles`,
+:meth:`DataflowGraph.memory_words`) a user consults before compiling.
 """
 
 from __future__ import annotations
@@ -83,10 +71,8 @@ class Process:
 class DataflowGraph:
     """A kernel as data: processes, edges, one optional input port.
 
-    Build one per configuration, add processes in firing order (the
-    insertion order *is* the schedule — edges validate it rather than
-    derive it, which is what keeps re-expressed kernels byte-stable),
-    then :meth:`lower` into the pair the pass pipeline compiles.
+    Add processes in firing order (the insertion order *is* the schedule;
+    edges validate it, never derive it), then :meth:`lower`.
     """
 
     def __init__(
@@ -107,6 +93,7 @@ class DataflowGraph:
         self.rows = rows
         self.cols = cols
         self.link_cost_ns = float(link_cost_ns)
+        self._tiles = {(r, c) for r in range(rows) for c in range(cols)}
         self._processes: list[Process] = []
         self._by_name: dict[str, Process] = {}
         self._edges: list[tuple[str, str]] = []
@@ -293,10 +280,10 @@ class DataflowGraph:
 
         * every edge endpoint names a known process;
         * every edge runs forward in firing order (the insertion order is
-          the schedule; a backward or self edge would be a cycle);
-        * every process touches only tiles inside the mesh (re-checked —
-          :meth:`add_process` already rejects these — so hand-mutated
-          graphs fail here rather than deep inside a pass).
+          the schedule; a backward or self edge would be a cycle).
+
+        Tile coordinates were checked by :meth:`add_process`, and the
+        pass pipeline checks every one again.
         """
         for src, dst in self._edges:
             for endpoint in (src, dst):
@@ -312,8 +299,6 @@ class DataflowGraph:
                     f"order — processes fire in insertion order",
                     pass_name="frontend",
                 )
-        for process in self._processes:
-            self._check_coords(process)
 
     def lower(self) -> tuple[KernelGraph, EpochPlan]:
         """Replay the network through :class:`IRBuilder`.
@@ -360,6 +345,10 @@ class DataflowGraph:
         return sorted(self._edges, key=lambda e: self._by_name[e[0]].index)
 
     def _check_coords(self, process: Process) -> None:
+        spec = process.spec
+        if all(map(self._tiles.issuperset, (spec.programs, spec.data_images,
+                                             spec.pokes, spec.links))):
+            return
         for coord in process.coords:
             row, col = coord
             if not (0 <= row < self.rows and 0 <= col < self.cols):

@@ -1,26 +1,20 @@
 """Stable content hashing of epoch plans.
 
 The cache key of the compilation pipeline is a SHA-256 over a *canonical
-serialization* of the plan: every dictionary is emitted in sorted key
-order, every value is tagged with its type, floats are serialized with
-``repr`` (shortest round-trip form, stable across processes), and
-programs are fingerprinted by their encoded instruction words plus data
-image — never by object identity.  Two consequences the property tests
-pin down:
-
-* **order insensitivity** — building the same pokes/links/images dicts
-  in a different insertion order yields the same hash;
-* **semantic sensitivity** — flipping one link direction, one memory
-  word, or one instruction word yields a different hash.
-
-Python's built-in ``hash`` is salted per process and is never used.
+serialization* of the plan: dictionaries in sorted key order, every value
+tagged with its type, floats as ``repr``, programs fingerprinted by their
+encoded instruction words plus data image — never by object identity,
+and never through Python's per-process salted ``hash``.  The property
+tests pin **order insensitivity** (insertion order does not matter) and
+**semantic sensitivity** (one flipped link, memory word or instruction
+word changes the hash).
 
 :func:`canonical_bytes` over :func:`epoch_fingerprint` is the reference
 encoding of an epoch.  :func:`plan_hash` emits the same bytes through
 :func:`epoch_bytes`, a flat encoder that writes coordinates, link
-targets and word images straight from the :class:`EpochSpec` instead of
-building and walking a fingerprint; any value outside the exact types it
-handles sends the epoch through the reference encoder.
+targets and word images straight from the :class:`EpochSpec` and splices
+program and :class:`~repro.compile.ir.FrozenImage` encodings; any value
+outside the exact types it handles takes the reference encoder.
 """
 
 from __future__ import annotations
@@ -29,6 +23,7 @@ import hashlib
 from itertools import chain
 from typing import Any
 
+from repro.compile.ir import FrozenImage
 from repro.errors import CompileError
 from repro.fabric.links import Direction
 from repro.fabric.rtms import EpochSpec
@@ -110,12 +105,8 @@ def program_fingerprint(program) -> tuple:
 
 
 def _program_canonical(program) -> _Canonical:
-    """``program_fingerprint`` serialised once per program object.
-
-    A plan names the same few stage programs from every epoch and
-    coordinate that runs them; programs are immutable, so the encoding is
-    cached on the object (as ``_predecoded`` is) and spliced.
-    """
+    """``program_fingerprint`` serialised once per (immutable) program
+    object and cached on it, as ``_predecoded`` is, to be spliced."""
     cached = program.__dict__.get("_canonical")
     if cached is None:
         cached = program.__dict__["_canonical"] = _Canonical(
@@ -150,16 +141,17 @@ _LINK_TYPES = {Direction, type(None)}
 _SEQUENCE_TYPES = (list, tuple)
 
 
-def _flat_epoch(spec: EpochSpec) -> bytes | None:
+def _flat_epoch(spec: EpochSpec, memo: dict | None = None) -> bytes | None:
     """``canonical_bytes(epoch_fingerprint(spec))`` emitted straight from
     the spec, or ``None`` when some piece is not of the exact type this
     encoder handles (``(int, int)`` coordinates, ``Direction``/``None``
-    links, ``dict`` images of ``int`` to ``int``, list or tuple runs).
-
-    Exact ``type`` tests keep ``bool`` and numpy integers, which ``%d``
-    would format as plain numbers, on the reference path.  Keys sort as
-    ints and int pairs, so the bytes do not depend on the hash seed.
+    links, frozen images or ``dict`` images of ``int`` to ``int``, list
+    or tuple runs).  Exact ``type`` tests keep ``bool`` and numpy
+    integers, which ``%d`` would format as plain numbers, on the
+    reference path.  ``memo`` maps the plan's checked coordinates and the
+    ids of its frozen images to their bytes.
     """
+    memo = {} if memo is None else memo
     name, links, programs = spec.name, spec.links, spec.programs
     data_images, pokes = spec.data_images, spec.pokes
     run, depends_on = spec.run, spec.depends_on
@@ -171,41 +163,51 @@ def _flat_epoch(spec: EpochSpec) -> bytes | None:
             and set(map(type, chain.from_iterable(coords))) <= {int}
             and set(map(type, links.values())) <= _LINK_TYPES):
         return None
+    # exact (int, int) pairs only: equal ones encode alike, once per plan
+    coord = memo.get
+    for key in coords:
+        if coord(key) is None:
+            memo[key] = _COORD % key
     raw = name.encode("utf-8")
     out = [b"t9:s5:epochs%d:" % len(raw), raw, b"m%d:" % len(links)]
-    for coord in sorted(links):
-        out.append(_COORD % coord)
-        out.append(_LINK_BYTES[links[coord]])
+    for key in sorted(links):
+        out += (coord(key), _LINK_BYTES[links[key]])
     out.append(b"m%d:" % len(programs))
-    for coord in sorted(programs):
-        out.append(_COORD % coord)
-        out.append(_program_canonical(programs[coord]))
+    for key in sorted(programs):
+        out += (coord(key), _program_canonical(programs[key]))
     for images in (data_images, pokes):
         out.append(b"m%d:" % len(images))
-        for coord in sorted(images):
-            image = images[coord]
+        for key in sorted(images):
+            image = images[key]
+            out.append(coord(key))
+            if type(image) is FrozenImage:  # encoded once per plan
+                raw = coord(id(image))
+                if raw is None:
+                    raw = memo[id(image)] = image.canonical()
+                out.append(raw)
+                continue
             if type(image) is not dict:
                 return None
             types = set(map(type, image))
             types.update(map(type, image.values()))
             if not types <= {int}:
                 return None
-            out.append(_COORD % coord)
             out.append(b"m%d:" % len(image))
             out.append((_WORD * len(image))
                        % tuple(chain.from_iterable(sorted(image.items()))))
     out.append(b"t%d:" % len(run))
-    out.extend(map(_COORD.__mod__, run))
+    out += map(coord, run)
     out.append(b"b1;" if spec.restart else b"b0;")
     out.append(b"t%d:" % len(depends_on))
-    out.extend(map(_COORD.__mod__, depends_on))
+    out += map(coord, depends_on)
     return b"".join(out)
 
 
-def epoch_bytes(spec: EpochSpec) -> bytes:
+def epoch_bytes(spec: EpochSpec, memo: dict | None = None) -> bytes:
     """``canonical_bytes(epoch_fingerprint(spec))``, encoded flat when
-    the spec allows (see :func:`_flat_epoch`)."""
-    flat = _flat_epoch(spec)
+    the spec allows (see :func:`_flat_epoch`; ``memo`` shares coordinate
+    bytes across one plan's epochs)."""
+    flat = _flat_epoch(spec, memo)
     if flat is None:
         flat = canonical_bytes(epoch_fingerprint(spec))
     return _Canonical(flat)
@@ -214,14 +216,11 @@ def epoch_bytes(spec: EpochSpec) -> bytes:
 def plan_hash_prefix(artifact, bits: int = 64) -> int:
     """Routing key: the top ``bits`` bits of a plan's content address.
 
-    ``artifact`` may be a :class:`~repro.compile.ir.CompiledArtifact`
-    (its ``artifact_hash`` is used), anything else exposing an
-    ``artifact_hash`` attribute, or a raw 64-hex-digit SHA-256 string.
-    The result is an integer in ``[0, 2**bits)`` — uniformly distributed
-    because SHA-256 prefixes are, which is what consistent-hash routing
-    relies on.  Deriving routing keys here (rather than slicing hash
-    strings ad hoc at call sites) keeps every router, bench and test on
-    the same key space.
+    ``artifact`` may be anything with an ``artifact_hash`` (a
+    :class:`~repro.compile.ir.CompiledArtifact`) or a raw 64-hex-digit
+    SHA-256 string.  The result is an integer in ``[0, 2**bits)``,
+    uniform as SHA-256 prefixes are — what consistent-hash routing needs;
+    every router, bench and test derives its keys here.
     """
     if not 1 <= bits <= 256:
         raise CompileError(
@@ -249,6 +248,7 @@ def plan_hash_prefix(artifact, bits: int = 64) -> int:
 
 def plan_hash(plan) -> str:
     """SHA-256 content address of an :class:`~repro.compile.ir.EpochPlan`."""
+    memo: dict = {}
     port = plan.input_port
     doc = (
         "epoch-plan-v1",
@@ -257,10 +257,10 @@ def plan_hash(plan) -> str:
         plan.rows,
         plan.cols,
         float(plan.link_cost_ns),
-        tuple(epoch_bytes(spec) for spec in plan.setup),
+        tuple(epoch_bytes(spec, memo) for spec in plan.setup),
         None if port is None else (
             "input", port.name, tuple(port.depends_on), tuple(port.signature)
         ),
-        tuple(epoch_bytes(spec) for spec in plan.body),
+        tuple(epoch_bytes(spec, memo) for spec in plan.body),
     )
     return hashlib.sha256(canonical_bytes(doc)).hexdigest()

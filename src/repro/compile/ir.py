@@ -1,39 +1,29 @@
-"""Typed IR of the configuration compiler.
+"""Typed IR of the configuration compiler (a CGRA toolchain's mid-end,
+cf. "Evaluation of CGRA Toolchains", Walter et al. 2025):
 
-The pipeline mirrors what a CGRA toolchain calls its mid-end
-(cf. "Evaluation of CGRA Toolchains", Walter et al. 2025):
-
-1. :class:`KernelGraph` — *what* the kernel needs: the processes
-   (tile programs) it fires, the inter-tile link demands its copy
-   processes rely on, and the memory demands (charged ICAP images vs.
-   free host pokes) per tile.  Frontends record these demands while
-   lowering, so the graph is a faithful summary of the plan it ships
-   with — validation passes consume it to prove fabric-rule compliance
-   before anything executes.
+1. :class:`KernelGraph` — *what* the kernel needs: the processes (tile
+   programs) it fires and its link and memory demands (charged ICAP
+   images vs. free host pokes) per tile, read from the plan's epochs.
 2. :class:`EpochPlan` — *where and when*: the placed, ordered epoch
-   schedule (placement, link plan, memory images, copy insertions),
-   split into a one-time ``setup`` prologue, an :class:`InputPort` that
-   binds per-work-item payloads late, and the structural per-item
-   ``body``.  The plan is the unit of content addressing: two plans
-   with the same :func:`repro.compile.hashing.plan_hash` are
-   interchangeable.
-3. :class:`CompiledArtifact` — the executable product: eagerly
-   predecoded tile programs, per-epoch cold bitstream deltas, and the
-   per-epoch transfer pieces the pairwise switch-cost table (Eq. 1's
-   term-B oracle) is priced from on demand, plus the content hash and
-   per-pass timings.
+   schedule, split into a one-time ``setup`` prologue, an
+   :class:`InputPort` binding per-work-item payloads late, and the
+   per-item ``body``.  Two plans with the same
+   :func:`repro.compile.hashing.plan_hash` are interchangeable.
+3. :class:`CompiledArtifact` — the executable product: predecoded tile
+   programs, per-epoch cold bitstream deltas and switch pieces (Eq. 1's
+   term-B oracle, priced on demand), the derived epoch plan, the content
+   hash and per-pass timings.
 
-Epoch *templates* in a plan are tagless; :meth:`CompiledArtifact.bind`
-prefixes a per-work-item tag (the streaming/serving discipline the FFT
-runner and kernel sessions already used) and attaches the payload's
-input pokes.  Binding never mutates the template, so one artifact serves
-any number of concurrent consumers.
+Epoch *templates* are tagless; :meth:`CompiledArtifact.bind` prefixes a
+per-work-item tag and attaches the payload's input pokes without
+mutating them, so one artifact serves any number of consumers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable
 
 from repro.errors import CompileError
@@ -42,6 +32,7 @@ from repro.fabric.links import Direction
 from repro.fabric.predecode import predecode
 from repro.fabric.reconfig import FabricShadow, ReconfigTransaction, plan_delta
 from repro.fabric.rtms import BoundEpoch, EpochSpec
+from repro.units import DATA_MEM_WORDS
 
 __all__ = [
     "Coord",
@@ -49,6 +40,7 @@ __all__ = [
     "LinkDemand",
     "MemoryDemand",
     "KernelGraph",
+    "FrozenImage",
     "InputPort",
     "EpochPlan",
     "PassTiming",
@@ -106,17 +98,61 @@ class MemoryDemand:
     charged: bool
 
 
+def _by_program(spec: EpochSpec) -> list[tuple[Any, list[Coord]]]:
+    """An epoch's programs with the coordinates each is placed on."""
+    groups: dict[int, tuple[Any, list[Coord]]] = {}
+    for coord, program in spec.programs.items():
+        groups.setdefault(id(program), (program, []))[1].append(coord)
+    return list(groups.values())
+
+
 @dataclass(frozen=True)
 class KernelGraph:
-    """Processes plus data/link demands of one kernel configuration."""
+    """Processes plus data/link demands of one kernel configuration.
+
+    The demands are read from the plan's own epochs (``epochs``, in
+    emission order) when first asked for, so a cold compile that never
+    looks at them does not build them; a pickled graph carries them
+    instead of the epochs.
+    """
 
     kind: str
     params: tuple[tuple[str, Any], ...]
     rows: int
     cols: int
-    processes: tuple[ProcessNode, ...] = ()
-    links: tuple[LinkDemand, ...] = ()
-    memory: tuple[MemoryDemand, ...] = ()
+    epochs: tuple[EpochSpec, ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def processes(self) -> tuple[ProcessNode, ...]:
+        return tuple(
+            ProcessNode(program.name, spec.name, tuple(sorted(coords)),
+                        program.imem_words)
+            for spec in self.epochs for program, coords in _by_program(spec)
+        )
+
+    @cached_property
+    def links(self) -> tuple[LinkDemand, ...]:
+        return tuple(LinkDemand(coord, direction, spec.name)
+                     for spec in self.epochs
+                     for coord, direction in spec.links.items())
+
+    @cached_property
+    def memory(self) -> tuple[MemoryDemand, ...]:
+        out: list[MemoryDemand] = []
+        for spec in self.epochs:
+            for program, coords in _by_program(spec):
+                if program.data_image:
+                    words = len(program.data_image)
+                    out += [MemoryDemand(c, words, spec.name, True) for c in coords]
+            for images, charged in ((spec.data_images, True), (spec.pokes, False)):
+                out += [MemoryDemand(c, len(image), spec.name, charged)
+                        for c, image in images.items()]
+        return tuple(out)
+
+    def __getstate__(self) -> dict:
+        return {"kind": self.kind, "params": self.params, "rows": self.rows,
+                "cols": self.cols, "processes": self.processes,
+                "links": self.links, "memory": self.memory}
 
     @property
     def n_tiles(self) -> int:
@@ -159,6 +195,57 @@ class KernelGraph:
 # the placed plan
 # ---------------------------------------------------------------------------
 
+def _frozen(self, *args, **kwargs):
+    raise TypeError(f"{type(self).__name__} is immutable")
+
+
+class FrozenImage(dict):
+    """A data or poke image (``{addr: word}``) in canonical form, built
+    once by a lowering.  Construction checks exact ``int`` addresses
+    inside the data memory and exact ``int`` words (``bool`` and numpy
+    integers are a :class:`CompileError`) and orders the items by
+    address, so ``validate-memory`` trusts it and the hash splices
+    :meth:`canonical`.  It equals, and in a pickled plan is, a ``dict``.
+    """
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _frozen
+    clear = pop = popitem = setdefault = update = _frozen
+
+    def __init__(self, items=()) -> None:
+        dict.__init__(self, items)
+        if not set(map(type, self)).union(map(type, self.values())) <= {int}:
+            raise CompileError("a FrozenImage maps int addresses to int words")
+        addrs = sorted(self)
+        if addrs and not (addrs[0] >= 0 and addrs[-1] < DATA_MEM_WORDS):
+            raise CompileError(f"FrozenImage address outside the "
+                               f"{DATA_MEM_WORDS}-word data memory")
+        if addrs != list(self):
+            items = sorted(self.items())
+            dict.clear(self)
+            dict.update(self, items)
+
+    def __reduce__(self):
+        return FrozenImage, (tuple(self.items()),)
+
+    def canonical(self) -> bytes:
+        """The image's canonical hash encoding (that of the equal
+        ``dict``), built on each call: it is not kept on the plan."""
+        return b"m%d:" % len(self) + (b"i%d;i%d;" * len(self)) % tuple(
+            chain.from_iterable(self.items()))
+
+
+def _plain(spec: EpochSpec) -> EpochSpec:
+    """``spec`` with each frozen image as a plain dict of its own."""
+    def plain(images: dict) -> dict:
+        return {c: dict(i) if type(i) is FrozenImage else i
+                for c, i in images.items()}
+    if not any(type(i) is FrozenImage
+               for i in chain(spec.data_images.values(), spec.pokes.values())):
+        return spec
+    return replace(spec, data_images=plain(spec.data_images), pokes=plain(spec.pokes))
+
+
 #: signature tag -> factory rebuilding the encoder from the signature.
 _PORT_ENCODERS: dict[str, Callable[[tuple], Callable]] = {}
 
@@ -168,24 +255,18 @@ def register_port_encoder(
 ) -> None:
     """Register an encoder factory for one input-port signature tag.
 
-    Encoders are closures and therefore unpicklable; the disk tier of
-    the artifact cache instead persists the port's static *signature*
-    and rebuilds the encoder on load through the factory registered for
-    ``signature[0]``.  Kernel lowerings register their factories at
-    import time and construct their live encoders through the same
-    factory, so there is exactly one encoding implementation per tag.
+    Encoders are unpicklable closures; the disk tier persists the port's
+    static *signature* and rebuilds the encoder through the factory
+    registered for ``signature[0]``.  Lowerings build their live encoders
+    through the same factory: one encoding implementation per tag.
     """
     _PORT_ENCODERS[tag] = factory
 
 
 def rebuild_port_encoder(signature: tuple) -> Callable:
-    """The encoder for ``signature``, importing kernel frontends if needed.
-
-    Raises a typed ``CompileError(pass_name="frontend")`` when no
-    registered frontend provides the tag — the error a disk-cached
-    artifact surfaces when it references a kernel this process never
-    registered (e.g. a cache directory shared with a build that carried
-    an out-of-tree kernel).
+    """The encoder for ``signature``, importing kernel frontends if needed;
+    a ``CompileError(pass_name="frontend")`` when no registered frontend
+    provides the tag (a disk-cached artifact of an unknown kernel).
     """
     if not signature:
         raise CompileError(
@@ -194,10 +275,8 @@ def rebuild_port_encoder(signature: tuple) -> Callable:
         )
     tag = signature[0]
     if tag not in _PORT_ENCODERS:
-        # The factories live with the kernel lowerings; a disk load in a
-        # fresh process may reach here before any frontend ran.  The
-        # registry knows every built-in lowering module, so new kernels
-        # need no edit here.
+        # A disk load in a fresh process may get here before any
+        # lowering module registered its factory.
         from repro.compile.frontends import import_all_frontends
 
         import_all_frontends()
@@ -281,6 +360,14 @@ class EpochPlan:
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
 
+    def __getstate__(self) -> dict:
+        """Frozen images pickle as plain dicts, one per use (a lowering
+        shares equal ones): the bytes do not depend on the image type."""
+        state = dict(self.__dict__)
+        for key in ("setup", "body"):
+            state[key] = tuple(map(_plain, state[key]))
+        return state
+
 
 # ---------------------------------------------------------------------------
 # the artifact
@@ -296,12 +383,13 @@ class PassTiming:
 
 
 #: What one epoch transfers when it runs: its program loads ``(coord,
-#: program, ns)`` and link targets ``(coord, direction)`` in coordinate
-#: order, and the durations of its charged data images.
+#: program, ns)`` in coordinate order, the durations of its charged data
+#: images, and its link targets (the epoch's own ``links``; each charges
+#: the same ``L``, so their order does not matter).
 SwitchPieces = tuple[
     tuple[tuple[Coord, Any, float], ...],
     tuple[float, ...],
-    tuple[tuple[Coord, Direction | None], ...],
+    dict[Coord, Direction | None],
 ]
 
 
@@ -314,6 +402,11 @@ class DerivedEpoch(ReconfigTransaction):
     runs: tuple = ()
 
 
+def _sorted_items(spec: EpochSpec) -> tuple[list, list, list]:
+    return (sorted(spec.programs.items()), sorted(spec.data_images.items()),
+            sorted(spec.links.items()))
+
+
 class _Walk:
     """Epochs walked over a :class:`~repro.fabric.reconfig.FabricShadow`,
     with each tile's selected program and the run facts made so far (one
@@ -324,9 +417,10 @@ class _Walk:
         self.selected: dict[Coord, Any] = {}
         self.facts: dict[tuple, tuple] = {}
 
-    def epoch(self, spec: EpochSpec) -> DerivedEpoch:
+    def epoch(self, spec: EpochSpec, items: tuple | None = None) -> DerivedEpoch:
+        """``items``: :func:`_sorted_items` of ``spec``, if already made."""
         shadow, selected, facts = self.shadow, self.selected, self.facts
-        ops = plan_delta(shadow, spec.programs, spec.data_images, spec.links)
+        ops = plan_delta(shadow, *(items or _sorted_items(spec)))
         shadow.apply(ops)
         for kind, coord, _, _, target in ops:
             if kind is ReconfigKind.IMEM:
@@ -338,7 +432,8 @@ class _Walk:
                 program = selected.get(coord)
             else:
                 selected[coord] = program  # the epoch starts it
-            entry = shadow.resident.get(coord, {}).get(id(program))
+            entry = shadow.resident.get(coord)
+            entry = None if entry is None else entry.get(id(program))
             if entry is None:
                 runs.append(None)
                 continue
@@ -353,22 +448,18 @@ class _Walk:
 @dataclass(eq=False)
 class DerivedPlan:
     """What each job of an artifact does to a fabric, derived from its
-    :class:`EpochPlan` alone (DESIGN §16 "Lowered plans").
+    :class:`EpochPlan` alone (DESIGN §16 "Lowered plans") by the
+    ``cold-deltas`` share of the compile's shadow walk: each transaction
+    is the one ``ReconfigPlanner.plan`` emits on a live mesh.
 
-    :meth:`of` walks setup + body over a
-    :class:`~repro.fabric.reconfig.FabricShadow` of a fresh fabric,
-    taking each epoch's delta with
-    :func:`~repro.fabric.reconfig.plan_delta` — so each transaction is the
-    one ``ReconfigPlanner.plan`` emits on a live mesh, capacity eviction
-    included.  ``specs`` are a job's epoch templates by bound index (the
-    input port's as an epoch without pokes); ``coords`` the tiles whose
+    ``specs`` are a job's epoch templates by bound index (the input
+    port's as an epoch without pokes); ``coords`` the tiles whose
     programs or links the plan sets.  ``cold`` starts where the setup
     prologue leaves the fabric, ``resident`` where one job leaves it
-    (``end``), derived at first use and ``None`` unless a second job ends
-    there too.  Each is ``(state, epochs)``: the guard,
+    (``end``; derived at first use, ``None`` unless a second job ends
+    there too).  Each is ``(state, epochs)``: the guard,
     ``FabricShadow.state(coords)``, and a :class:`DerivedEpoch` per bound
-    epoch.  ``code`` caches the epoch functions ``RuntimeManager`` generates from
-    ``resident``.
+    epoch.  ``code`` caches ``RuntimeManager``'s epoch functions.
     """
 
     plan: "EpochPlan"
@@ -377,23 +468,6 @@ class DerivedPlan:
     cold: tuple
     end: tuple
     code: list | None = None
-
-    @classmethod
-    def of(cls, plan: "EpochPlan") -> tuple["DerivedPlan", list]:
-        """The derived plan and the transactions of setup + one job's
-        body on a fresh fabric (the artifact's cold deltas)."""
-        specs = plan.body
-        port = plan.input_port
-        if port is not None:
-            specs = (EpochSpec(port.name, depends_on=list(port.depends_on)), *specs)
-        coords = tuple(sorted(
-            {c for spec in plan.epochs for c in (*spec.programs, *spec.links)}
-        ))
-        walk = _Walk()
-        txns = [walk.epoch(spec) for spec in plan.setup]
-        cold = (walk.shadow.state(coords), tuple(map(walk.epoch, specs)))
-        txns += cold[1][len(specs) - len(plan.body):]
-        return cls(plan, specs, coords, cold, walk.shadow.state(coords)), txns
 
     @cached_property
     def resident(self) -> tuple | None:
@@ -410,16 +484,12 @@ class DerivedPlan:
 class CompiledArtifact:
     """The executable product of one compile.
 
-    ``programs``/``decoded`` hold every distinct tile program of the
-    plan in first-use order with its eagerly predecoded fast-path table
-    (no lazy per-tile decode on the first work item).
-    ``switch_pieces`` records, per entry of ``epoch_names``, what that
-    epoch transfers (see :func:`repro.compile.passes.switch_table_pass`);
-    :meth:`switch_cost_ns` prices one pair of the reconfiguration-cost
-    oracle from them.  ``cold_bytes``/``cold_link_changes`` are the
-    per-epoch bitstream deltas a cold fabric streams; ``epoch_plan``
-    is the :class:`DerivedPlan` a runtime manager runs jobs from.
-    ``artifact_hash`` is the content address.
+    ``programs``/``decoded``: every distinct tile program in first-use
+    order with its predecoded table.  ``switch_pieces``: per entry of
+    ``epoch_names``, what that epoch transfers (:meth:`switch_cost_ns`
+    prices a pair from them).  ``cold_bytes``/``cold_link_changes``: the
+    per-epoch bitstream deltas a cold fabric streams.  ``epoch_plan``:
+    the :class:`DerivedPlan` a runtime manager runs jobs from.
     """
 
     plan: EpochPlan
@@ -456,12 +526,10 @@ class CompiledArtifact:
         """The concrete epoch list of one work item.
 
         A plan with an :class:`InputPort` requires a payload (its encoder
-        validates shape/headroom exactly as the legacy runners did); a
-        plan without one rejects payloads.  ``tag`` prefixes every epoch
-        name — the per-job/per-transform labelling the streaming and
-        serving layers use.  The epochs are :class:`BoundEpoch` s: they
-        share every dict and list with the plan's templates, and carry
-        the job identity a runtime manager runs the derived plan by.
+        validates it); a plan without one rejects payloads.  ``tag``
+        prefixes every epoch name.  The :class:`BoundEpoch` s share every
+        dict and list with the plan's templates and carry the job
+        identity a runtime manager runs the derived plan by.
         """
         port = self.plan.input_port
         body = self.plan.body
@@ -515,18 +583,15 @@ class CompiledArtifact:
                 total += ns
         for ns in images:
             total += ns
-        for coord, direction in targets:
+        for coord, direction in targets.items():
             if links.get(coord) != direction:
                 total += link_cost_ns
         return total
 
     @property
     def switch_table(self) -> tuple[tuple[float, ...], ...]:
-        """Every pair of :meth:`switch_cost_ns`: ``table[i][j]``.
-
-        Built on each access (E² entries) for callers that want the
-        whole table; a scheduler prices only the pairs it needs.
-        """
+        """Every pair of :meth:`switch_cost_ns` (``table[i][j]``), built on
+        each access; a scheduler prices only the pairs it needs."""
         n = len(self.switch_pieces)
         return tuple(
             tuple(self.switch_cost_ns(i, j) for j in range(n))
@@ -551,12 +616,9 @@ class CompiledArtifact:
     # -- pickling (the optional on-disk store) ---------------------------
 
     def __getstate__(self) -> dict:
-        """Drop the decoded tables (they cache compiled trace functions,
-        which do not pickle), the derived switch pieces and the derived
-        epoch plan (its key too, so the bytes are those of an artifact
-        without one); the disk loader re-runs the predecode,
-        switch-table and cold-deltas passes (see
-        ``ArtifactCache._disk_load``)."""
+        """Drop the decoded tables (their trace functions do not pickle),
+        the switch pieces and the epoch plan (its key too); the disk
+        loader re-derives them (``ArtifactCache._disk_load``)."""
         state = dict(self.__dict__)
         state["decoded"] = ()
         state["switch_pieces"] = ()
@@ -578,12 +640,11 @@ class CompiledArtifact:
 
 
 class IRBuilder:
-    """Collects epochs *and* their demand graph from one emission stream.
+    """Collects the epochs of one emission stream.
 
-    Frontends call :meth:`emit` per epoch; the builder records the
-    process/link/memory demands of each emission so the resulting
-    :class:`KernelGraph` is exactly the demand summary of the plan —
-    one source of truth, no drift between graph and schedule.
+    Frontends call :meth:`emit` per epoch; the :class:`KernelGraph` reads
+    its demands from the emitted epochs themselves — one source of truth,
+    no drift between graph and schedule.
     """
 
     def __init__(self, kind: str, params: dict[str, Any], rows: int, cols: int,
@@ -595,52 +656,17 @@ class IRBuilder:
         self.link_cost_ns = link_cost_ns
         self._setup: list[EpochSpec] = []
         self._body: list[EpochSpec] = []
+        self._emitted: list[EpochSpec] = []
         self._input: InputPort | None = None
-        self._processes: list[ProcessNode] = []
-        self._links: list[LinkDemand] = []
-        self._memory: list[MemoryDemand] = []
-
-    # -- recording -------------------------------------------------------
-
-    def _record(self, spec: EpochSpec) -> None:
-        by_program: dict[int, tuple[Any, list[Coord]]] = {}
-        for coord, program in spec.programs.items():
-            entry = by_program.setdefault(id(program), (program, []))
-            entry[1].append(coord)
-        for program, coords in by_program.values():
-            self._processes.append(
-                ProcessNode(
-                    program=program.name,
-                    epoch=spec.name,
-                    coords=tuple(sorted(coords)),
-                    imem_words=program.imem_words,
-                )
-            )
-            if program.data_image:
-                for coord in coords:
-                    self._memory.append(
-                        MemoryDemand(coord, len(program.data_image),
-                                     spec.name, charged=True)
-                    )
-        for coord, direction in spec.links.items():
-            self._links.append(LinkDemand(coord, direction, spec.name))
-        for coord, image in spec.data_images.items():
-            self._memory.append(
-                MemoryDemand(coord, len(image), spec.name, charged=True)
-            )
-        for coord, image in spec.pokes.items():
-            self._memory.append(
-                MemoryDemand(coord, len(image), spec.name, charged=False)
-            )
 
     def emit(self, spec: EpochSpec) -> None:
-        """Append one body epoch and record its demands."""
-        self._record(spec)
+        """Append one body epoch."""
+        self._emitted.append(spec)
         self._body.append(spec)
 
     def emit_setup(self, spec: EpochSpec) -> None:
-        """Append one setup (cold prologue) epoch and record its demands."""
-        self._record(spec)
+        """Append one setup (cold prologue) epoch."""
+        self._emitted.append(spec)
         self._setup.append(spec)
 
     def set_input(self, port: InputPort) -> None:
@@ -656,9 +682,7 @@ class IRBuilder:
             params=self.params,
             rows=self.rows,
             cols=self.cols,
-            processes=tuple(self._processes),
-            links=tuple(self._links),
-            memory=tuple(self._memory),
+            epochs=tuple(self._emitted),
         )
 
     def plan(self) -> EpochPlan:

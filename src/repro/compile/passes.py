@@ -1,36 +1,32 @@
 """The pass manager and the individual compiler passes.
 
-A compile is a linear pipeline over a :class:`CompileUnit`:
-
-``lower`` (frontend) → ``validate-links`` → ``validate-memory`` →
+A compile is a linear pipeline over a :class:`CompileUnit`: ``lower``
+(frontend) → ``validate-links`` → ``validate-memory`` →
 ``validate-schedule`` → ``predecode`` → ``validate-routes`` →
-``switch-table`` → ``cold-deltas`` → ``hash``
+``switch-table`` → ``cold-deltas`` → ``hash``.  The eight passes are
+shares of one :class:`ShadowWalk` of the plan's setup + body epochs,
+each timed on its part of every epoch.  A pass is still a named function
+``(CompileUnit) -> None`` that runs alone; :class:`PassManager` runs
+adjacent shares as one walk, any other pass on its own, and wraps
+failures in :class:`~repro.errors.CompileError` carrying the pass name.
+Errors come in epoch order, an epoch's checks in pass order.
 
-Each pass is an ordinary function ``(CompileUnit) -> None`` registered
-with a name, individually importable and testable; the manager times
-every pass (the ``python -m repro compile`` demo prints the timings)
-and wraps failures in :class:`~repro.errors.CompileError` carrying the
-pass name.
-
-Validation rules enforced here (the fabric laws the legacy runners
-only discovered at execution time):
-
-* **link legality** — a tile's single outgoing write port may only
-  attach to a principal N/E/S/W neighbour *inside* the mesh (the
-  semi-systolic rule of Sec. 2);
-* **memory budgets** — every data/poke address within the 512-word data
-  memory, every program within the 512-word instruction memory;
-* **schedule sanity** — coordinates in-mesh, unique epoch names (the
-  switch-table index), run tiles carrying a resident-or-loaded program;
-* **route coverage** — an ``SNB``-storing program only runs on a tile
-  whose link, tracked across the whole schedule, points in the store's
-  direction.
+The fabric laws checked (the legacy runners only met them at run time):
+**link legality** — a tile's one write port attaches to an in-mesh
+principal neighbour (Sec. 2); **memory budgets** — data/poke addresses
+inside the 512-word data memory (a
+:class:`~repro.compile.ir.FrozenImage` was checked when built), programs
+inside the 512-word instruction memory; **schedule sanity** — in-mesh
+coordinates, unique epoch names, run tiles holding a program; **route
+coverage** — an ``SNB``-storing program runs only where the tile's link,
+tracked across the schedule, points its way.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 from repro.errors import CompileError
@@ -38,6 +34,7 @@ from repro.fabric.bitstream import DMEM_BYTES_PER_WORD, program_icap_bytes
 from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.predecode import predecode
+from repro.fabric.rtms import EpochSpec
 from repro.units import DATA_MEM_WORDS, INSTR_MEM_WORDS
 
 from repro.compile.hashing import plan_hash
@@ -46,14 +43,18 @@ from repro.compile.ir import (
     Coord,
     DerivedPlan,
     EpochPlan,
+    FrozenImage,
     KernelGraph,
     PassTiming,
     SwitchPieces,
+    _sorted_items,
+    _Walk,
 )
 
 __all__ = [
     "CompileUnit",
     "PassManager",
+    "ShadowWalk",
     "default_passes",
     "validate_links_pass",
     "validate_memory_pass",
@@ -86,167 +87,164 @@ class CompileUnit:
 Pass = Callable[[CompileUnit], None]
 
 
-# ---------------------------------------------------------------------------
-# validation passes
-# ---------------------------------------------------------------------------
+class ShadowWalk:
+    """One walk of a unit's setup + body epochs, each pass a share of it:
+    ``SHARES[name]`` names its per-epoch method; ``<method>_end`` ends it."""
 
+    SHARES = {"validate-links": "links", "validate-memory": "memory",
+              "validate-schedule": "schedule", "predecode": "predecode",
+              "validate-routes": "routes", "switch-table": "switch",
+              "cold-deltas": "deltas", "hash": "hash"}
 
-def _check_coord(coord: Coord, plan: EpochPlan, epoch: str, what: str,
-                 pass_name: str) -> None:
-    row, col = coord
-    if not (0 <= row < plan.rows and 0 <= col < plan.cols):
-        raise CompileError(
-            f"{what} coordinate {coord} outside the "
-            f"{plan.rows}x{plan.cols} mesh",
-            pass_name=pass_name, epoch=epoch, coord=coord,
-        )
+    def __init__(self, unit: CompileUnit) -> None:
+        plan = self.plan = unit.plan
+        self.unit = unit
+        self.tiles = {(r, c) for r in range(plan.rows) for c in range(plan.cols)}
+        self.names = set() if plan.input_port is None else {plan.input_port.name}
+        self.installed: set[Coord] = set()
+        self.checked: set[int] = set()  # programs validate-memory passed
+        self.link_state: dict[Coord, Direction | None] = {}
+        self.decoded: dict[int, tuple] = {}  # in first-use order
+        self.transfer_ns = IcapPort().transfer_ns
+        self.loads: dict[tuple, tuple] = {}
+        self.pieces: list[SwitchPieces] = []
+        self.walk, self.txns, self.job, self.cold = _Walk(), [], [], None
+        self.viewed: EpochSpec | None = None
 
+    def run(self, shares) -> list[float]:
+        """Walk once doing ``shares`` (pass names); the seconds of each."""
+        methods = [self.SHARES[share] for share in shares]
+        steps = [(i, getattr(self, m)) for i, m in enumerate(methods)
+                 if hasattr(self, m)]
+        seconds, clock, i = [0.0] * len(shares), time.perf_counter, 0
+        try:
+            for self.index, spec in enumerate(self.plan.epochs):
+                begin = clock()
+                for i, step in steps:  # one clock read between shares
+                    step(spec)
+                    end = clock()
+                    seconds[i] += end - begin
+                    begin = end
+            for i, method in enumerate(methods):
+                if hasattr(self, method + "_end"):
+                    begin = clock()
+                    getattr(self, method + "_end")()
+                    seconds[i] += clock() - begin
+        except CompileError:
+            raise
+        except Exception as exc:  # diagnostic context for pass bugs
+            raise CompileError(f"pass crashed: {exc}", pass_name=shares[i]) from exc
+        return seconds
 
-def validate_links_pass(unit: CompileUnit) -> None:
-    """Every link demand attaches to an in-mesh principal neighbour."""
-    plan = unit.plan
-    for demand in unit.graph.links:
-        _check_coord(demand.coord, plan, demand.epoch, "link", "validate-links")
-        if demand.direction is None:
-            continue  # detach is always legal
-        if not isinstance(demand.direction, Direction):
+    def view(self, spec: EpochSpec) -> tuple[list, list, list]:
+        """The epoch's programs, data images and links as sorted items,
+        sorted once for every share that reads them."""
+        if self.viewed is not spec:
+            self.viewed, self.items = spec, _sorted_items(spec)
+        return self.items
+
+    def _check(self, coord: Coord, spec: EpochSpec, what: str, name: str) -> None:
+        if coord not in self.tiles:
             raise CompileError(
-                f"link at {demand.coord} is not a principal direction: "
-                f"{demand.direction!r}",
-                pass_name="validate-links", epoch=demand.epoch,
-                coord=demand.coord,
-            )
-        dr, dc = demand.direction.delta
-        neighbour = (demand.coord[0] + dr, demand.coord[1] + dc)
-        if not (0 <= neighbour[0] < plan.rows and 0 <= neighbour[1] < plan.cols):
-            raise CompileError(
-                f"tile {demand.coord} links {demand.direction.name} off "
-                f"the mesh (neighbour {neighbour} outside "
-                f"{plan.rows}x{plan.cols})",
-                pass_name="validate-links", epoch=demand.epoch,
-                coord=demand.coord,
+                f"{what} coordinate {coord} outside the "
+                f"{self.plan.rows}x{self.plan.cols} mesh",
+                pass_name=name, epoch=spec.name, coord=coord,
             )
 
+    def links(self, spec: EpochSpec) -> None:
+        """Every link attaches to an in-mesh principal neighbour."""
+        for coord, direction in spec.links.items():
+            self._check(coord, spec, "link", "validate-links")
+            if direction is None:
+                continue  # detach is always legal
+            if not isinstance(direction, Direction):
+                raise CompileError(
+                    f"link at {coord} is not a principal direction: "
+                    f"{direction!r}",
+                    pass_name="validate-links", epoch=spec.name, coord=coord,
+                )
+            dr, dc = direction.delta
+            neighbour = (coord[0] + dr, coord[1] + dc)
+            if neighbour not in self.tiles:
+                raise CompileError(
+                    f"tile {coord} links {direction.name} off the mesh "
+                    f"(neighbour {neighbour} outside "
+                    f"{self.plan.rows}x{self.plan.cols})",
+                    pass_name="validate-links", epoch=spec.name, coord=coord,
+                )
 
-def validate_memory_pass(unit: CompileUnit) -> None:
-    """All addresses inside the 512-word memories; programs fit IMEM."""
-    plan = unit.plan
-    for spec in plan.epochs:
-        for kind, images in (("data image", spec.data_images),
-                             ("poke", spec.pokes)):
-            for coord, image in images.items():
-                _check_coord(coord, plan, spec.name, kind, "validate-memory")
-                for addr in image:
-                    if not 0 <= addr < DATA_MEM_WORDS:
-                        raise CompileError(
-                            f"{kind} address {addr} at {coord} outside the "
-                            f"{DATA_MEM_WORDS}-word data memory",
-                            pass_name="validate-memory", epoch=spec.name,
-                            coord=coord,
-                        )
+    def memory(self, spec: EpochSpec) -> None:
+        """All addresses inside the 512-word memories; programs fit IMEM."""
+        tiles, data_images, pokes = self.tiles, spec.data_images, spec.pokes
+        if (tiles.issuperset(data_images) and tiles.issuperset(pokes)
+                and tiles.issuperset(spec.programs)
+                and {*map(type, data_images.values()),
+                     *map(type, pokes.values())} <= {FrozenImage}
+                and self.checked.issuperset(map(id, spec.programs.values()))):
+            return  # frozen images were checked when built, programs before
+        for kind, found in (("data image", spec.data_images), ("poke", spec.pokes)):
+            for coord, image in found.items():
+                self._check(coord, spec, kind, "validate-memory")
+                if type(image) is not FrozenImage:
+                    self._words(spec, coord, image, f"{kind} address", f" at {coord}")
         for coord, program in spec.programs.items():
-            _check_coord(coord, plan, spec.name, "program", "validate-memory")
+            self._check(coord, spec, "program", "validate-memory")
+            if id(program) in self.checked:
+                continue
             if program.imem_words > INSTR_MEM_WORDS:
                 raise CompileError(
                     f"program {program.name!r} ({program.imem_words} words) "
                     f"exceeds the {INSTR_MEM_WORDS}-word instruction memory",
                     pass_name="validate-memory", epoch=spec.name, coord=coord,
                 )
-            for addr in program.data_image:
-                if not 0 <= addr < DATA_MEM_WORDS:
-                    raise CompileError(
-                        f"program {program.name!r} data image address "
-                        f"{addr} outside the data memory",
-                        pass_name="validate-memory", epoch=spec.name,
-                        coord=coord,
-                    )
+            self._words(spec, coord, program.data_image,
+                        f"program {program.name!r} data image address", "")
+            self.checked.add(id(program))
 
-
-def validate_schedule_pass(unit: CompileUnit) -> None:
-    """Epoch names unique; run/depends coordinates legal; runs runnable."""
-    plan = unit.plan
-    seen: set[str] = set()
-    if plan.input_port is not None:
-        seen.add(plan.input_port.name)
-    #: Programs installed on a tile by any earlier (or this) epoch.
-    installed: dict[Coord, bool] = {}
-    for spec in plan.epochs:
-        if spec.name in seen:
-            raise CompileError(
-                f"duplicate epoch name (the switch-table index needs "
-                f"unique names)",
-                pass_name="validate-schedule", epoch=spec.name,
-            )
-        seen.add(spec.name)
-        for coord in spec.programs:
-            installed[coord] = True
-        for coord in spec.run:
-            _check_coord(coord, plan, spec.name, "run", "validate-schedule")
-            if not installed.get(coord):
+    def _words(self, spec: EpochSpec, coord: Coord, image, what: str,
+               where: str) -> None:
+        for addr in image:
+            if not 0 <= addr < DATA_MEM_WORDS:
                 raise CompileError(
-                    f"tile {coord} runs before any epoch installed a "
-                    f"program on it",
-                    pass_name="validate-schedule", epoch=spec.name,
+                    f"{what} {addr}{where} outside the {DATA_MEM_WORDS}-word "
+                    f"data memory",
+                    pass_name="validate-memory", epoch=spec.name, coord=coord,
+                )
+
+    def schedule(self, spec: EpochSpec) -> None:
+        """Epoch names unique; run/depends coordinates legal; runs runnable."""
+        if spec.name in self.names:
+            raise CompileError(
+                "duplicate epoch name (the switch-table index needs unique "
+                "names)", pass_name="validate-schedule", epoch=spec.name,
+            )
+        self.names.add(spec.name)
+        self.installed.update(spec.programs)
+        for coord in spec.run:
+            self._check(coord, spec, "run", "validate-schedule")
+            if coord not in self.installed:
+                raise CompileError(
+                    f"tile {coord} runs before any epoch installed a program "
+                    f"on it", pass_name="validate-schedule", epoch=spec.name,
                     coord=coord,
                 )
         if len(set(spec.run)) != len(spec.run):
-            raise CompileError(
-                "duplicate coordinates in the run set",
-                pass_name="validate-schedule", epoch=spec.name,
-            )
+            raise CompileError("duplicate coordinates in the run set",
+                               pass_name="validate-schedule", epoch=spec.name)
         for coord in spec.depends_on:
-            _check_coord(coord, plan, spec.name, "depends_on",
-                         "validate-schedule")
+            self._check(coord, spec, "depends_on", "validate-schedule")
 
-
-# ---------------------------------------------------------------------------
-# analysis / artifact passes
-# ---------------------------------------------------------------------------
-
-
-def predecode_pass(unit: CompileUnit) -> None:
-    """Eagerly predecode every distinct program (first-use order).
-
-    The legacy runners predecoded lazily, per tile, on first execution;
-    compiling eagerly moves that cost into the (cached) compile, so the
-    first work item of a warm artifact runs entirely on the fast tier.
-    """
-    programs: list = []
-    decoded: list = []
-    seen: set[int] = set()
-    for spec in unit.plan.epochs:
-        for _, program in sorted(spec.programs.items()):
-            if id(program) in seen:
-                continue
-            seen.add(id(program))
-            programs.append(program)
-            decoded.append(predecode(program))
-    unit.programs = programs
-    unit.decoded = decoded
-
-
-def validate_routes_pass(unit: CompileUnit) -> None:
-    """SNB stores only happen over a matching configured link.
-
-    Tracks the single write port of every tile across the whole schedule
-    (links persist between epochs on real fabric) and checks each run
-    program's statically known store directions against it — the check
-    the mesh would otherwise only raise as a runtime ``LinkError``.
-    Requires :func:`predecode_pass` (uses the decoded ``snb_dirs``).
-    """
-    link_state: dict[Coord, Direction | None] = {}
-    for spec in unit.plan.epochs:
-        for coord, direction in spec.links.items():
-            link_state[coord] = direction
+    def routes(self, spec: EpochSpec) -> None:
+        """SNB stores only over a matching link: each tile's write port,
+        tracked across the schedule, against each run program's store
+        directions (the mesh's runtime ``LinkError``, at compile time)."""
+        self.link_state.update(spec.links)
         for coord in spec.run:
             program = spec.programs.get(coord)
             if program is None:
                 continue  # resident re-run: direction proven when installed
-            dirs = predecode(program).snb_dirs
-            if not dirs:
-                continue
-            active = link_state.get(coord)
-            for direction in dirs:
+            active = self.link_state.get(coord)
+            for direction in predecode(program).snb_dirs:
                 if direction != active:
                     raise CompileError(
                         f"program {program.name!r} at {coord} stores "
@@ -256,62 +254,100 @@ def validate_routes_pass(unit: CompileUnit) -> None:
                         coord=coord,
                     )
 
+    def predecode(self, spec: EpochSpec) -> None:
+        """Eagerly predecode every distinct program (first-use order), so
+        the first work item of a warm artifact runs on the fast tier."""
+        for _, program in self.view(spec)[0]:
+            if id(program) not in self.decoded:
+                self.decoded[id(program)] = (program, predecode(program))
 
-def switch_table_pass(unit: CompileUnit) -> None:
-    """Record, per epoch, the pieces the pairwise switch-cost table is
-    priced from.
+    def predecode_end(self) -> None:
+        self.unit.programs = [program for program, _ in self.decoded.values()]
+        self.unit.decoded = [table for _, table in self.decoded.values()]
 
-    ``artifact.switch_cost_ns(i, j)`` is the reconfiguration time epoch
-    ``j`` costs when it executes immediately after epoch ``i`` on an
-    otherwise fresh fabric — exactly ``RuntimeManager.switch_cost([e_i,
-    e_j]) - RuntimeManager.switch_cost([e_i])`` on a fresh mesh (pinned
-    by the parity tests).  What epoch ``j`` would transfer — and how long
-    each piece takes — does not depend on its predecessor, so this pass
-    works it out once per epoch: its program loads ``(coord, program,
-    ns)`` and link targets ``(coord, direction)`` in coordinate order and
-    the durations of its charged data images.  An entry then only tests
-    ``i``'s residency and links against ``j``'s pieces, so the pass is
-    linear in the epochs and no E² table is built or stored.
-    """
-    transfer_ns = IcapPort().transfer_ns
-    pieces = []
-    for spec in unit.plan.epochs:
-        loads = tuple(
-            (coord, program, transfer_ns(program_icap_bytes(program)))
-            for coord, program in sorted(spec.programs.items())
-        )
-        images = tuple(
-            transfer_ns(len(image) * DMEM_BYTES_PER_WORD)
-            for _, image in sorted(spec.data_images.items())
-            if image
-        )
-        pieces.append((loads, images, tuple(sorted(spec.links.items()))))
-    unit.epoch_names = tuple(spec.name for spec in unit.plan.epochs)
-    unit.switch_pieces = tuple(pieces)
+    def switch(self, spec: EpochSpec) -> None:
+        """What the epoch transfers whatever ran before it: program loads
+        ``(coord, program, ns)`` in coordinate order, the charged data
+        images' durations, its links.  ``artifact.switch_cost_ns(i, j)``
+        prices a pair from them; no E² table is built."""
+        transfer_ns, memo = self.transfer_ns, self.loads
+        programs, images, _ = self.view(spec)
+        loads = []
+        for coord, program in programs:  # one tuple per tile and program
+            load = memo.get((coord, id(program)))
+            if load is None:
+                ns = transfer_ns(program_icap_bytes(program))
+                load = memo[coord, id(program)] = (coord, program, ns)
+            loads.append(load)
+        images = tuple(transfer_ns(len(image) * DMEM_BYTES_PER_WORD)
+                       for _, image in images if image)
+        self.pieces.append((tuple(loads), images, spec.links))
+
+    def switch_end(self) -> None:
+        self.unit.epoch_names = tuple(spec.name for spec in self.plan.epochs)
+        self.unit.switch_pieces = tuple(self.pieces)
+
+    def deltas(self, spec: EpochSpec) -> None:
+        """The epoch's step of the :class:`DerivedPlan`: its delta over the
+        shadow of a fresh fabric, byte-for-byte what ``ReconfigPlanner``
+        emits on a fresh mesh, capacity eviction included."""
+        if self.index == len(self.plan.setup):
+            self._enter_body()
+        txn = self.walk.epoch(spec, self.view(spec))
+        self.txns.append(txn)
+        if self.cold is not None:
+            self.job.append(txn)
+
+    def _enter_body(self) -> None:
+        """Past the setup prologue: the cold state, then the input port's
+        epoch (no pokes at compile time)."""
+        plan, port = self.plan, self.plan.input_port
+        self.coords = tuple(sorted(
+            {c for spec in plan.epochs for c in (*spec.programs, *spec.links)}
+        ))
+        self.cold = self.walk.shadow.state(self.coords)
+        self.specs = plan.body
+        if port is not None:
+            self.specs = (EpochSpec(port.name, depends_on=list(port.depends_on)),
+                          *plan.body)
+            self.job.append(self.walk.epoch(self.specs[0]))
+
+    def deltas_end(self) -> None:
+        """The plan, and ``cold_bytes``/``cold_link_changes``: the totals,
+        per epoch, of setup + body on a fresh fabric."""
+        if self.cold is None:
+            self._enter_body()
+        end = self.walk.shadow.state(self.coords)
+        self.unit.epoch_plan = DerivedPlan(self.plan, self.specs, self.coords,
+                                           (self.cold, tuple(self.job)), end)
+        self.unit.cold_bytes = tuple(txn.total_bytes for txn in self.txns)
+        self.unit.cold_link_changes = tuple(t.link_changes for t in self.txns)
+
+    def hash_end(self) -> None:
+        """Content-address the plan (the cache key and artifact identity)."""
+        self.unit.artifact_hash = plan_hash(self.plan)
 
 
-def cold_deltas_pass(unit: CompileUnit) -> None:
-    """Derive the artifact's epoch plan
-    (:meth:`DerivedPlan.of <repro.compile.ir.DerivedPlan.of>`).
+def _share(name: str) -> Pass:
+    def run(unit: CompileUnit) -> None:
+        ShadowWalk(unit).run((name,))
 
-    ``cold_bytes``/``cold_link_changes`` are the totals, per epoch, of its
-    walk of setup + body on a fresh fabric: byte-for-byte what
-    :class:`~repro.fabric.reconfig.ReconfigPlanner` emits on a fresh
-    mesh, capacity eviction included.
-    """
-    unit.epoch_plan, walk = DerivedPlan.of(unit.plan)
-    unit.cold_bytes = tuple(txn.total_bytes for txn in walk)
-    unit.cold_link_changes = tuple(txn.link_changes for txn in walk)
+    method = ShadowWalk.SHARES[name]
+    run.share = name
+    run.__doc__ = (getattr(ShadowWalk, method, None)
+                   or getattr(ShadowWalk, method + "_end")).__doc__
+    run.__name__ = run.__qualname__ = name.replace("-", "_") + "_pass"
+    return run
 
 
-def hash_pass(unit: CompileUnit) -> None:
-    """Content-address the plan (the cache key and artifact identity)."""
-    unit.artifact_hash = plan_hash(unit.plan)
-
-
-# ---------------------------------------------------------------------------
-# the manager
-# ---------------------------------------------------------------------------
+validate_links_pass = _share("validate-links")
+validate_memory_pass = _share("validate-memory")
+validate_schedule_pass = _share("validate-schedule")
+predecode_pass = _share("predecode")
+validate_routes_pass = _share("validate-routes")
+switch_table_pass = _share("switch-table")
+cold_deltas_pass = _share("cold-deltas")
+hash_pass = _share("hash")
 
 DEFAULT_PASSES: tuple[tuple[str, Pass], ...] = (
     ("validate-links", validate_links_pass),
@@ -333,17 +369,11 @@ def default_passes() -> list[tuple[str, Pass]]:
 def finish(unit: CompileUnit) -> CompiledArtifact:
     """Assemble the immutable artifact from a fully-passed unit."""
     return CompiledArtifact(
-        plan=unit.plan,
-        graph=unit.graph,
-        programs=tuple(unit.programs),
-        decoded=tuple(unit.decoded),
-        epoch_names=unit.epoch_names,
-        switch_pieces=unit.switch_pieces,
-        cold_bytes=unit.cold_bytes,
-        cold_link_changes=unit.cold_link_changes,
-        epoch_plan=unit.epoch_plan,
-        artifact_hash=unit.artifact_hash,
-        pass_timings=tuple(unit.timings),
+        plan=unit.plan, graph=unit.graph, programs=tuple(unit.programs),
+        decoded=tuple(unit.decoded), epoch_names=unit.epoch_names,
+        switch_pieces=unit.switch_pieces, cold_bytes=unit.cold_bytes,
+        cold_link_changes=unit.cold_link_changes, epoch_plan=unit.epoch_plan,
+        artifact_hash=unit.artifact_hash, pass_timings=tuple(unit.timings),
     )
 
 
@@ -354,17 +384,24 @@ class PassManager:
         self.passes = default_passes() if passes is None else list(passes)
 
     def run(self, unit: CompileUnit) -> CompiledArtifact:
-        for name, fn in self.passes:
-            t0 = time.perf_counter()
-            try:
-                fn(unit)
-            except CompileError:
-                raise
-            except Exception as exc:  # diagnostic context for pass bugs
-                raise CompileError(
-                    f"pass crashed: {exc}", pass_name=name
-                ) from exc
-            unit.timings.append(
-                PassTiming(name, (time.perf_counter() - t0) * 1e9)
-            )
+        for walked, group in groupby(self.passes, lambda p: hasattr(p[1], "share")):
+            group = list(group)
+            if walked:  # adjacent shares: one walk
+                seconds = ShadowWalk(unit).run([fn.share for _, fn in group])
+            else:
+                seconds = [_timed(name, fn, unit) for name, fn in group]
+            unit.timings += [
+                PassTiming(name, s * 1e9) for (name, _), s in zip(group, seconds)
+            ]
         return finish(unit)
+
+
+def _timed(name: str, fn: Pass, unit: CompileUnit) -> float:
+    begin = time.perf_counter()
+    try:
+        fn(unit)
+    except CompileError:
+        raise
+    except Exception as exc:  # diagnostic context for pass bugs
+        raise CompileError(f"pass crashed: {exc}", pass_name=name) from exc
+    return time.perf_counter() - begin

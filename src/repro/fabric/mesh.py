@@ -35,11 +35,14 @@ class Mesh:
         self.cols = cols
         self.links = LinkState()
         self._tiles: dict[Coord, Tile] = {}
+        dmems: dict[Coord, object] = {}
+        get_active = self.links._active.get
         for r in range(rows):
             for c in range(cols):
                 tile = Tile(coord=(r, c), name=f"T{r}_{c}")
-                tile.neighbour_resolver = self._make_resolver((r, c))
+                tile.neighbour_resolver = _resolver((r, c), get_active, dmems)
                 self._tiles[(r, c)] = tile
+                dmems[r, c] = tile.dmem
 
     # ------------------------------------------------------------------
     # topology
@@ -65,14 +68,7 @@ class Mesh:
 
     def neighbour_coord(self, coord: Coord, direction: Direction) -> Coord:
         """Coordinate of the neighbour in ``direction``; raises if off-mesh."""
-        dr, dc = direction.delta
-        target = (coord[0] + dr, coord[1] + dc)
-        if target not in self._tiles:
-            raise LinkError(
-                f"tile {coord} has no neighbour to the {direction.name} "
-                f"in a {self.rows}x{self.cols} mesh"
-            )
-        return target
+        return _neighbour(self._tiles, coord, direction)
 
     def neighbours(self, coord: Coord) -> dict[Direction, Coord]:
         """All in-mesh neighbours of ``coord``."""
@@ -108,55 +104,6 @@ class Mesh:
         """Instruction-memory base of ``program`` on the tile at ``coord``."""
         return self.tile(coord).resident_base(program)
 
-    def _make_resolver(self, coord: Coord):
-        # Bind the underlying map's ``get`` — one dict probe per store
-        # instead of a bound-method hop (SNB stores are the hottest
-        # cross-tile path of an exchange sweep).
-        get_active = self.links._active.get
-        writers: dict[Direction, object] = {}
-
-        last_direction: Direction | None = None
-        last_write = None
-
-        def resolve(direction: Direction, naddr: int, value: int) -> None:
-            nonlocal last_direction, last_write
-            if get_active(coord) is not direction:
-                active = get_active(coord)
-                raise LinkError(
-                    f"tile {coord} stored toward {direction.name} but its "
-                    f"link is {'detached' if active is None else active.name}"
-                )
-            # Identity-cached write port: a direction only gets here after
-            # passing the active-link check, and links are validated
-            # on-mesh when configured, so the lookup cannot go off-mesh.
-            # The ``is`` probe (links rarely flip inside a phase) skips
-            # both an enum-keyed dict hash and two attribute walks on the
-            # hottest cross-tile path of an exchange sweep.
-            if direction is not last_direction:
-                write = writers.get(direction)
-                if write is None:
-                    target = self.neighbour_coord(coord, direction)
-                    write = writers[direction] = self._tiles[target].dmem.write
-                last_direction, last_write = direction, write
-            last_write(naddr, value)
-
-        # Keyed by ``id``: an enum member hashes in Python, once a run.
-        memories: dict[int, object] = {}
-
-        def port(direction: Direction):
-            """Data memory behind the link, or None unless it is active
-            (a lowered trace stores there directly; see ``predecode``)."""
-            if get_active(coord) is not direction:
-                return None
-            memory = memories.get(id(direction))
-            if memory is None:
-                target = self.neighbour_coord(coord, direction)
-                memory = memories[id(direction)] = self._tiles[target].dmem
-            return memory
-
-        resolve.port = port
-        return resolve
-
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
@@ -186,3 +133,45 @@ class Mesh:
                 cells.append(arrows[self.links.get((r, c))])
             lines.append(" ".join(cells))
         return "\n".join(lines)
+
+
+def _neighbour(tiles: dict, coord: Coord, direction: Direction) -> Coord:
+    dr, dc = direction.delta
+    target = (coord[0] + dr, coord[1] + dc)
+    if target not in tiles:
+        rows, cols = max(tiles)
+        raise LinkError(f"tile {coord} has no neighbour to the {direction.name} "
+                        f"in a {rows + 1}x{cols + 1} mesh")
+    return target
+
+
+def _resolver(coord: Coord, get_active, dmems: dict):
+    """The ``SNB`` resolver of the tile at ``coord``.  It closes over the
+    link map's ``get`` and the coordinate -> data memory map, never over
+    the mesh: a mesh is no reference cycle, so a dropped fabric is freed
+    by refcount (DESIGN §16)."""
+    memories: dict[int, object] = {}  # by ``id``: an enum hashes in Python
+
+    def port(direction: Direction):
+        """Data memory behind the link, or None unless it is active
+        (a lowered trace stores there directly; see ``predecode``)."""
+        if get_active(coord) is not direction:
+            return None
+        memory = memories.get(id(direction))
+        if memory is None:  # on-mesh: links are checked when configured
+            target = _neighbour(dmems, coord, direction)
+            memory = memories[id(direction)] = dmems[target]
+        return memory
+
+    def resolve(direction: Direction, naddr: int, value: int) -> None:
+        memory = port(direction)
+        if memory is None:
+            active = get_active(coord)
+            raise LinkError(
+                f"tile {coord} stored toward {direction.name} but its "
+                f"link is {'detached' if active is None else active.name}"
+            )
+        memory.write(naddr, value)
+
+    resolve.port = port
+    return resolve

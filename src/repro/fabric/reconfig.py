@@ -66,8 +66,8 @@ class ReconfigTransaction:
     link_changes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.total_bytes = sum(op[2] for op in self.ops)
-        self.link_changes = sum(op[0] is _LINK for op in self.ops)
+        self.total_bytes = sum([op[2] for op in self.ops])
+        self.link_changes = [op[0] for op in self.ops].count(_LINK)
 
     @property
     def bitstreams(self) -> list[PartialBitstream]:
@@ -121,28 +121,29 @@ def _payloads(kind: ReconfigKind, coord: Coord, target) -> tuple:
 
 def plan_delta(
     state,
-    programs: dict[Coord, Program],
-    data_images: dict[Coord, dict[int, int]],
-    links: dict[Coord, Direction | None],
+    programs: list[tuple[Coord, Program]],
+    data_images: list[tuple[Coord, dict[int, int]]],
+    links: list[tuple[Coord, Direction | None]],
     force_program_reload: bool = False,
 ) -> list[tuple]:
     """The ``ops`` of the delta taking ``state`` (a mesh or a
-    :class:`FabricShadow`) to one epoch's target: program loads in
-    coordinate order, each with its ``.var`` image, skipped when the same
-    :class:`Program` object is resident (pinning) unless
-    ``force_program_reload``; every non-empty data image (always charged:
-    their values change each epoch); every link not already set so."""
+    :class:`FabricShadow`) to one epoch's target, given as ``(coord,
+    target)`` items in coordinate order: program loads, each with its
+    ``.var`` image, skipped when the same :class:`Program` object is
+    resident (pinning) unless ``force_program_reload``; every non-empty
+    data image (always charged: their values change each epoch); every
+    link not already set so."""
     ops = []
     resident_base = state.resident_base
-    for coord, program in sorted(programs.items()):
+    for coord, program in programs:
         if resident_base(coord, program) is not None and not force_program_reload:
             continue
         ops += _payloads(_IMEM, coord, program)
-    for coord, image in sorted(data_images.items()):
+    for coord, image in data_images:
         if image:
             ops.append((_DMEM, coord, len(image) * DMEM_BYTES_PER_WORD,
                         f"dmem:data@{coord}", image))
-    for coord, direction in sorted(links.items()):
+    for coord, direction in links:
         if state.active_link(coord) != direction:
             ops += _payloads(_LINK, coord, direction)
     return ops
@@ -255,7 +256,8 @@ class ReconfigPlanner:
         programs, data_images, links = programs or {}, data_images or {}, links or {}
         self.validate(programs, data_images, links)
         return ReconfigTransaction(plan_delta(
-            self.mesh, programs, data_images, links, force_program_reload
+            self.mesh, sorted(programs.items()), sorted(data_images.items()),
+            sorted(links.items()), force_program_reload,
         ))
 
     def validate(self, programs: dict, data_images: dict, links: dict) -> None:

@@ -342,7 +342,8 @@ class RuntimeManager:
         transfer_ns = self.icap.transfer_ns
         total_ns = 0.0
         for s in specs:
-            ops = plan_delta(shadow, s.programs, s.data_images, s.links)
+            ops = plan_delta(shadow, sorted(s.programs.items()),
+                             sorted(s.data_images.items()), sorted(s.links.items()))
             if not ops:
                 continue
             self.planner.validate(s.programs, s.data_images, {})
@@ -389,7 +390,7 @@ class RuntimeManager:
         if run is None:
             return self._execute_epoch(spec)
         step = run.steps[run.index]
-        report = step(spec) if callable(step) else self._execute_epoch(spec, step)
+        report = step(self, spec) if callable(step) else self._execute_epoch(spec, step)
         run.index += 1
         if run.index < job[1]:
             run.links = links.reconfig_count
@@ -641,7 +642,8 @@ def _derived_decoded(tiles: list[Tile], runs: tuple) -> list | None:
 
 def _epoch_functions(plan, rtms: "RuntimeManager") -> tuple:
     """One generated function per epoch of ``plan``'s resident start
-    (generated once per plan, into ``plan.code``), bound to ``rtms``."""
+    (generated once per plan, into ``plan.code``), bound to ``rtms``'s
+    mesh; each takes the manager per call, so none closes a cycle."""
     if plan.code is None:
         started = time.perf_counter()
         state, epochs = plan.resident
@@ -802,7 +804,7 @@ def _epoch_source(
             f"C{i} = t{i}.imem._corrupted",
         ]
     names = "".join(f"k{i}, " for i in range(len(consts)))
-    return [f"{names} = K"] + prologue + ["def _epoch(spec):"] + [
+    return [f"{names} = K"] + prologue + ["def _epoch(rt, spec):"] + [
         f"    {line}" for line in body
     ] + ["return _epoch"]
 

@@ -19,7 +19,7 @@ both the performance model and the fabric runner consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.errors import KernelError
 from repro.kernels.fft.reference import ilog2, twiddle_exponent
@@ -75,7 +75,7 @@ class FFTPlan:
     # shape
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def stages(self) -> int:
         """Total butterfly stages, log2(n)."""
         return ilog2(self.n)
@@ -94,7 +94,7 @@ class FFTPlan:
         """Compute tiles used: rows x cols."""
         return self.rows * self.cols
 
-    @property
+    @cached_property
     def exchange_stage_count(self) -> int:
         """X = log2(n) - log2(m): stages needing a vertical exchange."""
         return self.stages - ilog2(self.m)

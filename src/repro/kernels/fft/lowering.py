@@ -27,12 +27,15 @@ Importing this module registers the ``fft`` kernel frontend (and the
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.compile.graph import DataflowGraph
 from repro.compile.ir import (
     Coord,
     EpochPlan,
+    FrozenImage,
     KernelGraph,
     register_port_encoder,
 )
@@ -115,7 +118,7 @@ class _FFTLowering:
         w = np.exp(-2j * np.pi * np.arange(plan.n) / plan.n)
         self._wre_words = QFORMAT.encode_words(w.real)
         self._wim_words = QFORMAT.encode_words(w.imag)
-        self._twiddle_images: dict[tuple[int, int], dict[int, int]] = {}
+        self._twiddle_images: dict[tuple[int, ...], FrozenImage] = {}
         self.graph = DataflowGraph(
             kind="fft",
             params={
@@ -166,18 +169,18 @@ class _FFTLowering:
         """Install stage twiddles; YELLOW tiles pay the ICAP, others are free."""
         re_base, im_base = self.layout.wre, self.layout.wim
         wre, wim = self._wre_words, self._wim_words
-        images: dict[Coord, dict[int, int]] = {}
-        pokes: dict[Coord, dict[int, int]] = {}
+        images: dict[Coord, FrozenImage] = {}
+        pokes: dict[Coord, FrozenImage] = {}
         for row in range(self.plan.rows):
             cls = self.schedule.class_of(row, stage)
-            image = self._twiddle_images.get((row, stage))
-            if image is None:
-                exps = self.plan.tile_twiddle_exponents(row, stage)
-                image = dict(zip(range(re_base, re_base + len(exps)),
-                                 map(wre.__getitem__, exps)))
-                image.update(zip(range(im_base, im_base + len(exps)),
-                                 map(wim.__getitem__, exps)))
-                self._twiddle_images[(row, stage)] = image
+            exps = tuple(self.plan.tile_twiddle_exponents(row, stage))
+            image = self._twiddle_images.get(exps)
+            if image is None:  # rows and stages needing the same set share it
+                image = self._twiddle_images[exps] = FrozenImage(zip(
+                    chain(range(re_base, re_base + len(exps)),
+                          range(im_base, im_base + len(exps))),
+                    chain(map(wre.__getitem__, exps), map(wim.__getitem__, exps)),
+                ))
             if cls is TwiddleClass.YELLOW:
                 images[(row, col)] = image
             else:

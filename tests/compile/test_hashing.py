@@ -9,6 +9,9 @@ different one.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +24,12 @@ from repro.compile.hashing import (
     plan_hash,
     program_fingerprint,
 )
-from repro.compile.ir import IRBuilder
+from repro.compile.ir import FrozenImage, IRBuilder
 from repro.errors import CompileError
 from repro.fabric.assembler import assemble
 from repro.fabric.links import Direction
 from repro.fabric.rtms import EpochSpec
+from repro.units import DATA_MEM_WORDS
 
 from tests.compile.conftest import build_tiny_plan
 
@@ -164,7 +168,11 @@ words = st.one_of(
     st.integers(-(2**70), 2**70),
     st.sampled_from([0, -1, 2**47 - 1, -(2**47)]),
 )
-images = st.dictionaries(st.integers(-5, 600), words, max_size=6)
+plain_images = st.dictionaries(st.integers(-5, 600), words, max_size=6)
+frozen_images = st.dictionaries(
+    st.integers(0, DATA_MEM_WORDS - 1), words, max_size=6
+).map(FrozenImage)
+images = st.one_of(plain_images, frozen_images)
 sequences = st.one_of(
     st.lists(coords, max_size=4),
     st.lists(coords, max_size=4).map(tuple),
@@ -207,6 +215,31 @@ class TestFlatEpochEncoder:
         reference = canonical_bytes(epoch_fingerprint(spec))
         assert hashing._flat_epoch(spec) == reference
         assert epoch_bytes(spec) == reference
+
+    @settings(max_examples=100)
+    @given(epoch_specs())
+    def test_a_frozen_image_encodes_as_its_dict(self, spec):
+        thawed = dataclasses.replace(
+            spec,
+            data_images={c: dict(i) for c, i in spec.data_images.items()},
+            pokes={c: dict(i) for c, i in spec.pokes.items()},
+        )
+        assert epoch_bytes(spec) == epoch_bytes(thawed)
+        assert epoch_bytes(spec) == canonical_bytes(epoch_fingerprint(thawed))
+
+    def test_frozen_image_is_checked_when_built(self):
+        import numpy as np
+
+        for bad in ({3: np.int64(7)}, {3: True}, {True: 3}, {np.int64(3): 1},
+                    {3.0: 1}, {DATA_MEM_WORDS: 1}, {-1: 1}):
+            with pytest.raises(CompileError):
+                FrozenImage(bad)
+        image = FrozenImage({9: 1, 2: 5})
+        assert list(image.items()) == [(2, 5), (9, 1)]
+        assert image == {2: 5, 9: 1}
+        with pytest.raises(TypeError, match="immutable"):
+            image[3] = 4
+        assert pickle.loads(pickle.dumps(image)) == image
 
     def test_reference_types_take_the_reference_path(self):
         # bool and numpy words would format as plain numbers under

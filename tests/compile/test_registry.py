@@ -11,9 +11,12 @@ deployed cache and MUST NOT happen silently.
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import pytest
 
-from repro.compile import clear_cache
+from repro.compile import ArtifactCache, clear_cache
 from repro.compile.frontends import (
     compile_fft,
     compile_jpeg,
@@ -23,6 +26,7 @@ from repro.compile.frontends import (
     get_frontend,
     kernel_suggestions,
 )
+from repro.compile.hashing import plan_hash_prefix
 from repro.errors import CompileError
 from repro.kernels.fft.decompose import FFTPlan
 
@@ -45,6 +49,22 @@ PINNED_HASHES = {
         "6b46023ea2a1ade01bb5f2983cf113c942091005ded8598e960cdc5ed06a67c3",
 }
 
+#: SHA-256 over the sorted ``(n, m, cols, L, artifact_hash, cold_bytes,
+#: cold_link_changes, plan_hash_prefix)`` rows of the 204 design-space
+#: sweep plans (Figs. 10-12: three sizes, the first four divisor column
+#: counts of each, 17 link costs).  Captured before the one-walk compile
+#: (frozen images, shadow-walk passes) replaced the per-pass walks.
+SWEEP_PLANS_SHA = (
+    "102d53d7bf75fc133981f1745950d9198c34c340bceadcec9188413693bdcb58"
+)
+
+
+def _sweep_shapes():
+    for n, m in ((1024, 64), (256, 32), (64, 8)):
+        stages = int(math.log2(n))
+        divisors = [c for c in range(1, stages + 1) if stages % c == 0]
+        yield from ((n, m, cols) for cols in divisors[:4])
+
 
 class TestPinnedHashes:
     @pytest.mark.parametrize(
@@ -53,6 +73,23 @@ class TestPinnedHashes:
     )
     def test_graph_lowering_is_byte_stable(self, kind, params, want):
         assert compile_kernel(kind, params).artifact_hash == want
+
+    def test_every_sweep_plan_keeps_its_identity(self):
+        cache = ArtifactCache(capacity=1)
+        rows = []
+        for n, m, cols in _sweep_shapes():
+            for cost in range(0, 4801, 300):
+                artifact = compile_fft(FFTPlan(n, m, cols), float(cost),
+                                       cache=cache)
+                rows.append((
+                    n, m, cols, float(cost), artifact.artifact_hash,
+                    tuple(artifact.cold_bytes),
+                    tuple(artifact.cold_link_changes),
+                    plan_hash_prefix(artifact),
+                ))
+        assert len(rows) == 204
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+        assert digest == SWEEP_PLANS_SHA
 
     def test_typed_conveniences_hit_the_same_cache_entries(self):
         clear_cache()

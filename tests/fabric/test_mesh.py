@@ -78,3 +78,35 @@ class TestStats:
         assert mesh1x2.total_cycles() == 3
         mesh1x2.reset_stats()
         assert mesh1x2.total_cycles() == 0
+
+
+class TestAcyclic:
+    """A mesh is not a reference cycle, so a dropped fabric is freed by
+    refcount instead of waiting for a full collection."""
+
+    def test_cold_fft_point_leaves_no_cyclic_fabric(self, cyclic_garbage):
+        import numpy as np
+
+        from tests.conftest import FABRIC_TYPES
+        from repro.kernels.fft.decompose import FFTPlan
+        from repro.kernels.fft.runner import FabricFFT
+
+        x = np.linspace(-1e-3, 1e-3, 64) + 0j
+
+        def point():
+            result = FabricFFT(FFTPlan(64, 8, 3), 9.0).run(x)
+            assert result.output.shape == (64,)
+
+        garbage = cyclic_garbage(point)
+        assert not FABRIC_TYPES & set(garbage)
+        assert not [name for name in garbage if "resolve" in name or "port" in name]
+
+    def test_resolver_keeps_the_link_contract(self, mesh2x2):
+        resolve = mesh2x2.tile((0, 0)).neighbour_resolver
+        assert resolve.port(Direction.EAST) is None
+        with pytest.raises(LinkError, match="stored toward EAST but its link is detached"):
+            resolve(Direction.EAST, 0, 1)
+        mesh2x2.configure_link((0, 0), Direction.EAST)
+        assert resolve.port(Direction.EAST) is mesh2x2.tile((0, 1)).dmem
+        resolve(Direction.EAST, 3, 7)
+        assert mesh2x2.tile((0, 1)).dmem.peek(3) == 7

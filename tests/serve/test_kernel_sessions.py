@@ -89,6 +89,24 @@ class TestSessionExecution:
             assert np.array_equal(stats.output, want)
 
     @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
+    def test_dropped_session_leaves_no_cyclic_fabric(self, kind, cyclic_garbage):
+        """Opening, running (scalar and batched) and dropping a session
+        frees its mesh by refcount."""
+        from tests.conftest import FABRIC_TYPES
+
+        _, payload = _payload(kind, seed=5)
+        default_session_factory(spec_for(kind)).run(payload, CancelToken())
+
+        def session_life():
+            session = default_session_factory(spec_for(kind))
+            session.run(payload, CancelToken())
+            session.run_batch([payload, payload], CancelToken())
+
+        garbage = cyclic_garbage(session_life)
+        assert not FABRIC_TYPES & set(garbage)
+        assert not [n for n in garbage if "resolve" in n or "port" in n]
+
+    @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
     def test_second_job_is_warm(self, kind):
         _, payload = _payload(kind, seed=2)
         session = default_session_factory(spec_for(kind))
