@@ -61,11 +61,11 @@ class IcapPort:
             )
         # Running duration total so :attr:`total_busy_ns` is O(1); the
         # per-epoch full-timeline sum dominated epoch bookkeeping.
-        self._busy_total_ns = sum(t.duration_ns for t in self.transfers)
+        self._busy_total_ns = sum((t.duration_ns for t in self.transfers), 0.0)
 
     def transfer_ns(self, nbytes: float) -> float:
         """Pure duration of an ``nbytes`` transfer (no queueing)."""
-        if nbytes < 0:
+        if not nbytes >= 0:  # NaN too
             raise ReconfigError(f"nbytes must be non-negative, got {nbytes}")
         return nbytes / self.bandwidth_bytes_per_s * NS_PER_S
 
@@ -77,12 +77,7 @@ class IcapPort:
         The transfer starts at ``max(earliest_ns, port free time)`` — the
         queueing that makes reconfiguration of many tiles serialize.
         """
-        start = max(earliest_ns, self.busy_until_ns)
-        end = start + self.transfer_ns(nbytes)
-        self.busy_until_ns = end
-        self.transfers.append(Transfer(label, int(nbytes), start, end))
-        self._busy_total_ns += end - start
-        return start, end
+        return self._reserve(self.transfer_ns(nbytes), earliest_ns, label, int(nbytes))
 
     def schedule_fixed(
         self, duration_ns: float, earliest_ns: float = 0.0, label: str = ""
@@ -93,12 +88,17 @@ class IcapPort:
         their cost ``L`` is the paper's swept parameter rather than a byte
         count, so they are scheduled by duration.
         """
-        if duration_ns < 0:
+        if not duration_ns >= 0:  # NaN too
             raise ReconfigError(f"duration must be non-negative, got {duration_ns}")
+        return self._reserve(duration_ns, earliest_ns, label, 0)
+
+    def _reserve(
+        self, duration_ns: float, earliest_ns: float, label: str, nbytes: int
+    ) -> tuple[float, float]:
         start = max(earliest_ns, self.busy_until_ns)
         end = start + duration_ns
         self.busy_until_ns = end
-        self.transfers.append(Transfer(label, 0, start, end))
+        self.transfers.append(Transfer(label, nbytes, start, end))
         self._busy_total_ns += end - start
         return start, end
 

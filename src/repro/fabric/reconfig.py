@@ -20,6 +20,7 @@ times so reconfiguration of an idle tile overlaps computation elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ReconfigError
@@ -36,7 +37,6 @@ from repro.fabric.mesh import Mesh
 from repro.units import INSTR_MEM_WORDS
 
 __all__ = [
-    "AppliedReconfig",
     "FabricShadow",
     "ReconfigPlanner",
     "ReconfigTransaction",
@@ -211,32 +211,25 @@ class FabricShadow:
         )
 
 
-@dataclass
-class AppliedReconfig:
-    """Timing results of applying a transaction.
-
-    ``tile_ready_ns`` gives, per touched tile, when its last payload
-    finished — the earliest the tile may start computing.
-    """
-
-    start_ns: float
-    end_ns: float
-    tile_ready_ns: dict[Coord, float] = field(default_factory=dict)
-
-    @property
-    def duration_ns(self) -> float:
-        return self.end_ns - self.start_ns
-
-
 class ReconfigPlanner:
     """Builds and applies reconfiguration transactions against a mesh."""
 
     def __init__(self, mesh: Mesh, icap: IcapPort, link_cost_ns: float = 0.0) -> None:
-        if link_cost_ns < 0:
-            raise ReconfigError(f"link cost must be non-negative, got {link_cost_ns}")
         self.mesh = mesh
         self.icap = icap
         self.link_cost_ns = link_cost_ns
+
+    @property
+    def link_cost_ns(self) -> float:
+        """The per-link cost ``L`` of Eq. 1 (finite, non-negative)."""
+        return self._link_cost_ns
+
+    @link_cost_ns.setter
+    def link_cost_ns(self, value: float) -> None:
+        if not 0 <= value < math.inf:  # NaN and infinities too
+            raise ReconfigError(
+                f"link cost must be finite and non-negative, got {value}")
+        self._link_cost_ns = value
 
     # ------------------------------------------------------------------
     # plan building
@@ -275,51 +268,37 @@ class ReconfigPlanner:
     # ------------------------------------------------------------------
 
     def apply(
-        self,
-        txn: ReconfigTransaction,
-        tile_busy_until: dict[Coord, float] | None = None,
-        now_ns: float = 0.0,
-    ) -> AppliedReconfig:
-        """Apply a transaction: mutate the mesh and schedule the ICAP.
+        self, ops: list[tuple], ready: dict[Coord, float], start_ns: float
+    ) -> tuple[float, float]:
+        """Apply a transaction's ``ops`` from ``start_ns``: mutate the mesh
+        and schedule each payload on the ICAP, in order.
 
-        ``tile_busy_until`` holds per-tile earliest start times (a tile
-        still computing cannot be reconfigured); missing tiles are treated
-        as free at ``now_ns``.  Payloads are scheduled in transaction
-        order; the single ICAP port serializes them while untouched tiles
-        keep computing — the paper's partial-overlap mechanism.
+        ``ready`` holds per-tile earliest start times (a tile still
+        computing cannot be reconfigured; a missing tile is free at
+        ``start_ns``); each touched tile's moves to the end of its last
+        payload.  The single port serializes the payloads while untouched
+        tiles keep computing — the paper's partial-overlap mechanism.
+        Returns the port's busy time (Eq. 1's term B) and when the last
+        payload ends (``start_ns`` for no ops).
         """
-        busy = tile_busy_until or {}
-        ready: dict[Coord, float] = {}
-        first_start = None
-        last_end = now_ns
-        icap = self.icap
-        links = self.mesh.links
-        for kind, coord, nbytes, label, target in txn.ops:
-            # ``max`` and ``min`` unrolled: same first-extreme results
-            earliest = now_ns
-            at = busy.get(coord, now_ns)
-            earliest = at if at > earliest else earliest
-            at = ready.get(coord, 0.0)
-            earliest = at if at > earliest else earliest
-            if kind is ReconfigKind.LINK:
-                start, end = icap.schedule_fixed(self.link_cost_ns, earliest, label)
-                links.configure(coord, target)
+        icap, mesh = self.icap, self.mesh
+        busy_before = icap._busy_total_ns
+        end = start_ns
+        for kind, coord, nbytes, label, target in ops:
+            at = ready.get(coord, start_ns)
+            earliest = at if at > start_ns else start_ns  # ``max``, no call
+            if kind is _LINK:
+                _, end = icap.schedule_fixed(self._link_cost_ns, earliest, label)
+                mesh.links.configure(coord, target)
             else:
-                start, end = icap.schedule(nbytes, earliest, label)
-                tile = self.mesh.tile(coord)
-                if kind is ReconfigKind.DMEM:
+                _, end = icap.schedule(nbytes, earliest, label)
+                tile = mesh.tile(coord)
+                if kind is _DMEM:
                     tile.dmem.load_image(target, reconfig=True)
                 else:
                     self.install(tile, target)
             ready[coord] = end
-            if first_start is None or start < first_start:
-                first_start = start
-            last_end = end if end > last_end else last_end
-        return AppliedReconfig(
-            start_ns=first_start if first_start is not None else now_ns,
-            end_ns=last_end,
-            tile_ready_ns=ready,
-        )
+        return icap._busy_total_ns - busy_before, end
 
     @staticmethod
     def install(tile, program: Program) -> None:

@@ -276,9 +276,7 @@ class RuntimeManager:
 
     @link_cost_ns.setter
     def link_cost_ns(self, value: float) -> None:
-        if value < 0:
-            raise ReconfigError(f"link cost must be non-negative, got {value}")
-        self.planner.link_cost_ns = value
+        self.planner.link_cost_ns = value  # the planner checks it
 
     def reset(self) -> None:
         """Forget all timing state (memories/links are left as-is)."""
@@ -552,18 +550,9 @@ class RuntimeManager:
         txn = derived if derived is not None else self.planner.plan(
             programs=spec.programs, data_images=spec.data_images, links=spec.links
         )
-        reconfig_ns = 0.0
-        reconfig_end = epoch_start
-        if txn.ops:
-            busy_before = self.icap.total_busy_ns
-            applied = self.planner.apply(txn, ready, now_ns=epoch_start)
-            # Term B of Eq. 1: actual configuration-port busy time, not the
-            # per-tile waiting (queueing on the single port is already
-            # visible in the tile ready times).
-            reconfig_ns = self.icap.total_busy_ns - busy_before
-            reconfig_end = applied.end_ns
-            for coord, ready_at in applied.tile_ready_ns.items():
-                ready[coord] = ready_at
+        # Term B of Eq. 1 is the port's busy time, not the per-tile waiting
+        # (queueing on the single port shows in the tile ready times).
+        reconfig_ns, reconfig_end = self.planner.apply(txn.ops, ready, epoch_start)
 
         # -- compute ----------------------------------------------------
         compute_ns = 0.0
@@ -593,25 +582,26 @@ class RuntimeManager:
             compute_ns = result.makespan_ns
             compute_end = gate + result.makespan_ns
             busy = result.busy_ns
-        epoch_end = max(compute_end, reconfig_end, epoch_start)
+        return self._close(spec, txn, epoch_start, reconfig_ns, reconfig_end,
+                           compute_ns, compute_end, busy)
 
-        # Reconfiguration time is "overlapped" (hidden) to the extent the
-        # ICAP finished before the compute critical path did.
-        overlapped = max(0.0, reconfig_ns - max(0.0, reconfig_end - compute_end))
-
-        report = EpochReport(
-            name=spec.name,
-            start_ns=epoch_start,
-            end_ns=epoch_end,
-            reconfig_ns=reconfig_ns,
-            compute_ns=compute_ns,
-            overlapped_ns=overlapped,
-            link_changes=txn.link_changes,
-            reconfig_bytes=txn.total_bytes,
-            busy_ns=busy,
-        )
-        self.now_ns = max(self.now_ns, epoch_end)
-        return report
+    def _close(
+        self, spec: EpochSpec, txn, start: float, reconfig_ns: float,
+        reconfig_end: float, compute_ns: float, compute_end: float, busy: dict,
+    ) -> EpochReport:
+        """End an epoch when its compute and reconfiguration have, and
+        advance ``now_ns`` (``max`` unrolled: every warm epoch ends here)."""
+        end = reconfig_end if reconfig_end > compute_end else compute_end
+        end = start if start > end else end
+        # reconfiguration is "overlapped" (hidden) as far as the ICAP
+        # finished before the compute critical path did
+        exposed = reconfig_end - compute_end
+        overlapped = reconfig_ns - (exposed if exposed > 0.0 else 0.0)
+        overlapped = overlapped if overlapped > 0.0 else 0.0
+        if end > self.now_ns:
+            self.now_ns = end
+        return EpochReport(spec.name, start, end, reconfig_ns, compute_ns,
+                           overlapped, txn.link_changes, txn.total_bytes, busy)
 
 
 # ----------------------------------------------------------------------
@@ -623,8 +613,7 @@ class RuntimeManager:
 #: is called), so epochs of one shape share one compile.
 _EPOCH_CODE: dict[str, Callable] = {}
 _CODE_MAX = 4096
-_EPOCH_GLOBALS = {"EpochReport": EpochReport, "_COUNTERS": _pd.COUNTERS,
-                  "_install": ReconfigPlanner.install}
+_EPOCH_GLOBALS = {"_COUNTERS": _pd.COUNTERS}
 
 
 def _derived_decoded(tiles: list[Tile], runs: tuple) -> list | None:
@@ -698,11 +687,12 @@ def _epoch_source(
 ) -> list[str]:
     """Source of the factory of derived epoch ``txn``'s function: what
     :meth:`RuntimeManager._execute_epoch` does for it, in the same order
-    with the same float operations — pokes, the delta's ICAP schedule,
-    tile starts, per-run checks guarding the trace chunks and statistics
-    (a failed one runs the phase through the engine), the report.  What
-    the plan fixes goes to ``consts`` (``k<i>`` in the source); ``links``
-    (coord -> direction) is advanced past the epoch."""
+    — pokes, the one :meth:`ReconfigPlanner.apply` call, tile starts,
+    per-run checks guarding the trace chunks and statistics (a failed one
+    runs the phase through the engine), the one :meth:`RuntimeManager._close`
+    call.  What the plan fixes goes to ``consts`` (``k<i>`` in the source);
+    ``links`` (coord -> direction) is advanced past the epoch, as the
+    lowered phase's remote stores need."""
     bound: dict[Coord, int] = {}  # coord -> suffix of its tile's names
 
     def tile(coord: Coord) -> int:
@@ -717,34 +707,12 @@ def _epoch_source(
     emit("for c, image in spec.pokes.items():")
     emit("    DM[c].load_image(image)")
 
-    if txn.ops:  # ReconfigPlanner.apply, unrolled
-        emit("b = icap._busy_total_ns")
-        touched: list[Coord] = []
-        for kind, coord, nbytes, label, target in txn.ops:
-            i = tile(coord)
-            emit(f"a = R.get(c{i}, s)")
-            emit("e = a if a > s else s")
-            if coord in touched:
-                emit(f"e = q{i} if q{i} > e else e")
-            else:
-                touched.append(coord)
-            if kind is ReconfigKind.LINK:
-                emit(f"_, q{i} = icap.schedule_fixed(planner.link_cost_ns, e, {k(label)})")
-                emit(f"links.configure(c{i}, {k(target)})")
-                links[coord] = target
-                continue
-            emit(f"_, q{i} = icap.schedule({k(nbytes)}, e, {k(label)})")
-            if kind is ReconfigKind.DMEM:
-                emit(f"d{i}.load_image({k(target)}, reconfig=True)")
-            else:
-                emit(f"_install(t{i}, {k(target)})")
-        emit("rn = icap._busy_total_ns - b")
-        emit(f"re = q{tile(txn.ops[-1][1])}")
-        body.extend(f"R[c{tile(coord)}] = q{tile(coord)}" for coord in touched)
-    else:
-        emit("rn = 0.0")
-        emit("re = s")
+    emit(f"rn, re = planner.apply({k(txn.ops)}, R, s)")
+    for kind, coord, _, _, target in txn.ops:
+        if kind is ReconfigKind.LINK:
+            links[coord] = target
 
+    compute = "0.0, s, {}"
     if spec.run:
         for coord in spec.run:
             i = tile(coord)
@@ -769,30 +737,11 @@ def _epoch_source(
             body.extend(generic)
         else:
             body.extend(_lowered_source(lowered, generic, tile, k))
-        emit("ce = g + cn")
-    else:
-        emit("cn = 0.0")
-        emit("ce = s")
-        emit("busy = {}")
-    body += [  # max(ce, re, s); max(0.0, rn - max(0.0, re - ce)); report
-        "ee = ce",
-        "ee = re if re > ee else ee",
-        "ee = s if s > ee else ee",
-        "x = re - ce",
-        "x = x if x > 0.0 else 0.0",
-        "x = rn - x",
-        "ov = x if x > 0.0 else 0.0",
-        f"report = EpochReport(spec.name, s, ee, rn, cn, ov, "
-        f"{k(txn.link_changes)}, {k(txn.total_bytes)}, busy)",
-        "x = rt.now_ns",
-        "rt.now_ns = ee if ee > x else x",
-        "return report",
-    ]
+        compute = "cn, g + cn, busy"
+    emit(f"return rt._close(spec, {k(txn)}, s, rn, re, {compute})")
     prologue = [
         "R = rt.tile_ready_ns",
-        "icap = rt.icap",
         "planner = rt.planner",
-        "links = mesh.links",
         "DM = {t.coord: t.dmem for t in mesh}",
     ]
     for coord, i in bound.items():

@@ -27,6 +27,7 @@ Importing this module registers the ``fft`` kernel frontend (and the
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.compile.ir import (
     KernelGraph,
     register_port_encoder,
 )
-from repro.errors import KernelError
+from repro.errors import CompileError, KernelError
 from repro.fabric.links import Direction
 from repro.fabric.rtms import EpochSpec
 from repro.kernels.fft.decompose import FFTPlan
@@ -112,6 +113,9 @@ class _FFTLowering:
     """One lowering run: builds the body epochs and the input port."""
 
     def __init__(self, plan: FFTPlan, link_cost_ns: float) -> None:
+        if not 0 <= link_cost_ns < math.inf:  # NaN and infinities too
+            raise CompileError(f"link cost must be finite and non-negative, "
+                               f"got {link_cost_ns}", pass_name="frontend")
         self.plan = plan
         self.layout = FFTLayout(plan.m)  # validates the memory budget
         self.schedule = classify_twiddles(plan)

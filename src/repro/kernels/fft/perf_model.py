@@ -200,7 +200,7 @@ class FFTPerformanceModel:
 
     def t_link_ns(self, link_cost_ns: float) -> float:
         """Eq. 4: configure one column's links = rows x L."""
-        if link_cost_ns < 0:
+        if not link_cost_ns >= 0:  # NaN too
             raise KernelError("link cost must be non-negative")
         return self.plan.rows * link_cost_ns
 

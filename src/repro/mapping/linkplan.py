@@ -70,7 +70,7 @@ class LinkPlan:
 
     def per_block_relink_ns(self, link_cost_ns: float) -> float:
         """Per-block link reconfiguration time at cost ``L`` per link."""
-        if link_cost_ns < 0:
+        if not link_cost_ns >= 0:  # NaN too
             raise MappingError("link_cost_ns must be non-negative")
         return self.per_block_relinks * link_cost_ns
 

@@ -120,7 +120,7 @@ def reconfig_cost_ns(
     residency is how pinning (Table 4's ``(f)`` label) and previous visits
     are modelled.  The caller owns updating ``resident`` afterwards.
     """
-    if link_cost_ns < 0:
+    if not link_cost_ns >= 0:  # NaN too
         raise ProcessNetworkError("link_cost_ns must be non-negative")
     cost = before.changed_links(after) * link_cost_ns
     already = resident if resident is not None else {

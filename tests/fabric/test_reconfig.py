@@ -71,7 +71,7 @@ class TestApply:
             data_images={(0, 1): {7: 9}},
             links={(1, 0): Direction.NORTH},
         )
-        planner.apply(txn)
+        planner.apply(txn.ops, {}, 0.0)
         assert planner.mesh.tile((0, 0)).program is PROG_A
         assert planner.mesh.tile((0, 1)).dmem.peek(7) == 9
         assert planner.mesh.active_link((1, 0)) is Direction.NORTH
@@ -80,35 +80,43 @@ class TestApply:
         txn = planner.plan(
             programs={(0, 0): PROG_B, (0, 1): PROG_B},
         )
-        applied = planner.apply(txn)
+        ready = {}
+        busy_ns, end_ns = planner.apply(txn.ops, ready, 0.0)
         # two 3-instruction images, back to back on one port
-        assert applied.duration_ns == pytest.approx(6 * IMEM_WORD_RELOAD_NS)
-        assert applied.tile_ready_ns[(0, 1)] > applied.tile_ready_ns[(0, 0)]
+        assert busy_ns == pytest.approx(6 * IMEM_WORD_RELOAD_NS)
+        assert end_ns == pytest.approx(6 * IMEM_WORD_RELOAD_NS)
+        assert ready[(0, 1)] > ready[(0, 0)]
+        assert ready[(0, 1)] == end_ns
 
     def test_busy_tile_delays_its_reload(self, planner):
         txn = planner.plan(programs={(0, 0): PROG_B})
-        applied = planner.apply(txn, tile_busy_until={(0, 0): 5000.0})
-        assert applied.start_ns == 5000.0
+        ready = {(0, 0): 5000.0}
+        planner.apply(txn.ops, ready, 0.0)
+        assert planner.icap.transfers[0].start_ns == 5000.0
+        assert ready[(0, 0)] == pytest.approx(5000.0 + 3 * IMEM_WORD_RELOAD_NS)
 
     def test_busy_other_tile_does_not_delay(self, planner):
         txn = planner.plan(programs={(0, 0): PROG_B})
-        applied = planner.apply(txn, tile_busy_until={(1, 1): 5000.0})
-        assert applied.start_ns == 0.0
+        ready = {(1, 1): 5000.0}
+        planner.apply(txn.ops, ready, 0.0)
+        assert planner.icap.transfers[0].start_ns == 0.0
+        assert ready[(1, 1)] == 5000.0  # untouched tiles keep their time
 
     def test_link_charged_fixed_cost(self, planner):
         txn = planner.plan(links={(0, 0): Direction.EAST})
-        applied = planner.apply(txn)
-        assert applied.duration_ns == pytest.approx(100.0)
+        busy_ns, end_ns = planner.apply(txn.ops, {}, 0.0)
+        assert busy_ns == pytest.approx(100.0)
+        assert end_ns == pytest.approx(100.0)
 
     def test_reconfig_marks_counters(self, planner):
         txn = planner.plan(data_images={(0, 0): {1: 2}})
-        planner.apply(txn)
+        planner.apply(txn.ops, {}, 0.0)
         assert planner.mesh.tile((0, 0)).dmem.reconfig_writes == 1
 
     def test_empty_transaction(self, planner):
-        applied = planner.apply(planner.plan(), now_ns=42.0)
-        assert applied.start_ns == 42.0
-        assert applied.duration_ns == 0.0
+        ready = {}
+        assert planner.apply(planner.plan().ops, ready, 42.0) == (0.0, 42.0)
+        assert ready == {} and planner.icap.transfers == []
 
     def test_negative_link_cost_rejected(self):
         with pytest.raises(Exception):
