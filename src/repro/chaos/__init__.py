@@ -37,7 +37,6 @@ from repro.chaos.crashpoints import (
 from repro.chaos.procfaults import (
     PROC_FAULT_KINDS,
     ProcFault,
-    sigcont_pid,
     sigkill_pid,
     sigstop_pid,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "guarded_write",
     "register_crashpoint",
     "registered_crashpoints",
-    "sigcont_pid",
     "sigkill_pid",
     "sigstop_pid",
 ]

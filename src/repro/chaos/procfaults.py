@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from repro.errors import ChaosError
 
-__all__ = ["PROC_FAULT_KINDS", "ProcFault", "sigkill_pid", "sigstop_pid", "sigcont_pid"]
+__all__ = ["PROC_FAULT_KINDS", "ProcFault", "sigkill_pid", "sigstop_pid"]
 
 PROC_FAULT_KINDS = ("sigkill", "sigstop", "torn", "exit", "epipe")
 
@@ -113,7 +113,3 @@ def sigkill_pid(pid: int) -> bool:
 def sigstop_pid(pid: int) -> bool:
     """Freeze a process: alive to the kernel, silent on every pipe."""
     return _signal_pid(pid, signal.SIGSTOP)
-
-
-def sigcont_pid(pid: int) -> bool:
-    return _signal_pid(pid, signal.SIGCONT)

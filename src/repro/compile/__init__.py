@@ -20,7 +20,6 @@ from repro.compile.frontends import (
     compile_kernel,
     compile_plan,
     frontend_names,
-    frontend_summaries,
     get_frontend,
     import_all_frontends,
     kernel_suggestions,
@@ -69,7 +68,6 @@ __all__ = [
     "compile_plan",
     "default_passes",
     "frontend_names",
-    "frontend_summaries",
     "get_cache",
     "get_frontend",
     "import_all_frontends",

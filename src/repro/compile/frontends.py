@@ -31,7 +31,6 @@ __all__ = [
     "register_frontend",
     "get_frontend",
     "frontend_names",
-    "frontend_summaries",
     "kernel_suggestions",
     "import_all_frontends",
     "compile_kernel",
@@ -198,12 +197,6 @@ def frontend_names() -> tuple[str, ...]:
     """Every registered kernel kind, built-ins included, sorted."""
     import_all_frontends()
     return tuple(sorted(_FRONTENDS))
-
-
-def frontend_summaries() -> dict[str, str]:
-    """kind -> one-line description, for CLI listings."""
-    import_all_frontends()
-    return {kind: _FRONTENDS[kind].description for kind in sorted(_FRONTENDS)}
 
 
 def kernel_suggestions(name: str) -> list[str]:

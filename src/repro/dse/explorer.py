@@ -10,14 +10,13 @@ the Figs. 10-12 / 16-17 benches.
 from __future__ import annotations
 
 from repro.dse.objectives import DesignPoint
-from repro.dse.pareto import pareto_front
 from repro.errors import DSEError
 from repro.kernels.fft.decompose import FFTPlan
 from repro.kernels.fft.perf_model import FFTPerformanceModel, StageProfile
 from repro.kernels.jpeg.pipeline_model import rebalance_series
 from repro.mapping.cost import TileCostModel
 
-__all__ = ["explore_fft", "explore_jpeg", "fft_point", "fabric_fft_point"]
+__all__ = ["explore_fft", "explore_jpeg", "fft_point"]
 
 
 def fft_point(
@@ -66,48 +65,6 @@ def fft_point(
     )
 
 
-def fabric_fft_point(
-    n: int,
-    m: int,
-    cols: int,
-    link_cost_ns: float = 0.0,
-) -> dict:
-    """Measure one FFT design point on the fabric simulator.
-
-    Compiles the configuration through the content-addressed cache
-    (:func:`repro.compile.compile_fft`) and executes one deterministic
-    transform on a fresh mesh — the fabric-measured counterpart of the
-    analytic :func:`fft_point`.  Module-level so process pools (and the
-    repeated-sweep compile benchmark) can dispatch it; revisited points
-    reuse the cached artifact, so only the first visit pays lowering,
-    validation and the switch-table analysis.
-    """
-    import numpy as np
-
-    from repro.compile import compile_fft
-    from repro.fabric.icap import IcapPort
-    from repro.fabric.mesh import Mesh
-    from repro.fabric.rtms import RuntimeManager
-
-    plan = FFTPlan(n=n, m=m, cols=cols)
-    artifact = compile_fft(plan, link_cost_ns)
-    mesh = Mesh(plan.rows, plan.cols)
-    rtms = RuntimeManager(mesh, IcapPort(), link_cost_ns=link_cost_ns)
-    rng = np.random.RandomState(n + 31 * cols)
-    scale = 0.5 / n  # well inside the Q-format headroom
-    x = (rng.randn(n) + 1j * rng.randn(n)) * scale
-    report = rtms.execute_artifact(artifact, x)
-    return {
-        "params": {"n": n, "m": m, "cols": cols, "link_cost_ns": link_cost_ns},
-        "artifact_hash": artifact.artifact_hash,
-        "total_ns": report.total_ns,
-        "compute_ns": report.compute_ns,
-        "reconfig_ns": report.reconfig_ns,
-        "cold_bytes": artifact.total_cold_bytes,
-        "epochs": len(report.epochs),
-    }
-
-
 def explore_fft(
     n: int = 1024,
     m: int = 128,
@@ -145,9 +102,3 @@ def explore_jpeg(
                 )
             )
     return points
-
-
-def fft_pareto(n: int = 1024, m: int = 128, link_cost_ns: float = 300.0):
-    """Throughput/area frontier at a fixed link cost."""
-    points = explore_fft(n=n, m=m, link_costs_ns=(link_cost_ns,))
-    return pareto_front(points)

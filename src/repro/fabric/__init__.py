@@ -40,7 +40,7 @@ from repro.fabric.links import Direction, LinkState
 from repro.fabric.tile import Tile, TileStats
 from repro.fabric.mesh import Mesh
 from repro.fabric.icap import IcapPort
-from repro.fabric.bitstream import PartialBitstream, ReconfigKind
+from repro.fabric.bitstream import ReconfigKind
 from repro.fabric.reconfig import ReconfigPlanner, ReconfigTransaction
 from repro.fabric.rtms import EpochReport, EpochSpec, RunReport, RuntimeManager
 from repro.fabric.simulator import ConcurrentRun, run_concurrent
@@ -69,7 +69,6 @@ __all__ = [
     "Mesh",
     "Opcode",
     "Operand",
-    "PartialBitstream",
     "Program",
     "Q30",
     "ReconfigKind",

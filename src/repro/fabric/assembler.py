@@ -104,8 +104,8 @@ class Program:
     def encoded(self) -> list[int]:
         """The 72-bit encodings of all instructions (bitstream payload).
 
-        Cached after the first call (instructions are immutable); the
-        reconfiguration planner sizes bitstreams from this every epoch.
+        Cached after the first call (instructions are immutable); plan
+        hashes and checkpoint re-keying identify programs by it.
         """
         cached = self.__dict__.get("_encoded_words")
         if cached is None:

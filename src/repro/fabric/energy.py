@@ -20,6 +20,7 @@ consumers through :meth:`EnergyModel.run_energy_nj`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import FabricError
@@ -27,6 +28,11 @@ from repro.fabric.rtms import RunReport
 from repro.units import ICAP_BYTES_PER_S, NS_PER_S
 
 __all__ = ["EnergyModel", "EnergyBreakdown"]
+
+
+def _check(what: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # NaN and infinities too
+        raise FabricError(f"{what} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,32 +68,28 @@ class EnergyModel:
     def __post_init__(self) -> None:
         for name in ("instruction_pj", "icap_byte_pj", "link_switch_nj",
                      "tile_static_mw"):
-            if getattr(self, name) < 0:
-                raise FabricError(f"{name} must be non-negative")
+            _check(name, getattr(self, name))
 
     # ------------------------------------------------------------------
 
     def compute_nj(self, instructions: int) -> float:
         """Dynamic energy of executed instructions."""
-        if instructions < 0:
-            raise FabricError("instruction count must be non-negative")
+        _check("instruction count", instructions)
         return instructions * self.instruction_pj / 1000.0
 
     def reconfig_nj(self, icap_bytes: float) -> float:
         """Energy of configuration traffic."""
-        if icap_bytes < 0:
-            raise FabricError("byte count must be non-negative")
+        _check("byte count", icap_bytes)
         return icap_bytes * self.icap_byte_pj / 1000.0
 
     def link_nj(self, link_changes: int) -> float:
-        if link_changes < 0:
-            raise FabricError("link change count must be non-negative")
+        _check("link change count", link_changes)
         return link_changes * self.link_switch_nj
 
     def static_nj(self, n_tiles: int, duration_ns: float) -> float:
         """Leakage + clock energy over a run's duration."""
-        if n_tiles < 0 or duration_ns < 0:
-            raise FabricError("tiles and duration must be non-negative")
+        _check("tile count", n_tiles)
+        _check("duration", duration_ns)
         # mW * ns = pJ
         return n_tiles * self.tile_static_mw * duration_ns / 1000.0
 

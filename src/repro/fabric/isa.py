@@ -23,9 +23,9 @@ minimum one — e.g. an ``ADD`` of two direct operands is single-cycle while
 an ``ADD`` with two indirect sources needs two cycles for the four reads
 (two pointers + two values).
 
-Instructions also define a dense 72-bit encoding (:meth:`Instruction.encode`)
-whose only purpose is sizing partial bitstreams: one instruction occupies one
-72-bit instruction-memory word, i.e. 9 bytes over the ICAP.
+Instructions also define a dense 72-bit encoding (:meth:`Instruction.encode`):
+one instruction occupies one 72-bit instruction-memory word, i.e. 9 bytes
+over the ICAP.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ class Instruction:
         return max(1, math.ceil(self.read_ports / 2))
 
     # ------------------------------------------------------------------
-    # encoding (used only to size bitstreams; 72-bit words)
+    # encoding (72-bit words)
     # ------------------------------------------------------------------
 
     _OPCODE_BITS = 6
@@ -296,8 +296,7 @@ class Instruction:
         Immediates wider than 16 bits are encoded by reference: the
         assembler materializes them into data memory, so the 16-bit field
         always suffices for what actually gets encoded here.  The encoding
-        is lossy for huge raw immediates, which is acceptable because its
-        only consumer is bitstream sizing; the simulator executes the
+        is lossy for huge raw immediates; the simulator executes the
         decoded :class:`Instruction` objects directly.
         """
         return self._encoded

@@ -1,7 +1,7 @@
 """Reconfiguration planning: turning configuration deltas into timed plans.
 
-A *reconfiguration transaction* gathers the partial bitstreams needed to
-move the fabric from its current state to a target state:
+A *reconfiguration transaction* gathers the payloads needed to move the
+fabric from its current state to a target state:
 
 * instruction images for tiles whose program changes (charged 9 B/word),
 * data images (twiddle reloads, copy-variable re-initialization, 6 B/word),
@@ -28,7 +28,6 @@ from repro.fabric.assembler import Program
 from repro.fabric.bitstream import (
     DMEM_BYTES_PER_WORD,
     IMEM_BYTES_PER_WORD,
-    PartialBitstream,
     ReconfigKind,
 )
 from repro.fabric.icap import IcapPort
@@ -68,31 +67,6 @@ class ReconfigTransaction:
     def __post_init__(self) -> None:
         self.total_bytes = sum([op[2] for op in self.ops])
         self.link_changes = [op[0] for op in self.ops].count(_LINK)
-
-    @property
-    def bitstreams(self) -> list[PartialBitstream]:
-        """The partial bitstream of every payload, in order."""
-        out = []
-        for kind, coord, _, label, target in self.ops:
-            if kind is _LINK:
-                aux = -1 if target is None else target.code
-                out.append(PartialBitstream(kind, coord, aux=aux, label=label))
-            else:
-                words = (tuple(target.encoded()) if kind is _IMEM else
-                         tuple(w for pair in sorted(target.items()) for w in pair))
-                out.append(PartialBitstream(kind, coord, words, label=label))
-        return out
-
-    @property
-    def memory_words(self) -> int:
-        """Total memory words rewritten."""
-        return sum(b.payload_words for b in self.bitstreams)
-
-    def duration_ns(self, icap: IcapPort, link_cost_ns: float) -> float:
-        """Back-to-back duration if nothing overlaps (upper bound)."""
-        return (
-            icap.transfer_ns(self.total_bytes) + self.link_changes * link_cost_ns
-        )
 
 
 #: The payloads setting ``target`` (a program to load, or a link

@@ -37,7 +37,6 @@ from repro.mapping.epochs import (
 from repro.mapping.spare import (
     free_coords,
     plan_remap,
-    remap_configuration,
     remap_epochs,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "insert_copies",
     "plan_links",
     "plan_remap",
-    "remap_configuration",
     "remap_epochs",
     "rebalance",
     "rebalance_one",

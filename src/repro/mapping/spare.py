@@ -8,20 +8,16 @@ excluded and stream the displaced programs onto a spare tile — only the
 moved tile's images pay the ICAP, everything else stays resident.
 
 This module implements that re-placement as a deterministic nearest-
-spare assignment plus rewriting helpers for the two workload
-descriptions the repo uses:
+spare assignment plus a rewriting helper:
 
 * :func:`plan_remap` — pick a healthy spare for every failed coordinate
   (Manhattan-nearest, deterministic tie-break by (row, col));
 * :func:`remap_epochs` — rewrite a :class:`~repro.fabric.rtms.EpochSpec`
-  schedule through a coordinate map (the fault campaign's repair path);
-* :func:`remap_configuration` — rewrite a
-  :class:`~repro.pn.epoch.Configuration` binding, revalidating that no
-  active link is left dangling off its neighbour.
+  schedule through a coordinate map (the fault campaign's repair path).
 
 Remapping preserves link *directions*: a failed tile's traffic pattern
 only survives if its spare keeps the same neighbours, so
-:func:`remap_epochs` (and :func:`remap_configuration`) verify adjacency
+:func:`remap_epochs` verifies adjacency
 for every remapped link endpoint and raise
 :class:`~repro.errors.MappingError` when the displaced coordinate cannot
 legally carry the link.  Campaigns that need cross-tile communication
@@ -35,13 +31,11 @@ from dataclasses import replace as dc_replace
 from repro.errors import MappingError
 from repro.fabric.links import Direction
 from repro.fabric.rtms import EpochSpec
-from repro.pn.epoch import Configuration
 
 __all__ = [
     "free_coords",
     "plan_remap",
     "remap_epochs",
-    "remap_configuration",
 ]
 
 Coord = tuple[int, int]
@@ -151,26 +145,3 @@ def remap_epochs(
             )
         )
     return remapped
-
-
-def remap_configuration(
-    config: Configuration,
-    failed: set[Coord],
-    rows: int,
-    cols: int,
-) -> Configuration:
-    """Re-place a configuration off its failed coordinates.
-
-    Plans a spare assignment with :func:`plan_remap`, rebinds via
-    :meth:`~repro.pn.epoch.Configuration.rebind`, and revalidates every
-    active link of the result.  The switch cost of the move is whatever
-    :func:`repro.pn.epoch.reconfig_cost_ns` charges between the old and
-    new configurations — the moved processes page their images onto the
-    spare, nothing else is touched.
-    """
-    used = set(config.binding.values()) | set(config.links)
-    coord_map = plan_remap(rows, cols, used, failed)
-    rebound = config.rebind(coord_map)
-    for coord, direction in rebound.links.items():
-        _check_link(coord, direction, rows, cols)
-    return rebound

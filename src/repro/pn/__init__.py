@@ -15,7 +15,6 @@ encoder) and the Eq. 1 runtime evaluator.
 
 from repro.pn.process import CopyVariant, Process
 from repro.pn.network import Channel, ProcessNetwork
-from repro.pn.executor import Behavior, NetworkExecutor
 from repro.pn.epoch import Configuration, Epoch, reconfig_cost_ns
 from repro.pn.runtime_model import Eq1Breakdown, eq1_runtime
 from repro.pn.profiles import (
@@ -27,10 +26,8 @@ from repro.pn.profiles import (
 )
 
 __all__ = [
-    "Behavior",
     "Channel",
     "Configuration",
-    "NetworkExecutor",
     "CopyVariant",
     "Epoch",
     "Eq1Breakdown",

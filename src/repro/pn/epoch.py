@@ -10,6 +10,7 @@ all at the published ICAP rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ProcessNetworkError
@@ -68,27 +69,6 @@ class Configuration:
             if p in other.binding and other.binding[p] != self.binding[p]
         ]
 
-    def rebind(self, coord_map: dict[Coord, Coord]) -> "Configuration":
-        """New configuration with tile coordinates remapped.
-
-        Used by spare-tile recovery: when a tile hard-fails, its
-        processes (and its link endpoint) move to the spare coordinate
-        ``coord_map`` assigns.  Coordinates absent from the map are kept.
-        Link *directions* are preserved as-is; callers that move one
-        endpoint of a communicating pair must revalidate adjacency —
-        :func:`repro.mapping.spare.remap_configuration` does exactly
-        that.
-        """
-        return Configuration(
-            name=self.name,
-            binding={
-                p: coord_map.get(c, c) for p, c in self.binding.items()
-            },
-            links={
-                coord_map.get(c, c): d for c, d in self.links.items()
-            },
-        )
-
 
 @dataclass(frozen=True)
 class Epoch:
@@ -98,9 +78,10 @@ class Epoch:
     duration_ns: float
 
     def __post_init__(self) -> None:
-        if self.duration_ns < 0:
+        if not 0 <= self.duration_ns < math.inf:  # NaN and infinities too
             raise ProcessNetworkError(
-                f"epoch {self.configuration.name}: duration must be non-negative"
+                f"epoch {self.configuration.name}: duration must be finite "
+                f"and non-negative, got {self.duration_ns}"
             )
 
 

@@ -133,26 +133,3 @@ def rekey_residency(mesh: Mesh, programs: Iterable[Program]) -> int:
         tile._resident = fresh
     return rekeyed
 
-
-def verify_checkpoint_file(path: Path | str, expected_crc: int) -> bool:
-    """Cheap validity probe (exists + CRC) without unpickling."""
-    path = Path(path)
-    if not path.is_file():
-        return False
-    return (zlib.crc32(path.read_bytes()) & 0xFFFFFFFF) == expected_crc
-
-
-def prune_checkpoints(
-    directory: Path | str, keep_job_ids: set[str]
-) -> int:
-    """Delete checkpoints of jobs that no longer need one; returns the
-    number removed (compaction's sidecar twin)."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return 0
-    removed = 0
-    for path in sorted(directory.glob("*.ckpt")):
-        if path.stem not in keep_job_ids:
-            path.unlink(missing_ok=True)
-            removed += 1
-    return removed

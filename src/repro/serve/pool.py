@@ -50,9 +50,7 @@ class HealthState(enum.Enum):
     """Serving-level health of one fabric.
 
     ``HEALTHY`` fabrics take any job.  ``DEGRADED`` fabrics stay in
-    rotation — they have seen correctable faults (scrubbing caught and
-    repaired SEUs) or isolated job failures, which is exactly what the
-    fault model predicts for a long-lived fabric.  ``QUARANTINED``
+    rotation — they have seen isolated job failures.  ``QUARANTINED``
     fabrics are out of rotation: repeated failures or an unrepairable
     (hard) fault ejected them; an operator (or a recovery probe)
     re-admits them after the fabric is scrubbed/replaced.
@@ -154,10 +152,6 @@ class FabricWorker:
         self.consecutive_failures = 0
         self.quarantine_reason: str | None = None
         self.quarantines = 0
-        self.faults_detected = 0
-        self.faults_corrected = 0
-        self.hard_faults = 0
-        self.scrub_sim_ns = 0.0
 
     # ------------------------------------------------------------------
     # health lifecycle
@@ -230,24 +224,6 @@ class FabricWorker:
                 f"{self.consecutive_failures} consecutive failures "
                 f"(last: {reason})"
             )
-
-    def record_fault_stats(self, stats: SessionStats) -> None:
-        """Fold a job's fault counters into the worker's health view.
-
-        Correctable faults (detected and repaired by scrubbing) degrade
-        the fabric but keep it serving; a hard fault that survived into
-        the stats (tile remapped onto a spare) also only degrades —
-        the session's fabric healed itself — but is tracked so operators
-        can see spare consumption per fabric.
-        """
-        self.faults_detected += stats.faults_detected
-        self.faults_corrected += stats.faults_corrected
-        self.hard_faults += stats.hard_faults
-        self.scrub_sim_ns += stats.scrub_ns
-        if (
-            stats.faults_detected or stats.hard_faults
-        ) and self.health is HealthState.HEALTHY:
-            self.health = HealthState.DEGRADED
 
     # ------------------------------------------------------------------
     # scheduling oracle
@@ -361,7 +337,6 @@ class FabricWorker:
         self.consecutive_failures = 0
         if self.breaker is not None:
             self.breaker.record_success()
-        self.record_fault_stats(stats)
         self.busy_sim_ns += stats.sim_ns
         self.reconfig_sim_ns += stats.reconfig_ns
         if warm:
@@ -465,7 +440,6 @@ class FabricWorker:
         for index, stats in enumerate(stats_list):
             lane_warm = warm or index > 0
             self.jobs_done += 1
-            self.record_fault_stats(stats)
             self.busy_sim_ns += stats.sim_ns
             self.reconfig_sim_ns += stats.reconfig_ns
             if lane_warm:

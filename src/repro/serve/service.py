@@ -26,15 +26,13 @@ Every lifecycle edge feeds the metrics registry::
     serve_reconfig_saved_ns_total{kind}     serve_warm_jobs_total{kind}
     serve_cold_starts_total{kind}           serve_fabric_busy_ns_total{fabric}
     serve_fabric_jobs_total{fabric}         serve_fabric_utilization{fabric}
-    serve_faults_detected_total{kind}       serve_faults_corrected_total{kind}
-    serve_hard_faults_total{kind}           serve_scrub_ns_total{kind}
-    serve_fault_mttr_ns        (histogram)  serve_worker_health{fabric}
-    serve_worker_quarantined_total{fabric}  serve_worker_readmitted_total{fabric}
-    serve_jobs_requeued_total{kind}         serve_journal_records_total{type}
-    serve_journal_bytes_total               serve_journal_fsyncs_total
-    serve_recovered_jobs_total{outcome}     serve_queue_delay_ewma_seconds
-    serve_shed_probability                  serve_breaker_state{fabric}
-    serve_breaker_transitions_total{fabric} serve_probe_jobs_total{fabric}
+    serve_worker_health{fabric}             serve_worker_quarantined_total{fabric}
+    serve_worker_readmitted_total{fabric}   serve_jobs_requeued_total{kind}
+    serve_journal_records_total{type}       serve_journal_bytes_total
+    serve_journal_fsyncs_total              serve_recovered_jobs_total{outcome}
+    serve_queue_delay_ewma_seconds          serve_shed_probability
+    serve_breaker_state{fabric}             serve_breaker_transitions_total{fabric}
+    serve_probe_jobs_total{fabric}
 
 ``serve_reconfig_saved_ns_total`` is the serving-level version of the
 paper's amortization claim: reconfiguration time that Eq. 1 would have
@@ -101,16 +99,6 @@ _METRICS = (
      "Jobs completed per fabric"),
     ("_m_fabric_util", "gauge", "serve_fabric_utilization",
      "Busy share of each fabric since service start (sim time)"),
-    ("_m_faults_detected", "counter", "serve_faults_detected_total",
-     "SEUs detected by scrubbing"),
-    ("_m_faults_corrected", "counter", "serve_faults_corrected_total",
-     "Detected faults repaired"),
-    ("_m_hard_faults", "counter", "serve_hard_faults_total",
-     "Tiles declared hard-failed (remapped)"),
-    ("_m_scrub_ns", "counter", "serve_scrub_ns_total",
-     "Simulated ICAP time spent on scrubbing"),
-    ("_m_mttr", "histogram", "serve_fault_mttr_ns",
-     "Detection-to-repair time of corrected faults (sim ns)"),
     ("_m_quarantined", "counter", "serve_worker_quarantined_total",
      "Worker eject (quarantine) events"),
     ("_m_readmitted", "counter", "serve_worker_readmitted_total",
@@ -947,15 +935,6 @@ class FabricJobService:
             self._m_cold.inc(kind=kind)
         self._m_fabric_busy.inc(run.stats.sim_ns, fabric=worker.id)
         self._m_fabric_jobs.inc(fabric=worker.id)
-        if run.stats.faults_detected:
-            self._m_faults_detected.inc(run.stats.faults_detected, kind=kind)
-        if run.stats.faults_corrected:
-            self._m_faults_corrected.inc(run.stats.faults_corrected, kind=kind)
-            self._m_mttr.observe(run.stats.mttr_ns)
-        if run.stats.hard_faults:
-            self._m_hard_faults.inc(run.stats.hard_faults, kind=kind)
-        if run.stats.scrub_ns:
-            self._m_scrub_ns.inc(run.stats.scrub_ns, kind=kind)
         total_busy = self.pool.total_busy_ns
         for member in self.pool:
             self._m_fabric_util.set(

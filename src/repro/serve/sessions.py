@@ -18,9 +18,7 @@ JPEG job is a frame of blocks plus host entropy coding, so
 Sessions also own cooperative cancellation: between fabric epochs
 (artifact kernels) or blocks (JPEG) they poll a :class:`CancelToken`,
 so a service timeout aborts a job at the next boundary instead of
-blocking a worker thread forever — the same slicing discipline
-:meth:`repro.pn.executor.NetworkExecutor.run_bounded` gives process
-networks.
+blocking a worker thread forever.
 """
 
 from __future__ import annotations
@@ -82,18 +80,6 @@ class SessionStats:
     reconfig_ns: float = 0.0
     #: Epochs (or blocks) executed — the cancellation granularity.
     slices: int = 0
-    # -- fault-tolerance accounting (sessions running under a fault
-    # -- campaign fill these; plain sessions leave them zero) ----------
-    #: SEUs scrubbing detected during the job.
-    faults_detected: int = 0
-    #: Detected faults repaired (rollback + rewrite) during the job.
-    faults_corrected: int = 0
-    #: ICAP busy time spent on scrub readback/repair traffic.
-    scrub_ns: float = 0.0
-    #: Mean detection-to-repair time of this job's corrected faults.
-    mttr_ns: float = 0.0
-    #: Tiles declared hard-failed (spare-remapped) during the job.
-    hard_faults: int = 0
 
 
 class KernelSession(Protocol):

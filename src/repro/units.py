@@ -56,23 +56,6 @@ IMEM_WORD_RELOAD_NS: float = (INSTR_WORD_BITS / 8) / ICAP_BYTES_PER_S * NS_PER_S
 TILE_AREA_SLICE_LUTS: int = 200
 
 
-def cycles_to_ns(cycles: float, clock_hz: float = TILE_CLOCK_HZ) -> float:
-    """Convert a cycle count to nanoseconds at the given clock."""
-    return cycles * NS_PER_S / clock_hz
-
-
-def ns_to_cycles(ns: float, clock_hz: float = TILE_CLOCK_HZ) -> float:
-    """Convert nanoseconds to (fractional) cycles at the given clock."""
-    return ns * clock_hz / NS_PER_S
-
-
-def bytes_to_reload_ns(nbytes: float, bandwidth: float = ICAP_BYTES_PER_S) -> float:
-    """Time in ns to push ``nbytes`` through a reconfiguration port."""
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    return nbytes / bandwidth * NS_PER_S
-
-
 def throughput_per_s(period_ns: float) -> float:
     """Items per second given a steady-state period in ns."""
     if period_ns <= 0:

@@ -164,9 +164,9 @@ def test_the_plan_is_not_pickled_and_is_derived_again(tmp_path):
 # random schedules near the instruction-memory edge
 # ----------------------------------------------------------------------
 
-#: Programs of 100-300 words: two or three fill a tile's 512 words, so
-#: random loads keep evicting.
-_SIZES = (100, 150, 200, 250, 300)
+#: Programs of 100-312 words: two or three fill a tile's 512 words, so
+#: random loads keep evicting; 212 + 300 and 200 + 312 fit exactly.
+_SIZES = (100, 150, 200, 212, 250, 300, 312)
 _PROGRAMS = [
     assemble(
         ".var x\n.word x, 1\n" * (size // 50 % 2)
@@ -222,3 +222,22 @@ def test_random_schedules_near_the_imem_edge(epochs):
     )
     if artifact.epoch_plan.resident is not None:
         _assert_job_matches(rtms, artifact, None, artifact.epoch_plan.resident)
+
+
+def test_an_exact_imem_fit_keeps_both_programs():
+    """212 + 300 words fill the 512-word memory exactly, so the first
+    program is still resident when the third epoch asks for it again."""
+    small, large = (_PROGRAMS[_SIZES.index(size)] for size in (212, 300))
+    assert small.imem_words + large.imem_words == INSTR_MEM_WORDS
+    builder = IRBuilder("exact-fit", {}, 1, 1, 0.0)
+    for index, program in enumerate((small, large, small)):
+        builder.emit(EpochSpec(f"e{index}", programs={(0, 0): program},
+                               run=[(0, 0)]))
+    artifact = compile_plan(builder.graph(), builder.plan())
+    assert artifact.cold_bytes == (1908, 2700, 0)
+    _assert_job_matches(_planner_fabric(artifact), artifact, None,
+                        artifact.epoch_plan.cold)
+    for engine in ("fast", "reference"):  # 4,608 bytes at 180 MB/s
+        rtms = RuntimeManager(Mesh(1, 1), IcapPort(), engine=engine)
+        rtms.execute_artifact(artifact)
+        assert rtms.icap.total_busy_ns == pytest.approx(25_600.0), engine

@@ -7,7 +7,6 @@ import pytest
 
 from repro.compile import cache_stats, clear_cache, get_cache
 from repro.compile.frontends import compile_fft, compile_jpeg
-from repro.dse.explorer import fabric_fft_point
 from repro.dse.sweep import sweep
 from repro.errors import KernelError, ReconfigError
 from repro.fabric.icap import IcapPort
@@ -65,18 +64,10 @@ class TestArtifactExecution:
 
 
 class TestDSEHooks:
-    def test_fabric_fft_point_is_pool_safe_and_hashed(self):
-        row = fabric_fft_point(16, 16, 1)
-        assert row["params"] == {"n": 16, "m": 16, "cols": 1,
-                                 "link_cost_ns": 0.0}
-        assert len(row["artifact_hash"]) == 64
-        assert row["total_ns"] > 0
-        assert row["epochs"] > 0
-
     def test_sweep_reports_compile_cache_delta(self):
         clear_cache()
         result = sweep(
-            lambda n, cols: fabric_fft_point(n, 16, cols)["total_ns"],
+            lambda n, cols: compile_fft(FFTPlan(n, 16, cols)).artifact_hash,
             {"n": [16, 16], "cols": [1]},
         )
         stats = result.compile_cache

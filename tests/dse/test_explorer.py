@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dse.explorer import explore_fft, explore_jpeg, fft_point, fft_pareto
+from repro.dse.explorer import explore_fft, explore_jpeg, fft_point
+from repro.dse.pareto import pareto_front
 from repro.dse.pareto import pareto_front
 from repro.errors import DSEError
 
@@ -28,14 +29,14 @@ class TestFFT:
             explore_fft(cols_list=())
 
     def test_pareto_front_structure(self):
-        front = fft_pareto(link_cost_ns=0.0)
+        front = pareto_front(explore_fft(link_costs_ns=(0.0,)))
         # at L=0 more tiles always help: the whole cols axis is on the front
         assert len(front) == 4
         tiles = [p.n_tiles for p in front]
         assert tiles == sorted(tiles, reverse=True)
 
     def test_pareto_collapses_at_high_cost(self):
-        front = fft_pareto(link_cost_ns=4000.0)
+        front = pareto_front(explore_fft(link_costs_ns=(4000.0,)))
         # expensive links: fewer columns dominate, front shrinks
         assert len(front) < 4
         assert front[0].param("cols") in (1, 2)

@@ -1,74 +1,36 @@
-"""Partial bitstreams: sizing and serialization round-trips."""
+"""Payload sizes: what a program load, a data image and a link cost."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.errors import ReconfigError
-from repro.fabric.bitstream import PartialBitstream, ReconfigKind
+from repro.errors import LinkError
+from repro.fabric.assembler import assemble
+from repro.fabric.bitstream import program_icap_bytes
+from repro.fabric.icap import IcapPort
+from repro.fabric.links import Direction
+from repro.fabric.mesh import Mesh
+from repro.fabric.reconfig import ReconfigPlanner
+
+
+@pytest.fixture
+def planner():
+    return ReconfigPlanner(Mesh(1, 2), IcapPort(), link_cost_ns=100.0)
 
 
 class TestSizing:
-    def test_imem_bytes(self):
-        b = PartialBitstream(ReconfigKind.IMEM, (0, 0), words=(1, 2, 3))
-        assert b.payload_words == 3
-        assert b.nbytes == 27  # 9 bytes per 72-bit word
+    def test_imem_bytes(self, planner):
+        program = assemble("NOP\nNOP\nHALT", name="three")
+        assert program_icap_bytes(program) == 27  # 9 bytes per 72-bit word
+        assert planner.plan(programs={(0, 0): program}).total_bytes == 27
 
-    def test_dmem_bytes_per_pair(self):
-        b = PartialBitstream(ReconfigKind.DMEM, (0, 0), words=(10, 99, 11, 98))
-        assert b.payload_words == 2
-        assert b.nbytes == 12  # 6 bytes per 48-bit word
+    def test_dmem_bytes_per_pair(self, planner):
+        txn = planner.plan(data_images={(0, 0): {10: 99, 11: 98}})
+        assert txn.total_bytes == 12  # 6 bytes per 48-bit word
 
-    def test_link_costs_no_bytes(self):
-        b = PartialBitstream(ReconfigKind.LINK, (0, 0), aux=1)
-        assert b.nbytes == 0
-        assert b.payload_words == 0
+    def test_link_costs_no_bytes(self, planner):
+        txn = planner.plan(links={(0, 0): Direction.EAST})
+        assert txn.total_bytes == 0
+        assert txn.link_changes == 1
 
-    def test_dmem_odd_payload_rejected(self):
-        with pytest.raises(ReconfigError):
-            PartialBitstream(ReconfigKind.DMEM, (0, 0), words=(1, 2, 3))
-
-    def test_link_with_payload_rejected(self):
-        with pytest.raises(ReconfigError):
-            PartialBitstream(ReconfigKind.LINK, (0, 0), words=(1,))
-
-    def test_link_direction_validated(self):
-        with pytest.raises(Exception):
-            PartialBitstream(ReconfigKind.LINK, (0, 0), aux=7)
-
-
-class TestSerialization:
-    def test_roundtrip_simple(self):
-        b = PartialBitstream(ReconfigKind.IMEM, (3, 4), words=(7, -9))
-        assert PartialBitstream.from_bytes(b.to_bytes()) == b
-
-    def test_link_roundtrip(self):
-        b = PartialBitstream(ReconfigKind.LINK, (1, 2), aux=2, label="")
-        assert PartialBitstream.from_bytes(b.to_bytes()) == b
-
-    def test_bad_magic_rejected(self):
-        blob = bytearray(PartialBitstream(ReconfigKind.LINK, (0, 0)).to_bytes())
-        blob[0] = ord("X")
-        with pytest.raises(ReconfigError, match="magic"):
-            PartialBitstream.from_bytes(bytes(blob))
-
-    def test_truncated_header_rejected(self):
-        with pytest.raises(ReconfigError, match="truncated"):
-            PartialBitstream.from_bytes(b"RP")
-
-    def test_truncated_payload_rejected(self):
-        blob = PartialBitstream(ReconfigKind.IMEM, (0, 0), words=(1, 2)).to_bytes()
-        with pytest.raises(ReconfigError, match="payload length"):
-            PartialBitstream.from_bytes(blob[:-4])
-
-    @given(
-        st.sampled_from([ReconfigKind.IMEM]),
-        st.tuples(st.integers(0, 31), st.integers(0, 31)),
-        st.lists(st.integers(min_value=-(1 << 70), max_value=(1 << 70)),
-                 max_size=16),
-    )
-    def test_roundtrip_property(self, kind, coord, words):
-        b = PartialBitstream(kind, coord, words=tuple(words))
-        again = PartialBitstream.from_bytes(b.to_bytes())
-        assert again.words == b.words
-        assert again.coord == b.coord
-        assert again.kind == b.kind
+    def test_link_direction_validated(self, planner):
+        with pytest.raises(LinkError):  # no tile north of row 0
+            planner.plan(links={(0, 0): Direction.NORTH})

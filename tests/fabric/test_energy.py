@@ -1,5 +1,7 @@
 """Energy model: term composition and design trade-offs."""
 
+import math
+
 import pytest
 
 from repro.errors import FabricError
@@ -26,6 +28,8 @@ class TestTerms:
     @pytest.mark.parametrize("kwargs", [
         {"instruction_pj": -1}, {"icap_byte_pj": -1},
         {"link_switch_nj": -1}, {"tile_static_mw": -1},
+        {"instruction_pj": math.nan}, {"icap_byte_pj": math.nan},
+        {"link_switch_nj": math.nan}, {"tile_static_mw": math.nan},
     ])
     def test_negative_constants_rejected(self, kwargs):
         with pytest.raises(FabricError):
@@ -37,6 +41,18 @@ class TestTerms:
             model.compute_nj(-1)
         with pytest.raises(FabricError):
             model.static_nj(-1, 10)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    @pytest.mark.parametrize("term", [
+        lambda model, v: model.compute_nj(v),
+        lambda model, v: model.reconfig_nj(v),
+        lambda model, v: model.link_nj(v),
+        lambda model, v: model.static_nj(v, 10.0),
+        lambda model, v: model.static_nj(1, v),
+    ], ids=["compute", "reconfig", "link", "static-tiles", "static-duration"])
+    def test_nan_and_negative_inputs_rejected(self, term, value):
+        with pytest.raises(FabricError):
+            term(EnergyModel(), value)
 
 
 class TestBreakdown:

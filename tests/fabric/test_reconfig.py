@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fabric.assembler import assemble
+from repro.fabric.bitstream import ReconfigKind
 from repro.fabric.icap import IcapPort
 from repro.fabric.links import Direction
 from repro.fabric.mesh import Mesh
@@ -11,6 +12,10 @@ from repro.units import IMEM_WORD_RELOAD_NS
 
 PROG_A = assemble(".var a\n.word a, 1\nNOP\nHALT", name="A")
 PROG_B = assemble("NOP\nNOP\nHALT", name="B")
+
+
+def _kinds(txn) -> list[ReconfigKind]:
+    return [op[0] for op in txn.ops]
 
 
 @pytest.fixture
@@ -22,46 +27,52 @@ def planner():
 class TestPlan:
     def test_program_load_emits_imem_and_dmem(self, planner):
         txn = planner.plan(programs={(0, 0): PROG_A})
-        kinds = [b.kind.value for b in txn.bitstreams]
-        assert len(txn.bitstreams) == 2  # imem + data image
+        assert _kinds(txn) == [ReconfigKind.IMEM, ReconfigKind.DMEM]
         assert txn.total_bytes == 2 * 9 + 1 * 6
 
     def test_program_without_data_image(self, planner):
         txn = planner.plan(programs={(0, 0): PROG_B})
-        assert len(txn.bitstreams) == 1
+        assert _kinds(txn) == [ReconfigKind.IMEM]
         assert txn.total_bytes == 3 * 9
 
     def test_pinning_skips_resident_program(self, planner):
         planner.mesh.tile((0, 0)).load_program(PROG_A)
         txn = planner.plan(programs={(0, 0): PROG_A})
-        assert txn.bitstreams == []
+        assert txn.ops == []
 
     def test_force_reload_overrides_pinning(self, planner):
         planner.mesh.tile((0, 0)).load_program(PROG_A)
         txn = planner.plan(programs={(0, 0): PROG_A}, force_program_reload=True)
-        assert len(txn.bitstreams) == 2
+        assert _kinds(txn) == [ReconfigKind.IMEM, ReconfigKind.DMEM]
 
     def test_link_delta_only(self, planner):
         planner.mesh.configure_link((0, 0), Direction.EAST)
         txn = planner.plan(links={(0, 0): Direction.EAST,
                                   (0, 1): Direction.SOUTH})
         assert txn.link_changes == 1
+        assert [op[1] for op in txn.ops] == [(0, 1)]
 
     def test_data_images(self, planner):
         txn = planner.plan(data_images={(1, 1): {5: 42, 6: 43}})
         assert txn.total_bytes == 12
-        assert txn.memory_words == 2
+        assert [op[4] for op in txn.ops] == [{5: 42, 6: 43}]
 
     def test_empty_data_image_skipped(self, planner):
         txn = planner.plan(data_images={(1, 1): {}})
-        assert txn.bitstreams == []
+        assert txn.ops == []
 
     def test_duration_upper_bound(self, planner):
+        # On an idle port the payloads run back to back: the bytes at
+        # 180 MB/s plus L per changed link.
         txn = planner.plan(
             programs={(0, 0): PROG_B}, links={(0, 1): Direction.SOUTH}
         )
-        expected = 3 * IMEM_WORD_RELOAD_NS + 100.0
-        assert txn.duration_ns(planner.icap, 100.0) == pytest.approx(expected)
+        busy_ns, end_ns = planner.apply(txn.ops, {}, 0.0)
+        expected = (planner.icap.transfer_ns(txn.total_bytes)
+                    + txn.link_changes * planner.link_cost_ns)
+        assert expected == pytest.approx(3 * IMEM_WORD_RELOAD_NS + 100.0)
+        assert busy_ns == pytest.approx(expected)
+        assert end_ns == pytest.approx(expected)
 
 
 class TestApply:

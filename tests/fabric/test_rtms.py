@@ -90,6 +90,8 @@ class TestOverlap:
         epoch = report.epochs[0]
         assert epoch.duration_ns == pytest.approx(100 * IMEM_WORD_RELOAD_NS)
         assert epoch.compute_ns == pytest.approx(100 * CYCLE_NS)
+        # the reload is partly exposed: only the compute's span hides it
+        assert epoch.overlapped_ns == pytest.approx(epoch.compute_ns)
 
     def test_overlapped_ns_reported(self, rtms):
         rtms.execute([EpochSpec("load", programs={(0, 0): WORK})])

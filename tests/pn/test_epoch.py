@@ -1,5 +1,7 @@
 """Configurations, epochs and switch costs."""
 
+import math
+
 import pytest
 
 from repro.errors import ProcessNetworkError
@@ -43,6 +45,11 @@ class TestEpoch:
     def test_negative_duration_rejected(self):
         with pytest.raises(ProcessNetworkError):
             Epoch(Configuration("C"), duration_ns=-1)
+
+    @pytest.mark.parametrize("duration_ns", [math.nan, -1.0, math.inf])
+    def test_duration_must_be_finite_and_non_negative(self, duration_ns):
+        with pytest.raises(ProcessNetworkError):
+            Epoch(Configuration("C"), duration_ns=duration_ns)
 
 
 class TestReconfigCost:

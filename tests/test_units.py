@@ -31,17 +31,6 @@ class TestPublishedConstants:
 
 
 class TestConversions:
-    def test_cycles_ns_roundtrip(self):
-        assert units.cycles_to_ns(units.ns_to_cycles(123.0)) == pytest.approx(123.0)
-
-    def test_custom_clock(self):
-        assert units.cycles_to_ns(300, clock_hz=300e6) == pytest.approx(1000.0)
-
-    def test_bytes_to_reload(self):
-        assert units.bytes_to_reload_ns(180e6) == pytest.approx(1e9)
-        with pytest.raises(ValueError):
-            units.bytes_to_reload_ns(-1)
-
     def test_throughput(self):
         assert units.throughput_per_s(1000.0) == pytest.approx(1e6)
         with pytest.raises(ValueError):
