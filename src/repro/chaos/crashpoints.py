@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterator
 
 from repro.errors import ChaosError

@@ -29,7 +29,7 @@ which is what lets the chaos harness pin supervision behaviour.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ClusterError
 

@@ -201,8 +201,9 @@ class ProcShardWorker:
         self.hello: dict = {}
         #: The last heartbeat the shard answered (the fabric gauges).
         self.last_heartbeat: ShardHeartbeat | None = None
-        #: The mirror: ids queued in the engine, ids finished there.
-        self._queued: set[str] = set()
+        #: The mirror: ids queued in the engine (each to itself: the
+        #: request's own string, kept for its result), ids finished there.
+        self._queued: dict[str, str] = {}
         self._finished: set[str] = set()
         #: Ids of results handed on and not yet known to be acknowledged,
         #: oldest first; the first ``_acks_sent`` went out with the step
@@ -213,7 +214,7 @@ class ProcShardWorker:
     def _joined(self, hello: dict) -> None:
         """Seed the mirror from the shard's hello; it is now serving."""
         self.hello = hello
-        self._queued.update(hello.get("queued_ids", ()))
+        self._queued.update((j, j) for j in hello.get("queued_ids", ()))
         self._finished.update(hello.get("finished_ids", ()))
         self._alive = True
 
@@ -302,7 +303,8 @@ class ProcShardWorker:
             jobs = self._call("backlog")["jobs"]
         except (RpcError, ClusterError):
             return
-        self._queued = {str(job["job_id"]) for job in jobs}
+        ids = (str(job["job_id"]) for job in jobs)
+        self._queued = {j: self._queued.get(j, j) for j in ids}
 
     @property
     def queue_depth(self) -> int:
@@ -384,18 +386,22 @@ class ProcShardWorker:
         self.last_heartbeat = wire.decode_heartbeat(data)
         return self.last_heartbeat
 
-    def steal_candidates(self) -> list[JobRequest]:
-        """Queued jobs a thief may take, oldest first: *cold-hash* ones
-        only — their configuration is not resident here (losing them
-        costs no warm run) and they carry no resume checkpoint (the file
-        is local to this shard's journal directory)."""
+    def steal_candidate(self) -> JobRequest | None:
+        """The queued job a thief takes, or ``None``: the newest
+        *cold-hash* one — its configuration is not resident here (losing
+        it costs no warm run) and it carries no resume checkpoint (the
+        file is local to this shard's journal directory)."""
         if not self._alive or self._unreachable:
-            return []
+            return None
         try:
-            jobs = self._call("steal_candidates")["jobs"]
+            job = self._call("steal_candidate")["job"]
         except (RpcError, ClusterError):
-            return []
-        return [wire.decode_job(j) for j in jobs]
+            return None
+        if job is None:
+            return None
+        request = wire.decode_job(job)
+        request.job_id = self._queued.get(request.job_id, request.job_id)
+        return request
 
     # ------------------------------------------------------------------
     # job flow
@@ -409,7 +415,10 @@ class ProcShardWorker:
         """
         value = self._call("submit", {"job": wire.encode_job(request)})
         pre = value.get("result")
-        (self._queued if pre is None else self._finished).add(request.job_id)
+        if pre is None:
+            self._queued[request.job_id] = request.job_id
+        else:
+            self._finished.add(request.job_id)
         self._reconcile(value["depth"])
         if pre is not None:
             return wire.decode_result(pre)
@@ -447,12 +456,14 @@ class ProcShardWorker:
         fresh = []
         for data in value["results"]:
             job_id = str(data["job_id"])
-            self._queued.discard(job_id)
+            job_id = self._queued.pop(job_id, job_id)
             self._finished.add(job_id)
             if job_id not in self._handed:
-                fresh.append(data)
+                fresh.append((job_id, data))
         self._reconcile(value["depth"])
-        results = [wire.decode_result(data) for data in fresh[:limit]]
+        results = [wire.decode_result(data) for _, data in fresh[:limit]]
+        for result, (job_id, _) in zip(results, fresh):
+            result.job_id = job_id  # the mirror's string: one per job
         self._handed += [result.job_id for result in results]
         self.jobs_completed += len(results)
         return results
@@ -472,19 +483,18 @@ class ProcShardWorker:
         results = self._step(1)
         return results[0] if results else None
 
-    def release(self, job_id: str, data: dict) -> JobRequest:
+    def release(self, job_id: str, data: dict) -> None:
         """Give up a queued job (MOVED journaled before the queue pop)."""
         value = self._call("release", {"job_id": job_id, "data": data})
-        self._queued.discard(job_id)
+        self._queued.pop(job_id, None)
         self._reconcile(value["depth"])
         self.jobs_stolen_away += 1
-        return wire.decode_job(value["job"])
 
     def expire(self, job_id: str, *, where: str = "in queue") -> JobResult:
         """Fail a queued job whose deadline lapsed (TIMEOUT journaled
         here — an expired job is never worth migrating)."""
         value = self._call("expire", {"job_id": job_id, "where": where})
-        self._queued.discard(job_id)
+        self._queued.pop(job_id, None)
         self._finished.add(job_id)
         self._handed.append(job_id)  # the caller has it: ack, don't re-send
         self._reconcile(value["depth"])

@@ -39,6 +39,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 import struct
 import sys
 from typing import Any
@@ -334,6 +335,17 @@ def encode_result(result: JobResult) -> dict:
     }
 
 
+#: The one ``0.0`` every decoded result's zero fields share.
+_ZERO = 0.0
+
+
+def _float(value) -> float:
+    """``float(value)``, with every ``+0.0`` the same object (a router
+    keeps each result it delivers, and most carry several zeros)."""
+    value = float(value)
+    return _ZERO if value == 0.0 and math.copysign(1.0, value) > 0 else value
+
+
 def decode_result(data: dict) -> JobResult:
     """Rebuild a job result from its wire form."""
     try:
@@ -346,12 +358,12 @@ def decode_result(data: dict) -> JobResult:
             worker_id=sys.intern(str(data.get("worker_id", ""))),
             attempts=int(data.get("attempts", 0)),
             warm=bool(data.get("warm", False)),
-            queue_wait_s=float(data.get("queue_wait_s", 0.0)),
-            serve_s=float(data.get("serve_s", 0.0)),
-            sim_ns=float(data.get("sim_ns", 0.0)),
-            reconfig_ns=float(data.get("reconfig_ns", 0.0)),
-            reconfig_saved_ns=float(data.get("reconfig_saved_ns", 0.0)),
-            retry_after_s=float(data.get("retry_after_s", 0.0)),
+            queue_wait_s=_float(data.get("queue_wait_s", 0.0)),
+            serve_s=_float(data.get("serve_s", 0.0)),
+            sim_ns=_float(data.get("sim_ns", 0.0)),
+            reconfig_ns=_float(data.get("reconfig_ns", 0.0)),
+            reconfig_saved_ns=_float(data.get("reconfig_saved_ns", 0.0)),
+            retry_after_s=_float(data.get("retry_after_s", 0.0)),
             recovered=bool(data.get("recovered", False)),
             resumed_slices=int(data.get("resumed_slices", 0)),
         )

@@ -29,8 +29,10 @@ now is and the handle never has to ask:
 
 - the hello lists the ids recovery requeued and the ids it found
   finished;
-- ``submit`` / ``release`` / ``expire`` reply with their answer and
-  ``depth``;
+- ``submit`` / ``expire`` reply with their answer and ``depth``,
+  ``release`` with ``depth`` alone;
+- ``steal_candidate`` replies with the one job a thief would take (the
+  newest queued cold-hash job with no resume checkpoint) or none;
 - ``step`` takes ``ack`` (ids of results the handle has handed on),
   lets those decay (:meth:`DurableEngine.ack`), runs the oldest job and
   replies with **every** unacknowledged result, oldest first, and
@@ -168,20 +170,15 @@ def _dispatch(engine: DurableEngine, name: str, op: str, params: dict):
                 journal_records=engine.journal.appended,
             )
         )
-    if op == "steal_candidates":
+    if op == "steal_candidate":
         resident = _resident(engine)
-        return {
-            "jobs": [
-                wire.encode_job(r)
-                for r in engine.queue
-                if r.spec.config_key not in resident and r.resume_slice == 0
-            ]
-        }
+        for r in reversed(engine.queue):
+            if r.spec.config_key not in resident and r.resume_slice == 0:
+                return {"job": wire.encode_job(r)}
+        return {"job": None}
     if op == "release":
-        request = engine.mark_moved(
-            str(params["job_id"]), dict(params.get("data") or {})
-        )
-        return {"job": wire.encode_job(request), "depth": len(engine.queue)}
+        engine.mark_moved(str(params["job_id"]), dict(params.get("data") or {}))
+        return {"depth": len(engine.queue)}
     if op == "expire":
         result = engine.expire(
             str(params["job_id"]),

@@ -24,7 +24,7 @@ by construction and the router delivers first-wins — while a crash
 before the first write leaves it exactly where it was.  At no point can
 replay drop it, which is the invariant the steal chaos matrix pins.
 Only cold-hash jobs are stolen (see
-:meth:`~repro.cluster.proc.shard.ProcShardWorker.steal_candidates`), so
+:meth:`~repro.cluster.proc.shard.ProcShardWorker.steal_candidate`), so
 stealing never breaks a warm affinity run.
 
 **Handoff** (dead shard → successors) is recovery-as-construction
@@ -287,10 +287,10 @@ class ShardRouter:
             thief = min(live, key=lambda s: (s.queue_depth, s.name))
             if victim.queue_depth - thief.queue_depth <= self.steal_margin:
                 break
-            candidates = victim.steal_candidates()
-            if not candidates:
+            candidate = victim.steal_candidate()
+            if candidate is None:
                 break
-            if not self._steal(victim, thief, candidates[-1]):
+            if not self._steal(victim, thief, candidate):
                 break
             moved += 1
         return moved

@@ -22,7 +22,7 @@ Edges also feed the static cost model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.errors import CompileError

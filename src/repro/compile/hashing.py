@@ -94,14 +94,17 @@ def program_fingerprint(program) -> tuple:
 
     Encoded 72-bit words capture opcode, operands, addressing modes and
     branch targets; the data image captures ``.var`` initializers — the
-    full semantic content the ICAP would stream.
+    full semantic content the ICAP would stream.  An operand value the
+    16-bit field cannot hold is appended in full.
     """
-    return (
-        "program",
-        program.name,
-        tuple(program.encoded()),
-        dict(program.data_image),
+    wide = tuple(
+        (pc, slot, operand.value)
+        for pc, instr in enumerate(program.instructions)
+        for slot, operand in enumerate((instr.dst, instr.src1, instr.src2))
+        if operand is not None and not 0 <= operand.value <= 0xFFFF
     )
+    return ("program", program.name, tuple(program.encoded()),
+            dict(program.data_image)) + ((wide,) if wide else ())
 
 
 def _program_canonical(program) -> _Canonical:

@@ -459,7 +459,8 @@ class DerivedPlan:
     (``end``; derived at first use, ``None`` unless a second job ends
     there too).  Each is ``(state, epochs)``: the guard,
     ``FabricShadow.state(coords)``, and a :class:`DerivedEpoch` per bound
-    epoch.  ``code`` caches ``RuntimeManager``'s epoch functions.
+    epoch.  ``code`` caches ``RuntimeManager``'s epoch functions, one
+    code list per start (``True``: resident).
     """
 
     plan: "EpochPlan"
@@ -467,7 +468,7 @@ class DerivedPlan:
     coords: tuple
     cold: tuple
     end: tuple
-    code: list | None = None
+    code: dict = field(default_factory=dict)
 
     @cached_property
     def resident(self) -> tuple | None:

@@ -293,11 +293,10 @@ class Instruction:
         """Pack into one 72-bit instruction word (cached per instruction).
 
         Layout (LSB first): opcode(6) | aux(12) | 3 x [mode(2)+field(16)].
-        Immediates wider than 16 bits are encoded by reference: the
-        assembler materializes them into data memory, so the 16-bit field
-        always suffices for what actually gets encoded here.  The encoding
-        is lossy for huge raw immediates; the simulator executes the
-        decoded :class:`Instruction` objects directly.
+        A field keeps the low 16 bits of its operand value, so the word
+        is lossy for values outside ``0..0xFFFF`` (wide or negative
+        immediates): ``program_fingerprint`` appends those in full, and
+        the simulator executes the decoded :class:`Instruction` objects.
         """
         return self._encoded
 

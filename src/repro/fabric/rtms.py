@@ -266,7 +266,8 @@ class RuntimeManager:
         #: the batched execution tier (``repro.fabric.batch``) installs
         #: its lane driver here.  Hooks must not raise.
         self.phase_hook = None
-        #: id(artifact) -> [artifact, jobs begun, its epoch functions here]
+        #: id(artifact) -> [artifact, jobs begun, its epoch functions here
+        #: by start (``True``: resident)]
         self._jobs: dict[int, list] = {}
         self._job_run: _JobRun | None = None
 
@@ -284,6 +285,20 @@ class RuntimeManager:
         self.tile_ready_ns.clear()
         self.now_ns = 0.0
         self._job_run = None
+
+    def power_on(self) -> None:
+        """Return the fabric, in place, to what construction gives: timing,
+        links, and per tile its memories, counters, residency, control
+        state and statistics.  Tile and memory objects stay, so bound epoch
+        functions stay valid, and so do the job counts that choose them."""
+        self.reset()
+        self.mesh.links._active.clear()
+        self.mesh.links.reconfig_count = 0
+        for tile in self.mesh:
+            tile.evict_programs()  # also clears the imem and its SEU map
+            tile.dmem.clear()
+            tile.stats.reset()
+            tile.pc = 0
 
     # ------------------------------------------------------------------
     # checkpointing (epoch-boundary recovery)
@@ -409,11 +424,11 @@ class RuntimeManager:
     def _begin_job(self, job: tuple) -> _JobRun | None:
         """The guard, once per job (no ``phase_hook``, fast engine): a job
         whose tiles hold one derived start state runs its plan, from the
-        artifact's third job here a resident one as epoch functions."""
+        artifact's third job here as that start's epoch functions."""
         artifact = job[0]
         seen = self._jobs.get(id(artifact))
         if seen is None or seen[0] is not artifact:
-            seen = self._jobs[id(artifact)] = [artifact, 0, None]
+            seen = self._jobs[id(artifact)] = [artifact, 0, {}]
         seen[1] += 1
         plan = getattr(artifact, "epoch_plan", None)
         if (
@@ -423,20 +438,17 @@ class RuntimeManager:
         ):
             return None
         state = self._residency(plan.coords)
-        links = self.mesh.links.reconfig_count
-        if state == plan.end and plan.resident is not None:
-            steps = plan.resident[1]
-            if seen[1] >= 3:
-                if seen[2] is None:
-                    seen[2] = _epoch_functions(plan, self)
-                steps = seen[2]
-        elif state == plan.cold[0]:
-            steps = plan.cold[1]
-        else:
+        resident = state == plan.end and plan.resident is not None
+        if not resident and state != plan.cold[0]:
             _pd.COUNTERS.plan_fallbacks += 1
             return None
+        steps = (plan.resident if resident else plan.cold)[1]
+        if seen[1] >= 3:
+            if resident not in seen[2]:
+                seen[2][resident] = _epoch_functions(plan, self, resident)
+            steps = seen[2][resident]
         _pd.COUNTERS.plan_runs += 1
-        return _JobRun(job, steps, links)
+        return _JobRun(job, steps, self.mesh.links.reconfig_count)
 
     # ------------------------------------------------------------------
     # compiled-artifact entry points (duck-typed: any object exposing
@@ -629,13 +641,14 @@ def _derived_decoded(tiles: list[Tile], runs: tuple) -> list | None:
     return [(dec, base) for _, dec, base in runs]
 
 
-def _epoch_functions(plan, rtms: "RuntimeManager") -> tuple:
-    """One generated function per epoch of ``plan``'s resident start
-    (generated once per plan, into ``plan.code``), bound to ``rtms``'s
-    mesh; each takes the manager per call, so none closes a cycle."""
-    if plan.code is None:
+def _epoch_functions(plan, rtms: "RuntimeManager", resident: bool) -> tuple:
+    """One generated function per epoch of ``plan``'s resident or cold
+    start (generated once per plan and start, into ``plan.code``), bound
+    to ``rtms``'s mesh; each takes the manager per call, so none closes a
+    cycle."""
+    if resident not in plan.code:
         started = time.perf_counter()
-        state, epochs = plan.resident
+        state, epochs = plan.resident if resident else plan.cold
         links = {coord: tile[2] for coord, tile in zip(plan.coords, state)}
         code = []
         for spec, epoch in zip(plan.specs, epochs):
@@ -651,9 +664,10 @@ def _epoch_functions(plan, rtms: "RuntimeManager") -> tuple:
                 make = _EPOCH_CODE[source] = namespace["_make"]
                 _pd.COUNTERS.statements += len(lines)
             code.append((make, consts))
-        plan.code = code
+        plan.code[resident] = code
         _pd.COUNTERS.lowering_s += time.perf_counter() - started
-    return tuple(make(rtms, rtms.mesh, consts) for make, consts in plan.code)
+    code = plan.code[resident]
+    return tuple(make(rtms, rtms.mesh, consts) for make, consts in code)
 
 
 def _lowered_runs(mesh: Mesh, spec: EpochSpec, runs: tuple, links: dict) -> list | None:
@@ -752,10 +766,13 @@ def _epoch_source(
             f"S{i} = t{i}.stats",
             f"C{i} = t{i}.imem._corrupted",
         ]
-    names = "".join(f"k{i}, " for i in range(len(consts)))
-    return [f"{names} = K"] + prologue + ["def _epoch(rt, spec):"] + [
-        f"    {line}" for line in body
-    ] + ["return _epoch"]
+    names = [f"k{i}" for i in range(len(consts))]
+    # bound as defaults, not closure cells: 8 bytes a name, not 48
+    params = [line.split(" = ")[0] for line in prologue] + names
+    defaults = "".join(f", {name}={name}" for name in params)
+    return [", ".join(names) + ", = K"] + prologue + [
+        f"def _epoch(rt, spec{defaults}):"
+    ] + [f"    {line}" for line in body] + ["return _epoch"]
 
 
 def _lowered_source(runs: list, generic: list[str], tile, k) -> list[str]:

@@ -94,6 +94,14 @@ class FabricBlockPipeline:
 
     # ------------------------------------------------------------------
 
+    def power_on(self) -> None:
+        """Return the tile and the per-call state, in place, to what
+        construction gives (:meth:`RuntimeManager.power_on`)."""
+        self.rtms.power_on()
+        self._block_times = []
+        self._last_block_ns = 0.0
+        self._preloaded = False
+
     def _preload(self) -> None:
         """Load the fixed data (data1) through the ICAP, once."""
         self.rtms.run_setup(self.artifact)

@@ -31,7 +31,7 @@ process incarnation; ``journal_dir=None`` means no journal, no recovery.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 

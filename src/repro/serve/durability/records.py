@@ -17,13 +17,14 @@ lifecycle::
 
 Payloads are numpy arrays (complex FFT vectors, integer JPEG frames);
 :func:`encode_payload`/:func:`decode_payload` round-trip them through
-JSON exactly (complex values as ``[re, im]`` pairs with full float
-repr precision, frames as nested int lists), so a replayed job computes
-bit-identically to the lost original.
+JSON exactly, as ``{"dtype", "shape", "b64"}`` (the canonical array's
+raw bytes), so a replayed job computes bit-identically to the lost
+original.  The older ``{"shape", "values"}`` form still decodes.
 """
 
 from __future__ import annotations
 
+import base64
 import enum
 import json
 from dataclasses import dataclass, field
@@ -101,39 +102,42 @@ class JournalRecord:
 # --------------------------------------------------------------------------
 
 
-def encode_payload(kind: JobKind, payload: Any) -> dict[str, Any]:
-    """JSON-encode a kernel payload losslessly.
-
-    FFT payloads are 1-D complex vectors -> ``[[re, im], ...]`` with
-    Python float repr (shortest round-trip) precision; JPEG, conv2d and
-    GEMM payloads are integer arrays -> shape + flat int list; DSP
-    payloads are real float frames -> shape + flat float list (repr
-    precision, so the Q30 encoding of a replayed frame is bit-identical).
-    """
+def _canonical(kind: JobKind, payload: Any) -> np.ndarray:
+    """``payload`` as its kind's canonical array (DESIGN §10)."""
     if kind is JobKind.FFT:
-        x = np.asarray(payload, dtype=np.complex128)
-        return {
-            "shape": list(x.shape),
-            "values": [[float(v.real), float(v.imag)] for v in x.ravel()],
-        }
+        return np.asarray(payload, dtype=np.complex128)
     if kind is JobKind.JPEG:
         img = np.asarray(payload)
         if img.dtype.kind == "f":
             img = np.clip(np.rint(img), 0, 255)
-        img = img.astype(np.int64)
-        return {"shape": list(img.shape), "values": img.ravel().tolist()}
+        return img.astype(np.int64)
     if kind in (JobKind.CONV2D, JobKind.GEMM):
-        arr = np.asarray(payload).astype(np.int64)
-        return {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+        return np.asarray(payload).astype(np.int64)
     if kind is JobKind.DSP:
-        x = np.asarray(payload, dtype=np.float64)
-        return {"shape": list(x.shape), "values": [float(v) for v in x.ravel()]}
+        return np.asarray(payload, dtype=np.float64)
     raise JournalError(f"no payload codec for kernel kind {kind!r}")
 
 
+def encode_payload(kind: JobKind, payload: Any) -> dict[str, Any]:
+    """JSON-encode a kernel payload losslessly: its canonical array's
+    dtype, shape and raw bytes in base64."""
+    arr = np.ascontiguousarray(_canonical(kind, payload))
+    return {
+        "dtype": arr.dtype.str,
+        "shape": list(arr.shape),
+        "b64": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
 def decode_payload(kind: JobKind, data: dict[str, Any]) -> Any:
-    """Invert :func:`encode_payload` bit-exactly."""
+    """Invert :func:`encode_payload` bit-exactly.  The older ``values``
+    form (FFT ``[re, im]`` pairs, flat number lists) still decodes, so
+    every journal written before the raw-bytes form replays."""
     shape = tuple(int(s) for s in data["shape"])
+    if "b64" in data:
+        raw = bytearray(base64.b64decode(data["b64"], validate=True))
+        flat = np.frombuffer(raw, dtype=np.dtype(data["dtype"]))
+        return _canonical(kind, flat).reshape(shape)
     if kind is JobKind.FFT:
         flat = np.array(
             [complex(re, im) for re, im in data["values"]],

@@ -3,7 +3,8 @@
 Each :class:`FabricWorker` owns at most one live kernel session — its
 *resident configuration*.  Executing a job whose spec matches the
 resident key is **warm** (programs pinned, static data resident, only
-per-job data pays the ICAP); any other spec forces a **cold** rebuild.
+per-job data pays the ICAP); any other spec is a **cold** start, which
+powers on the session the worker kept for that spec (or builds one).
 :meth:`FabricWorker.switch_cost_ns` is the scheduler's scoring oracle:
 it answers "how much Eq. 1 term-B time would placing this job here
 cost", using :meth:`repro.fabric.rtms.RuntimeManager.switch_cost` both
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import FaultError, JobCancelled, ServeError
-from repro.serve.breaker import BreakerState, CircuitBreaker
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.jobs import JobRequest, KernelSpec
 from repro.serve.sessions import (
     CancelToken,
@@ -44,6 +45,10 @@ __all__ = [
     "FabricPool",
     "ResidencyCostModel",
 ]
+
+#: Sessions a fabric keeps for power-on, least recently started out
+#: first (DESIGN §16: the 8 thrash plans' sessions are 732 KB).
+KEPT_SESSIONS = 8
 
 
 class HealthState(enum.Enum):
@@ -141,6 +146,7 @@ class FabricWorker:
         self.breaker = breaker
         self.session: KernelSession | None = None
         self.resident_key: str | None = None
+        self._kept: dict[str, KernelSession] = {}
         # -- lifetime accounting ---------------------------------------
         self.jobs_done = 0
         self.cold_starts = 0
@@ -195,6 +201,7 @@ class FabricWorker:
         self.quarantine_reason = reason
         self.session = None
         self.resident_key = None
+        self._kept.clear()  # readmit means a replaced fabric
 
     def readmit(self) -> None:
         """Return a quarantined/degraded fabric to rotation as healthy.
@@ -249,6 +256,26 @@ class FabricWorker:
     # execution (synchronous; the service runs this in a thread)
     # ------------------------------------------------------------------
 
+    def _cold_session(self, spec: KernelSpec) -> KernelSession:
+        """The session a cold start runs on: the kept one for ``spec``,
+        powered on, else a new one (kept when its type can power on)."""
+        session = self._kept.pop(spec.config_key, None)
+        if session is None:
+            session = self._session_factory(spec)
+        else:
+            session.power_on()
+        if hasattr(session, "power_on"):
+            self._kept[spec.config_key] = session
+            if len(self._kept) > KEPT_SESSIONS:
+                del self._kept[next(iter(self._kept))]
+        return session
+
+    def _drop(self, spec: KernelSpec) -> None:
+        """Forget the session a raising job left undefined."""
+        self.session = None
+        self.resident_key = None
+        self._kept.pop(spec.config_key, None)
+
     def execute(
         self,
         request: JobRequest,
@@ -285,7 +312,7 @@ class FabricWorker:
             self.breaker.on_dispatch()
         warm = self.is_warm_for(spec)
         if not warm:
-            self.session = self._session_factory(spec)
+            self.session = self._cold_session(spec)
             self.resident_key = spec.config_key
             self.cold_starts += 1
         assert self.session is not None
@@ -318,8 +345,7 @@ class FabricWorker:
                 self.breaker.record_failure()
             raise
         except BaseException as exc:
-            self.session = None
-            self.resident_key = None
+            self._drop(spec)
             # Cancellation is the service's doing, not the fabric's fault.
             if not isinstance(exc, JobCancelled):
                 self.record_failure(repr(exc))
@@ -401,7 +427,7 @@ class FabricWorker:
             self.breaker.on_dispatch()
         warm = self.is_warm_for(spec)
         if not warm:
-            session = self._session_factory(spec)
+            session = self._cold_session(spec)
             if not hasattr(session, "run_batch"):
                 # No batched tier on this session type: release the probe
                 # slot (neutral — nothing ran) and dispatch sequentially,
@@ -424,8 +450,7 @@ class FabricWorker:
                 self.breaker.record_failure()
             raise
         except BaseException as exc:
-            self.session = None
-            self.resident_key = None
+            self._drop(spec)
             if not isinstance(exc, JobCancelled):
                 self.record_failure(repr(exc))
                 if self.breaker is not None:

@@ -167,6 +167,12 @@ class ArtifactSession(_BaseSession):
         )
         self._preloaded = False
 
+    def power_on(self) -> None:
+        """Return the session, in place, to what construction gives."""
+        self.rtms.power_on()
+        self.jobs_run = 0
+        self._preloaded = False
+
     def run(self, payload: Any, cancel: CancelToken) -> SessionStats:
         return self._run(payload, cancel, 0)
 
@@ -354,6 +360,10 @@ class JPEGSession(_BaseSession):
         )
         self.artifact = self.pipeline.artifact
         self.rtms = self.pipeline.rtms
+
+    def power_on(self) -> None:
+        self.pipeline.power_on()
+        self.jobs_run = 0
 
     def _stream(self, zigzags, height: int, width: int) -> bytes:
         """Entropy-code a frame's zig-zag rows into a JFIF stream."""

@@ -84,7 +84,7 @@ class TestDeath:
         worker.kill()
         assert worker.queue_depth == 0
         assert worker.finished_ids() == []
-        assert worker.steal_candidates() == []
+        assert worker.steal_candidate() is None
 
     def test_heartbeat_never_raises(self, worker):
         worker.kill()

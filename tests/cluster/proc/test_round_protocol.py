@@ -24,6 +24,7 @@ No test here looks at a clock or an RSS figure.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -178,12 +179,39 @@ class TestRpcBudget:
         before = _calls(router)
         steals = router.rebalance()
         assert steals == 2  # 6/0 -> 5/1 -> 4/2, then within the margin
-        # steal_candidates + thief submit + victim release, per steal
+        # steal_candidate + thief submit + victim release, per steal
         assert _calls(router) - before == 3 * steals
 
 
 class TestRpcBudgetLoopback(TestRpcBudget):
     transport = "loopback"
+
+
+def test_a_steal_ships_one_job_and_its_release_none(tmp_path, monkeypatch):
+    """Per steal the victim encodes exactly one job (its candidate); the
+    thief's submit carries it back in, and ``release`` answers with the
+    depth alone."""
+    replies = []
+    dispatch = worker_module._dispatch
+
+    def recording(engine, name, op, params):
+        value = dispatch(engine, name, op, params)
+        replies.append((name, op, json.dumps(value).count('"payload"')))
+        return value
+
+    monkeypatch.setattr(worker_module, "_dispatch", recording)
+    router = ShardRouter(tmp_path, NAMES)
+    try:
+        for index in range(6):  # all on one shard: 6 vs 0, margin 2
+            router.submit(_request(index))
+        victim = router.shard_for(FFT)
+        replies.clear()
+        assert router.rebalance() == 2
+        from_victim = [(op, jobs) for name, op, jobs in replies if name == victim]
+        assert from_victim == [("steal_candidate", 1), ("release", 0)] * 2
+        assert all(jobs == 0 for name, _, jobs in replies if name != victim)
+    finally:
+        router.close()
 
 
 # ----------------------------------------------------------------------
@@ -472,6 +500,24 @@ def test_acknowledged_outputs_leave_the_shard(tmp_path):
         )
         # The router's copies are the whole ones.
         assert all(r.output is not None for r in router.results.values())
+    finally:
+        router.close()
+
+
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_a_delivered_result_keeps_the_request_s_id(tmp_path, transport):
+    """One id string per job, the submitted request's, stolen jobs too;
+    and one ``0.0`` for every result's zero fields."""
+    router = ShardRouter(tmp_path, NAMES, worker_factory=TRANSPORTS[transport])
+    try:
+        requests = [_request(index) for index in range(4)]
+        for request in requests:
+            router.submit(request)
+        router.run()  # 4 vs 0 with margin 2: one steal
+        assert router.steals == 1
+        results = [router.results[request.job_id] for request in requests]
+        assert all(r.job_id is q.job_id for r, q in zip(results, requests))
+        assert len({id(r.retry_after_s) for r in results}) == 1
     finally:
         router.close()
 

@@ -100,7 +100,7 @@ class TestStealing:
         assert HOT.config_key in pair.shards[home].resident_keys()
         for i in range(6):
             pair.submit(_request(HOT, f"aff-{i}"))
-        assert pair.shards[home].steal_candidates() == []
+        assert pair.shards[home].steal_candidate() is None
         assert pair.rebalance() == 0 and pair.steals == 0
 
     def test_checkpoint_resumes_are_not_candidates(self, pair):
@@ -108,9 +108,12 @@ class TestStealing:
         for i in range(3):
             pair.submit(_request(HOT, f"rs-{i}"))
         shard = pair.shards[home]
-        shard.rpc.engine.queue[0].resume_slice = 2
-        candidates = {r.job_id for r in shard.steal_candidates()}
-        assert candidates == {"rs-1", "rs-2"}
+        queue = shard.rpc.engine.queue
+        assert shard.steal_candidate().job_id == "rs-2"  # the newest
+        queue[2].resume_slice = 2
+        assert shard.steal_candidate().job_id == "rs-1"
+        queue[0].resume_slice = queue[1].resume_slice = 2
+        assert shard.steal_candidate() is None
 
 
 class _RecordingShard:

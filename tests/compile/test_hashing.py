@@ -135,6 +135,15 @@ class TestSemanticSensitivity:
         b = build_tiny_plan(image_word=8).plan()
         assert plan_hash(a) != plan_hash(b)
 
+    def test_immediates_equal_in_their_low_16_bits_differ(self):
+        # 70000 & 0xFFFF == 4464: the 72-bit words alone would collide
+        wide = "MOV 5, #70000\nHALT"
+        narrow = "MOV 5, #4464\nHALT"
+        assert program_fingerprint(assemble(wide, name="p")) != \
+            program_fingerprint(assemble(narrow, name="p"))
+        assert plan_hash(build_tiny_plan(source=wide).plan()) != \
+            plan_hash(build_tiny_plan(source=narrow).plan())
+
     def test_flipping_one_instruction_changes_the_hash(self):
         a = build_tiny_plan(source="MOV 5, #1\nHALT").plan()
         b = build_tiny_plan(source="MOV 5, #2\nHALT").plan()

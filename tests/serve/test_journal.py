@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compile.frontends import get_frontend
 from repro.errors import JournalError
 from repro.locks import HAS_FLOCK
 from repro.serve.durability.journal import (
@@ -33,7 +34,9 @@ from repro.serve.durability.records import (
     encode_payload,
     encode_request,
 )
-from repro.serve.jobs import JobKind, JobRequest, fft_spec, jpeg_spec
+from repro.serve.durability.engine import DurableEngine
+from repro.serve.jobs import JobKind, JobRequest, fft_spec, jpeg_spec, spec_for
+from repro.serve.sessions import CancelToken, default_session_factory
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -255,6 +258,96 @@ class TestLocking:
 # ---------------------------------------------------------------------------
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _values_form(kind: JobKind, payload) -> dict:
+    """``payload`` as journals wrote it before the raw-bytes form: FFT
+    ``[re, im]`` float pairs, every other kind a flat number list."""
+    if kind is JobKind.FFT:
+        x = np.asarray(payload, dtype=np.complex128)
+        values = [[float(v.real), float(v.imag)] for v in x.ravel()]
+    elif kind is JobKind.JPEG:
+        x = np.asarray(payload)
+        if x.dtype.kind == "f":
+            x = np.clip(np.rint(x), 0, 255)
+        x = x.astype(np.int64)
+        values = x.ravel().tolist()
+    elif kind is JobKind.DSP:
+        x = np.asarray(payload, dtype=np.float64)
+        values = [float(v) for v in x.ravel()]
+    else:
+        x = np.asarray(payload).astype(np.int64)
+        values = x.ravel().tolist()
+    return {"shape": list(x.shape), "values": values}
+
+
+def _bits(array: np.ndarray) -> tuple:
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _examples() -> list[JobRequest]:
+    """One request of every registered kind, default configuration."""
+    rng = np.random.default_rng(11)
+    requests = []
+    for kind in JobKind:
+        frontend = get_frontend(kind.value)
+        payload = frontend.example_payload(frontend.canonicalize(None), rng)
+        requests.append(
+            JobRequest(spec=spec_for(kind), payload=payload, job_id=f"old-{kind.value}")
+        )
+    return requests
+
+
+class TestOldJournalsReplay:
+    """Journals written in the ``values`` form decode bit-equal to the
+    raw-bytes form and recover in an engine."""
+
+    def test_every_kind_decodes_bit_equal(self):
+        rng = np.random.default_rng(5)
+        special = np.array(
+            [-0.0 + 1j, 5e-324 - 0.0j, complex(np.inf, -np.inf), 1.5 - 2.25j]
+        )
+        payloads = [(r.spec.kind, r.payload) for r in _examples()] + [
+            (JobKind.FFT, special),
+            (JobKind.JPEG, rng.uniform(-20.0, 280.0, (8, 8))),  # a float frame
+        ]
+        for kind, payload in payloads:
+            old = json.loads(json.dumps(_values_form(kind, payload)))
+            new = json.loads(json.dumps(encode_payload(kind, payload)))
+            assert _bits(decode_payload(kind, old)) == _bits(decode_payload(kind, new))
+
+    def test_a_segment_of_both_forms_recovers(self, tmp_path):
+        requests = _examples()
+        with JobJournal(tmp_path, fsync=FsyncPolicy.NEVER) as journal:
+            for index, request in enumerate(requests):
+                data = encode_request(request)
+                if index % 2 == 0:
+                    data["payload"] = _values_form(request.spec.kind, request.payload)
+                journal.submitted(request.job_id, data)
+        engine = DurableEngine(tmp_path)
+        try:
+            assert [r.job_id for r in engine.queue] == [r.job_id for r in requests]
+            for recovered, request in zip(engine.queue, requests):
+                expected = decode_payload(
+                    request.spec.kind, encode_payload(request.spec.kind, request.payload)
+                )
+                assert _bits(recovered.payload) == _bits(expected)
+            engine.run()
+        finally:
+            engine.close()
+        for request in requests:
+            result = engine.results[request.job_id]
+            direct = default_session_factory(request.spec).run(
+                request.payload, CancelToken()
+            )
+            assert result.ok
+            output = result.output
+            assert (output if isinstance(output, bytes) else output.tobytes()) == (
+                direct.output
+                if isinstance(direct.output, bytes)
+                else direct.output.tobytes()
+            )
+
 
 
 class TestPayloadCodec:

@@ -13,6 +13,10 @@ check errs towards calling a name reached.
 
 A name that stays unreached needs an entry in :data:`ALLOWLIST` with the
 reason it stays.
+
+The same goes for imports: a name a module of ``src/repro`` imports and
+never uses fails :func:`unused_imports`, except in a package
+``__init__.py`` (re-exports) or where the module's ``__all__`` lists it.
 """
 
 from __future__ import annotations
@@ -137,6 +141,69 @@ def unreached(root: Path) -> dict[str, int]:
             break
         dead = now
     return {defs[key][0]: defs[key][2] - defs[key][1] + 1 for key in dead}
+
+
+def unused_imports(root: Path) -> list[str]:
+    """``path:line: name`` of every imported name its module never uses: no
+    ``Name`` node, no name in a string annotation, no ``__all__`` entry."""
+    out = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expression = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used |= {n.id for n in ast.walk(expression)
+                         if isinstance(n, ast.Name)}
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        out += [f"{path.relative_to(root)}:{line}: {name}"
+                for name, line in imported.items() if name not in used]
+    return out
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports(ROOT) == []
+
+
+def test_an_unused_import_is_flagged(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from os import sep\n")
+    (package / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import TYPE_CHECKING, Any as Anything\n"
+        "from json import dumps\n"
+        "__all__ = ['dumps']\n"
+        "if TYPE_CHECKING:\n"
+        "    from pathlib import Path\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    where: 'Path'\n"
+    )
+    assert unused_imports(tmp_path) == [
+        "src/repro/mod.py:2: os",
+        "src/repro/mod.py:3: field",
+        "src/repro/mod.py:4: Anything",
+    ]
 
 
 @pytest.fixture(scope="module")
